@@ -228,10 +228,11 @@ def diversity_ascent(policies, batch: StateBatch, steps: int, metric: str = "w2"
                     policies[i].params.shape)
                 policies[i] = policies[i].with_params(bumped)
                 break
-    scale = kernel_forward(policies, batch, metric, deterministic).scale
+    # the forward that fixes the scale is also step 0's forward
+    fwd = kernel_forward(policies, batch, metric, deterministic)
+    scale = fwd.scale
     trace = []
     for _ in range(steps):
-        fwd = kernel_forward(policies, batch, metric, deterministic, norm_scale=scale)
         factor, beta_used = _factor_with_backoff(fwd.entries, beta)
         trace.append(det_via_cholesky(factor))
         upstream = beta_used * spd_inverse(factor)  # d log det / dK
@@ -241,7 +242,7 @@ def diversity_ascent(policies, batch: StateBatch, steps: int, metric: str = "w2"
             if grad_clip > 0 and norm > grad_clip:
                 g = g * (grad_clip / norm)
             policies[i] = policies[i].with_params(policies[i].params + lr * g)
-    fwd = kernel_forward(policies, batch, metric, deterministic, norm_scale=scale)
+        fwd = kernel_forward(policies, batch, metric, deterministic, norm_scale=scale)
     factor, _ = _factor_with_backoff(fwd.entries, beta)
     trace.append(det_via_cholesky(factor))
     return policies, np.asarray(trace)

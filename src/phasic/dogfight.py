@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,19 +116,20 @@ def wrap_angle(a: float) -> float:
 def integrate(state: AircraftState, action: np.ndarray, cfg: DogfightConfig) -> AircraftState:
     """Advance one aircraft by dt under a clamped 4-channel control."""
     action = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
-    throttle, elevator, roll_cmd, rudder = action
-    speed = float(np.clip(state.speed + throttle * cfg.accel_max * cfg.dt,
-                          cfg.v_min, cfg.v_max))
+    throttle, elevator, roll_cmd, rudder = action.tolist()
+    speed = min(max(state.speed + throttle * cfg.accel_max * cfg.dt, cfg.v_min), cfg.v_max)
     roll = wrap_angle(state.roll + roll_cmd * cfg.roll_rate * cfg.dt)
-    pitch = float(np.clip(state.pitch + elevator * cfg.pitch_rate * cfg.dt,
-                          -cfg.pitch_limit, cfg.pitch_limit))
+    pitch = min(max(state.pitch + elevator * cfg.pitch_rate * cfg.dt, -cfg.pitch_limit),
+                cfg.pitch_limit)
     # bank-to-turn: rolling tilts the lift vector and drags the heading around;
     # the coupling is clamped so near-knife-edge bank stays finite
-    bank_turn = float(np.clip((GRAVITY / speed) * math.tan(roll),
-                              -cfg.turn_rate_max, cfg.turn_rate_max))
+    bank_turn = min(max((GRAVITY / speed) * math.tan(roll), -cfg.turn_rate_max),
+                    cfg.turn_rate_max)
     heading = wrap_angle(state.heading + (rudder * cfg.yaw_rate + bank_turn) * cfg.dt)
-    new = AircraftState(pos=state.pos, speed=speed, heading=heading, pitch=pitch, roll=roll)
-    return replace(new, pos=state.pos + speed * new.forward_axis() * cfg.dt)
+    cp = math.cos(pitch)
+    forward = np.array([math.sin(heading) * cp, math.cos(heading) * cp, math.sin(pitch)])
+    return AircraftState(pos=state.pos + speed * forward * cfg.dt, speed=speed,
+                         heading=heading, pitch=pitch, roll=roll)
 
 
 @dataclass(frozen=True)
@@ -145,15 +146,15 @@ class Geometry:
 
 def relative_geometry(attacker: AircraftState, target: AircraftState) -> Geometry:
     los = target.pos - attacker.pos
-    dist = float(np.linalg.norm(los))
+    dist = math.sqrt(los.dot(los))  # np.linalg.norm's own computation
     if dist < 1e-9:
         return Geometry(0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
     u = los / dist
-    cos_ata = float(np.clip(attacker.forward_axis() @ u, -1.0, 1.0))
+    cos_ata = min(max(float(attacker.forward_axis() @ u), -1.0), 1.0)
     ata = math.acos(cos_ata)
     # aspect: target tail axis (-forward) vs LOS target->attacker (-u);
     # the two sign flips cancel
-    cos_aspect = float(np.clip(target.forward_axis() @ u, -1.0, 1.0))
+    cos_aspect = min(max(float(target.forward_axis() @ u), -1.0), 1.0)
     aspect = math.acos(cos_aspect)
     bearing = math.atan2(los[0], los[1])
     az_err = wrap_angle(bearing - attacker.heading)
@@ -170,8 +171,11 @@ def lock_check(attacker: AircraftState, target: AircraftState,
     The angle test compares cosines with a 1e-12 slack so a pose constructed
     at exactly the boundary angle counts as locked.
     """
-    cfg = cfg or DogfightConfig()
-    geom = relative_geometry(attacker, target)
+    return _locks(relative_geometry(attacker, target), cfg or DogfightConfig())
+
+
+def _locks(geom: Geometry, cfg: DogfightConfig) -> bool:
+    """lock_check's test on an already computed attacker->target geometry."""
     if geom.distance >= cfg.lock_range:
         return False
     return geom.cos_ata >= math.cos(cfg.lock_cone) - 1e-12
@@ -192,15 +196,24 @@ def step(state: DogfightState, action_red: np.ndarray, action_blue: np.ndarray,
     once if red exits the arena.  An opponent exit ends the episode with no
     extra reward.  Termination priority: red out, blue out, lock win, step cap.
     """
-    cfg = cfg or DogfightConfig()
+    next_state, reward, flags, _, _ = _advance(state, action_red, action_blue,
+                                               cfg or DogfightConfig())
+    return next_state, reward, flags
+
+
+def _advance(state: DogfightState, action_red: np.ndarray, action_blue: np.ndarray,
+             cfg: DogfightConfig):
+    """step(), also returning the next state's red->blue and blue->red geometries."""
     status = state.status
     if status.terminal is not None:
         raise ValueError("step() on a terminated engagement")
     red = integrate(state.red, action_red, cfg)
     blue = integrate(state.blue, action_blue, cfg)
     n_step = status.step + 1
-    red_locks = lock_check(red, blue, cfg)
-    blue_locks = lock_check(blue, red, cfg)
+    red_geom = relative_geometry(red, blue)
+    blue_geom = relative_geometry(blue, red)
+    red_locks = _locks(red_geom, cfg)
+    blue_locks = _locks(blue_geom, cfg)
     lock_a = status.lock_steps_agent + int(red_locks)
     lock_o = status.lock_steps_opponent + int(blue_locks)
     reward = cfg.lock_reward * int(red_locks) + cfg.locked_penalty * int(blue_locks)
@@ -220,7 +233,8 @@ def step(state: DogfightState, action_red: np.ndarray, action_blue: np.ndarray,
         red=red, blue=blue,
         status=EpisodeStatus(step=n_step, lock_steps_agent=lock_a,
                              lock_steps_opponent=lock_o, terminal=terminal))
-    return next_state, float(reward), {"red_locks": red_locks, "blue_locks": blue_locks}
+    return (next_state, float(reward), {"red_locks": red_locks, "blue_locks": blue_locks},
+            red_geom, blue_geom)
 
 
 def expert_policy(geom: Geometry, rng: np.random.Generator,
@@ -272,8 +286,14 @@ def behavior_descriptor(episode_actions: np.ndarray) -> np.ndarray:
 def observe(own: AircraftState, other: AircraftState, status: EpisodeStatus,
             own_locks: int, other_locks: int, cfg: DogfightConfig) -> np.ndarray:
     """Fixed 22-dim encoding of own state, relative target geometry, and clocks."""
-    geom = relative_geometry(own, other)
-    own_f = own.forward_axis()
+    return _encode(own, other, relative_geometry(own, other), status, own_locks,
+                   other_locks, cfg)
+
+
+def _encode(own: AircraftState, other: AircraftState, geom: Geometry,
+            status: EpisodeStatus, own_locks: int, other_locks: int,
+            cfg: DogfightConfig) -> np.ndarray:
+    """observe() from an already computed own->other geometry."""
     other_f = other.forward_axis()
     los = (other.pos - own.pos) / max(geom.distance, 1e-9)
     return np.array([
@@ -309,7 +329,8 @@ class DogfightEnv:
         self.trajectory: list = []
         self._state: DogfightState | None = None
         self._rng: np.random.Generator | None = None
-        self._prev_geom: Geometry | None = None
+        self._prev_geom: Geometry | None = None   # red->blue, feeds the shaping
+        self._blue_geom: Geometry | None = None   # blue->red, feeds the expert
 
     # -- episode control ----------------------------------------------------
 
@@ -329,23 +350,23 @@ class DogfightEnv:
             pitch=0.0, roll=0.0)
         self._state = DogfightState(red=red, blue=blue, status=EpisodeStatus())
         self._prev_geom = relative_geometry(red, blue)
+        self._blue_geom = relative_geometry(blue, red)
         self.trajectory = []
-        return observe(red, blue, self._state.status, 0, 0, cfg)
+        return _encode(red, blue, self._prev_geom, self._state.status, 0, 0, cfg)
 
     def step(self, action: np.ndarray):
         if self._state is None or self._state.status.terminal is not None:
             raise RuntimeError("step() on a finished episode; call reset()")
         cfg = self.config
         state = self._state
-        blue_geom = relative_geometry(state.blue, state.red)
-        action_blue = expert_policy(blue_geom, self._rng, cfg)
-        next_state, sparse, flags = step(state, action, action_blue, cfg)
-        geom = relative_geometry(next_state.red, next_state.blue)
+        action_blue = expert_policy(self._blue_geom, self._rng, cfg)
+        next_state, sparse, flags, geom, self._blue_geom = _advance(
+            state, action, action_blue, cfg)
         shaping = dense_reward(self._prev_geom, geom, flags["blue_locks"], cfg)
         self._prev_geom = geom
         self._state = next_state
         status = next_state.status
-        obs = observe(next_state.red, next_state.blue, status,
+        obs = _encode(next_state.red, next_state.blue, geom, status,
                       status.lock_steps_agent, status.lock_steps_opponent, cfg)
         info = {
             "sparse_reward": sparse,

@@ -262,14 +262,15 @@ def kernel_entry_grad(pi_i, pi_j, batch: StateBatch, metric: str = "w2",
     return entry, gi, gj
 
 
+# the action-space kind each population metric compares
+METRIC_KINDS = {"w2": "continuous", "jsd": "discrete"}
+
+
 def _check_metric(pi_i, pi_j, metric: str) -> None:
-    if metric not in ("jsd", "w2"):
+    if metric not in METRIC_KINDS:
         raise ValueError(f"unknown metric {metric!r}")
-    kinds = {pi_i.action_space.kind, pi_j.action_space.kind}
-    if metric == "jsd" and kinds != {"discrete"}:
-        raise ValueError("jsd metric requires discrete action spaces")
-    if metric == "w2" and kinds != {"continuous"}:
-        raise ValueError("w2 metric requires continuous action spaces")
+    if {pi_i.action_space.kind, pi_j.action_space.kind} != {METRIC_KINDS[metric]}:
+        raise ValueError(f"{metric} metric requires {METRIC_KINDS[metric]} action spaces")
 
 
 # ---------------------------------------------------------------------------

@@ -40,26 +40,33 @@ def _act(name: str):
 
 
 class _Mlp:
-    """Shapes and forward/backward passes for one fully-connected stack."""
+    """Layout and forward/backward passes for one fully-connected stack.
+
+    The flat-vector layout (slice bounds and shapes) and the activation pair
+    are fixed at construction, so a pass does no per-call bookkeeping.  The
+    passes take ``layers``, the per-layer views that ``layers(flat)`` returns.
+    """
 
     def __init__(self, sizes, activation="tanh"):
         self.sizes = tuple(int(s) for s in sizes)
         if len(self.sizes) < 2:
             raise ValueError("need at least input and output sizes")
-        self.activation = activation
-        self.shapes = []
+        self._f, self._df = _act(activation)
+        self._slices = []  # (start, stop, shape) of each weight and bias
+        off = 0
         for a, b in zip(self.sizes[:-1], self.sizes[1:]):
-            self.shapes.append((b, a))  # weight
-            self.shapes.append((b,))    # bias
-        self.n_params = sum(int(np.prod(s)) for s in self.shapes)
+            for shape, size in (((b, a), b * a), ((b,), b)):  # weight, bias
+                self._slices.append((off, off + size, shape))
+                off += size
+        self.n_params = off
 
     def unpack(self, flat: np.ndarray):
-        out, off = [], 0
-        for shape in self.shapes:
-            size = int(np.prod(shape))
-            out.append(flat[off:off + size].reshape(shape))
-            off += size
-        return out
+        return [flat[lo:hi].reshape(shape) for lo, hi, shape in self._slices]
+
+    def layers(self, flat: np.ndarray):
+        """Per-layer (weight, weight transposed, bias) views into ``flat``."""
+        views = self.unpack(flat)
+        return [(w, w.T, b) for w, b in zip(views[0::2], views[1::2])]
 
     def init_params(self, rng: np.random.Generator, out_gain: float,
                     hidden_gain: float = np.sqrt(2.0)) -> np.ndarray:
@@ -71,36 +78,31 @@ class _Mlp:
             views[2 * layer][...] = _orthogonal(views[2 * layer].shape, gain, rng)
         return flat
 
-    def forward(self, flat: np.ndarray, x: np.ndarray):
+    def forward(self, layers, x: np.ndarray):
         """Returns (output (N, out), cache for backward)."""
-        views = self.unpack(flat)
-        f, _ = _act(self.activation)
+        f = self._f
+        last = len(layers) - 1
         acts = [x]
         zs = []
         h = x
-        n_layers = len(self.sizes) - 1
-        for layer in range(n_layers):
-            w, b = views[2 * layer], views[2 * layer + 1]
-            z = h @ w.T + b
+        for layer, (_, wt, b) in enumerate(layers):
+            z = h @ wt + b
             zs.append(z)
-            h = f(z) if layer < n_layers - 1 else z
+            h = f(z) if layer < last else z
             acts.append(h)
         return h, (acts, zs)
 
-    def backward(self, flat: np.ndarray, cache, dout: np.ndarray) -> np.ndarray:
-        views = self.unpack(flat)
-        _, df = _act(self.activation)
+    def backward(self, layers, cache, dout: np.ndarray) -> np.ndarray:
         acts, zs = cache
         grad = np.zeros(self.n_params)
         gviews = self.unpack(grad)
-        n_layers = len(self.sizes) - 1
         dz = dout
-        for layer in range(n_layers - 1, -1, -1):
+        for layer in range(len(layers) - 1, -1, -1):
             gviews[2 * layer][...] = dz.T @ acts[layer]
             gviews[2 * layer + 1][...] = dz.sum(axis=0)
             if layer > 0:
-                dh = dz @ views[2 * layer]
-                dz = dh * df(zs[layer - 1], acts[layer])
+                dh = dz @ layers[layer][0]
+                dz = dh * self._df(zs[layer - 1], acts[layer])
         return grad
 
 
@@ -112,7 +114,11 @@ def _orthogonal(shape, gain: float, rng: np.random.Generator) -> np.ndarray:
 
 
 class Policy:
-    """Immutable flat-parameter policy network."""
+    """Immutable flat-parameter policy network.
+
+    Each instance unpacks its weight views and clamps its log-std once; the
+    views alias ``params`` and, like it, are read-only.
+    """
 
     def __init__(self, topology: dict, params: np.ndarray):
         self.topology = dict(topology)
@@ -120,13 +126,25 @@ class Policy:
         self.action_space = ActionSpace(**self.topology["action_space"])
         sizes = (self.topology["obs_dim"], *self.topology["hidden"], self.action_space.dim)
         self._mlp = _Mlp(sizes, self.topology.get("activation", "tanh"))
-        n_extra = self.action_space.dim if self.action_space.kind == "continuous" else 0
+        self._set_params(params)
+
+    def _set_params(self, params: np.ndarray) -> None:
+        n_net = self._mlp.n_params
+        continuous = self.action_space.kind == "continuous"
+        n_extra = self.action_space.dim if continuous else 0
         params = np.asarray(params, dtype=np.float64).copy()
-        if params.shape != (self._mlp.n_params + n_extra,):
-            raise ValueError(f"expected {self._mlp.n_params + n_extra} parameters, "
+        if params.shape != (n_net + n_extra,):
+            raise ValueError(f"expected {n_net + n_extra} parameters, "
                              f"got {params.shape}")
         params.setflags(write=False)
         self.params = params
+        self._layers = self._mlp.layers(params[:n_net])
+        if continuous:
+            self._log_std = params[n_net:]
+            self._clamped_log_std = np.clip(self._log_std, LOG_STD_MIN, LOG_STD_MAX)
+            self._clamped_log_std.setflags(write=False)
+        else:
+            self._log_std = self._clamped_log_std = None
 
     # -- construction -----------------------------------------------------
 
@@ -145,16 +163,17 @@ class Policy:
         return cls(topology, flat)
 
     def with_params(self, params: np.ndarray) -> "Policy":
-        return Policy(self.topology, params)
+        """Same topology and layout, new parameters."""
+        out = object.__new__(type(self))
+        out.topology = self.topology
+        out.action_space = self.action_space
+        out._mlp = self._mlp
+        out._set_params(params)
+        return out
 
     @property
     def n_params(self) -> int:
         return self.params.size
-
-    def _split(self):
-        if self.action_space.kind == "continuous":
-            return self.params[:self._mlp.n_params], self.params[self._mlp.n_params:]
-        return self.params, None
 
     # -- forward ----------------------------------------------------------
 
@@ -168,17 +187,16 @@ class Policy:
         return DiscreteDist(self.probs_batch(obs[None])[0])
 
     def gaussian_batch(self, states: np.ndarray):
-        """(means (N, A), clamped log_std (A,)) for continuous policies."""
-        net, log_std = self._split()
-        if log_std is None:
+        """(means (N, A), clamped log_std (A,), read-only) for continuous policies."""
+        if self._log_std is None:
             raise ValueError("gaussian_batch on a discrete policy")
-        out, _ = self._mlp.forward(net, np.asarray(states, dtype=np.float64))
-        return out, np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX)
+        out, _ = self._mlp.forward(self._layers, np.asarray(states, dtype=np.float64))
+        return out, self._clamped_log_std
 
     def logits_batch(self, states: np.ndarray) -> np.ndarray:
         if self.action_space.kind != "discrete":
             raise ValueError("logits_batch on a continuous policy")
-        out, _ = self._mlp.forward(self.params, np.asarray(states, dtype=np.float64))
+        out, _ = self._mlp.forward(self._layers, np.asarray(states, dtype=np.float64))
         return out
 
     def probs_batch(self, states: np.ndarray) -> np.ndarray:
@@ -189,12 +207,12 @@ class Policy:
     def backward_gaussian(self, states: np.ndarray, d_mu: np.ndarray,
                           d_log_std: np.ndarray | None = None) -> np.ndarray:
         """Flat parameter gradient from upstream gradients on (mean, log_std)."""
-        net, log_std = self._split()
+        log_std = self._log_std
         if log_std is None:
             raise ValueError("backward_gaussian on a discrete policy")
         states = np.asarray(states, dtype=np.float64)
-        _, cache = self._mlp.forward(net, states)
-        g_net = self._mlp.backward(net, cache, np.asarray(d_mu, dtype=np.float64))
+        _, cache = self._mlp.forward(self._layers, states)
+        g_net = self._mlp.backward(self._layers, cache, np.asarray(d_mu, dtype=np.float64))
         g_ls = np.zeros_like(log_std)
         if d_log_std is not None:
             # gradient is blocked where the clamp is active
@@ -204,8 +222,8 @@ class Policy:
 
     def backward_logits(self, states: np.ndarray, d_logits: np.ndarray) -> np.ndarray:
         states = np.asarray(states, dtype=np.float64)
-        _, cache = self._mlp.forward(self.params, states)
-        return self._mlp.backward(self.params, cache, np.asarray(d_logits, dtype=np.float64))
+        _, cache = self._mlp.forward(self._layers, states)
+        return self._mlp.backward(self._layers, cache, np.asarray(d_logits, dtype=np.float64))
 
     def backward_probs(self, states: np.ndarray, d_probs: np.ndarray) -> np.ndarray:
         """Upstream on softmax probabilities, routed through the softmax Jacobian."""
@@ -223,11 +241,15 @@ class ValueFunction:
         self.topology["hidden"] = tuple(self.topology["hidden"])  # JSON-safe canonical form
         sizes = (self.topology["obs_dim"], *self.topology["hidden"], 1)
         self._mlp = _Mlp(sizes, self.topology.get("activation", "tanh"))
+        self._set_params(params)
+
+    def _set_params(self, params: np.ndarray) -> None:
         params = np.asarray(params, dtype=np.float64).copy()
         if params.shape != (self._mlp.n_params,):
             raise ValueError("parameter count mismatch")
         params.setflags(write=False)
         self.params = params
+        self._layers = self._mlp.layers(params)
 
     @classmethod
     def init(cls, obs_dim: int, rng: np.random.Generator, hidden=(64, 64),
@@ -238,19 +260,25 @@ class ValueFunction:
         return cls(topology, mlp.init_params(rng, out_gain=1.0))
 
     def with_params(self, params: np.ndarray) -> "ValueFunction":
-        return ValueFunction(self.topology, params)
+        """Same topology and layout, new parameters."""
+        out = object.__new__(type(self))
+        out.topology = self.topology
+        out._mlp = self._mlp
+        out._set_params(params)
+        return out
 
     def value_batch(self, states: np.ndarray) -> np.ndarray:
-        out, _ = self._mlp.forward(self.params, np.asarray(states, dtype=np.float64))
+        out, _ = self._mlp.forward(self._layers, np.asarray(states, dtype=np.float64))
         return out[:, 0]
 
     def value(self, obs: np.ndarray) -> float:
-        return float(self.value_batch(np.asarray(obs)[None])[0])
+        out, _ = self._mlp.forward(self._layers, np.asarray(obs, dtype=np.float64)[None])
+        return float(out[0, 0])
 
     def backward(self, states: np.ndarray, d_value: np.ndarray) -> np.ndarray:
         states = np.asarray(states, dtype=np.float64)
-        _, cache = self._mlp.forward(self.params, states)
-        return self._mlp.backward(self.params, cache,
+        _, cache = self._mlp.forward(self._layers, states)
+        return self._mlp.backward(self._layers, cache,
                                   np.asarray(d_value, dtype=np.float64)[:, None])
 
 

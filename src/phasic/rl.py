@@ -9,6 +9,7 @@ deterministic actions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,13 +27,19 @@ class RunningStat:
 
     def update_batch(self, x: np.ndarray) -> None:
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim == len(self.mean.shape):
+        if x.ndim == self.mean.ndim:
             x = x[None]
         n = x.shape[0]
         if n == 0:
             return
-        batch_mean = x.mean(axis=0)
-        batch_m2 = ((x - batch_mean) ** 2).sum(axis=0)
+        if n == 1:
+            # a lone row is its own mean; (row - row)**2 keeps non-finite rows
+            # propagating exactly as the reductions below would
+            batch_mean = x[0]
+            batch_m2 = (batch_mean - batch_mean) ** 2
+        else:
+            batch_mean = x.mean(axis=0)
+            batch_m2 = ((x - batch_mean) ** 2).sum(axis=0)
         self._combine(n, batch_mean, batch_m2)
 
     def _combine(self, n, mean, m2):
@@ -113,9 +120,20 @@ class RewardScaler:
         self.stat = RunningStat(())
 
     def scale(self, reward: float, done: bool) -> float:
-        self.ret = self.gamma * self.ret + reward
-        self.stat.update_batch(np.array([self.ret]))
-        out = reward / max(float(self.stat.std), 1e-8)
+        ret = self.ret = self.gamma * self.ret + reward
+        # one-sample RunningStat update on plain floats, in _combine's order
+        stat = self.stat
+        m2_row = (ret - ret) * (ret - ret)
+        if stat.count == 0.0:
+            count, mean, m2 = 1.0, ret, m2_row
+        else:
+            count = stat.count + 1
+            delta = ret - float(stat.mean)
+            mean = float(stat.mean) + delta * (1 / count)
+            m2 = float(stat.m2) + m2_row + delta * delta * (stat.count / count)
+        stat.count, stat.mean, stat.m2 = count, np.array(mean), np.array(m2)
+        std = math.sqrt(max(m2 / count, 0.0)) if count >= 2 else 1.0
+        out = reward / max(std, 1e-8)
         if done:
             self.ret = 0.0
         return out

@@ -34,7 +34,7 @@ import numpy as np
 from .archive import FitnessQueue, GridArchive, qd_metrics, save_archive
 from .detops import diversity_ascent
 from .dogfight import DogfightEnv
-from .kernels import StateBatch
+from .kernels import METRIC_KINDS, StateBatch
 from .nets import ActionSpace, NormalizedPolicy, Policy, ValueFunction
 from .optim import Adam
 from .rl import (Normalizer, PPOConfig, RewardScaler, collect_rollout, evaluate,
@@ -85,6 +85,12 @@ def validate_config(config: TrainerConfig) -> None:
         raise ValueError(f"unknown trainer {config.trainer!r}; choose from {TRAINERS}")
     if config.env_name not in ENVS:
         raise ValueError(f"unknown env {config.env_name!r}; choose from {ENVS}")
+    if config.metric not in METRIC_KINDS:
+        raise ValueError(f"unknown metric {config.metric!r}; choose from {tuple(METRIC_KINDS)}")
+    kind = make_env(config.env_name).action_space.kind
+    if METRIC_KINDS[config.metric] != kind:
+        raise ValueError(f"{config.metric} metric requires {METRIC_KINDS[config.metric]} "
+                         f"action spaces; env {config.env_name!r} has {kind} actions")
     if config.archive not in ("grid", "queue"):
         raise ValueError("archive must be 'grid' or 'queue'")
     if config.trainer == "ppo-single":

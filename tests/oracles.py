@@ -3,10 +3,18 @@
 These deliberately avoid the library's own code paths: the determinant oracle
 is a recursive cofactor expansion, gradients come from central finite
 differences, and the optimal-transport oracle estimates W2^2 by Monte-Carlo
-over an explicit coupling.
+over an explicit coupling.  The reference network passes, running statistics
+and dogfight kinematics below are the plain forms of the production hot path,
+which must match them bit for bit.
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
+
+from phasic.dists import LOG_STD_MAX, LOG_STD_MIN
+from phasic.dogfight import GRAVITY, AircraftState, Geometry, wrap_angle
 
 
 def cofactor_det(a: np.ndarray) -> float:
@@ -79,3 +87,223 @@ def random_psd_unit_diag(m: int, rng: np.random.Generator, rank: int | None = No
     k = np.clip(0.5 * (k + k.T), 0.0, 1.0)
     np.fill_diagonal(k, 1.0)
     return k
+
+
+# -- reference MLP passes ------------------------------------------------------
+#
+# Every pass re-slices the flat vector with np.prod and looks the activation
+# up again, where the production passes use a layout and views cached once.
+
+def _mlp_sizes(topology: dict, out_dim: int) -> tuple:
+    return (int(topology["obs_dim"]), *(int(h) for h in topology["hidden"]), out_dim)
+
+
+def _mlp_act(name: str):
+    if name == "tanh":
+        return np.tanh, lambda z, a: 1.0 - a * a
+    if name == "relu":
+        return lambda z: np.maximum(z, 0.0), lambda z, a: (z > 0.0).astype(np.float64)
+    raise ValueError(f"unknown activation {name!r}")
+
+
+def _mlp_unpack(sizes, flat: np.ndarray):
+    shapes = []
+    for a, b in zip(sizes[:-1], sizes[1:]):
+        shapes += [(b, a), (b,)]
+    out, off = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        out.append(flat[off:off + size].reshape(shape))
+        off += size
+    return out
+
+
+def mlp_forward(sizes, activation: str, flat: np.ndarray, x: np.ndarray):
+    views = _mlp_unpack(sizes, flat)
+    f, _ = _mlp_act(activation)
+    acts, zs, h = [x], [], x
+    n_layers = len(sizes) - 1
+    for layer in range(n_layers):
+        w, b = views[2 * layer], views[2 * layer + 1]
+        z = h @ w.T + b
+        zs.append(z)
+        h = f(z) if layer < n_layers - 1 else z
+        acts.append(h)
+    return h, (acts, zs)
+
+
+def mlp_backward(sizes, activation: str, flat: np.ndarray, cache,
+                 dout: np.ndarray) -> np.ndarray:
+    views = _mlp_unpack(sizes, flat)
+    _, df = _mlp_act(activation)
+    acts, zs = cache
+    n_params = sum(int(np.prod(v.shape)) for v in views)
+    grad = np.zeros(n_params)
+    gviews = _mlp_unpack(sizes, grad)
+    dz = dout
+    for layer in range(len(sizes) - 2, -1, -1):
+        gviews[2 * layer][...] = dz.T @ acts[layer]
+        gviews[2 * layer + 1][...] = dz.sum(axis=0)
+        if layer > 0:
+            dh = dz @ views[2 * layer]
+            dz = dh * df(zs[layer - 1], acts[layer])
+    return grad
+
+
+def _policy_net(policy):
+    """(sizes, activation, network params, log_std params or None)."""
+    space = policy.topology["action_space"]
+    sizes = _mlp_sizes(policy.topology, int(space["dim"]))
+    activation = policy.topology.get("activation", "tanh")
+    if space["kind"] == "continuous":
+        n_net = policy.params.size - int(space["dim"])
+        return sizes, activation, policy.params[:n_net], policy.params[n_net:]
+    return sizes, activation, policy.params, None
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def gaussian_batch(policy, states):
+    sizes, act, net, log_std = _policy_net(policy)
+    out, _ = mlp_forward(sizes, act, net, np.asarray(states, dtype=np.float64))
+    return out, np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX)
+
+
+def probs_batch(policy, states):
+    sizes, act, net, _ = _policy_net(policy)
+    out, _ = mlp_forward(sizes, act, net, np.asarray(states, dtype=np.float64))
+    return _softmax(out)
+
+
+def backward_gaussian(policy, states, d_mu, d_log_std=None):
+    sizes, act, net, log_std = _policy_net(policy)
+    states = np.asarray(states, dtype=np.float64)
+    _, cache = mlp_forward(sizes, act, net, states)
+    g_net = mlp_backward(sizes, act, net, cache, np.asarray(d_mu, dtype=np.float64))
+    g_ls = np.zeros_like(log_std)
+    if d_log_std is not None:
+        mask = (log_std > LOG_STD_MIN) & (log_std < LOG_STD_MAX)
+        g_ls = np.asarray(d_log_std, dtype=np.float64) * mask
+    return np.concatenate([g_net, g_ls])
+
+
+def backward_logits(policy, states, d_logits):
+    sizes, act, net, _ = _policy_net(policy)
+    states = np.asarray(states, dtype=np.float64)
+    _, cache = mlp_forward(sizes, act, net, states)
+    return mlp_backward(sizes, act, net, cache, np.asarray(d_logits, dtype=np.float64))
+
+
+def backward_probs(policy, states, d_probs):
+    p = probs_batch(policy, states)
+    d_probs = np.asarray(d_probs, dtype=np.float64)
+    inner = np.sum(d_probs * p, axis=1, keepdims=True)
+    return backward_logits(policy, states, p * (d_probs - inner))
+
+
+def value_batch(value_fn, states):
+    sizes = _mlp_sizes(value_fn.topology, 1)
+    act = value_fn.topology.get("activation", "tanh")
+    out, _ = mlp_forward(sizes, act, value_fn.params, np.asarray(states, dtype=np.float64))
+    return out[:, 0]
+
+
+def value_backward(value_fn, states, d_value):
+    sizes = _mlp_sizes(value_fn.topology, 1)
+    act = value_fn.topology.get("activation", "tanh")
+    states = np.asarray(states, dtype=np.float64)
+    _, cache = mlp_forward(sizes, act, value_fn.params, states)
+    return mlp_backward(sizes, act, value_fn.params, cache,
+                        np.asarray(d_value, dtype=np.float64)[:, None])
+
+
+# -- reference running statistics -------------------------------------------------
+
+class BatchMoments:
+    """Streaming (count, mean, m2) that takes the batch reductions for every
+    input, one-row inputs included."""
+
+    def __init__(self, shape=()):
+        self.count = 0.0
+        self.mean = np.zeros(shape)
+        self.m2 = np.zeros(shape)
+
+    def update(self, x) -> None:
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim == self.mean.ndim:
+            x = x[None]
+        n = x.shape[0]
+        if n == 0:
+            return
+        mean = x.mean(axis=0)
+        m2 = ((x - mean) ** 2).sum(axis=0)
+        if self.count == 0.0:
+            self.count = float(n)
+            self.mean = np.array(mean, dtype=np.float64)
+            self.m2 = np.array(m2, dtype=np.float64)
+            return
+        total = self.count + n
+        delta = mean - self.mean
+        self.mean = self.mean + delta * (n / total)
+        self.m2 = self.m2 + m2 + delta ** 2 * (self.count * n / total)
+        self.count = total
+
+    @property
+    def std(self) -> np.ndarray:
+        if self.count < 2:
+            return np.ones_like(self.mean)
+        return np.sqrt(np.maximum(self.m2 / self.count, 0.0))
+
+
+class ArrayRewardScaler:
+    """RewardScaler feeding each return through the batch update as a one-element array."""
+
+    def __init__(self, gamma: float = 0.99):
+        self.gamma = float(gamma)
+        self.ret = 0.0
+        self.stat = BatchMoments(())
+
+    def scale(self, reward: float, done: bool) -> float:
+        self.ret = self.gamma * self.ret + reward
+        self.stat.update(np.array([self.ret]))
+        out = reward / max(float(self.stat.std), 1e-8)
+        if done:
+            self.ret = 0.0
+        return out
+
+
+# -- reference dogfight kinematics -------------------------------------------------
+
+def integrate(state, action, cfg):
+    """dogfight.integrate with np.clip on scalars and an intermediate state."""
+    action = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
+    throttle, elevator, roll_cmd, rudder = action
+    speed = float(np.clip(state.speed + throttle * cfg.accel_max * cfg.dt,
+                          cfg.v_min, cfg.v_max))
+    roll = wrap_angle(state.roll + roll_cmd * cfg.roll_rate * cfg.dt)
+    pitch = float(np.clip(state.pitch + elevator * cfg.pitch_rate * cfg.dt,
+                          -cfg.pitch_limit, cfg.pitch_limit))
+    bank_turn = float(np.clip((GRAVITY / speed) * math.tan(roll),
+                              -cfg.turn_rate_max, cfg.turn_rate_max))
+    heading = wrap_angle(state.heading + (rudder * cfg.yaw_rate + bank_turn) * cfg.dt)
+    new = AircraftState(pos=state.pos, speed=speed, heading=heading, pitch=pitch, roll=roll)
+    return replace(new, pos=state.pos + speed * new.forward_axis() * cfg.dt)
+
+
+def relative_geometry(attacker, target):
+    """dogfight.relative_geometry with np.linalg.norm and np.clip."""
+    los = target.pos - attacker.pos
+    dist = float(np.linalg.norm(los))
+    if dist < 1e-9:
+        return Geometry(0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+    u = los / dist
+    cos_ata = float(np.clip(attacker.forward_axis() @ u, -1.0, 1.0))
+    cos_aspect = float(np.clip(target.forward_axis() @ u, -1.0, 1.0))
+    bearing = math.atan2(los[0], los[1])
+    return Geometry(distance=dist, ata=math.acos(cos_ata), aspect=math.acos(cos_aspect),
+                    cos_ata=cos_ata, az_err=wrap_angle(bearing - attacker.heading),
+                    elev_err=math.atan2(los[2], math.hypot(los[0], los[1])) - attacker.pitch)

@@ -97,6 +97,19 @@ class TestValidateCommand:
         payload = json.loads(err)
         assert "sarsa" in payload["error"]["message"]
 
+    def test_metric_that_does_not_fit_the_env(self, tmp_path, capsys):
+        cfg = _cfg_file(tmp_path, {"env": "toy", "metric": "jsd"})
+        rc, out, err = _run_main(capsys, ["validate", "--config", cfg])
+        assert rc != 0
+        assert out == ""
+        assert "jsd metric requires discrete" in json.loads(err)["error"]["message"]
+
+    def test_unknown_metric(self, tmp_path, capsys):
+        cfg = _cfg_file(tmp_path, {"metric": "kl"})
+        rc, _, err = _run_main(capsys, ["validate", "--config", cfg])
+        assert rc != 0
+        assert "'kl'" in json.loads(err)["error"]["message"]
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc, out, err = _run_main(
             capsys, ["validate", "--config", str(tmp_path / "absent.json")])

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from factories import linear_gaussian_policy, random_gaussian_policy
+from factories import (linear_gaussian_policy, random_discrete_policy,
+                       random_gaussian_policy)
 from oracles import (central_diff_grad, cofactor_det, grad_close,
                      random_psd_unit_diag)
 
@@ -260,6 +261,32 @@ class TestDiversityAscent:
             for j in range(i + 1, 3):
                 assert not np.array_equal(out[i].params, out[j].params)
                 assert kernel_entry(out[i], out[j], batch) < 1.0
+
+    @pytest.mark.parametrize("metric", ["w2", "jsd"])
+    @pytest.mark.parametrize("steps", [0, 1, 4])
+    def test_one_kernel_forward_per_step(self, monkeypatch, metric, steps):
+        import phasic.detops
+        rng = np.random.default_rng(27)
+        make = random_gaussian_policy if metric == "w2" else random_discrete_policy
+        pols = [make(rng) for _ in range(3)]
+        batch = StateBatch(rng.standard_normal((5, 2)), "probe")
+        start = diversity_objective(pols, batch, metric, beta=0.99)
+        scales = []
+        real = phasic.detops.kernel_forward
+
+        def counting(*args, **kwargs):
+            scales.append(kwargs.get("norm_scale"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(phasic.detops, "kernel_forward", counting)
+        _, trace = diversity_ascent(pols, batch, steps=steps, metric=metric,
+                                    rng=np.random.default_rng(28))
+        # the forward that fixes the scale doubles as step 0's forward
+        assert len(scales) == steps + 1
+        assert len(trace) == steps + 1
+        assert scales[0] is None
+        assert all(s == start.norm_scale for s in scales[1:])
+        assert trace[0] == start.value
 
     def test_live_inputs_untouched(self):
         rng = np.random.default_rng(13)

@@ -8,10 +8,12 @@ import pytest
 from phasic.dogfight import (AircraftState, DogfightConfig, DogfightEnv,
                              DogfightState, EpisodeStatus, Geometry,
                              behavior_descriptor, dense_reward, expert_policy,
-                             integrate, lock_check, out_of_bounds,
+                             integrate, lock_check, observe, out_of_bounds,
                              relative_geometry, step, wrap_angle,
                              write_trajectory_csv)
 from phasic.nets import ActionSpace, Policy
+
+import oracles
 
 CFG = DogfightConfig()
 
@@ -442,3 +444,82 @@ class TestEnv:
             if done:
                 break
         assert info["distance"] < d0  # pursuit reduces separation
+
+
+def random_craft(rng):
+    return craft(rng.uniform([-9000, -9000, 200], [9000, 9000, 9800]),
+                 speed=float(rng.uniform(50.0, 400.0)),
+                 heading=float(rng.uniform(-math.pi, math.pi)),
+                 pitch=float(rng.uniform(-1.4, 1.4)),
+                 roll=float(rng.uniform(-math.pi, math.pi)))
+
+
+class TestMatchesReferenceKinematics:
+    """Scalar clamps and the inlined forward axis leave every bit unchanged."""
+
+    def test_integrate(self):
+        rng = np.random.default_rng(23)
+        for _ in range(500):
+            state = random_craft(rng)
+            action = rng.uniform(-1.5, 1.5, 4)
+            got, ref = integrate(state, action, CFG), oracles.integrate(state, action, CFG)
+            assert np.array_equal(got.pos, ref.pos)
+            assert (got.speed, got.heading, got.pitch, got.roll) == (
+                ref.speed, ref.heading, ref.pitch, ref.roll)
+
+    def test_relative_geometry(self):
+        rng = np.random.default_rng(24)
+        pairs = [(random_craft(rng), random_craft(rng)) for _ in range(500)]
+        same = random_craft(rng)
+        pairs.append((same, same))
+        near = random_craft(rng)
+        pairs.append((near, craft(near.pos + [0.0, 1.0, 0.0], heading=near.heading)))
+        for att, tgt in pairs:
+            assert relative_geometry(att, tgt) == oracles.relative_geometry(att, tgt)
+
+
+class TestStepEquivalence:
+    """DogfightEnv.step shares one geometry per aircraft pair between the lock
+    checks, the shaping, the observation and the next expert action; every
+    output must still equal what the public functions compute from the state."""
+
+    def test_env_outputs_match_public_functions(self):
+        cfg = DogfightConfig(spawn_distance=1200.0, lock_range=1500.0, lock_cone=0.6,
+                             max_steps=150)
+        env = DogfightEnv(cfg, record=True)
+        rng = np.random.default_rng(25)
+        act_rng = np.random.default_rng(26)
+
+        def check_reset(obs):
+            s = env.state
+            assert np.array_equal(obs, observe(s.red, s.blue, s.status, 0, 0, cfg))
+            return relative_geometry(s.red, s.blue)
+
+        prev = check_reset(env.reset(rng))
+        red_locks = blue_locks = resets = 0
+        for t in range(400):
+            before = env.state
+            probe = np.random.default_rng()
+            probe.bit_generator.state = rng.bit_generator.state
+            blue_expected = expert_policy(relative_geometry(before.blue, before.red),
+                                          probe, cfg)
+            action = act_rng.uniform(-1.0, 1.0, 4) if t % 4 else np.zeros(4)
+            obs, _, done, info = env.step(action)
+            s = env.state
+            geom = relative_geometry(s.red, s.blue)
+            assert np.array_equal(obs, observe(s.red, s.blue, s.status,
+                                               s.status.lock_steps_agent,
+                                               s.status.lock_steps_opponent, cfg))
+            assert info["distance"] == geom.distance
+            assert info["red_locks"] == lock_check(s.red, s.blue, cfg)
+            assert info["blue_locks"] == lock_check(s.blue, s.red, cfg)
+            assert info["dense_reward"] == dense_reward(prev, geom, info["blue_locks"], cfg)
+            assert np.array_equal(env.trajectory[-1][4], blue_expected)
+            red_locks += info["red_locks"]
+            blue_locks += info["blue_locks"]
+            prev = geom
+            if done:
+                prev = check_reset(env.reset(rng))
+                resets += 1
+        # the run must exercise both lock flags and the episode boundary
+        assert red_locks > 0 and blue_locks > 0 and resets > 0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from factories import linear_gaussian_policy, random_gaussian_policy
+import oracles
 from oracles import central_diff_grad, grad_close
 
 from phasic.dists import DiagGaussian, DiscreteDist
@@ -144,6 +145,106 @@ class TestBackward:
                 return float(np.sum(vf.with_params(p).value_batch(states) * dv))
 
             assert grad_close(g, central_diff_grad(scalar, vf.params))
+
+
+def _oracle_cases():
+    """Seeded continuous and discrete policies with value functions over several
+    depths and both activations, each also re-derived through with_params."""
+    rng = np.random.default_rng(12)
+    cases = []
+    for kind, dim in (("continuous", 2), ("discrete", 4)):
+        for hidden in ((), (5,), (6, 4)):
+            for activation in ("tanh", "relu"):
+                obs_dim = int(rng.integers(1, 5))
+                pol = Policy.init(obs_dim, ActionSpace(kind, dim), rng, hidden=hidden,
+                                  activation=activation)
+                pol = pol.with_params(pol.params + 0.4 * rng.standard_normal(pol.n_params))
+                vf = ValueFunction.init(obs_dim, rng, hidden=hidden, activation=activation)
+                vf = vf.with_params(vf.params + 0.4 * rng.standard_normal(vf.params.size))
+                cases.append((pol, vf, rng.standard_normal((7, obs_dim))))
+    return cases
+
+
+class TestForwardBackwardMatchReference:
+    """The cached-layout passes equal the reference passes bit for bit."""
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_forwards(self, rows):
+        for pol, vf, states in _oracle_cases():
+            x = states[:rows]
+            if pol.action_space.kind == "continuous":
+                mu, ls = pol.gaussian_batch(x)
+                ref_mu, ref_ls = oracles.gaussian_batch(pol, x)
+                assert np.array_equal(mu, ref_mu)
+                assert np.array_equal(ls, ref_ls)
+            else:
+                assert np.array_equal(pol.probs_batch(x), oracles.probs_batch(pol, x))
+            assert np.array_equal(vf.value_batch(x), oracles.value_batch(vf, x))
+            assert vf.value(x[0]) == oracles.value_batch(vf, x[:1])[0]
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_backwards(self, rows):
+        rng = np.random.default_rng(13)
+        for pol, vf, states in _oracle_cases():
+            x = states[:rows]
+            dim = pol.action_space.dim
+            up = rng.standard_normal((rows, dim))
+            if pol.action_space.kind == "continuous":
+                d_ls = rng.standard_normal(dim)
+                assert np.array_equal(pol.backward_gaussian(x, up, d_ls),
+                                      oracles.backward_gaussian(pol, x, up, d_ls))
+                assert np.array_equal(pol.backward_gaussian(x, up),
+                                      oracles.backward_gaussian(pol, x, up))
+            else:
+                assert np.array_equal(pol.backward_logits(x, up),
+                                      oracles.backward_logits(pol, x, up))
+                assert np.array_equal(pol.backward_probs(x, up),
+                                      oracles.backward_probs(pol, x, up))
+            dv = rng.standard_normal(rows)
+            assert np.array_equal(vf.backward(x, dv), oracles.value_backward(vf, x, dv))
+
+    def test_clamped_log_std_matches_reference(self):
+        pol = linear_gaussian_policy([[1.0], [2.0], [3.0]], [0.0, 0.0, 0.0], [-30.0, 0.5, 5.0])
+        x = np.ones((2, 1))
+        _, ls = pol.gaussian_batch(x)
+        assert np.array_equal(ls, [-20.0, 0.5, 2.0])
+        up = np.ones((2, 3))
+        assert np.array_equal(pol.backward_gaussian(x, up, np.ones(3)),
+                              oracles.backward_gaussian(pol, x, up, np.ones(3)))
+
+
+class TestCachedViews:
+    def test_layer_views_alias_params_and_are_read_only(self):
+        for pol, vf, _ in _oracle_cases():
+            for net in (pol, vf):
+                for w, wt, b in net._layers:
+                    for view in (w, wt, b):
+                        assert np.shares_memory(view, net.params)
+                        assert not view.flags.writeable
+
+    def test_cached_log_std_cannot_be_written(self):
+        pol = linear_gaussian_policy([[1.0]], [0.0], [0.5])
+        _, ls = pol.gaussian_batch(np.zeros((1, 1)))
+        with pytest.raises(ValueError):
+            ls[0] = 0.0
+        assert pol.gaussian_batch(np.zeros((1, 1)))[1][0] == 0.5
+
+    def test_with_params_shares_the_layout_not_the_weights(self):
+        rng = np.random.default_rng(14)
+        pol = random_gaussian_policy(rng, hidden=(4,))
+        new = pol.with_params(pol.params + 1.0)
+        assert new._mlp is pol._mlp
+        assert not np.shares_memory(new.params, pol.params)
+        assert np.array_equal(new.gaussian_batch(np.ones((1, 2)))[0],
+                              oracles.gaussian_batch(new, np.ones((1, 2)))[0])
+
+    def test_with_params_copies_its_input(self):
+        vf = ValueFunction.init(2, np.random.default_rng(15), hidden=(3,))
+        raw = vf.params + 0.5
+        new = vf.with_params(raw)
+        before = new.value(np.ones(2))
+        raw[:] = 0.0
+        assert new.value(np.ones(2)) == before
 
 
 class TestImmutabilityAndSerialization:

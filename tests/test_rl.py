@@ -10,6 +10,7 @@ from phasic.rl import (Normalizer, PPOConfig, RewardScaler, RolloutBuffer,
 from phasic.toy import ToyConfig, ToyEnv
 
 from factories import linear_gaussian_policy
+from oracles import ArrayRewardScaler, BatchMoments
 
 
 def make_learner(rng, obs_dim=2, act_dim=2, hidden=(8,)):
@@ -73,6 +74,79 @@ class TestRunningStat:
         assert clone.count == stat.count
         assert np.array_equal(clone.mean, stat.mean)
         assert np.array_equal(clone.m2, stat.m2)
+
+
+class TestOneRowUpdatesMatchBatchFormula:
+    """One-row updates skip the reductions but must equal them bit for bit."""
+
+    @staticmethod
+    def _stream(rng, shape, poison):
+        rows = list(rng.normal(loc=2.0, scale=3.0, size=(60, *shape)))
+        for at, value in poison:
+            rows[at] = np.full(shape, value)
+        return rows
+
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    def test_finite_stream(self, shape):
+        rng = np.random.default_rng(16)
+        stat, ref = RunningStat(shape), BatchMoments(shape)
+        for row in self._stream(rng, shape, ()):
+            stat.update_batch(row)
+            ref.update(row)
+            assert stat.count == ref.count
+            assert np.array_equal(stat.mean, ref.mean)
+            assert np.array_equal(stat.m2, ref.m2)
+
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    @pytest.mark.parametrize("poison", [[(30, np.inf)], [(30, np.nan)],
+                                        [(0, -np.inf)], [(20, np.inf), (40, np.nan)]])
+    def test_non_finite_rows_propagate_alike(self, shape, poison):
+        rng = np.random.default_rng(17)
+        stat, ref = RunningStat(shape), BatchMoments(shape)
+        with np.errstate(invalid="ignore"):
+            for row in self._stream(rng, shape, poison):
+                stat.update_batch(row)
+                ref.update(row)
+                assert stat.count == ref.count
+                assert np.array_equal(stat.mean, ref.mean, equal_nan=True)
+                assert np.array_equal(stat.m2, ref.m2, equal_nan=True)
+        assert not np.all(np.isfinite(stat.m2))
+
+    def test_one_row_batches_and_bare_rows_agree(self):
+        rng = np.random.default_rng(18)
+        bare, wrapped = RunningStat((2,)), RunningStat((2,))
+        for row in rng.standard_normal((25, 2)):
+            bare.update_batch(row)
+            wrapped.update_batch(row[None])
+        assert np.array_equal(bare.mean, wrapped.mean)
+        assert np.array_equal(bare.m2, wrapped.m2)
+
+    @pytest.mark.parametrize("gamma", [0.5, 0.99])
+    @pytest.mark.parametrize("poison", [None, (0, np.inf), (150, np.inf), (150, np.nan)])
+    def test_reward_scaler_matches_array_path(self, gamma, poison):
+        rng = np.random.default_rng(19)
+        scaler, ref = RewardScaler(gamma), ArrayRewardScaler(gamma)
+        rewards = list(rng.normal(scale=5.0, size=300))
+        rewards[7] = 0.0
+        rewards[100] = -1000.0
+        if poison is not None:
+            rewards[poison[0]] = poison[1]
+        dones = rng.random(300) < 0.05
+        with np.errstate(invalid="ignore"):
+            for r, d in zip(rewards, dones):
+                assert np.array_equal(scaler.scale(float(r), bool(d)),
+                                      ref.scale(float(r), bool(d)), equal_nan=True)
+                assert np.array_equal(scaler.ret, ref.ret, equal_nan=True)
+                assert scaler.stat.count == ref.stat.count
+                assert np.array_equal(scaler.stat.mean, ref.stat.mean, equal_nan=True)
+                assert np.array_equal(scaler.stat.m2, ref.stat.m2, equal_nan=True)
+
+    def test_reward_scaler_state_round_trips(self):
+        scaler = RewardScaler(0.9)
+        for r in (1.0, -2.0, 0.5):
+            scaler.scale(r, False)
+        clone = scaler.copy()
+        assert clone.scale(3.0, True) == scaler.scale(3.0, True)
 
 
 class TestNormalizer:

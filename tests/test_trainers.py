@@ -66,6 +66,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             validate_config(small_config(iterations=0))
 
+    def test_unknown_metric(self):
+        with pytest.raises(ValueError, match="kl"):
+            validate_config(small_config(metric="kl"))
+
+    @pytest.mark.parametrize("env_name", ["toy", "dogfight"])
+    def test_metric_must_fit_the_action_space(self, env_name):
+        # both envs have continuous actions: JSD compares categoricals only
+        with pytest.raises(ValueError, match="jsd metric requires discrete"):
+            validate_config(small_config(env_name=env_name, metric="jsd"))
+        validate_config(small_config(env_name=env_name, metric="w2"))
+
+    def test_bad_metric_rejected_before_training(self, tmp_path):
+        with pytest.raises(ValueError, match="jsd"):
+            run_training(small_config(metric="jsd", population=2, iterations=1),
+                         out_dir=tmp_path / "run")
+        assert not (tmp_path / "run" / "metrics.jsonl").exists()
+
 
 class TestRunArtifacts:
     def test_run_directory_layout(self, tmp_path):
