@@ -16,14 +16,11 @@ The package splits into five layers:
 
 from .archive import (ArchiveEntry, FitnessQueue, GridArchive, bd_to_cell,
                       load_archive, qd_metrics, save_archive)
-from .detops import (NotPositiveDefinite, cholesky, det_gradient,
-                     det_via_cholesky, diversity_ascent, log_det_via_cholesky,
-                     spd_inverse, surrogate, surrogate_det_bound)
+from .detops import (NotPositiveDefinite, cholesky, det_via_cholesky,
+                     diversity_ascent, spd_inverse, surrogate_det_bound)
 from .dists import DiagGaussian, DiscreteDist
 from .dogfight import DogfightConfig, DogfightEnv
-from .kernels import (StateBatch, build_kernel_matrix, f_js, jsd,
-                      kernel_backward, kernel_forward, variance_normalize,
-                      w2_squared_diag, w2_squared_full)
+from .kernels import StateBatch, kernel_backward, kernel_forward
 from .nets import (ActionSpace, NormalizedPolicy, Policy, ValueFunction,
                    load_policy, save_policy)
 from .optim import Adam
@@ -44,13 +41,11 @@ __all__ = [
     "GridArchive", "NormalizedPolicy", "Normalizer", "NotPositiveDefinite",
     "PPOConfig", "Policy", "RewardScaler", "RolloutBuffer", "RunningStat",
     "StateBatch", "ToyConfig", "ToyEnv", "TrainerConfig", "ValueFunction",
-    "bandit_update", "bd_to_cell", "build_kernel_matrix", "cholesky",
-    "clustering_selection", "collect_rollout", "det_gradient",
-    "det_via_cholesky", "diversity_ascent", "evaluate", "f_js", "gae",
-    "generate_report", "jsd", "kernel_backward", "kernel_forward",
+    "bandit_update", "bd_to_cell", "cholesky", "clustering_selection",
+    "collect_rollout", "det_via_cholesky", "diversity_ascent", "evaluate",
+    "gae", "generate_report", "kernel_backward", "kernel_forward",
     "load_archive", "load_policy", "pbt_train", "pdo_train", "ppo_update",
     "qd_metrics", "run_training", "save_archive", "save_policy",
-    "spd_inverse", "surrogate", "surrogate_det_bound", "thompson_select",
-    "ucb_select", "validate_config", "variance_normalize", "w2_squared_diag",
-    "w2_squared_full",
+    "spd_inverse", "surrogate_det_bound", "thompson_select", "ucb_select",
+    "validate_config",
 ]

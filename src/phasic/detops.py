@@ -1,26 +1,26 @@
-"""Determinant-based diversity objective and its linear algebra.
+"""Determinant-based diversity ascent and its linear algebra.
 
 The population similarity matrix K is smoothed into K~ = beta*K + (1-beta)*I,
 which is positive definite for any PSD unit-diagonal K, with
 
     det(K~) >= (1 - beta + M*beta) * (1 - beta)^(M-1) > 0.
 
-The determinant is evaluated from the diagonal of a Cholesky factor and its
-parameter gradient uses the classic identity
+The determinant is evaluated from the diagonal of a Cholesky factor.  Ascent
+climbs log det(K~), whose gradient follows from the identity
 
-    d det(A)/dt = det(A) * tr(A^{-1} dA/dt),
+    d log det(A)/dt = tr(A^{-1} dA/dt),
 
-chained through the kernel-entry gradients into the policies.
+so the upstream gradient on K is beta * K~^{-1}, chained through the kernel
+reverse pass into the policies.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelMatrix, StateBatch, kernel_backward, kernel_forward
+from .kernels import StateBatch, kernel_backward, kernel_forward
 
 PIVOT_TOL = 1e-12
 
@@ -29,46 +29,13 @@ class NotPositiveDefinite(Exception):
     """Cholesky pivot fell below tolerance; the input is not positive definite."""
 
 
-@dataclass(frozen=True)
-class SurrogateKernel:
-    """Convex blend beta*K + (1-beta)*I of a similarity matrix with identity."""
-
-    entries: np.ndarray
-    beta: float
-    base: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
-class CholeskyFactor:
-    lower: np.ndarray
-
-    @property
-    def diag(self) -> np.ndarray:
-        return np.diag(self.lower)
-
-
-def surrogate(k, beta: float) -> SurrogateKernel:
-    """Blend a kernel matrix toward the identity: beta*K + (1-beta)*I."""
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0,1), got {beta}")
-    base = k.entries if isinstance(k, KernelMatrix) else np.asarray(k, dtype=np.float64)
-    out = beta * base + (1.0 - beta) * np.eye(base.shape[0])
-    # the blend fixes unit diagonals algebraically; pin them against round-off
-    np.fill_diagonal(out, 1.0)
-    return SurrogateKernel(entries=out, beta=float(beta), base=base.copy())
-
-
-def cholesky(a) -> CholeskyFactor:
+def cholesky(a) -> np.ndarray:
     """Lower-triangular Cholesky factor of a symmetric positive-definite matrix.
 
     Raises NotPositiveDefinite as soon as a pivot drops to PIVOT_TOL or below,
     signalling that the caller must re-apply the surrogate blend.
     """
-    a = np.asarray(getattr(a, "entries", a), dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
     if np.max(np.abs(a - a.T)) > 1e-8:
@@ -82,16 +49,12 @@ def cholesky(a) -> CholeskyFactor:
         low[j, j] = math.sqrt(pivot)
         if j + 1 < n:
             low[j + 1:, j] = (a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
-    return CholeskyFactor(lower=low)
+    return low
 
 
-def det_via_cholesky(factor: CholeskyFactor) -> float:
+def det_via_cholesky(low: np.ndarray) -> float:
     """Determinant of A = L L^T, the squared product of the factor's diagonal."""
-    return float(np.prod(factor.diag) ** 2)
-
-
-def log_det_via_cholesky(factor: CholeskyFactor) -> float:
-    return 2.0 * float(np.sum(np.log(factor.diag)))
+    return float(np.prod(np.diag(low)) ** 2)
 
 
 def surrogate_det_bound(m: int, beta: float) -> float:
@@ -107,101 +70,33 @@ def surrogate_det_bound(m: int, beta: float) -> float:
     return (1.0 - beta + m * beta) * (1.0 - beta) ** (m - 1)
 
 
-def _solve_lower(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Forward substitution for L x = b (b may be a matrix)."""
+def spd_inverse(low: np.ndarray) -> np.ndarray:
+    """Inverse of A = L L^T via two triangular solves (forward, then back)."""
     n = low.shape[0]
-    x = np.array(b, dtype=np.float64, copy=True)
-    if x.ndim == 1:
-        x = x[:, None]
-        squeeze = True
-    else:
-        squeeze = False
+    x = np.eye(n)
     for i in range(n):
         x[i] = (x[i] - low[i, :i] @ x[:i]) / low[i, i]
-    return x[:, 0] if squeeze else x
-
-
-def _solve_upper(up: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Back substitution for U x = b."""
-    n = up.shape[0]
-    x = np.array(b, dtype=np.float64, copy=True)
-    if x.ndim == 1:
-        x = x[:, None]
-        squeeze = True
-    else:
-        squeeze = False
+    up = low.T
     for i in range(n - 1, -1, -1):
         x[i] = (x[i] - up[i, i + 1:] @ x[i + 1:]) / up[i, i]
-    return x[:, 0] if squeeze else x
-
-
-def spd_inverse(factor: CholeskyFactor) -> np.ndarray:
-    """Inverse of A = L L^T via two triangular solves."""
-    n = factor.lower.shape[0]
-    inv = _solve_upper(factor.lower.T, _solve_lower(factor.lower, np.eye(n)))
-    return 0.5 * (inv + inv.T)
-
-
-def det_gradient(ktilde: SurrogateKernel, dk_dtheta: np.ndarray) -> np.ndarray:
-    """Per-parameter determinant gradient det(K~) * tr(K~^{-1} * beta * dK/dtheta).
-
-    ``dk_dtheta`` holds the base-kernel entry gradients, one M x M slice per
-    parameter (shape (P, M, M) or (M, M) for a single parameter).
-    """
-    factor = cholesky(ktilde.entries)
-    det = det_via_cholesky(factor)
-    inv = spd_inverse(factor)
-    dk = np.asarray(dk_dtheta, dtype=np.float64)
-    single = dk.ndim == 2
-    if single:
-        dk = dk[None]
-    grads = det * ktilde.beta * np.einsum("ij,pji->p", inv, dk)
-    return float(grads[0]) if single else grads
-
-
-@dataclass
-class DiversityResult:
-    """Value and per-policy parameter gradients of the population diversity."""
-
-    value: float                 # det of the surrogate kernel
-    grads: list                  # one flat gradient per policy
-    kernel: KernelMatrix
-    beta: float                  # beta actually used (after any PD retries)
-    norm_scale: float            # W2 normalization constant applied
+    return 0.5 * (x + x.T)
 
 
 def _factor_with_backoff(entries: np.ndarray, beta: float):
-    """Cholesky of the surrogate blend, halving beta on (unexpected) PD failures."""
+    """Cholesky of the surrogate blend, halving beta on (unexpected) PD failures.
+
+    Returns (lower factor, beta actually used).
+    """
     b = beta
     for _ in range(8):
         blend = b * entries + (1.0 - b) * np.eye(entries.shape[0])
+        # the blend fixes unit diagonals algebraically; pin them against round-off
         np.fill_diagonal(blend, 1.0)
         try:
             return cholesky(blend), b
         except NotPositiveDefinite:
             b *= 0.5
     raise NotPositiveDefinite("surrogate blend stayed non-PD after beta backoff")
-
-
-def diversity_objective(policies, batch: StateBatch, metric: str = "w2",
-                        beta: float = 0.99, deterministic: bool = False,
-                        norm_scale: float | None = None) -> DiversityResult:
-    """det(beta*K + (1-beta)*I) of the population kernel and its policy gradients.
-
-    The gradient chains the determinant identity through the kernel-entry
-    reverse pass into each policy's parameters.
-    """
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0,1), got {beta}")
-    fwd = kernel_forward(policies, batch, metric, deterministic, norm_scale)
-    kernel = KernelMatrix(entries=fwd.entries,
-                          w2_scale=fwd.scale if metric == "w2" else None)
-    factor, beta_used = _factor_with_backoff(fwd.entries, beta)
-    det = det_via_cholesky(factor)
-    upstream = det * beta_used * spd_inverse(factor)
-    grads = kernel_backward(fwd, upstream)
-    return DiversityResult(value=det, grads=grads, kernel=kernel,
-                           beta=beta_used, norm_scale=fwd.scale)
 
 
 def diversity_ascent(policies, batch: StateBatch, steps: int, metric: str = "w2",
@@ -218,6 +113,8 @@ def diversity_ascent(policies, batch: StateBatch, steps: int, metric: str = "w2"
 
     Returns (ascended policies, det trace).
     """
+    if not 0.0 < beta < 1.0:
+        raise ValueError(f"beta must lie in (0,1), got {beta}")
     policies = list(policies)
     if rng is None:
         rng = np.random.default_rng(0)

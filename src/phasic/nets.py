@@ -341,21 +341,6 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-# -- distribution helpers ------------------------------------------------
-
-def sample_action(dist, rng: np.random.Generator):
-    return dist.sample(rng)
-
-
-def log_prob(dist, action) -> float:
-    return dist.log_prob(action)
-
-
-def deterministic_action(dist):
-    """Mean for Gaussians, argmax for categoricals."""
-    return dist.mode()
-
-
 # -- serialization --------------------------------------------------------
 
 def save_policy(path, policy: Policy, extra: dict | None = None) -> None:
@@ -378,15 +363,3 @@ def load_policy(path):
         extra = {k[len("extra_"):]: blob[k] for k in blob.files if k.startswith("extra_")}
         return Policy(topology, blob["params"]), extra
 
-
-def policy_to_json(policy: Policy) -> str:
-    """Human-inspectable JSON export (exact float round-trip via repr)."""
-    return json.dumps({"version": BLOB_VERSION, "topology": policy.topology,
-                       "params": policy.params.tolist()})
-
-
-def policy_from_json(text: str) -> Policy:
-    doc = json.loads(text)
-    if doc.get("version") != BLOB_VERSION:
-        raise ValueError("unsupported JSON policy version")
-    return Policy(doc["topology"], np.asarray(doc["params"], dtype=np.float64))

@@ -1,7 +1,10 @@
-"""Small policy/network builders shared across test modules."""
+"""Small policy/network factories and the production ascent chain shared
+across test modules."""
 
 import numpy as np
 
+from phasic.detops import _factor_with_backoff, det_via_cholesky, spd_inverse
+from phasic.kernels import kernel_backward, kernel_forward
 from phasic.nets import ActionSpace, Policy
 
 
@@ -43,3 +46,15 @@ def clustered_gaussian_policies(rng, m, spread=0.05, obs_dim=2, act_dim=2, hidde
     base = random_gaussian_policy(rng, obs_dim=obs_dim, act_dim=act_dim, hidden=hidden)
     return [base.with_params(base.params + spread * rng.standard_normal(base.n_params))
             for _ in range(m)]
+
+
+def log_det_chain(policies, batch, metric="w2", beta=0.99, norm_scale=None):
+    """One step of what diversity_ascent runs: kernel forward, blend-and-factor,
+    d log det / dK = beta_used * K~^-1, kernel backward.
+
+    Returns (forward cache, det of the blend, beta used, log-det gradients).
+    """
+    fwd = kernel_forward(policies, batch, metric, norm_scale=norm_scale)
+    factor, beta_used = _factor_with_backoff(fwd.entries, beta)
+    grads = kernel_backward(fwd, beta_used * spd_inverse(factor))
+    return fwd, det_via_cholesky(factor), beta_used, grads

@@ -3,17 +3,18 @@
 These deliberately avoid the library's own code paths: the determinant oracle
 is a recursive cofactor expansion, gradients come from central finite
 differences, and the optimal-transport oracle estimates W2^2 by Monte-Carlo
-over an explicit coupling.  The reference network passes, running statistics
-and dogfight kinematics below are the plain forms of the production hot path,
-which must match them bit for bit.
+over an explicit coupling.  The closed-form distances are written per pair of
+distributions.  The reference kernel passes, network passes, running
+statistics and dogfight kinematics below are the plain forms of the
+production hot path, which must match them bit for bit.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from phasic.dists import LOG_STD_MAX, LOG_STD_MIN
+from phasic.dists import LOG_STD_MAX, LOG_STD_MIN, DiagGaussian, DiscreteDist
 from phasic.dogfight import GRAVITY, AircraftState, Geometry, wrap_angle
 
 
@@ -87,6 +88,175 @@ def random_psd_unit_diag(m: int, rng: np.random.Generator, rank: int | None = No
     k = np.clip(0.5 * (k + k.T), 0.0, 1.0)
     np.fill_diagonal(k, 1.0)
     return k
+
+
+def kernel_invariant_violations(k: np.ndarray) -> list:
+    """What a population kernel breaks of: symmetric within 1e-9, unit
+    diagonal, entries in [0, 1], minimum eigenvalue >= -1e-8."""
+    k = np.asarray(k, dtype=np.float64)
+    bad = []
+    if np.max(np.abs(k - k.T)) > 1e-9:
+        bad.append("asymmetric")
+    if np.any(np.diag(k) != 1.0):
+        bad.append("diagonal")
+    if np.any(k < 0.0) or np.any(k > 1.0):
+        bad.append("range")
+    elif np.linalg.eigvalsh(0.5 * (k + k.T))[0] < -1e-8:
+        bad.append("not PSD")
+    return bad
+
+
+# -- closed-form distribution distances -----------------------------------------
+
+LN2 = math.log(2.0)
+
+
+def jsd(p: DiscreteDist, q: DiscreteDist) -> float:
+    """Jensen-Shannon divergence between two categoricals, in nats.
+
+    Symmetric, bounded by ln 2, with the 0*log(0) = 0 convention.
+    """
+    if p.n != q.n:
+        raise ValueError(f"support mismatch: {p.n} vs {q.n}")
+    pa, qa = p.probs, q.probs
+    m = 0.5 * (pa + qa)
+    val = 0.5 * _kl(pa, m) + 0.5 * _kl(qa, m)
+    # clip tiny negative round-off; value is mathematically in [0, ln 2]
+    return float(min(max(val, 0.0), LN2))
+
+
+def _kl(p: np.ndarray, q: np.ndarray) -> float:
+    mask = p > 0
+    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
+
+
+def f_js(d: float) -> float:
+    """Map a JSD value d in [0, ln 2] to a similarity 1 - d/ln 2 in [0, 1]."""
+    return float(min(max(1.0 - d / LN2, 0.0), 1.0))
+
+
+def w2_squared_diag(a: DiagGaussian, b: DiagGaussian, mean_only: bool = False) -> float:
+    """Squared 2-Wasserstein distance between diagonal Gaussians.
+
+    ||m1 - m2||^2 + ||s1 - s2||^2 where s are elementwise standard
+    deviations.  With ``mean_only`` the std term is dropped.
+    """
+    if a.mean.shape != b.mean.shape:
+        raise ValueError("dimension mismatch")
+    d2 = float(np.sum((a.mean - b.mean) ** 2))
+    if not mean_only:
+        d2 += float(np.sum((a.std - b.std) ** 2))
+    return d2
+
+
+def _psd_sqrt(s: np.ndarray) -> np.ndarray:
+    """Symmetric PSD square root via eigendecomposition, eigenvalues clamped at 0."""
+    w, v = np.linalg.eigh(s)
+    return (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
+
+
+def w2_squared_full(m1, s1, m2, s2) -> float:
+    """Squared 2-Wasserstein distance between full-covariance Gaussians.
+
+    ||m1 - m2||^2 + tr[S1 + S2 - 2 (S1^{1/2} S2 S1^{1/2})^{1/2}]
+    """
+    m1, m2, s1, s2 = (np.asarray(x, dtype=np.float64) for x in (m1, m2, s1, s2))
+    for s in (s1, s2):
+        if s.ndim != 2 or s.shape[0] != s.shape[1]:
+            raise ValueError("covariance must be square")
+        if not np.allclose(s, s.T, atol=1e-10):
+            raise ValueError("covariance must be symmetric")
+    r1 = _psd_sqrt(s1)
+    cross = _psd_sqrt(r1 @ s2 @ r1)
+    val = float(np.sum((m1 - m2) ** 2) + np.trace(s1) + np.trace(s2) - 2.0 * np.trace(cross))
+    return max(val, 0.0)
+
+
+# -- reference kernel passes -----------------------------------------------------
+#
+# One pair and one probe state at a time, with a DiscreteDist per state, where
+# the production passes work on all pairs at once.
+
+@dataclass
+class LoopKernelForward:
+    policies: list
+    batch: object
+    metric: str
+    deterministic: bool
+    entries: np.ndarray
+    scale: float
+    mus: list = None
+    log_stds: list = None
+    probs: list = None
+
+
+def kernel_forward(policies, batch, metric="w2", deterministic=False, norm_scale=None):
+    m = len(policies)
+    states = batch.states
+    n = states.shape[0]
+    k = np.eye(m)
+    if metric == "jsd":
+        probs = [pi.probs_batch(states) for pi in policies]
+        for i in range(m):
+            for j in range(i + 1, m):
+                total = 0.0
+                for s in range(n):
+                    total += f_js(jsd(DiscreteDist(probs[i][s]), DiscreteDist(probs[j][s])))
+                k[i, j] = k[j, i] = total / n
+        return LoopKernelForward(list(policies), batch, metric, deterministic, k, 1.0,
+                                 probs=probs)
+    outs = [pi.gaussian_batch(states) for pi in policies]
+    mus = [o[0] for o in outs]
+    log_stds = [o[1] for o in outs]
+    sq = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            d2 = float(np.mean(np.sum((mus[i] - mus[j]) ** 2, axis=1)))
+            if not deterministic:
+                d2 += float(np.sum((np.exp(log_stds[i]) - np.exp(log_stds[j])) ** 2))
+            sq[i, j] = sq[j, i] = d2
+    if norm_scale is None:
+        iu = np.triu_indices(m, k=1)
+        scale = float(np.std(np.concatenate([sq[iu], sq[(iu[1], iu[0])]])))
+        if scale < 1e-12:
+            scale = 1.0
+    else:
+        scale = float(norm_scale)
+    k = np.exp(-0.5 * (sq / scale))
+    np.fill_diagonal(k, 1.0)
+    return LoopKernelForward(list(policies), batch, metric, deterministic, k, scale,
+                             mus=mus, log_stds=log_stds)
+
+
+def kernel_backward(fwd, upstream):
+    m = len(fwd.policies)
+    states = fwd.batch.states
+    n = states.shape[0]
+    grads = []
+    if fwd.metric == "jsd":
+        for i in range(m):
+            dp = np.zeros_like(fwd.probs[i])
+            for j in range(m):
+                if j == i:
+                    continue
+                coeff = -(upstream[i, j] + upstream[j, i]) / (n * LN2)
+                p, q = fwd.probs[i], fwd.probs[j]
+                dp += coeff * 0.5 * np.log(np.maximum(p, 1e-300) / (0.5 * (p + q)))
+            grads.append(fwd.policies[i].backward_probs(states, dp))
+        return grads
+    sigmas = [np.exp(ls) for ls in fwd.log_stds]
+    for i in range(m):
+        dmu = np.zeros_like(fwd.mus[i])
+        dls = np.zeros_like(fwd.log_stds[i])
+        for j in range(m):
+            if j == i:
+                continue
+            w = -(upstream[i, j] + upstream[j, i]) * fwd.entries[i, j] / (2.0 * fwd.scale)
+            dmu += w * (2.0 / n) * (fwd.mus[i] - fwd.mus[j])
+            if not fwd.deterministic:
+                dls += w * 2.0 * (sigmas[i] - sigmas[j]) * sigmas[i]
+        grads.append(fwd.policies[i].backward_gaussian(states, dmu, dls))
+    return grads
 
 
 # -- reference MLP passes ------------------------------------------------------

@@ -17,16 +17,17 @@ import time
 import numpy as np
 import pytest
 
-from factories import clustered_gaussian_policies, random_discrete_policy
-from oracles import (central_diff_grad, cofactor_det, grad_close,
-                     mc_w2_diag_gaussian, random_psd_unit_diag)
+from factories import (clustered_gaussian_policies, log_det_chain,
+                       random_discrete_policy)
+from oracles import (LN2, central_diff_grad, cofactor_det, f_js, grad_close,
+                     jsd, mc_w2_diag_gaussian, random_psd_unit_diag,
+                     w2_squared_diag, w2_squared_full)
 
-from phasic.detops import (cholesky, det_gradient, det_via_cholesky,
-                           diversity_ascent, diversity_objective, surrogate,
-                           surrogate_det_bound)
+from phasic.detops import (_factor_with_backoff, cholesky, det_via_cholesky,
+                           diversity_ascent, spd_inverse, surrogate_det_bound)
+from phasic.dists import DiagGaussian, DiscreteDist
 from phasic.dogfight import DogfightEnv
-from phasic.kernels import LN2, StateBatch, jsd, kernel_forward, w2_squared_full
-from phasic.dists import DiscreteDist
+from phasic.kernels import StateBatch, kernel_forward
 from phasic.nets import Policy
 from phasic.selection import BanditState, bandit_update, thompson_select, ucb_select
 from phasic.toy import ToyEnv
@@ -69,7 +70,9 @@ def test_criterion_1_math_oracles(capfd):
                         abs(det_via_cholesky(cholesky(a)) - cofactor_det(a)))
     ok_det = worst_det <= 1e-8
 
-    # determinant gradient: directional derivative vs central differences
+    # log-det gradient on the kernel: the upstream ascent hands the reverse
+    # pass, beta_used * K~^{-1} from the production blend-and-factor, as a
+    # directional derivative vs central differences of the cofactor log det
     betas = (0.1, 0.5, 0.9, 0.99)
     ok_dgrad = True
     for case in range(100):
@@ -79,16 +82,18 @@ def test_criterion_1_math_oracles(capfd):
         dk = rng.standard_normal((m, m))
         dk = 0.5 * (dk + dk.T)
         np.fill_diagonal(dk, 0.0)
-        analytic = det_gradient(surrogate(k, beta), dk)
+        factor, beta_used = _factor_with_backoff(k, beta)
+        analytic = float(np.sum(beta_used * spd_inverse(factor) * dk))
         h = 1e-5
         hi = cofactor_det(beta * (k + h * dk) + (1 - beta) * np.eye(m))
         lo = cofactor_det(beta * (k - h * dk) + (1 - beta) * np.eye(m))
-        numeric = (hi - lo) / (2 * h)
-        ok_dgrad = ok_dgrad and grad_close(
+        numeric = (math.log(hi) - math.log(lo)) / (2 * h)
+        ok_dgrad = ok_dgrad and beta_used == beta and grad_close(
             np.array([analytic]), np.array([numeric]), rtol=1e-4)
 
-    # auxiliary diversity objective: parameter gradients vs central
-    # differences, 50 continuous-kernel + 50 discrete-kernel cases
+    # parameter gradients of log det through the chain diversity_ascent runs
+    # (kernel forward, blend-and-factor, beta_used * K~^{-1}, kernel
+    # backward) vs central differences, 50 continuous + 50 discrete cases
     ok_aux = True
     for case in range(100):
         prng = np.random.default_rng(1000 + case)
@@ -99,25 +104,21 @@ def test_criterion_1_math_oracles(capfd):
             policies = [random_discrete_policy(prng) for _ in range(3)]
             metric = "jsd"
         batch = StateBatch(prng.uniform(-1, 1, (24, 2)), "probe")
-        scale = kernel_forward(policies, batch, metric).scale
-        res = diversity_objective(policies, batch, metric, beta=0.9,
-                                  norm_scale=scale)
+        fwd, _, _, grads = log_det_chain(policies, batch, metric, beta=0.9)
         i = int(prng.integers(3))
 
-        def f(theta, _i=i, _p=policies, _m=metric, _s=scale):
+        def f(theta, _i=i, _p=policies, _m=metric, _s=fwd.scale):
             ps = list(_p)
             ps[_i] = _p[_i].with_params(theta)
-            return diversity_objective(ps, batch, _m, beta=0.9,
-                                       norm_scale=_s).value
+            return math.log(log_det_chain(ps, batch, _m, beta=0.9, norm_scale=_s)[1])
 
         numeric = central_diff_grad(f, policies[i].params, h=1e-5)
-        ok_aux = ok_aux and grad_close(res.grads[i], numeric, rtol=1e-4,
-                                       atol=1e-8)
+        ok_aux = ok_aux and grad_close(grads[i], numeric, rtol=1e-4, atol=1e-8)
 
     elapsed = time.monotonic() - started
     ok = ok_det and ok_dgrad and ok_aux and elapsed < 60.0
-    _report(1, "determinant, det-gradient and diversity-objective gradients "
-               "match independent oracles", ok,
+    _report(1, "determinant, log-det kernel gradient and the ascent's policy "
+               "gradients match independent oracles", ok,
             f"max |det err| {worst_det:.2e}, 100+100 gradient checks at rel "
             f"1e-4, {elapsed:.1f}s", capfd)
 
@@ -130,12 +131,14 @@ def test_criterion_2_surrogate_bound(capfd):
     betas = (0.1, 0.5, 0.9, 0.99)
     worst_margin = float("inf")
     ok_bound = True
+    backoffs = 0
     for case in range(1000):
         m = 2 + case % 5
         k = random_psd_unit_diag(m, rng)
         for beta in betas:
-            det = det_via_cholesky(cholesky(surrogate(k, beta).entries))
-            margin = det - surrogate_det_bound(m, beta)
+            factor, beta_used = _factor_with_backoff(k, beta)
+            backoffs += beta_used != beta
+            margin = det_via_cholesky(factor) - surrogate_det_bound(m, beta)
             worst_margin = min(worst_margin, margin)
             ok_bound = ok_bound and margin >= -1e-10
 
@@ -143,14 +146,17 @@ def test_criterion_2_surrogate_bound(capfd):
     for m in range(2, 7):
         ones = np.ones((m, m))
         for beta in betas:
-            det = det_via_cholesky(cholesky(surrogate(ones, beta).entries))
+            factor, beta_used = _factor_with_backoff(ones, beta)
+            backoffs += beta_used != beta
+            det = det_via_cholesky(factor)
             ok_eq = ok_eq and abs(det - surrogate_det_bound(m, beta)) <= 1e-10
-    det_2 = det_via_cholesky(cholesky(surrogate(np.ones((2, 2)), 0.5).entries))
+    det_2 = det_via_cholesky(_factor_with_backoff(np.ones((2, 2)), 0.5)[0])
     ok_eq = ok_eq and abs(det_2 - 0.75) <= 1e-10
 
     _report(2, "surrogate determinant respects the duplication lower bound "
-               "with equality on all-ones kernels", ok_bound and ok_eq,
-            f"1000 kernels x 4 betas, worst margin {worst_margin:.2e}", capfd)
+               "with equality on all-ones kernels", ok_bound and ok_eq and backoffs == 0,
+            f"1000 kernels x 4 betas, worst margin {worst_margin:.2e}, "
+            f"{backoffs} beta backoffs", capfd)
 
 
 # -- criterion 3: repulsion from identical policies ----------------------------
@@ -373,10 +379,43 @@ def test_criterion_8_kernel_closed_forms(capfd):
         q = DiscreteDist(rng.dirichlet(np.ones(k)))
         d = jsd(p, q)
         ok_jsd = ok_jsd and 0.0 <= d <= LN2 + 1e-12
-    _report(8, "closed-form W2 matches Monte-Carlo transport and JSD stays "
-               "inside [0, ln 2]", ok_w2 and ok_jsd,
+
+    # the training kernel's distances are the closed forms, state by state:
+    # W2 squared distances are the state-mean of w2_squared_diag and JSD
+    # entries the state-mean of f_js(jsd)
+    worst_path = 0.0
+    for case in range(20):
+        prng = np.random.default_rng(880 + case)
+        n_pols = 2 + case % 4
+        batch = StateBatch(prng.uniform(-1.0, 1.0, (16, 2)), "probe")
+        if case % 3 == 2:
+            pols = [random_discrete_policy(prng) for _ in range(n_pols)]
+            got = kernel_forward(pols, batch, "jsd").entries
+            probs = [pi.probs_batch(batch.states) for pi in pols]
+            want = np.array([[np.mean([f_js(jsd(DiscreteDist(pi), DiscreteDist(pj)))
+                                       for pi, pj in zip(probs[i], probs[j])])
+                              for j in range(n_pols)] for i in range(n_pols)])
+        else:
+            mean_only = case % 3 == 1
+            pols = clustered_gaussian_policies(prng, n_pols, spread=0.3)
+            got = kernel_forward(pols, batch, "w2", mean_only).sq_dists
+            outs = [pi.gaussian_batch(batch.states) for pi in pols]
+            want = np.array([[np.mean([w2_squared_diag(DiagGaussian(mi, outs[i][1]),
+                                                       DiagGaussian(mj, outs[j][1]),
+                                                       mean_only)
+                                       for mi, mj in zip(outs[i][0], outs[j][0])])
+                              for j in range(n_pols)] for i in range(n_pols)])
+        off = ~np.eye(n_pols, dtype=bool)
+        worst_path = max(worst_path,
+                         float(np.max(np.abs(got[off] - want[off]) / np.abs(want[off]))))
+    ok_path = worst_path <= 1e-12
+
+    _report(8, "closed-form W2 matches Monte-Carlo transport, JSD stays "
+               "inside [0, ln 2], and the training kernel is built from both",
+            ok_w2 and ok_jsd and ok_path,
             f"worst W2 rel err {worst_rel:.3%} over 10 pairs, "
-            "1000 JSD pairs bounded", capfd)
+            f"1000 JSD pairs bounded, kernel vs closed forms rel {worst_path:.1e} "
+            "over 20 populations", capfd)
 
 
 # -- criterion 9: bandit concentration ------------------------------------------

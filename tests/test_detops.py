@@ -1,51 +1,63 @@
 import numpy as np
 import pytest
 
-from factories import (linear_gaussian_policy, random_discrete_policy,
+from factories import (clustered_gaussian_policies, linear_gaussian_policy,
+                       log_det_chain, random_discrete_policy,
                        random_gaussian_policy)
 from oracles import (central_diff_grad, cofactor_det, grad_close,
                      random_psd_unit_diag)
 
-from phasic.detops import (NotPositiveDefinite, cholesky, det_gradient,
-                           det_via_cholesky, diversity_ascent,
-                           diversity_objective, log_det_via_cholesky,
-                           spd_inverse, surrogate, surrogate_det_bound)
-from phasic.kernels import StateBatch, build_kernel_matrix
+from phasic.detops import (NotPositiveDefinite, _factor_with_backoff, cholesky,
+                           det_via_cholesky, diversity_ascent, spd_inverse,
+                           surrogate_det_bound)
+from phasic.kernels import StateBatch, kernel_backward, kernel_forward
 
 
 class TestSurrogate:
+    """The blend beta*K + (1-beta)*I as the production blend-and-factor builds it."""
+
     def test_all_ones_blend(self):
-        out = surrogate(np.ones((2, 2)), 0.5)
-        assert np.array_equal(out.entries, np.array([[1.0, 0.5], [0.5, 1.0]]))
+        low, beta_used = _factor_with_backoff(np.ones((2, 2)), 0.5)
+        assert beta_used == 0.5
+        assert np.allclose(low @ low.T, [[1.0, 0.5], [0.5, 1.0]], rtol=0.0, atol=1e-15)
 
     def test_identity_fixed_point(self):
         for beta in (0.1, 0.5, 0.99):
-            assert np.array_equal(surrogate(np.eye(3), beta).entries, np.eye(3))
+            low, beta_used = _factor_with_backoff(np.eye(3), beta)
+            assert beta_used == beta
+            assert np.array_equal(low, np.eye(3))
 
     def test_entrywise_arithmetic(self):
-        out = surrogate(np.array([[1.0, 0.8], [0.8, 1.0]]), 0.9)
-        assert np.allclose(out.entries, [[1.0, 0.72], [0.72, 1.0]], atol=1e-12)
+        low, _ = _factor_with_backoff(np.array([[1.0, 0.8], [0.8, 1.0]]), 0.9)
+        assert np.allclose(low @ low.T, [[1.0, 0.72], [0.72, 1.0]], atol=1e-12)
 
     def test_diagonal_exactly_one(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             k = random_psd_unit_diag(4, rng)
-            out = surrogate(k, float(rng.uniform(0.01, 0.99)))
-            assert np.all(np.diag(out.entries) == 1.0)
+            low, _ = _factor_with_backoff(k, float(rng.uniform(0.01, 0.99)))
+            # the first pivot is the blend's diagonal itself, pinned to 1
+            assert low[0, 0] == 1.0
+            assert np.allclose(np.sum(low ** 2, axis=1), 1.0, rtol=0.0, atol=1e-12)
 
     def test_beta_out_of_range(self):
+        rng = np.random.default_rng(0)
+        pols = [random_gaussian_policy(rng) for _ in range(2)]
+        batch = StateBatch(rng.standard_normal((3, 2)), "probe")
         for beta in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
-                surrogate(np.eye(2), beta)
+                diversity_ascent(pols, batch, steps=0, beta=beta)
+            with pytest.raises(ValueError):
+                surrogate_det_bound(2, beta)
 
 
 class TestCholesky:
     def test_identity(self):
-        assert np.array_equal(cholesky(np.eye(3)).lower, np.eye(3))
+        assert np.array_equal(cholesky(np.eye(3)), np.eye(3))
 
     def test_hand_factorization(self):
-        fac = cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
-        assert np.allclose(fac.lower, [[2.0, 0.0], [1.0, np.sqrt(2.0)]], atol=1e-12)
+        low = cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
+        assert np.allclose(low, [[2.0, 0.0], [1.0, np.sqrt(2.0)]], atol=1e-12)
 
     def test_singular_duplication_matrix_fails(self):
         with pytest.raises(NotPositiveDefinite):
@@ -61,9 +73,9 @@ class TestCholesky:
             n = int(rng.integers(1, 7))
             a = rng.standard_normal((n, n))
             spd = a @ a.T + n * np.eye(n)
-            fac = cholesky(spd)
-            assert np.allclose(fac.lower @ fac.lower.T, spd, atol=1e-8)
-            assert np.all(fac.diag > 0)
+            low = cholesky(spd)
+            assert np.allclose(low @ low.T, spd, atol=1e-8)
+            assert np.all(np.diag(low) > 0)
 
     def test_never_fails_on_surrogate_of_valid_kernel(self):
         rng = np.random.default_rng(2)
@@ -71,7 +83,7 @@ class TestCholesky:
             m = int(rng.integers(2, 7))
             k = random_psd_unit_diag(m, rng)
             beta = float(rng.uniform(0.01, 0.995))
-            cholesky(surrogate(k, beta).entries)  # must not raise
+            assert _factor_with_backoff(k, beta)[1] == beta  # no backoff needed
 
 
 class TestDeterminant:
@@ -79,12 +91,12 @@ class TestDeterminant:
         assert det_via_cholesky(cholesky(np.eye(4))) == 1.0
 
     def test_hand_det(self):
-        fac = cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
-        assert np.isclose(det_via_cholesky(fac), 8.0, atol=1e-12)
+        low = cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
+        assert np.isclose(det_via_cholesky(low), 8.0, atol=1e-12)
 
     def test_duplication_surrogate_det(self):
-        kt = surrogate(np.ones((2, 2)), 0.5)
-        assert np.isclose(det_via_cholesky(cholesky(kt.entries)), 0.75, atol=1e-12)
+        low, _ = _factor_with_backoff(np.ones((2, 2)), 0.5)
+        assert np.isclose(det_via_cholesky(low), 0.75, atol=1e-12)
         assert np.isclose(surrogate_det_bound(2, 0.5), 0.75, atol=1e-15)
 
     def test_matches_cofactor_oracle_up_to_5x5(self):
@@ -100,9 +112,9 @@ class TestDeterminant:
         rng = np.random.default_rng(4)
         a = rng.standard_normal((4, 4))
         spd = a @ a.T + 4 * np.eye(4)
-        fac = cholesky(spd)
-        assert np.isclose(np.exp(log_det_via_cholesky(fac)), det_via_cholesky(fac),
-                          rtol=1e-10)
+        sign, log_det = np.linalg.slogdet(spd)
+        assert sign == 1.0
+        assert np.isclose(np.log(det_via_cholesky(cholesky(spd))), log_det, rtol=1e-10)
 
     def test_spd_inverse(self):
         rng = np.random.default_rng(5)
@@ -110,6 +122,7 @@ class TestDeterminant:
         spd = a @ a.T + 5 * np.eye(5)
         inv = spd_inverse(cholesky(spd))
         assert np.allclose(spd @ inv, np.eye(5), atol=1e-9)
+        assert np.array_equal(inv, inv.T)  # ascent hands it on as a symmetric upstream
 
 
 class TestDetBound:
@@ -127,28 +140,36 @@ class TestDetBound:
             m = int(rng.integers(2, 7))
             k = random_psd_unit_diag(m, rng, rank=int(rng.integers(1, m + 2)))
             beta = float(rng.choice([0.1, 0.5, 0.9, 0.99]))
-            det = det_via_cholesky(cholesky(surrogate(k, beta).entries))
-            assert det >= surrogate_det_bound(m, beta) - 1e-10
+            low, beta_used = _factor_with_backoff(k, beta)
+            assert beta_used == beta
+            assert det_via_cholesky(low) >= surrogate_det_bound(m, beta) - 1e-10
 
     def test_all_ones_attains_bound(self):
         for m in range(2, 7):
             for beta in (0.1, 0.5, 0.9, 0.99):
-                det = det_via_cholesky(cholesky(surrogate(np.ones((m, m)), beta).entries))
-                assert abs(det - surrogate_det_bound(m, beta)) <= 1e-10
+                low, _ = _factor_with_backoff(np.ones((m, m)), beta)
+                assert abs(det_via_cholesky(low) - surrogate_det_bound(m, beta)) <= 1e-10
 
 
 class TestDetGradient:
+    """d log det(K~) / dK = beta * K~^{-1}, the upstream that ascent hands the
+    kernel reverse pass."""
+
     def test_zero_entry_gradient(self):
-        kt = surrogate(random_psd_unit_diag(3, np.random.default_rng(7)), 0.9)
-        assert det_gradient(kt, np.zeros((3, 3))) == 0.0
+        rng = np.random.default_rng(7)
+        pols = [random_gaussian_policy(rng) for _ in range(3)]
+        fwd = kernel_forward(pols, StateBatch(rng.standard_normal((4, 2)), "probe"))
+        for g, pol in zip(kernel_backward(fwd, np.zeros((3, 3))), pols):
+            assert np.array_equal(g, np.zeros(pol.n_params))
 
     def test_2x2_hand_gradient(self):
-        # K~ = [[1, c], [c, 1]] with c = 0.4: det = 1 - c^2, d det/dc = -2c.
-        # Entry change dc/dtheta = 1 on the surrogate means dK/dtheta = 1/beta.
+        # K~ = [[1, c], [c, 1]] with c = beta * 0.8 = 0.4: log det = log(1 - c^2);
+        # moving both off-diagonal base entries by t moves c by beta * t
         beta = 0.5
-        kt = surrogate(np.array([[1.0, 0.8], [0.8, 1.0]]), beta)
-        dk = (1.0 / beta) * np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert np.isclose(det_gradient(kt, dk), -2.0 * 0.4, atol=1e-12)
+        low, beta_used = _factor_with_backoff(np.array([[1.0, 0.8], [0.8, 1.0]]), beta)
+        upstream = beta_used * spd_inverse(low)
+        slope = np.sum(upstream * np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert np.isclose(slope, beta * -2.0 * 0.4 / (1.0 - 0.4 ** 2), atol=1e-12)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(8)
@@ -156,30 +177,28 @@ class TestDetGradient:
             m = int(rng.integers(2, 7))
             k = random_psd_unit_diag(m, rng)
             beta = float(rng.uniform(0.3, 0.99))
-            n_params = int(rng.integers(1, 4))
-            direction = rng.standard_normal((n_params, m, m))
-            direction = 0.5 * (direction + np.transpose(direction, (0, 2, 1)))
-            direction[:, np.arange(m), np.arange(m)] = 0.0
-            kt = surrogate(k, beta)
-            grads = det_gradient(kt, direction)
+            direction = rng.standard_normal((m, m))
+            direction = 0.5 * (direction + direction.T)
+            np.fill_diagonal(direction, 0.0)
+            low, beta_used = _factor_with_backoff(k, beta)
+            slope = np.sum(beta_used * spd_inverse(low) * direction)
 
-            def det_at(t, p):
-                kk = k + t * direction[p]
-                blend = beta * kk + (1 - beta) * np.eye(m)
-                return np.linalg.det(blend)
+            def log_det_at(t):
+                kk = k + t * direction
+                return np.linalg.slogdet(beta * kk + (1 - beta) * np.eye(m))[1]
 
-            for p in range(n_params):
-                fd = (det_at(1e-5, p) - det_at(-1e-5, p)) / 2e-5
-                assert np.isclose(grads[p], fd, rtol=1e-4, atol=1e-10)
+            fd = (log_det_at(1e-5) - log_det_at(-1e-5)) / 2e-5
+            assert np.isclose(slope, fd, rtol=1e-4, atol=1e-10)
 
     def test_non_pd_rejected(self):
-        kt = surrogate(np.ones((2, 2)), 0.5)
-        bad = type(kt)(entries=np.ones((2, 2)), beta=0.5, base=np.ones((2, 2)))
+        # off-diagonal 1e6 needs beta < 1e-6; eight halvings of 0.9 stop at 3.5e-3
         with pytest.raises(NotPositiveDefinite):
-            det_gradient(bad, np.zeros((2, 2)))
+            _factor_with_backoff(np.array([[1.0, 1e6], [1e6, 1.0]]), 0.9)
 
 
 class TestDiversityObjective:
+    """The log-det value and gradients of the chain one ascent step runs."""
+
     def _batch(self, rng, n=4, dim=2):
         return StateBatch(rng.standard_normal((n, dim)), "probe")
 
@@ -188,26 +207,25 @@ class TestDiversityObjective:
         a = linear_gaussian_policy([[0.0, 0.0]], [0.0], [0.0])
         b = linear_gaussian_policy([[0.0, 0.0]], [1e-5], [0.0])
         batch = StateBatch(np.zeros((2, 2)), "probe")
-        res = diversity_objective([a, b], batch, beta=0.5)
-        assert np.isclose(res.value, 0.75, atol=1e-8)
+        _, det, _, grads = log_det_chain([a, b], batch, beta=0.5)
+        assert np.isclose(det, 0.75, atol=1e-8)
         # ascent direction pushes the biases apart
         bias_idx = 2  # layout: weights (1x2), bias, log_std
-        assert res.grads[1][bias_idx] > 0.0
-        assert res.grads[0][bias_idx] < 0.0
+        assert grads[1][bias_idx] > 0.0
+        assert grads[0][bias_idx] < 0.0
 
     def test_orthogonal_population_saturates(self):
         a = linear_gaussian_policy([[0.0, 0.0]], [0.0], [0.0])
         b = linear_gaussian_policy([[0.0, 0.0]], [50.0], [0.0])
         c = linear_gaussian_policy([[0.0, 0.0]], [-50.0], [0.0])
         batch = StateBatch(np.zeros((2, 2)), "probe")
-        res = diversity_objective([a, b, c], batch, beta=0.99, norm_scale=1.0)
-        assert res.value > 0.999
-        for g in res.grads:
+        _, det, _, grads = log_det_chain([a, b, c], batch, beta=0.99, norm_scale=1.0)
+        assert det > 0.999
+        for g in grads:
             assert np.max(np.abs(g)) < 1e-6
 
     @pytest.mark.parametrize("metric", ["w2", "jsd"])
     def test_gradients_match_finite_differences(self, metric):
-        from factories import clustered_gaussian_policies, random_discrete_policy
         rng = np.random.default_rng(9)
         for _ in range(20):
             m = 3
@@ -216,33 +234,24 @@ class TestDiversityObjective:
             else:
                 pols = [random_discrete_policy(rng) for _ in range(m)]
             batch = self._batch(rng)
-            res = diversity_objective(pols, batch, metric=metric, beta=0.9,
-                                      norm_scale=res_scale(pols, batch, metric))
+            fwd, _, _, grads = log_det_chain(pols, batch, metric, beta=0.9)
             for i in range(m):
                 def val(p, i=i):
                     trial = list(pols)
                     trial[i] = pols[i].with_params(p)
-                    return diversity_objective(trial, batch, metric=metric, beta=0.9,
-                                               norm_scale=res.norm_scale).value
+                    det = log_det_chain(trial, batch, metric, beta=0.9,
+                                        norm_scale=fwd.scale)[1]
+                    return np.log(det)
                 fd = central_diff_grad(val, pols[i].params)
-                assert grad_close(res.grads[i], fd)
+                assert grad_close(grads[i], fd)
 
     def test_value_equals_direct_determinant(self):
         rng = np.random.default_rng(10)
         pols = [random_gaussian_policy(rng) for _ in range(4)]
         batch = self._batch(rng)
-        res = diversity_objective(pols, batch, beta=0.9)
-        k = build_kernel_matrix(pols, batch)
-        direct = np.linalg.det(0.9 * k.entries + 0.1 * np.eye(4))
-        assert np.isclose(res.value, direct, rtol=1e-10)
-
-
-def res_scale(pols, batch, metric):
-    """Pin the variance-normalization constant so finite differences see a fixed map."""
-    from phasic.kernels import kernel_forward
-    if metric != "w2":
-        return None
-    return kernel_forward(pols, batch, metric).scale
+        fwd, det, _, _ = log_det_chain(pols, batch, beta=0.9)
+        direct = np.linalg.det(0.9 * fwd.entries + 0.1 * np.eye(4))
+        assert np.isclose(det, direct, rtol=1e-10)
 
 
 class TestDiversityAscent:
@@ -256,11 +265,11 @@ class TestDiversityAscent:
         assert len(trace) == 21
         assert np.all(np.diff(trace) > -1e-12)
         assert trace[-1] > trace[0]
-        from phasic.kernels import kernel_entry
+        k = kernel_forward(out, batch).entries
         for i in range(3):
             for j in range(i + 1, 3):
                 assert not np.array_equal(out[i].params, out[j].params)
-                assert kernel_entry(out[i], out[j], batch) < 1.0
+                assert k[i, j] < 1.0
 
     @pytest.mark.parametrize("metric", ["w2", "jsd"])
     @pytest.mark.parametrize("steps", [0, 1, 4])
@@ -270,7 +279,7 @@ class TestDiversityAscent:
         make = random_gaussian_policy if metric == "w2" else random_discrete_policy
         pols = [make(rng) for _ in range(3)]
         batch = StateBatch(rng.standard_normal((5, 2)), "probe")
-        start = diversity_objective(pols, batch, metric, beta=0.99)
+        start, start_det, _, _ = log_det_chain(pols, batch, metric, beta=0.99)
         scales = []
         real = phasic.detops.kernel_forward
 
@@ -285,8 +294,21 @@ class TestDiversityAscent:
         assert len(scales) == steps + 1
         assert len(trace) == steps + 1
         assert scales[0] is None
-        assert all(s == start.norm_scale for s in scales[1:])
-        assert trace[0] == start.value
+        assert all(s == start.scale for s in scales[1:])
+        assert trace[0] == start_det
+
+    @pytest.mark.parametrize("metric", ["w2", "jsd"])
+    def test_first_step_follows_log_det_chain(self, metric):
+        # the chain criterion 1 differentiates is the step ascent takes
+        rng = np.random.default_rng(29)
+        make = random_gaussian_policy if metric == "w2" else random_discrete_policy
+        pols = [make(rng) for _ in range(3)]
+        batch = StateBatch(rng.standard_normal((5, 2)), "probe")
+        _, _, _, grads = log_det_chain(pols, batch, metric, beta=0.99)
+        out, _ = diversity_ascent(pols, batch, steps=1, metric=metric, beta=0.99,
+                                  lr=1e-3, grad_clip=0.0)
+        for p, pol, g in zip(out, pols, grads):
+            assert np.array_equal(p.params, pol.params + 1e-3 * g)
 
     def test_live_inputs_untouched(self):
         rng = np.random.default_rng(13)

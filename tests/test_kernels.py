@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
+import oracles
 from factories import (linear_discrete_policy, linear_gaussian_policy,
                        random_discrete_policy, random_gaussian_policy)
-from oracles import central_diff_grad, grad_close, mc_w2_diag_gaussian
+from oracles import (LN2, central_diff_grad, f_js, grad_close, jsd,
+                     kernel_invariant_violations, mc_w2_diag_gaussian,
+                     w2_squared_diag, w2_squared_full)
 
 from phasic.dists import DiagGaussian, DiscreteDist
-from phasic.kernels import (LN2, KernelMatrix, StateBatch, build_kernel_matrix,
-                            f_js, jsd, kernel_entry, kernel_entry_grad,
-                            variance_normalize, w2_squared_diag, w2_squared_full)
+from phasic.kernels import StateBatch, kernel_backward, kernel_forward
 
 
 class TestJsd:
@@ -125,77 +126,92 @@ class TestW2:
 
 
 class TestVarianceNormalize:
+    """The off-diagonal std normalization inside the W2 kernel forward."""
+
     def test_equal_entries_unchanged(self):
-        sq = np.array([[0.0, 2.0], [2.0, 0.0]])
-        assert np.array_equal(variance_normalize(sq), sq)
+        # unit-vector means: every pairwise squared distance is exactly 2
+        pols = [linear_gaussian_policy(np.zeros((3, 1)), np.eye(3)[i], 0.0) for i in range(3)]
+        fwd = kernel_forward(pols, StateBatch(np.zeros((1, 1)), "t"))
+        assert fwd.scale == 1.0
+        assert np.array_equal(fwd.sq_dists, 2.0 * (1.0 - np.eye(3)))
+        assert np.array_equal(fwd.entries[~np.eye(3, dtype=bool)], np.full(6, np.exp(-1.0)))
 
     def test_zero_matrix_unchanged(self):
-        sq = np.zeros((3, 3))
-        assert np.array_equal(variance_normalize(sq), sq)
+        pol = linear_gaussian_policy([[1.0]], [0.0], [0.0])
+        fwd = kernel_forward([pol] * 3, StateBatch(np.array([[0.5]]), "t"))
+        assert fwd.scale == 1.0
+        assert np.array_equal(fwd.sq_dists, np.zeros((3, 3)))
+        assert np.array_equal(fwd.entries, np.ones((3, 3)))
 
     def test_hand_computed_std(self):
-        sq = np.array([[0.0, 1.0, 4.0], [1.0, 0.0, 9.0], [4.0, 9.0, 0.0]])
+        # biases 0, 1, 3: squared distances 1, 9, 4
+        pols = [linear_gaussian_policy([[0.0]], [b], [0.0]) for b in (0.0, 1.0, 3.0)]
+        fwd = kernel_forward(pols, StateBatch(np.zeros((1, 1)), "t"))
+        sq = np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 4.0], [9.0, 4.0, 0.0]])
         std = np.std([1.0, 4.0, 9.0])  # duplication across the diagonal cancels
-        out = variance_normalize(sq)
-        assert np.allclose(out, sq / std)
-        assert np.all(np.diag(out) == 0.0)
-
-    def test_rejects_nonzero_diagonal(self):
-        with pytest.raises(ValueError):
-            variance_normalize(np.eye(2))
+        assert np.isclose(fwd.scale, std, rtol=1e-15)
+        assert np.allclose(fwd.entries, np.exp(-0.5 * sq / std), rtol=1e-14)
+        assert np.all(np.diag(fwd.entries) == 1.0)
 
 
 class TestKernelEntry:
+    """Single entries of the population kernel and their reverse pass."""
+
     def _batch(self, n=3, dim=1):
         return StateBatch(states=np.arange(n * dim, dtype=np.float64).reshape(n, dim),
                           source="test")
 
+    def _entry(self, a, b, batch, metric="w2", deterministic=False):
+        return kernel_forward([a, b], batch, metric, deterministic).entries[0, 1]
+
     def test_same_policy_gives_one(self):
         pol = linear_gaussian_policy([[1.0]], [0.0], [0.0])
-        assert kernel_entry(pol, pol, self._batch()) == 1.0
+        assert self._entry(pol, pol, self._batch()) == 1.0
 
     def test_distant_policies_decay_to_zero(self):
         a = linear_gaussian_policy([[0.0]], [0.0], [0.0])
         b = linear_gaussian_policy([[0.0]], [100.0], [0.0])
-        assert kernel_entry(a, b, self._batch()) < 1e-12
+        assert self._entry(a, b, self._batch()) < 1e-12
 
     def test_three_probe_states_hand_average(self):
         a = linear_gaussian_policy([[1.0]], [0.0], [0.0])
         b = linear_gaussian_policy([[0.5]], [0.25], [0.0])
         batch = StateBatch(states=np.array([[0.0], [1.0], [2.0]]), source="test")
-        # per-state mean differences: -0.25, 0.25, 0.75 (stds equal)
-        expected = np.mean(np.exp(-0.5 * np.array([0.0625, 0.0625, 0.5625])))
-        assert np.isclose(kernel_entry(a, b, batch), expected, atol=1e-12)
+        # per-state mean differences -0.25, 0.25, 0.75 (stds equal); the
+        # kernel maps the state-averaged squared distance (M=2: scale 1)
+        expected = np.exp(-0.5 * np.mean([0.0625, 0.0625, 0.5625]))
+        assert np.isclose(self._entry(a, b, batch), expected, atol=1e-12)
 
     def test_deterministic_flag_drops_std_term(self):
         a = linear_gaussian_policy([[0.0]], [0.0], [0.0])
         b = linear_gaussian_policy([[0.0]], [0.0], [1.0])
         batch = self._batch()
-        assert kernel_entry(a, b, batch, deterministic=True) == 1.0
-        assert kernel_entry(a, b, batch, deterministic=False) < 1.0
+        assert self._entry(a, b, batch, deterministic=True) == 1.0
+        assert self._entry(a, b, batch, deterministic=False) < 1.0
 
     def test_jsd_metric_on_discrete(self):
         a = linear_discrete_policy([[1.0], [0.0]], [0.0, 0.0])
         b = linear_discrete_policy([[1.0], [0.0]], [0.0, 0.0])
-        assert np.isclose(kernel_entry(a, b, self._batch(), metric="jsd"), 1.0)
+        assert np.isclose(self._entry(a, b, self._batch(), metric="jsd"), 1.0)
 
     def test_metric_action_space_mismatch(self):
         cont = linear_gaussian_policy([[1.0]], [0.0], [0.0])
         disc = linear_discrete_policy([[1.0], [0.0]], [0.0, 0.0])
         with pytest.raises(ValueError):
-            kernel_entry(cont, cont, self._batch(), metric="jsd")
+            kernel_forward([cont, cont], self._batch(), metric="jsd")
         with pytest.raises(ValueError):
-            kernel_entry(disc, disc, self._batch(), metric="w2")
+            kernel_forward([disc, disc], self._batch(), metric="w2")
+        with pytest.raises(ValueError):
+            kernel_forward([cont, disc], self._batch(), metric="w2")
 
     def test_state_permutation_invariance(self):
         rng = np.random.default_rng(4)
-        a = random_gaussian_policy(rng)
-        b = random_gaussian_policy(rng)
+        pols = [random_gaussian_policy(rng) for _ in range(3)]
         states = rng.standard_normal((8, 2))
         perm = rng.permutation(8)
-        e1 = kernel_entry(a, b, StateBatch(states, "x"))
-        e2 = kernel_entry(a, b, StateBatch(states[perm], "x"))
-        assert np.isclose(e1, e2, rtol=1e-12)
+        e1 = kernel_forward(pols, StateBatch(states, "x")).entries
+        e2 = kernel_forward(pols, StateBatch(states[perm], "x")).entries
+        assert np.allclose(e1, e2, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("metric", ["w2", "jsd"])
     @pytest.mark.parametrize("deterministic", [False, True])
@@ -203,33 +219,29 @@ class TestKernelEntry:
         if metric == "jsd" and deterministic:
             pytest.skip("flag only affects the W2 path")
         rng = np.random.default_rng(5)
+        make = random_gaussian_policy if metric == "w2" else random_discrete_policy
+        upstream = np.zeros((3, 3))
+        upstream[0, 1] = 1.0  # d entry[0, 1]
         for _ in range(25):
-            if metric == "w2":
-                a = random_gaussian_policy(rng)
-                b = random_gaussian_policy(rng)
-            else:
-                a = random_discrete_policy(rng)
-                b = random_discrete_policy(rng)
+            pols = [make(rng) for _ in range(3)]
             batch = StateBatch(rng.standard_normal((4, 2)), "fd")
-            entry, gi, gj = kernel_entry_grad(a, b, batch, metric, deterministic)
-            assert np.isclose(entry, kernel_entry(a, b, batch, metric, deterministic))
-
-            fd_i = central_diff_grad(
-                lambda p: kernel_entry(a.with_params(p), b, batch, metric, deterministic),
-                a.params)
-            fd_j = central_diff_grad(
-                lambda p: kernel_entry(a, b.with_params(p), batch, metric, deterministic),
-                b.params)
-            assert grad_close(gi, fd_i)
-            assert grad_close(gj, fd_j)
+            fwd = kernel_forward(pols, batch, metric, deterministic)
+            grads = kernel_backward(fwd, upstream)
+            for i in range(3):
+                def entry(p, i=i):
+                    trial = list(pols)
+                    trial[i] = pols[i].with_params(p)
+                    return kernel_forward(trial, batch, metric, deterministic,
+                                          norm_scale=fwd.scale).entries[0, 1]
+                assert grad_close(grads[i], central_diff_grad(entry, pols[i].params))
 
 
 class TestKernelMatrix:
     def test_duplicate_pair_all_ones(self):
         pol = linear_gaussian_policy([[1.0]], [0.0], [0.0])
         batch = StateBatch(np.array([[0.0], [1.0]]), "t")
-        k = build_kernel_matrix([pol, pol.with_params(pol.params)], batch)
-        assert np.array_equal(k.entries, np.ones((2, 2)))
+        k = kernel_forward([pol, pol.with_params(pol.params)], batch).entries
+        assert np.array_equal(k, np.ones((2, 2)))
 
     def test_normalized_unit_distance_entry(self):
         # M=2: the normalization std over a single repeated value is 0, so the
@@ -237,16 +249,16 @@ class TestKernelMatrix:
         a = linear_gaussian_policy([[0.0]], [0.0], [0.0])
         b = linear_gaussian_policy([[0.0]], [1.0], [0.0])
         batch = StateBatch(np.array([[0.0], [1.0]]), "t")
-        k = build_kernel_matrix([a, b], batch)
-        assert np.isclose(k.entries[0, 1], np.exp(-0.5), atol=1e-12)
+        k = kernel_forward([a, b], batch).entries
+        assert np.isclose(k[0, 1], np.exp(-0.5), atol=1e-12)
 
     def test_duplicated_pair_inside_triple(self):
         a = linear_gaussian_policy([[0.0]], [0.0], [0.0])
         b = linear_gaussian_policy([[0.0]], [1.0], [0.0])
         batch = StateBatch(np.array([[0.0]]), "t")
-        k = build_kernel_matrix([a, a.with_params(a.params), b], batch)
-        assert np.isclose(k.entries[0, 1], 1.0, atol=1e-12)
-        assert k.min_eigenvalue >= -1e-8
+        k = kernel_forward([a, a.with_params(a.params), b], batch).entries
+        assert np.isclose(k[0, 1], 1.0, atol=1e-12)
+        assert kernel_invariant_violations(k) == []
 
     def test_psd_on_random_populations(self):
         rng = np.random.default_rng(6)
@@ -254,10 +266,8 @@ class TestKernelMatrix:
             m = int(rng.integers(2, 6))
             pols = [random_gaussian_policy(rng) for _ in range(m)]
             batch = StateBatch(rng.standard_normal((4, 2)), "t")
-            k = build_kernel_matrix(pols, batch,
-                                    deterministic=bool(rng.integers(0, 2)))
-            assert k.min_eigenvalue >= -1e-8
-            assert np.all(k.entries >= 0.0) and np.all(k.entries <= 1.0)
+            k = kernel_forward(pols, batch, deterministic=bool(rng.integers(0, 2))).entries
+            assert kernel_invariant_violations(k) == []
 
     def test_psd_on_random_discrete_populations(self):
         rng = np.random.default_rng(7)
@@ -265,21 +275,47 @@ class TestKernelMatrix:
             m = int(rng.integers(2, 5))
             pols = [random_discrete_policy(rng) for _ in range(m)]
             batch = StateBatch(rng.standard_normal((4, 2)), "t")
-            k = build_kernel_matrix(pols, batch, metric="jsd")
-            assert k.min_eigenvalue >= -1e-8
+            k = kernel_forward(pols, batch, metric="jsd").entries
+            assert kernel_invariant_violations(k) == []
 
     def test_invariant_violations_rejected(self):
-        with pytest.raises(ValueError):
-            KernelMatrix(entries=np.array([[1.0, 0.5], [0.4, 1.0]]))  # asymmetric
-        with pytest.raises(ValueError):
-            KernelMatrix(entries=np.array([[0.9, 0.5], [0.5, 1.0]]))  # diagonal
-        with pytest.raises(ValueError):
-            KernelMatrix(entries=np.array([[1.0, 1.5], [1.5, 1.0]]))  # range
+        assert kernel_invariant_violations(np.array([[1.0, 0.5], [0.4, 1.0]])) == ["asymmetric"]
+        assert kernel_invariant_violations(np.array([[0.9, 0.5], [0.5, 1.0]])) == ["diagonal"]
+        assert kernel_invariant_violations(np.array([[1.0, 1.5], [1.5, 1.0]])) == ["range"]
+        assert kernel_invariant_violations(np.array(
+            [[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])) == ["not PSD"]
 
     def test_pinned_norm_scale_reproduces_entries(self):
         rng = np.random.default_rng(8)
         pols = [random_gaussian_policy(rng) for _ in range(3)]
         batch = StateBatch(rng.standard_normal((5, 2)), "t")
-        k1 = build_kernel_matrix(pols, batch)
-        k2 = build_kernel_matrix(pols, batch, norm_scale=k1.w2_scale)
+        k1 = kernel_forward(pols, batch)
+        k2 = kernel_forward(pols, batch, norm_scale=k1.scale)
         assert np.array_equal(k1.entries, k2.entries)
+
+
+class TestLoopReference:
+    """The all-pairs passes give the bits of the pair-by-pair, state-by-state
+    reference in oracles.py, forward caches and every gradient included."""
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    @pytest.mark.parametrize("metric,deterministic",
+                             [("w2", False), ("w2", True), ("jsd", False)])
+    def test_bitwise_equal_to_loop_reference(self, metric, deterministic, m):
+        make = random_gaussian_policy if metric == "w2" else random_discrete_policy
+        for case in range(20):
+            rng = np.random.default_rng([m, case])
+            pols = [make(rng) for _ in range(m)]
+            # a near-duplicate pair sits at the normalization floor's edge
+            pols[1] = pols[0].with_params(
+                pols[0].params + 1e-7 * rng.standard_normal(pols[0].n_params))
+            batch = StateBatch(rng.uniform(-1.0, 1.0, (int(rng.integers(1, 40)), 2)))
+            pinned = None if case % 2 else float(rng.uniform(0.1, 2.0))
+            fwd = kernel_forward(pols, batch, metric, deterministic, pinned)
+            ref = oracles.kernel_forward(pols, batch, metric, deterministic, pinned)
+            assert np.array_equal(fwd.entries, ref.entries)
+            assert fwd.scale == ref.scale
+            upstream = rng.standard_normal((m, m))
+            for g, g_ref in zip(kernel_backward(fwd, upstream),
+                                oracles.kernel_backward(ref, upstream)):
+                assert np.array_equal(g, g_ref)

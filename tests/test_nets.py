@@ -5,11 +5,8 @@ from factories import linear_gaussian_policy, random_gaussian_policy
 import oracles
 from oracles import central_diff_grad, grad_close
 
-from phasic.dists import DiagGaussian, DiscreteDist
 from phasic.nets import (ActionSpace, NormalizedPolicy, Policy, ValueFunction,
-                         deterministic_action, load_policy, log_prob,
-                         policy_from_json, policy_to_json, sample_action,
-                         save_policy)
+                         load_policy, save_policy)
 from phasic.optim import Adam
 
 
@@ -59,25 +56,6 @@ class TestForward:
         probs = pol.probs_batch(rng.standard_normal((6, 2)))
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(probs > 0.0)
-
-
-class TestActionHelpers:
-    def test_gaussian_log_prob_hand_value(self):
-        dist = DiagGaussian(np.zeros(1), np.zeros(1))
-        assert np.isclose(log_prob(dist, np.zeros(1)), -0.5 * np.log(2 * np.pi))
-
-    def test_deterministic_action_is_mean_or_argmax(self):
-        g = DiagGaussian(np.array([0.3, -0.1]), np.zeros(2))
-        assert np.array_equal(deterministic_action(g), g.mean)
-        d = DiscreteDist(np.array([0.7, 0.3]))
-        assert deterministic_action(d) == 0
-        assert np.isclose(log_prob(d, 0), np.log(0.7))
-
-    def test_sampling_seeded(self):
-        g = DiagGaussian(np.zeros(2), np.zeros(2))
-        a = sample_action(g, np.random.default_rng(3))
-        b = sample_action(g, np.random.default_rng(3))
-        assert np.array_equal(a, b)
 
 
 class TestBackward:
@@ -271,12 +249,6 @@ class TestImmutabilityAndSerialization:
         a, b = pol.forward(obs), loaded.forward(obs)
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.log_std, b.log_std)
-
-    def test_json_round_trip(self):
-        rng = np.random.default_rng(9)
-        pol = random_gaussian_policy(rng)
-        again = policy_from_json(policy_to_json(pol))
-        assert np.array_equal(again.params, pol.params)
 
     def test_seeded_init_reproducible(self):
         a = Policy.init(3, ActionSpace("continuous", 2), np.random.default_rng(42))

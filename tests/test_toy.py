@@ -35,6 +35,21 @@ def test_step_moves_by_clipped_action():
     _, _, _, info = env.step(np.array([5.0, -0.5]))
     moved = info["position"] - start
     assert moved == pytest.approx([0.05, -0.025], abs=1e-12)
+    # both clamps give np.clip's bits, at the walls and for non-finite actions
+    rng = np.random.default_rng(5)
+    drift = np.repeat([1.5, -1.5], 300)[:, None]  # push into both walls
+    actions = rng.normal(0.0, 3.0, (600, 2)) + drift
+    actions[::17, 0], actions[3::23, 1], actions[5::97] = np.inf, -np.inf, np.nan
+    done, walls = False, 0
+    for action in actions:
+        if done or not np.all(np.isfinite(env.position)):
+            env.reset(rng)
+        pos = env.position
+        _, _, done, info = env.step(action)
+        expected = np.clip(pos + env.config.step_size * np.clip(action, -1.0, 1.0), -1.0, 1.0)
+        assert np.array_equal(info["position"], expected, equal_nan=True)
+        walls += int(np.any(np.abs(expected) == 1.0))
+    assert walls > 50
 
 
 def test_position_clamped_to_unit_box():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from phasic.archive import GridArchive
-from phasic.kernels import kernel_entry, StateBatch
+from phasic.kernels import StateBatch
 from phasic.nets import Policy, ValueFunction
 from phasic.optim import Adam
 from phasic.rl import Normalizer, PPOConfig, RewardScaler, collect_rollout
