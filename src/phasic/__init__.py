@@ -30,8 +30,7 @@ from .rl import (Normalizer, PPOConfig, RewardScaler, RolloutBuffer,
 from .selection import (BanditState, bandit_update, clustering_selection,
                         thompson_select, ucb_select)
 from .toy import ToyConfig, ToyEnv
-from .trainers import (TrainerConfig, pbt_train, pdo_train, run_training,
-                       validate_config)
+from .trainers import TrainerConfig, run_training, validate_config
 
 __version__ = "0.1.0"
 
@@ -44,8 +43,7 @@ __all__ = [
     "bandit_update", "bd_to_cell", "cholesky", "clustering_selection",
     "collect_rollout", "det_via_cholesky", "diversity_ascent", "evaluate",
     "gae", "generate_report", "kernel_backward", "kernel_forward",
-    "load_archive", "load_policy", "pbt_train", "pdo_train", "ppo_update",
-    "qd_metrics", "run_training", "save_archive", "save_policy",
-    "spd_inverse", "surrogate_det_bound", "thompson_select", "ucb_select",
-    "validate_config",
+    "load_archive", "load_policy", "ppo_update", "qd_metrics",
+    "run_training", "save_archive", "save_policy", "spd_inverse",
+    "surrogate_det_bound", "thompson_select", "ucb_select", "validate_config",
 ]

@@ -34,6 +34,27 @@ class ArchiveEntry:
     payload: dict | None = None  # full learner state for exploitation (in-memory only)
 
 
+def _entry(policy, fitness, bd, order, obs_mean, obs_std, source, iteration,
+           payload) -> ArchiveEntry:
+    """A frozen entry holding its own copies of the descriptor and normalizer."""
+    return ArchiveEntry(
+        policy=policy, fitness=fitness,
+        bd=np.zeros(0) if bd is None else np.array(bd, dtype=np.float64),
+        obs_mean=None if obs_mean is None else np.array(obs_mean, dtype=np.float64),
+        obs_std=None if obs_std is None else np.array(obs_std, dtype=np.float64),
+        source=source, iteration=iteration, order=order, payload=payload)
+
+
+def _top(ranked: list, m: int) -> list:
+    """The first m of ``ranked``, padded by repeating the best entry."""
+    if m < 1:
+        raise ValueError("m must be positive")
+    if not ranked:
+        raise ValueError("cannot select from an empty archive")
+    out = ranked[:m]
+    return out + [ranked[0]] * (m - len(out))
+
+
 def bd_to_cell(bd: np.ndarray, cells_per_dim: int = 10) -> tuple:
     """Map a descriptor in [0,1]^d to integer grid coordinates.
 
@@ -81,15 +102,9 @@ class GridArchive:
         incumbent = self._cells.get(cell)
         if incumbent is not None and fitness <= incumbent.fitness:
             return False
-        entry = ArchiveEntry(
-            policy=policy,
-            fitness=fitness,
-            bd=np.array(bd, dtype=np.float64),
-            obs_mean=None if obs_mean is None else np.array(obs_mean, dtype=np.float64),
-            obs_std=None if obs_std is None else np.array(obs_std, dtype=np.float64),
-            source=source, iteration=iteration, order=self._counter, payload=payload)
+        self._cells[cell] = _entry(policy, fitness, bd, self._counter, obs_mean, obs_std,
+                                   source, iteration, payload)
         self._counter += 1
-        self._cells[cell] = entry
         return True
 
     def entries(self) -> list:
@@ -118,15 +133,7 @@ class GridArchive:
         If fewer than m distinct entries exist, the best one is repeated to
         pad the list to length m; empty archive -> ValueError.
         """
-        if m < 1:
-            raise ValueError("m must be positive")
-        if not self._cells:
-            raise ValueError("cannot select from an empty archive")
-        ranked = sorted(self._cells.values(), key=lambda e: (-e.fitness, e.order))
-        out = ranked[:m]
-        while len(out) < m:
-            out.append(ranked[0])
-        return out
+        return _top(sorted(self._cells.values(), key=lambda e: (-e.fitness, e.order)), m)
 
     def heatmap(self) -> np.ndarray:
         """Dense fitness grid (NaN for empty cells), 2-D archives only."""
@@ -173,12 +180,8 @@ class FitnessQueue:
         digest = self._digest(policy)
         if digest in self._digests:
             return False
-        entry = ArchiveEntry(
-            policy=policy, fitness=fitness,
-            bd=np.zeros(0) if bd is None else np.array(bd, dtype=np.float64),
-            obs_mean=None if obs_mean is None else np.array(obs_mean, dtype=np.float64),
-            obs_std=None if obs_std is None else np.array(obs_std, dtype=np.float64),
-            source=source, iteration=iteration, order=self._counter, payload=payload)
+        entry = _entry(policy, fitness, bd, self._counter, obs_mean, obs_std, source,
+                       iteration, payload)
         self._counter += 1
         if len(self._items) >= self.capacity:
             # evict the worst; among equals the oldest goes first
@@ -209,15 +212,7 @@ class FitnessQueue:
         return ordered[rng.integers(len(ordered))]
 
     def top(self, m: int) -> list:
-        if m < 1:
-            raise ValueError("m must be positive")
-        if not self._items:
-            raise ValueError("cannot select from an empty queue")
-        ranked = self.entries()
-        out = ranked[:m]
-        while len(out) < m:
-            out.append(ranked[0])
-        return out
+        return _top(self.entries(), m)
 
 
 def qd_metrics(archive: GridArchive, fitness_offset: float = 0.0) -> dict:

@@ -30,10 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .report import ReportError, aggregate_curves, generate_report
+from .report import ReportError, generate_report
 from .rl import PPOConfig
-from .trainers import (ENVS, TRAINERS, TrainerConfig, run_training,
-                       validate_config)
+from .trainers import TrainerConfig, run_training, validate_config
 
 # fields a config file may set directly on the trainer configuration
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(TrainerConfig)} - {"ppo"}
@@ -152,11 +151,6 @@ def resolve_config(raw: dict, *, seeds_override=None, scale_override=None,
     return config, seeds
 
 
-def _config_json(config: TrainerConfig) -> dict:
-    out = dataclasses.asdict(config)
-    return out
-
-
 def _aggregate_summaries(summaries: list) -> dict:
     """Mean and sample std of the final archive metrics across seeds."""
     agg = {}
@@ -236,7 +230,7 @@ def cmd_validate(args) -> int:
     config, seeds = resolve_config(
         raw, seeds_override=seeds_override, scale_override=args.scale,
         deterministic=args.deterministic)
-    resolved = _config_json(config)
+    resolved = dataclasses.asdict(config)
     resolved["seeds"] = seeds
     sys.stdout.write(json.dumps({"ok": True, "config": resolved},
                                 indent=2, sort_keys=True) + "\n")

@@ -227,10 +227,13 @@ class Policy:
 
     def backward_probs(self, states: np.ndarray, d_probs: np.ndarray) -> np.ndarray:
         """Upstream on softmax probabilities, routed through the softmax Jacobian."""
-        p = self.probs_batch(states)
+        if self.action_space.kind != "discrete":
+            raise ValueError("backward_probs on a continuous policy")
+        logits, cache = self._mlp.forward(self._layers, np.asarray(states, dtype=np.float64))
+        p = _softmax(logits)
         d_probs = np.asarray(d_probs, dtype=np.float64)
         inner = np.sum(d_probs * p, axis=1, keepdims=True)
-        return self.backward_logits(states, p * (d_probs - inner))
+        return self._mlp.backward(self._layers, cache, p * (d_probs - inner))
 
 
 class ValueFunction:
@@ -314,7 +317,8 @@ class NormalizedPolicy:
 
     def _tx(self, states: np.ndarray) -> np.ndarray:
         z = (np.asarray(states, dtype=np.float64) - self.obs_mean) / self.obs_std
-        return np.clip(z, -self.clip, self.clip)
+        # Normalizer.normalize's clamp, so a frozen view transforms bit for bit alike
+        return np.minimum(np.maximum(z, -self.clip), self.clip)
 
     def forward(self, obs: np.ndarray):
         return self.policy.forward(self._tx(np.asarray(obs)[None])[0])

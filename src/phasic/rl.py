@@ -73,11 +73,6 @@ class RunningStat:
         self.mean = np.array(state["mean"], dtype=np.float64)
         self.m2 = np.array(state["m2"], dtype=np.float64)
 
-    def copy(self) -> "RunningStat":
-        out = RunningStat(self.mean.shape)
-        out.load_state(self.state_dict())
-        return out
-
 
 class Normalizer:
     """Observation whitening with clipping; update and apply are separable."""
@@ -101,11 +96,6 @@ class Normalizer:
     def load_state(self, state: dict) -> None:
         self.clip = float(state["clip"])
         self.stat.load_state(state["stat"])
-
-    def copy(self) -> "Normalizer":
-        out = Normalizer(self.stat.mean.shape[0], self.clip)
-        out.load_state(self.state_dict())
-        return out
 
 
 class RewardScaler:
@@ -142,11 +132,6 @@ class RewardScaler:
         self.gamma = float(state["gamma"])
         self.ret = float(state["ret"])
         self.stat.load_state(state["stat"])
-
-    def copy(self) -> "RewardScaler":
-        out = RewardScaler(self.gamma)
-        out.load_state(self.state_dict())
-        return out
 
 
 @dataclass
@@ -379,11 +364,12 @@ class EvalResult:
 
 
 def evaluate(policy, env, rng: np.random.Generator, episodes: int = 10,
-             deterministic: bool = True, normalizer: Normalizer | None = None) -> EvalResult:
+             deterministic: bool = True) -> EvalResult:
     """Mean sparse return and mean behavior descriptor over full episodes.
 
-    Runs deterministic actions by default; normalizer statistics are applied
-    but never updated here.
+    Runs deterministic actions by default.  A policy trained on normalized
+    observations is evaluated through a ``NormalizedPolicy`` view, whose
+    constants stay frozen here.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
@@ -397,12 +383,11 @@ def evaluate(policy, env, rng: np.random.Generator, episodes: int = 10,
         actions = []
         info = {}
         while not done:
-            x = normalizer.normalize(obs) if normalizer is not None else obs
             if continuous:
-                mu, ls = policy.gaussian_batch(np.asarray(x)[None])
+                mu, ls = policy.gaussian_batch(np.asarray(obs)[None])
                 action = mu[0] if deterministic else mu[0] + np.exp(ls) * rng.standard_normal(ls.shape)
             else:
-                probs = policy.probs_batch(np.asarray(x)[None])[0]
+                probs = policy.probs_batch(np.asarray(obs)[None])[0]
                 action = int(np.argmax(probs)) if deterministic else int(rng.choice(probs.size, p=probs))
             obs, _, done, info = env.step(action)
             total += info.get("sparse_reward", 0.0)

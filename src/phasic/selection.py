@@ -83,11 +83,9 @@ def bandit_update(state: BanditState, arm: int, improved: bool) -> None:
 # -- behavioral clustering for exploit targets --------------------------------
 
 
-def policy_embedding(policy, probe_states: np.ndarray, normalizer=None) -> np.ndarray:
+def policy_embedding(policy, probe_states: np.ndarray) -> np.ndarray:
     """Flatten the policy's mean action (or probs) over a fixed probe set."""
     states = np.asarray(probe_states, dtype=np.float64)
-    if normalizer is not None:
-        states = normalizer.normalize(states)
     if policy.action_space.kind == "continuous":
         mu, _ = policy.gaussian_batch(states)
         return mu.ravel()
@@ -140,10 +138,8 @@ def clustering_selection(entries: list, m: int, probe_states: np.ndarray,
         while len(out) < m:
             out.append(ranked[0])
         return out
-    points = np.stack([
-        policy_embedding(e.policy, probe_states,
-                         normalizer=None)  # embeddings compare raw nets on shared probes
-        for e in entries])
+    # embeddings compare raw nets on shared probes
+    points = np.stack([policy_embedding(e.policy, probe_states) for e in entries])
     distinct = np.unique(points, axis=0).shape[0]
     if distinct < m:
         return ranked[:m]

@@ -1,19 +1,21 @@
 """Population training loops: two-phase diversity training and baselines.
 
-One engine drives every variant so ablations compare like with like:
+One engine drives every variant so ablations compare like with like.  Every
+variant runs the same population update, ``dvd_update``, which mixes each
+learner's PPO step with a determinant-ascent step by a coefficient λ; the
+variants differ only in how they pick λ and which phases they add:
 
-* ``pdo``        — reward phase per learner, periodic exploitation from the
-                   archive, then an auxiliary diversity phase that ascends the
-                   kernel determinant on archive copies (never live learners).
+* ``pdo``        — λ = 0, periodic exploitation from the archive, then an
+                   auxiliary diversity phase that ascends the kernel
+                   determinant on archive copies (never live learners).
 * ``pbt``        — pdo minus the auxiliary phase.
-* ``dvd``        — joint update mixing reward and diversity gradients with a
-                   coefficient picked by Thompson sampling each cycle.
-* ``dse-ucb``    — same joint update, coefficient picked by UCB1.
+* ``dvd``        — λ picked by Thompson sampling each cycle.
+* ``dse-ucb``    — λ picked by UCB1.
 * ``edo-cs``     — pdo loop with exploit/auxiliary candidates picked by
                    behavior-clustered selection instead of top-by-fitness.
                    (The embedding — mean actions on probe states — is a
                    documented stand-in; see that module's docstring.)
-* ``ppo-single`` — one plain PPO learner, archive kept for reporting only.
+* ``ppo-single`` — one learner at λ = 0, archive kept for reporting only.
 
 Determinism: all randomness flows from one seed through fixed-order child
 streams (one per learner, plus exploitation, auxiliary, and bandit streams),
@@ -35,7 +37,7 @@ from .archive import FitnessQueue, GridArchive, qd_metrics, save_archive
 from .detops import diversity_ascent
 from .dogfight import DogfightEnv
 from .kernels import METRIC_KINDS, StateBatch
-from .nets import ActionSpace, NormalizedPolicy, Policy, ValueFunction
+from .nets import NormalizedPolicy, Policy, ValueFunction
 from .optim import Adam
 from .rl import (Normalizer, PPOConfig, RewardScaler, collect_rollout, evaluate,
                  ppo_update)
@@ -46,7 +48,7 @@ from .toy import ToyEnv
 TRAINERS = ("pdo", "pbt", "dvd", "dse-ucb", "edo-cs", "ppo-single")
 ENVS = ("toy", "dogfight")
 
-# trainers that run the joint reward+diversity update instead of phases
+# trainers that pick the diversity coefficient λ by bandit; the rest keep λ = 0
 _JOINT = ("dvd", "dse-ucb")
 # trainers that exploit the archive into the worst live learner
 _EXPLOITING = ("pdo", "pbt", "edo-cs")
@@ -139,8 +141,6 @@ class Learner:
     obs: np.ndarray | None = None     # mid-episode continuation point
     pending_return: float = 0.0
     fitness: float = float("nan")
-    bd: np.ndarray | None = None
-    nan_events: int = 0
 
 
 def snapshot_payload(learner: Learner) -> dict:
@@ -166,16 +166,16 @@ def restore_payload(learner: Learner, payload: dict) -> None:
     learner.pending_return = 0.0
 
 
-def _wrap(policy: Policy, normalizer: Normalizer | None):
-    if normalizer is None:
+def _view(policy: Policy, obs_mean, obs_std):
+    """The policy behind frozen normalization constants; bare without them."""
+    if obs_mean is None:
         return policy
-    return NormalizedPolicy(policy, normalizer.stat.mean, normalizer.stat.std)
+    return NormalizedPolicy(policy, obs_mean, obs_std)
 
 
-def _wrap_entry(entry):
-    if entry.obs_mean is None:
-        return entry.policy
-    return NormalizedPolicy(entry.policy, entry.obs_mean, entry.obs_std)
+def _offer(archive, queue, policy, fitness, bd, **meta) -> tuple:
+    """Offer one candidate to the grid, then the queue; returns both verdicts."""
+    return archive.add(policy, fitness, bd, **meta), queue.add(policy, fitness, bd, **meta)
 
 
 def dvd_update(policies, value_fns, buffers, lam, probe_states, *,
@@ -187,9 +187,11 @@ def dvd_update(policies, value_fns, buffers, lam, probe_states, *,
 
     Reward deltas come from a full PPO update per learner; the diversity delta
     is a single determinant-ascent step on the live population.  ``lam`` = 0
-    reproduces the plain PPO result exactly and ``lam`` = 1 the pure ascent
-    step; interior values mix the two parameter deltas convexly.  Value
-    functions and optimizer state always advance along the reward path.
+    reproduces the plain PPO result exactly, with no ascent and no
+    ``aux_rng`` draw, and ``lam`` = 1 the pure ascent step; interior values
+    mix the two parameter deltas convexly.  Value functions and optimizer
+    state always advance along the reward path.  A learner whose update
+    turns non-finite keeps its parameters and is flagged ``nan_event``.
     Returns (new_policies, new_value_fns, stats_list).
     """
     if not 0.0 <= lam <= 1.0:
@@ -200,7 +202,8 @@ def dvd_update(policies, value_fns, buffers, lam, probe_states, *,
     aux_deltas = [np.zeros_like(p.params) for p in policies]
     aux_out = None
     if lam > 0.0 and n >= 2:
-        wrapped = [_wrap(p, norm) for p, norm in zip(policies, normalizers)]
+        wrapped = [p if norm is None else _view(p, norm.stat.mean, norm.stat.std)
+                   for p, norm in zip(policies, normalizers)]
         aux_out, _ = diversity_ascent(
             wrapped, StateBatch(np.asarray(probe_states, dtype=np.float64)),
             steps=1, metric=metric, beta=beta, lr=aux_lr, grad_clip=grad_clip,
@@ -211,25 +214,19 @@ def dvd_update(policies, value_fns, buffers, lam, probe_states, *,
         new_policy, new_value, stats = ppo_update(
             policy, value_fns[i], buffers[i], ppo_config,
             policy_opts[i], value_opts[i], update_rngs[i])
-        if stats.nan_event:
-            new_policies.append(policy)
-            new_values.append(value_fns[i])
-            stats_list.append(stats)
-            continue
-        if lam == 0.0:
-            mixed = new_policy.params
-        elif lam == 1.0:
+        mixed = new_policy.params
+        if lam == 1.0:
             mixed = aux_out[i].params
-        else:
+        elif lam > 0.0:
             mixed = (policy.params + (1.0 - lam) * (new_policy.params - policy.params)
                      + lam * aux_deltas[i])
-        if not np.all(np.isfinite(mixed)):
+        if stats.nan_event or not np.all(np.isfinite(mixed)):
             stats.nan_event = True
-            new_policies.append(policy)
-            new_values.append(value_fns[i])
-        else:
-            new_policies.append(policy.with_params(mixed))
-            new_values.append(new_value)
+            new_policy, new_value = policy, value_fns[i]
+        elif lam > 0.0:
+            new_policy = policy.with_params(mixed)
+        new_policies.append(new_policy)
+        new_values.append(new_value)
         stats_list.append(stats)
     return new_policies, new_values, stats_list
 
@@ -354,61 +351,42 @@ def run_training(config: TrainerConfig, out_dir=None, env_factory=None) -> RunRe
                 probe_chunks.append(buf.raw_obs)
             probe_pool = np.concatenate(probe_chunks, axis=0)
 
-            if joint:
-                probes = (_sample_probes(probe_pool, config.probe_states, aux_rng)
-                          if lam > 0.0 else probe_pool[:1])
-                new_ps, new_vs, stats_list = dvd_update(
-                    [l.policy for l in learners], [l.value_fn for l in learners],
-                    buffers, lam, probes,
-                    ppo_config=config.ppo,
-                    policy_opts=[l.policy_opt for l in learners],
-                    value_opts=[l.value_opt for l in learners],
-                    update_rngs=[l.rng for l in learners], aux_rng=aux_rng,
-                    aux_lr=config.aux_lr, grad_clip=config.grad_clip,
-                    metric=config.metric, beta=config.beta,
-                    deterministic=config.deterministic_kernel,
-                    normalizers=[l.normalizer for l in learners])
-                for learner, new_p, new_v, stats in zip(learners, new_ps, new_vs, stats_list):
-                    if stats.nan_event:
-                        learner.nan_events += 1
-                        nan_total += 1
-                        restore_payload(learner, last_snapshot[learner.id])
-                    else:
-                        learner.policy, learner.value_fn = new_p, new_v
-                    record["learners"].append(_learner_record(learner, buffers[learner.id], stats))
-            else:
-                for learner, buf in zip(learners, buffers):
-                    new_p, new_v, stats = ppo_update(
-                        learner.policy, learner.value_fn, buf, config.ppo,
-                        learner.policy_opt, learner.value_opt, learner.rng)
-                    if stats.nan_event:
-                        learner.nan_events += 1
-                        nan_total += 1
-                        restore_payload(learner, last_snapshot[learner.id])
-                    else:
-                        learner.policy, learner.value_fn = new_p, new_v
-                    record["learners"].append(_learner_record(learner, buf, stats))
+            probes = (_sample_probes(probe_pool, config.probe_states, aux_rng)
+                      if lam > 0.0 else probe_pool[:1])
+            new_ps, new_vs, stats_list = dvd_update(
+                [l.policy for l in learners], [l.value_fn for l in learners],
+                buffers, lam, probes,
+                ppo_config=config.ppo,
+                policy_opts=[l.policy_opt for l in learners],
+                value_opts=[l.value_opt for l in learners],
+                update_rngs=[l.rng for l in learners], aux_rng=aux_rng,
+                aux_lr=config.aux_lr, grad_clip=config.grad_clip,
+                metric=config.metric, beta=config.beta,
+                deterministic=config.deterministic_kernel,
+                normalizers=[l.normalizer for l in learners])
+            for learner, new_p, new_v, stats in zip(learners, new_ps, new_vs, stats_list):
+                if stats.nan_event:
+                    nan_total += 1
+                    restore_payload(learner, last_snapshot[learner.id])
+                else:
+                    learner.policy, learner.value_fn = new_p, new_v
+                record["learners"].append(_learner_record(learner, buffers[learner.id], stats))
 
             cum_steps = (it + 1) * config.rollout_steps
             cycle = ((it + 1) % config.eval_every == 0) or (it == n_iters - 1)
             if cycle:
                 evals = []
                 for learner in learners:
-                    res = evaluate(learner.policy, learner.eval_env, learner.rng,
-                                   episodes=config.eval_episodes,
-                                   normalizer=learner.normalizer)
+                    stat = learner.normalizer.stat
+                    res = evaluate(_view(learner.policy, stat.mean, stat.std),
+                                   learner.eval_env, learner.rng,
+                                   episodes=config.eval_episodes)
                     learner.fitness = res.fitness
-                    learner.bd = res.bd
                     payload = snapshot_payload(learner)
                     last_snapshot[learner.id] = payload
-                    archive.add(learner.policy, res.fitness, res.bd,
-                                obs_mean=learner.normalizer.stat.mean,
-                                obs_std=learner.normalizer.stat.std,
-                                source=learner.id, iteration=it, payload=payload)
-                    queue.add(learner.policy, res.fitness, res.bd,
-                              obs_mean=learner.normalizer.stat.mean,
-                              obs_std=learner.normalizer.stat.std,
-                              source=learner.id, iteration=it, payload=payload)
+                    _offer(archive, queue, learner.policy, res.fitness, res.bd,
+                           obs_mean=stat.mean, obs_std=stat.std,
+                           source=learner.id, iteration=it, payload=payload)
                     evals.append({"id": learner.id, "fitness": res.fitness,
                                   "bd": res.bd})
                 record["eval"] = evals
@@ -501,7 +479,6 @@ def _exploit(config, learners, source, rng, probe_pool) -> dict:
         worst.obs = None
         worst.pending_return = 0.0
     worst.fitness = entry.fitness
-    worst.bd = None if entry.bd.size == 0 else entry.bd.copy()
     return {"target": worst.id, "source_order": entry.order,
             "source_fitness": entry.fitness}
 
@@ -516,61 +493,30 @@ def _auxiliary_phase(config, source, archive, queue, eval_env, rng, probe_pool, 
     """
     if config.trainer == "edo-cs":
         probes = _sample_probes(probe_pool, config.probe_states, rng)
-        entries = clustering_selection(source.entries(),
-                                       min(config.population, len(source)),
-                                       probes, rng)
-        while len(entries) < config.population:
-            entries = entries + [entries[0]]
+        entries = clustering_selection(source.entries(), config.population, probes, rng)
     else:
         entries = source.top(config.population)
     probes = _sample_probes(probe_pool, config.probe_states, rng)
-    wrapped = [_wrap_entry(e) for e in entries]
     out, trace = diversity_ascent(
-        wrapped, StateBatch(probes), steps=config.diversity_iters,
-        metric=config.metric, beta=config.beta, lr=config.aux_lr,
-        grad_clip=config.grad_clip, deterministic=config.deterministic_kernel,
-        rng=rng)
+        [_view(e.policy, e.obs_mean, e.obs_std) for e in entries], StateBatch(probes),
+        steps=config.diversity_iters, metric=config.metric, beta=config.beta,
+        lr=config.aux_lr, grad_clip=config.grad_clip,
+        deterministic=config.deterministic_kernel, rng=rng)
     accepted = 0
     offers = []
     for entry, cand in zip(entries, out):
         inner = cand.policy if isinstance(cand, NormalizedPolicy) else cand
-        normalizer = None
-        if entry.obs_mean is not None:
-            normalizer = Normalizer(entry.obs_mean.shape[0])
-            count = 2.0  # frozen stats: only mean/std matter downstream
-            normalizer.stat.load_state({"count": count, "mean": entry.obs_mean,
-                                        "m2": entry.obs_std ** 2 * count})
-        res = evaluate(inner, eval_env, rng, episodes=config.eval_episodes,
-                       normalizer=normalizer)
+        res = evaluate(cand, eval_env, rng, episodes=config.eval_episodes)
         payload = None
         if entry.payload is not None:
             payload = dict(entry.payload)
             payload["policy_params"] = inner.params.copy()
-        ok_grid = archive.add(inner, res.fitness, res.bd,
-                              obs_mean=entry.obs_mean, obs_std=entry.obs_std,
-                              source=entry.source, iteration=it, payload=payload)
-        ok_queue = queue.add(inner, res.fitness, res.bd,
-                             obs_mean=entry.obs_mean, obs_std=entry.obs_std,
-                             source=entry.source, iteration=it, payload=payload)
+        ok_grid, ok_queue = _offer(archive, queue, inner, res.fitness, res.bd,
+                                   obs_mean=entry.obs_mean, obs_std=entry.obs_std,
+                                   source=entry.source, iteration=it, payload=payload)
         accepted += int(ok_grid or ok_queue)
         offers.append({"source_order": entry.order, "fitness": res.fitness,
                        "accepted_grid": ok_grid, "accepted_queue": ok_queue})
     return {"offered": len(out), "accepted": accepted,
             "det_start": float(trace[0]), "det_end": float(trace[-1]),
             "offers": offers}
-
-
-def pdo_train(config: TrainerConfig, out_dir=None, env_factory=None) -> RunResult:
-    """Phasic run: reward phase + archive exploitation + auxiliary diversity."""
-    if config.trainer != "pdo":
-        config = TrainerConfig(**{**asdict(config), "trainer": "pdo",
-                                  "ppo": config.ppo})
-    return run_training(config, out_dir=out_dir, env_factory=env_factory)
-
-
-def pbt_train(config: TrainerConfig, out_dir=None, env_factory=None) -> RunResult:
-    """Ablation: the same loop with the auxiliary phase removed."""
-    if config.trainer != "pbt":
-        config = TrainerConfig(**{**asdict(config), "trainer": "pbt",
-                                  "ppo": config.ppo})
-    return run_training(config, out_dir=out_dir, env_factory=env_factory)

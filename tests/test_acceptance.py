@@ -10,6 +10,7 @@ by this module, so it is defined after criterion 6 (which contributes ten
 runs) even though the criteria are numbered independently.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -31,7 +32,7 @@ from phasic.kernels import StateBatch, kernel_forward
 from phasic.nets import Policy
 from phasic.selection import BanditState, bandit_update, thompson_select, ucb_select
 from phasic.toy import ToyEnv
-from phasic.trainers import TrainerConfig, pbt_train, pdo_train, run_training
+from phasic.trainers import TrainerConfig, run_training
 
 _SESSION_RUNS = []  # run directories recorded for the criterion-5 scan
 
@@ -202,8 +203,8 @@ def test_criterion_4_ablation_identity(session_dir, capfd):
                         hidden=(8,), exploit_period=1500.0, scale=1.0, seed=7)
     dir_a = session_dir / "ablation_pdo_d0"
     dir_b = session_dir / "ablation_pbt"
-    pdo_train(cfg, out_dir=dir_a)
-    pbt_train(cfg, out_dir=dir_b)
+    run_training(cfg, out_dir=dir_a)
+    run_training(dataclasses.replace(cfg, trainer="pbt"), out_dir=dir_b)
     _SESSION_RUNS.extend([dir_a, dir_b])
     log_a = (dir_a / "metrics.jsonl").read_bytes()
     log_b = (dir_b / "metrics.jsonl").read_bytes()

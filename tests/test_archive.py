@@ -6,7 +6,7 @@ import pytest
 from phasic.archive import (FitnessQueue, GridArchive, bd_to_cell, load_archive,
                             qd_metrics, save_archive)
 
-from factories import linear_gaussian_policy, random_gaussian_policy
+from factories import random_gaussian_policy
 
 
 def tiny_policy(seed=0):
@@ -146,6 +146,20 @@ class TestQdMetrics:
         arch.add(tiny_policy(), -1500.0, [0.5, 0.5])
         m = qd_metrics(arch, fitness_offset=-2000.0)
         assert m["qd_score"] == pytest.approx(500.0)
+
+
+@pytest.mark.parametrize("container", [GridArchive, FitnessQueue])
+def test_entries_hold_their_own_arrays(container):
+    store = container()
+    bd, mean, std = np.array([0.5, 0.5]), np.array([1.0, 2.0]), np.array([3.0, 4.0])
+    assert store.add(tiny_policy(), 1.0, bd, obs_mean=mean, obs_std=std,
+                     source=2, iteration=5)
+    bd[:] = mean[:] = std[:] = 0.0  # the caller reuses its buffers
+    entry = store.entries()[0]
+    assert entry.bd.tolist() == [0.5, 0.5]
+    assert entry.obs_mean.tolist() == [1.0, 2.0]
+    assert entry.obs_std.tolist() == [3.0, 4.0]
+    assert (entry.source, entry.iteration, entry.order) == (2, 5, 0)
 
 
 class TestFitnessQueue:

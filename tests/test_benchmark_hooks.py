@@ -1,0 +1,69 @@
+"""The benchmark's tracing hooks still fit the engine they time.
+
+``perfbench/tracing.py`` swaps module attributes and class methods of the
+program for timing wrappers.  These tests load that file as it is and check
+that every swap finds its target, that the training engine routes its work
+through the swapped names, and that leaving the context restores them all.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import phasic.detops
+import phasic.trainers
+from phasic.archive import FitnessQueue, GridArchive
+from phasic.nets import Policy, ValueFunction
+from phasic.trainers import TrainerConfig, make_env, run_training
+
+_TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+OWNERS = (phasic.trainers, phasic.detops, GridArchive, FitnessQueue, Policy, ValueFunction)
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _swapped(before):
+    return {(owner.__name__, name) for owner, old in zip(OWNERS, before)
+            for name, value in vars(owner).items() if old.get(name) is not value}
+
+
+def test_instrumented_restores_every_patched_attribute(tracing):
+    before = [dict(vars(owner)) for owner in OWNERS]
+    with tracing.instrumented(tracing.EnvMeter(tracing.Tracer())):
+        inside = _swapped(before)
+    assert {("phasic.trainers", "collect_rollout"), ("phasic.trainers", "ppo_update"),
+            ("phasic.trainers", "evaluate"), ("phasic.trainers", "diversity_ascent"),
+            ("GridArchive", "add"), ("FitnessQueue", "add")} <= inside
+    for owner, old in zip(OWNERS, before):
+        now = dict(vars(owner))
+        assert now.keys() == old.keys(), owner.__name__
+        assert all(now[name] is value for name, value in old.items()), owner.__name__
+
+
+def test_engine_calls_run_through_the_hooks(tracing, tmp_path):
+    cfg = TrainerConfig(env_name="toy", trainer="pdo", population=2, iterations=2,
+                        rollout_steps=32, eval_episodes=1, diversity_iters=2,
+                        probe_states=16, hidden=(8,), exploit_period=32.0,
+                        scale=1.0, seed=3)
+    tracer = tracing.Tracer()
+    meter = tracing.EnvMeter(tracer)
+    with tracing.instrumented(meter):
+        result = run_training(cfg, out_dir=tmp_path / "run",
+                              env_factory=meter.factory(lambda: make_env("toy")))
+    assert meter.train_steps == cfg.iterations * cfg.rollout_steps * cfg.population
+    table = tracer.table()
+    for name, calls in (("rl.collect_rollout", 4), ("rl.ppo_update", 4),
+                        ("rl.evaluate", 4 + 2 * 2), ("detops.diversity_ascent", 2),
+                        ("archive.save", 1)):
+        assert table.durations(name).size == calls, name
+    offers = 4 + sum(r["aux"]["offered"] for r in result.records)
+    assert table.durations("archive.grid_insert").size == offers
+    assert table.durations("archive.queue_insert").size == offers
+    assert tracer.counts["archive.inserts"] == 2 * offers

@@ -1,8 +1,10 @@
 """Command-line interface: config resolution, runs, reports, error JSON."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,19 +234,26 @@ class TestReportCommand:
         assert before == after
 
 
+def _child_env() -> dict:
+    """The environment with this checkout's src/ first on the import path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         cfg = _cfg_file(tmp_path, {"trainer": "ppo-single", "population": 1})
         proc = subprocess.run(
             [sys.executable, "-m", "phasic.cli", "validate",
              "--config", cfg],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ok"] is True
 
     def test_module_invocation_failure_json(self):
         proc = subprocess.run(
             [sys.executable, "-m", "phasic.cli", "run", "--seeds", "x"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=_child_env())
         assert proc.returncode != 0
         assert json.loads(proc.stderr)["error"]["type"] == "usage"

@@ -11,7 +11,6 @@ from phasic.dogfight import (AircraftState, DogfightConfig, DogfightEnv,
                              integrate, lock_check, observe, out_of_bounds,
                              relative_geometry, step, wrap_angle,
                              write_trajectory_csv)
-from phasic.nets import ActionSpace, Policy
 
 import oracles
 

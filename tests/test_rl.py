@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from phasic.nets import Policy, ValueFunction
+from phasic.nets import ActionSpace, NormalizedPolicy, Policy, ValueFunction
 from phasic.optim import Adam
 from phasic.rl import (Normalizer, PPOConfig, RewardScaler, RolloutBuffer,
                        RunningStat, collect_rollout, evaluate, gae, ppo_update)
@@ -49,7 +49,8 @@ class TestRunningStat:
     def test_state_round_trip(self):
         stat = RunningStat((2,))
         stat.update_batch(np.arange(10).reshape(5, 2))
-        clone = stat.copy()
+        clone = RunningStat((2,))
+        clone.load_state(stat.state_dict())
         assert clone.count == stat.count
         assert np.array_equal(clone.mean, stat.mean)
         assert np.array_equal(clone.m2, stat.m2)
@@ -124,7 +125,9 @@ class TestOneRowUpdatesMatchBatchFormula:
         scaler = RewardScaler(0.9)
         for r in (1.0, -2.0, 0.5):
             scaler.scale(r, False)
-        clone = scaler.copy()
+        clone = RewardScaler()
+        clone.load_state(scaler.state_dict())
+        assert clone.gamma == 0.9
         assert clone.scale(3.0, True) == scaler.scale(3.0, True)
 
 
@@ -145,11 +148,37 @@ class TestNormalizer:
         assert np.array_equal(norm.normalize(x), np.clip(z, -10.0, 10.0), equal_nan=True)
 
     def test_copy_is_independent(self):
-        norm = Normalizer(2)
+        # the snapshot path: a loaded state shares no arrays with its source
+        norm = Normalizer(2, clip=5.0)
         norm.update(np.ones((5, 2)))
-        clone = norm.copy()
+        clone = Normalizer(2)
+        clone.load_state(norm.state_dict())
         norm.update(np.full((50, 2), 100.0))
         assert clone.stat.count == 5
+        assert clone.clip == 5.0
+        assert np.array_equal(clone.stat.mean, np.ones(2))
+
+    def test_frozen_view_transforms_like_normalize(self):
+        rng = np.random.default_rng(4)
+        norm = Normalizer(3)
+        data = rng.normal(loc=2.0, scale=3.0, size=(40, 3))
+        data[:, 2] = 7.0  # a zero-variance column: std floors at 1e-8
+        norm.update(data)
+        x = rng.normal(loc=2.0, scale=40.0, size=(300, 3))
+        x[::7, 0], x[3::11, 1], x[5::13] = np.inf, -np.inf, np.nan
+        x[1::4, 2] = 7.0 + rng.normal(scale=1e-9, size=x[1::4, 2].shape)
+        seen = []
+
+        class Recorder:
+            action_space = ActionSpace("continuous", 1)
+
+            def gaussian_batch(self, states):
+                seen.append(states)
+                return states[:, :1], np.zeros(1)
+
+        view = NormalizedPolicy(Recorder(), norm.stat.mean, norm.stat.std)
+        view.gaussian_batch(x)
+        assert np.array_equal(seen[0], norm.normalize(x), equal_nan=True)
 
 
 class TestRewardScaler:
@@ -402,13 +431,28 @@ class TestEvaluate:
         assert res.bd == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_normalizer_applied_but_not_updated(self):
-        env = ToyEnv()
         policy, _ = make_learner(np.random.default_rng(21))
         norm = Normalizer(2)
-        norm.update(np.random.default_rng(22).normal(size=(50, 2)))
-        count_before = norm.stat.count
-        evaluate(policy, env, np.random.default_rng(23), episodes=2, normalizer=norm)
-        assert norm.stat.count == count_before
+        norm.update(np.random.default_rng(22).normal(loc=3.0, scale=0.1, size=(50, 2)))
+        before = norm.state_dict()
+
+        class Normalizing:  # applies the live normalizer at every step
+            action_space = policy.action_space
+
+            def gaussian_batch(self, states):
+                return policy.gaussian_batch(norm.normalize(states))
+
+        view = NormalizedPolicy(policy, norm.stat.mean, norm.stat.std)
+        got = evaluate(view, ToyEnv(), np.random.default_rng(23), episodes=2)
+        want = evaluate(Normalizing(), ToyEnv(), np.random.default_rng(23), episodes=2)
+        raw = evaluate(policy, ToyEnv(), np.random.default_rng(23), episodes=2)
+        assert np.array_equal(got.episode_returns, want.episode_returns)
+        assert np.array_equal(got.bd, want.bd)
+        assert not np.array_equal(got.bd, raw.bd)
+        after = norm.state_dict()["stat"]
+        assert after["count"] == before["stat"]["count"]
+        assert np.array_equal(after["mean"], before["stat"]["mean"])
+        assert np.array_equal(after["m2"], before["stat"]["m2"])
 
 
 def _true_log_probs(policy, obs, actions):

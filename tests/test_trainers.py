@@ -1,21 +1,20 @@
 """Training-loop behavior: ablation identities, exploitation, aux isolation."""
 
+import dataclasses
 import json
-from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from phasic.archive import GridArchive
 from phasic.kernels import StateBatch
-from phasic.nets import Policy, ValueFunction
+from phasic.nets import NormalizedPolicy, Policy, ValueFunction
 from phasic.optim import Adam
 from phasic.rl import Normalizer, PPOConfig, RewardScaler, collect_rollout
 from phasic.toy import ToyEnv
 from phasic.trainers import (Learner, TrainerConfig, dvd_update, make_env,
-                             pbt_train, pdo_train, restore_payload,
-                             run_training, snapshot_payload, validate_config,
-                             _exploit)
+                             restore_payload, run_training, snapshot_payload,
+                             validate_config, _exploit)
 
 
 def small_config(**kw):
@@ -118,10 +117,11 @@ class TestAblationIdentity:
         base = dict(population=3, iterations=4, rollout_steps=96, seed=99,
                     eval_episodes=2, hidden=(16,), exploit_period=150.0,
                     scale=1.0, probe_states=48)
-        pdo_res = pdo_train(TrainerConfig(diversity_iters=0, **base),
-                            out_dir=tmp_path / "pdo")
-        pbt_res = pbt_train(TrainerConfig(diversity_iters=20, **base),
-                            out_dir=tmp_path / "pbt")
+        cfg = TrainerConfig(trainer="pdo", **base)
+        pdo_res = run_training(dataclasses.replace(cfg, diversity_iters=0),
+                               out_dir=tmp_path / "pdo")
+        pbt_res = run_training(dataclasses.replace(cfg, trainer="pbt", diversity_iters=20),
+                               out_dir=tmp_path / "pbt")
         a = (tmp_path / "pdo" / "metrics.jsonl").read_text()
         b = (tmp_path / "pbt" / "metrics.jsonl").read_text()
         assert a == b
@@ -178,6 +178,35 @@ class TestAuxiliaryPhase:
                                 ToyEnv(), np.random.default_rng(1), probe_pool, 0)
         assert info["offered"] == 3
         assert info["det_end"] > info["det_start"]
+
+
+def test_every_offer_was_evaluated_through_its_frozen_normalizer(monkeypatch):
+    """Live learners and aux candidates are both evaluated through a frozen view
+    holding the normalization constants that travel with the offer."""
+    import phasic.trainers as trainers
+    calls = []
+    evaluate, offer = trainers.evaluate, trainers._offer
+
+    def record_eval(policy, *args, **kwargs):
+        calls.append(("eval", policy))
+        return evaluate(policy, *args, **kwargs)
+
+    def record_offer(archive, queue, policy, fitness, bd, **meta):
+        calls.append(("offer", policy, meta))
+        return offer(archive, queue, policy, fitness, bd, **meta)
+
+    monkeypatch.setattr(trainers, "evaluate", record_eval)
+    monkeypatch.setattr(trainers, "_offer", record_offer)
+    for trainer in ("pdo", "dvd"):
+        calls.clear()
+        run_training(small_config(trainer=trainer, diversity_iters=2))
+        assert [c[0] for c in calls] == ["eval", "offer"] * (len(calls) // 2)
+        assert len(calls) >= 2 * 3 * 3
+        for (_, view), (_, policy, meta) in zip(calls[::2], calls[1::2]):
+            assert isinstance(view, NormalizedPolicy)
+            assert view.policy is policy
+            assert np.array_equal(view.obs_mean, meta["obs_mean"])
+            assert np.array_equal(view.obs_std, np.maximum(meta["obs_std"], 1e-8))
 
 
 class TestExploitation:
@@ -385,12 +414,15 @@ def test_queue_archive_mediates_exploit_and_aux():
     # the grid archive is still maintained for QD reporting
     assert len(result.archive) >= 1
     assert len(result.queue) >= 1
-    exploits = [r["exploit"] for r in result.records if "exploit" in r]
+    exploits = [r["exploit"] for r in result.records if r["exploit"] is not None]
     assert exploits, "queue-mediated run should still trigger exploitation"
-    # every exploit source order must exist in the queue's history range
-    orders = {e.order for e in result.queue.entries()}
-    for ev in exploits:
-        assert ev["source_order"] >= 0
+    aux = [r["aux"] for r in result.records if r["aux"] is not None]
+    assert aux, "queue-mediated run should still run the auxiliary phase"
+    # every source names a queue insertion; the grid counts its own orders
+    inserted = result.queue._counter
+    sources = [e["source_order"] for e in exploits]
+    sources += [o["source_order"] for a in aux for o in a["offers"]]
+    assert all(0 <= order < inserted for order in sources)
 
 
 def test_queue_archive_rejected_values():
