@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,15 +83,23 @@ class AircraftState:
     heading: float           # rad, 0 = +y, clockwise toward +x
     pitch: float             # rad, positive up
     roll: float              # rad, positive right wing down
+    # unit nose vector, built from heading and pitch when not given (so a
+    # dataclasses.replace that turns the craft must pass forward=None)
+    forward: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "pos", np.asarray(self.pos, dtype=np.float64))
+        if self.forward is None:
+            object.__setattr__(self, "forward", _nose(self.heading, self.pitch))
 
     def forward_axis(self) -> np.ndarray:
-        cp = math.cos(self.pitch)
-        return np.array([math.sin(self.heading) * cp,
-                         math.cos(self.heading) * cp,
-                         math.sin(self.pitch)])
+        """A copy of the nose vector."""
+        return self.forward.copy()
+
+
+def _nose(heading: float, pitch: float) -> np.ndarray:
+    cp = math.cos(pitch)
+    return np.array([math.sin(heading) * cp, math.cos(heading) * cp, math.sin(pitch)])
 
 
 @dataclass(frozen=True)
@@ -126,10 +134,9 @@ def integrate(state: AircraftState, action: np.ndarray, cfg: DogfightConfig) -> 
     bank_turn = min(max((GRAVITY / speed) * math.tan(roll), -cfg.turn_rate_max),
                     cfg.turn_rate_max)
     heading = wrap_angle(state.heading + (rudder * cfg.yaw_rate + bank_turn) * cfg.dt)
-    cp = math.cos(pitch)
-    forward = np.array([math.sin(heading) * cp, math.cos(heading) * cp, math.sin(pitch)])
+    forward = _nose(heading, pitch)
     return AircraftState(pos=state.pos + speed * forward * cfg.dt, speed=speed,
-                         heading=heading, pitch=pitch, roll=roll)
+                         heading=heading, pitch=pitch, roll=roll, forward=forward)
 
 
 @dataclass(frozen=True)
@@ -150,11 +157,11 @@ def relative_geometry(attacker: AircraftState, target: AircraftState) -> Geometr
     if dist < 1e-9:
         return Geometry(0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
     u = los / dist
-    cos_ata = min(max(float(attacker.forward_axis() @ u), -1.0), 1.0)
+    cos_ata = min(max(float(attacker.forward @ u), -1.0), 1.0)
     ata = math.acos(cos_ata)
     # aspect: target tail axis (-forward) vs LOS target->attacker (-u);
     # the two sign flips cancel
-    cos_aspect = min(max(float(target.forward_axis() @ u), -1.0), 1.0)
+    cos_aspect = min(max(float(target.forward @ u), -1.0), 1.0)
     aspect = math.acos(cos_aspect)
     bearing = math.atan2(los[0], los[1])
     az_err = wrap_angle(bearing - attacker.heading)
@@ -192,18 +199,12 @@ def step(state: DogfightState, action_red: np.ndarray, action_blue: np.ndarray,
     """Pure transition: integrate both sides, score locks, settle termination.
 
     Returns (next_state, sparse_reward_red, info) where info carries the lock
-    flags.  Sparse reward is +1 for locking, -1 for being locked, -1000 added
-    once if red exits the arena.  An opponent exit ends the episode with no
-    extra reward.  Termination priority: red out, blue out, lock win, step cap.
+    flags and the next state's red->blue and blue->red geometries.  Sparse
+    reward is +1 for locking, -1 for being locked, -1000 added once if red
+    exits the arena.  An opponent exit ends the episode with no extra reward.
+    Termination priority: red out, blue out, lock win, step cap.
     """
-    next_state, reward, flags, _, _ = _advance(state, action_red, action_blue,
-                                               cfg or DogfightConfig())
-    return next_state, reward, flags
-
-
-def _advance(state: DogfightState, action_red: np.ndarray, action_blue: np.ndarray,
-             cfg: DogfightConfig):
-    """step(), also returning the next state's red->blue and blue->red geometries."""
+    cfg = cfg or DogfightConfig()
     status = state.status
     if status.terminal is not None:
         raise ValueError("step() on a terminated engagement")
@@ -233,8 +234,8 @@ def _advance(state: DogfightState, action_red: np.ndarray, action_blue: np.ndarr
         red=red, blue=blue,
         status=EpisodeStatus(step=n_step, lock_steps_agent=lock_a,
                              lock_steps_opponent=lock_o, terminal=terminal))
-    return (next_state, float(reward), {"red_locks": red_locks, "blue_locks": blue_locks},
-            red_geom, blue_geom)
+    return next_state, float(reward), {"red_locks": red_locks, "blue_locks": blue_locks,
+                                       "red_geometry": red_geom, "blue_geometry": blue_geom}
 
 
 def expert_policy(geom: Geometry, rng: np.random.Generator,
@@ -283,18 +284,13 @@ def behavior_descriptor(episode_actions: np.ndarray) -> np.ndarray:
     return (actions[:, [1, 2]].mean(axis=0) + 1.0) / 2.0
 
 
-def observe(own: AircraftState, other: AircraftState, status: EpisodeStatus,
-            own_locks: int, other_locks: int, cfg: DogfightConfig) -> np.ndarray:
-    """Fixed 22-dim encoding of own state, relative target geometry, and clocks."""
-    return _encode(own, other, relative_geometry(own, other), status, own_locks,
-                   other_locks, cfg)
-
-
-def _encode(own: AircraftState, other: AircraftState, geom: Geometry,
+def observe(own: AircraftState, other: AircraftState, geom: Geometry,
             status: EpisodeStatus, own_locks: int, other_locks: int,
             cfg: DogfightConfig) -> np.ndarray:
-    """observe() from an already computed own->other geometry."""
-    other_f = other.forward_axis()
+    """Fixed 22-dim encoding of own state, relative target geometry, and clocks.
+
+    ``geom`` is ``relative_geometry(own, other)``, which every caller has at hand.
+    """
     los = (other.pos - own.pos) / max(geom.distance, 1e-9)
     return np.array([
         own.speed / cfg.v_max,
@@ -307,7 +303,7 @@ def _encode(own: AircraftState, other: AircraftState, geom: Geometry,
         los[0], los[1], los[2],
         geom.distance / cfg.dist_scale,
         other.speed / cfg.v_max,
-        other_f[0], other_f[1], other_f[2],
+        *other.forward,
         geom.ata / math.pi,
         geom.aspect / math.pi,
         own_locks / cfg.lock_limit,
@@ -352,7 +348,7 @@ class DogfightEnv:
         self._prev_geom = relative_geometry(red, blue)
         self._blue_geom = relative_geometry(blue, red)
         self.trajectory = []
-        return _encode(red, blue, self._prev_geom, self._state.status, 0, 0, cfg)
+        return observe(red, blue, self._prev_geom, self._state.status, 0, 0, cfg)
 
     def step(self, action: np.ndarray):
         if self._state is None or self._state.status.terminal is not None:
@@ -360,13 +356,13 @@ class DogfightEnv:
         cfg = self.config
         state = self._state
         action_blue = expert_policy(self._blue_geom, self._rng, cfg)
-        next_state, sparse, flags, geom, self._blue_geom = _advance(
-            state, action, action_blue, cfg)
+        next_state, sparse, flags = step(state, action, action_blue, cfg)
+        geom, self._blue_geom = flags["red_geometry"], flags["blue_geometry"]
         shaping = dense_reward(self._prev_geom, geom, flags["blue_locks"], cfg)
         self._prev_geom = geom
         self._state = next_state
         status = next_state.status
-        obs = _encode(next_state.red, next_state.blue, geom, status,
+        obs = observe(next_state.red, next_state.blue, geom, status,
                       status.lock_steps_agent, status.lock_steps_opponent, cfg)
         info = {
             "sparse_reward": sparse,

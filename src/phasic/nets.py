@@ -1,4 +1,4 @@
-"""Small MLP policies and value functions with hand-written backprop.
+"""Small tanh MLP policies and value functions with hand-written backprop.
 
 Parameters live in a single flat float64 vector so population snapshots,
 archive copies, and gradient updates are plain array operations.  A policy
@@ -31,27 +31,19 @@ class ActionSpace:
             raise ValueError("action dimension must be >= 1")
 
 
-def _act(name: str):
-    if name == "tanh":
-        return np.tanh, lambda z, a: 1.0 - a * a
-    if name == "relu":
-        return lambda z: np.maximum(z, 0.0), lambda z, a: (z > 0.0).astype(np.float64)
-    raise ValueError(f"unknown activation {name!r}")
-
-
 class _Mlp:
-    """Layout and forward/backward passes for one fully-connected stack.
+    """Layout and forward/backward passes for one fully-connected tanh stack.
 
-    The flat-vector layout (slice bounds and shapes) and the activation pair
-    are fixed at construction, so a pass does no per-call bookkeeping.  The
-    passes take ``layers``, the per-layer views that ``layers(flat)`` returns.
+    The flat-vector layout (slice bounds and shapes) is fixed at construction,
+    so a pass does no per-call bookkeeping.  Hidden layers apply tanh and the
+    output layer is linear.  The passes take ``layers``, the per-layer views
+    that ``layers(flat)`` returns.
     """
 
-    def __init__(self, sizes, activation="tanh"):
+    def __init__(self, sizes):
         self.sizes = tuple(int(s) for s in sizes)
         if len(self.sizes) < 2:
             raise ValueError("need at least input and output sizes")
-        self._f, self._df = _act(activation)
         self._slices = []  # (start, stop, shape) of each weight and bias
         off = 0
         for a, b in zip(self.sizes[:-1], self.sizes[1:]):
@@ -79,31 +71,39 @@ class _Mlp:
         return flat
 
     def forward(self, layers, x: np.ndarray):
-        """Returns (output (N, out), cache for backward)."""
-        f = self._f
+        """Returns (output (N, out), each layer's input for backward)."""
         last = len(layers) - 1
-        acts = [x]
-        zs = []
+        inputs = []
         h = x
         for layer, (_, wt, b) in enumerate(layers):
-            z = h @ wt + b
-            zs.append(z)
-            h = f(z) if layer < last else z
-            acts.append(h)
-        return h, (acts, zs)
+            inputs.append(h)
+            h = h @ wt + b
+            if layer < last:
+                h = np.tanh(h)
+        return h, inputs
 
-    def backward(self, layers, cache, dout: np.ndarray) -> np.ndarray:
-        acts, zs = cache
+    def backward(self, layers, inputs, dout: np.ndarray) -> np.ndarray:
         grad = np.zeros(self.n_params)
         gviews = self.unpack(grad)
         dz = dout
         for layer in range(len(layers) - 1, -1, -1):
-            gviews[2 * layer][...] = dz.T @ acts[layer]
+            a = inputs[layer]
+            gviews[2 * layer][...] = dz.T @ a
             gviews[2 * layer + 1][...] = dz.sum(axis=0)
-            if layer > 0:
-                dh = dz @ layers[layer][0]
-                dz = dh * self._df(zs[layer - 1], acts[layer])
+            if layer > 0:  # a = tanh(z) of the layer below, so tanh'(z) = 1 - a^2
+                dz = (dz @ layers[layer][0]) * (1.0 - a * a)
         return grad
+
+
+def _stack(topology: dict, out_dim: int) -> _Mlp:
+    """The tanh stack a topology describes.
+
+    Topologies and saved blobs name their activation; only ``"tanh"`` exists.
+    """
+    activation = topology.get("activation", "tanh")
+    if activation != "tanh":
+        raise ValueError(f"unsupported activation {activation!r}; networks are tanh stacks")
+    return _Mlp((topology["obs_dim"], *topology["hidden"], out_dim))
 
 
 def _orthogonal(shape, gain: float, rng: np.random.Generator) -> np.ndarray:
@@ -124,8 +124,7 @@ class Policy:
         self.topology = dict(topology)
         self.topology["hidden"] = tuple(self.topology["hidden"])  # JSON-safe canonical form
         self.action_space = ActionSpace(**self.topology["action_space"])
-        sizes = (self.topology["obs_dim"], *self.topology["hidden"], self.action_space.dim)
-        self._mlp = _Mlp(sizes, self.topology.get("activation", "tanh"))
+        self._mlp = _stack(self.topology, self.action_space.dim)
         self._set_params(params)
 
     def _set_params(self, params: np.ndarray) -> None:
@@ -150,14 +149,12 @@ class Policy:
 
     @classmethod
     def init(cls, obs_dim: int, action_space: ActionSpace, rng: np.random.Generator,
-             hidden=(64, 64), activation: str = "tanh", log_std_init: float = 0.0,
+             hidden=(64, 64), log_std_init: float = 0.0,
              out_gain: float = 0.01) -> "Policy":
         topology = {"obs_dim": int(obs_dim), "hidden": tuple(int(h) for h in hidden),
-                    "activation": activation,
+                    "activation": "tanh",
                     "action_space": {"kind": action_space.kind, "dim": action_space.dim}}
-        sizes = (obs_dim, *topology["hidden"], action_space.dim)
-        mlp = _Mlp(sizes, activation)
-        flat = mlp.init_params(rng, out_gain=out_gain)
+        flat = _stack(topology, action_space.dim).init_params(rng, out_gain=out_gain)
         if action_space.kind == "continuous":
             flat = np.concatenate([flat, np.full(action_space.dim, float(log_std_init))])
         return cls(topology, flat)
@@ -242,8 +239,7 @@ class ValueFunction:
     def __init__(self, topology: dict, params: np.ndarray):
         self.topology = dict(topology)
         self.topology["hidden"] = tuple(self.topology["hidden"])  # JSON-safe canonical form
-        sizes = (self.topology["obs_dim"], *self.topology["hidden"], 1)
-        self._mlp = _Mlp(sizes, self.topology.get("activation", "tanh"))
+        self._mlp = _stack(self.topology, 1)
         self._set_params(params)
 
     def _set_params(self, params: np.ndarray) -> None:
@@ -255,12 +251,11 @@ class ValueFunction:
         self._layers = self._mlp.layers(params)
 
     @classmethod
-    def init(cls, obs_dim: int, rng: np.random.Generator, hidden=(64, 64),
-             activation: str = "tanh") -> "ValueFunction":
+    def init(cls, obs_dim: int, rng: np.random.Generator,
+             hidden=(64, 64)) -> "ValueFunction":
         topology = {"obs_dim": int(obs_dim), "hidden": tuple(int(h) for h in hidden),
-                    "activation": activation}
-        mlp = _Mlp((obs_dim, *topology["hidden"], 1), activation)
-        return cls(topology, mlp.init_params(rng, out_gain=1.0))
+                    "activation": "tanh"}
+        return cls(topology, _stack(topology, 1).init_params(rng, out_gain=1.0))
 
     def with_params(self, params: np.ndarray) -> "ValueFunction":
         """Same topology and layout, new parameters."""
@@ -334,9 +329,6 @@ class NormalizedPolicy:
 
     def backward_probs(self, states, d_probs):
         return self.policy.backward_probs(self._tx(states), d_probs)
-
-    def backward_logits(self, states, d_logits):
-        return self.policy.backward_logits(self._tx(states), d_logits)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:

@@ -4,7 +4,9 @@ A learner owns a policy, a value function, running observation/return
 normalizers, and an environment instance.  Rollouts store both normalized and
 raw observations; the raw ones feed the probe-state pool the diversity kernel
 samples from.  Fitness is always the sparse (unshaped) reward under
-deterministic actions.
+deterministic actions.  The phase serves continuous actions only: its
+policies are diagonal Gaussians, and a discrete policy is rejected by the
+ValueError ``gaussian_batch`` raises.
 """
 
 from __future__ import annotations
@@ -171,23 +173,17 @@ def collect_rollout(policy, value_fn, env, steps: int, rng: np.random.Generator,
     obs_n, raw, acts, logps, rews, vals, dones = [], [], [], [], [], [], []
     episode_returns = []
     ep_sparse = float(carry_return) if initial_obs is not None else 0.0
-    continuous = policy.action_space.kind == "continuous"
     for _ in range(steps):
         if normalizer is not None:
             normalizer.update(obs)
             x = normalizer.normalize(obs)
         else:
             x = obs.copy()
-        if continuous:
-            mu, ls = policy.gaussian_batch(x[None])
-            std = np.exp(ls)
-            action = mu[0] + std * rng.standard_normal(std.shape)
-            z = (action - mu[0]) / std
-            logp = float(np.sum(-0.5 * z * z - ls - 0.5 * _LOG_2PI))
-        else:
-            probs = policy.probs_batch(x[None])[0]
-            action = int(rng.choice(probs.size, p=probs))
-            logp = float(np.log(max(probs[action], 1e-300)))
+        mu, ls = policy.gaussian_batch(x[None])
+        std = np.exp(ls)
+        action = mu[0] + std * rng.standard_normal(std.shape)
+        z = (action - mu[0]) / std
+        logp = float(np.sum(-0.5 * z * z - ls - 0.5 * _LOG_2PI))
         value = value_fn.value(x)
         next_obs, reward, done, info = env.step(action)
         ep_sparse += info.get("sparse_reward", reward)
@@ -195,7 +191,7 @@ def collect_rollout(policy, value_fn, env, steps: int, rng: np.random.Generator,
             reward = reward_scaler.scale(float(reward), done)
         obs_n.append(x)
         raw.append(obs.copy())
-        acts.append(np.asarray(action, dtype=np.float64) if continuous else action)
+        acts.append(action)
         logps.append(logp)
         rews.append(float(reward))
         vals.append(value)
@@ -214,7 +210,7 @@ def collect_rollout(policy, value_fn, env, steps: int, rng: np.random.Generator,
     return RolloutBuffer(
         learner_id=learner_id,
         obs=np.asarray(obs_n), raw_obs=np.asarray(raw),
-        actions=np.asarray(acts, dtype=np.float64 if continuous else np.int64),
+        actions=np.asarray(acts),
         log_probs=np.asarray(logps), rewards=np.asarray(rews),
         values=np.asarray(vals), dones=np.asarray(dones, dtype=bool),
         bootstrap_value=float(bootstrap), final_obs=final_obs,
@@ -225,8 +221,8 @@ def collect_rollout(policy, value_fn, env, steps: int, rng: np.random.Generator,
 def gae(buffer: RolloutBuffer, gamma: float, lam: float, normalize: bool = False):
     """Generalized advantage estimation; returns (advantages, value targets).
 
-    Advantages are raw unless ``normalize`` is set; the PPO update normalizes
-    per batch itself.
+    Advantages are raw unless ``normalize`` is set, which standardizes them
+    over the buffer; the value targets always use the raw advantages.
     """
     rewards, values, dones = buffer.rewards, buffer.values, buffer.dones
     n = len(rewards)
@@ -253,7 +249,6 @@ class PPOConfig:
     lr: float = 3e-4
     gamma: float = 0.99
     lam: float = 0.95
-    entropy_coef: float = 0.0
     value_coef: float = 0.5
     norm_adv: bool = True
 
@@ -275,12 +270,9 @@ def ppo_update(policy, value_fn, buffer: RolloutBuffer, config: PPOConfig,
     Returns (policy, value_fn, stats); a non-finite loss aborts the update and
     the original parameters are returned with ``stats.nan_event`` set.
     """
-    adv, returns = gae(buffer, config.gamma, config.lam)
-    if config.norm_adv:
-        adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+    adv, returns = gae(buffer, config.gamma, config.lam, normalize=config.norm_adv)
     n = len(buffer)
     start_policy, start_value = policy, value_fn
-    continuous = policy.action_space.kind == "continuous"
     stats = UpdateStats()
     count = 0
     mb_size = max(1, n // config.minibatches)
@@ -289,19 +281,14 @@ def ppo_update(policy, value_fn, buffer: RolloutBuffer, config: PPOConfig,
         for lo in range(0, n, mb_size):
             idx = order[lo:lo + mb_size]
             x = buffer.obs[idx]
-            a = buffer.actions[idx]
             adv_mb = adv[idx]
             old_logp = buffer.log_probs[idx]
             k = idx.size
 
-            if continuous:
-                mu, ls = policy.gaussian_batch(x)
-                std = np.exp(ls)
-                z = (a - mu) / std
-                logp = np.sum(-0.5 * z * z - ls - 0.5 * _LOG_2PI, axis=1)
-            else:
-                probs = policy.probs_batch(x)
-                logp = np.log(np.maximum(probs[np.arange(k), a], 1e-300))
+            mu, ls = policy.gaussian_batch(x)
+            std = np.exp(ls)
+            z = (buffer.actions[idx] - mu) / std
+            logp = np.sum(-0.5 * z * z - ls - 0.5 * _LOG_2PI, axis=1)
 
             ratio = np.exp(logp - old_logp)
             unclipped = ratio * adv_mb
@@ -311,26 +298,10 @@ def ppo_update(policy, value_fn, buffer: RolloutBuffer, config: PPOConfig,
             # d(surrogate)/d logp: active only where the unclipped branch wins
             use = (unclipped <= clipped).astype(np.float64)
             dlogp = -(use * ratio * adv_mb) / k
-
-            if continuous:
-                entropy = float(np.sum(ls + 0.5 * (1.0 + _LOG_2PI)))
-                dmu = dlogp[:, None] * (z / std)
-                dls_rows = dlogp[:, None] * (z * z - 1.0)
-                dls = dls_rows.sum(axis=0)
-                if config.entropy_coef > 0.0:
-                    dls = dls - config.entropy_coef * np.ones_like(ls)
-                grad = policy.backward_gaussian(x, dmu, dls)
-            else:
-                entropy = float(np.mean(
-                    -np.sum(probs * np.log(np.maximum(probs, 1e-300)), axis=1)))
-                dlogits = dlogp[:, None] * (np.eye(probs.shape[1])[a] - probs)
-                if config.entropy_coef > 0.0:
-                    logp_all = np.log(np.maximum(probs, 1e-300))
-                    d_ent = -(probs * (logp_all + 1.0)
-                              - probs * np.sum(probs * (logp_all + 1.0), axis=1,
-                                               keepdims=True)) / k
-                    dlogits = dlogits - config.entropy_coef * d_ent
-                grad = policy.backward_logits(x, dlogits)
+            entropy = float(np.sum(ls + 0.5 * (1.0 + _LOG_2PI)))
+            dmu = dlogp[:, None] * (z / std)
+            dls = (dlogp[:, None] * (z * z - 1.0)).sum(axis=0)
+            grad = policy.backward_gaussian(x, dmu, dls)
 
             v = value_fn.value_batch(x)
             v_loss = 0.5 * float(np.mean((v - returns[idx]) ** 2))
@@ -363,19 +334,17 @@ class EvalResult:
     episode_returns: np.ndarray
 
 
-def evaluate(policy, env, rng: np.random.Generator, episodes: int = 10,
-             deterministic: bool = True) -> EvalResult:
+def evaluate(policy, env, rng: np.random.Generator, episodes: int = 10) -> EvalResult:
     """Mean sparse return and mean behavior descriptor over full episodes.
 
-    Runs deterministic actions by default.  A policy trained on normalized
-    observations is evaluated through a ``NormalizedPolicy`` view, whose
-    constants stay frozen here.
+    Every step takes the policy's mean action; ``rng`` goes to ``env.reset``
+    and drives the environment alone.  A policy trained on normalized observations is evaluated through
+    a ``NormalizedPolicy`` view, whose constants stay frozen here.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     totals = []
     bds = []
-    continuous = policy.action_space.kind == "continuous"
     for _ in range(episodes):
         obs = env.reset(rng)
         done = False
@@ -383,15 +352,11 @@ def evaluate(policy, env, rng: np.random.Generator, episodes: int = 10,
         actions = []
         info = {}
         while not done:
-            if continuous:
-                mu, ls = policy.gaussian_batch(np.asarray(obs)[None])
-                action = mu[0] if deterministic else mu[0] + np.exp(ls) * rng.standard_normal(ls.shape)
-            else:
-                probs = policy.probs_batch(np.asarray(obs)[None])[0]
-                action = int(np.argmax(probs)) if deterministic else int(rng.choice(probs.size, p=probs))
+            mu, _ = policy.gaussian_batch(np.asarray(obs)[None])
+            action = mu[0]
             obs, _, done, info = env.step(action)
             total += info.get("sparse_reward", 0.0)
-            actions.append(np.asarray(action, dtype=np.float64))
+            actions.append(action)
         totals.append(total)
         bd = env.episode_bd(np.asarray(actions), info)
         if bd is not None:

@@ -166,13 +166,6 @@ def restore_payload(learner: Learner, payload: dict) -> None:
     learner.pending_return = 0.0
 
 
-def _view(policy: Policy, obs_mean, obs_std):
-    """The policy behind frozen normalization constants; bare without them."""
-    if obs_mean is None:
-        return policy
-    return NormalizedPolicy(policy, obs_mean, obs_std)
-
-
 def _offer(archive, queue, policy, fitness, bd, **meta) -> tuple:
     """Offer one candidate to the grid, then the queue; returns both verdicts."""
     return archive.add(policy, fitness, bd, **meta), queue.add(policy, fitness, bd, **meta)
@@ -202,7 +195,7 @@ def dvd_update(policies, value_fns, buffers, lam, probe_states, *,
     aux_deltas = [np.zeros_like(p.params) for p in policies]
     aux_out = None
     if lam > 0.0 and n >= 2:
-        wrapped = [p if norm is None else _view(p, norm.stat.mean, norm.stat.std)
+        wrapped = [p if norm is None else NormalizedPolicy(p, norm.stat.mean, norm.stat.std)
                    for p, norm in zip(policies, normalizers)]
         aux_out, _ = diversity_ascent(
             wrapped, StateBatch(np.asarray(probe_states, dtype=np.float64)),
@@ -325,10 +318,6 @@ def run_training(config: TrainerConfig, out_dir=None, env_factory=None) -> RunRe
             json.dump(_jsonable(asdict(config)), fh, indent=2, sort_keys=True)
         metrics_fh = open(out_dir / "metrics.jsonl", "w")
 
-    nan_total = 0
-    exploit_events = 0
-    aux_offers = 0
-    aux_accepts = 0
     try:
         for it in range(n_iters):
             record = {"type": "iteration", "iteration": it,
@@ -366,7 +355,6 @@ def run_training(config: TrainerConfig, out_dir=None, env_factory=None) -> RunRe
                 normalizers=[l.normalizer for l in learners])
             for learner, new_p, new_v, stats in zip(learners, new_ps, new_vs, stats_list):
                 if stats.nan_event:
-                    nan_total += 1
                     restore_payload(learner, last_snapshot[learner.id])
                 else:
                     learner.policy, learner.value_fn = new_p, new_v
@@ -378,7 +366,7 @@ def run_training(config: TrainerConfig, out_dir=None, env_factory=None) -> RunRe
                 evals = []
                 for learner in learners:
                     stat = learner.normalizer.stat
-                    res = evaluate(_view(learner.policy, stat.mean, stat.std),
+                    res = evaluate(NormalizedPolicy(learner.policy, stat.mean, stat.std),
                                    learner.eval_env, learner.rng,
                                    episodes=config.eval_episodes)
                     learner.fitness = res.fitness
@@ -395,18 +383,14 @@ def run_training(config: TrainerConfig, out_dir=None, env_factory=None) -> RunRe
                         and cum_steps >= next_exploit):
                     record["exploit"] = _exploit(
                         config, learners, mediator, exploit_rng, probe_pool)
-                    exploit_events += 1
                     while next_exploit <= cum_steps:
                         next_exploit += exploit_period
 
                 if (config.trainer in ("pdo", "edo-cs") and config.diversity_iters > 0
                         and len(mediator) > 0):
-                    aux_info = _auxiliary_phase(
+                    record["aux"] = _auxiliary_phase(
                         config, mediator, archive, queue, aux_eval_env, aux_rng,
                         probe_pool, it)
-                    aux_offers += aux_info["offered"]
-                    aux_accepts += aux_info["accepted"]
-                    record["aux"] = aux_info
 
                 if joint:
                     current_best = mediator.max_fitness()
@@ -437,8 +421,10 @@ def run_training(config: TrainerConfig, out_dir=None, env_factory=None) -> RunRe
         "iterations": n_iters, "env_steps_per_learner": n_iters * config.rollout_steps,
         "qd": qd_metrics(archive, fitness_offset=proto.qd_offset),
         "queue_best": queue.best().fitness if len(queue) else None,
-        "nan_events": nan_total, "exploit_events": exploit_events,
-        "aux_offers": aux_offers, "aux_accepts": aux_accepts,
+        "nan_events": sum(l["nan_event"] for r in records for l in r["learners"]),
+        "exploit_events": sum(r["exploit"] is not None for r in records),
+        "aux_offers": sum(r["aux"]["offered"] for r in records if r["aux"]),
+        "aux_accepts": sum(r["aux"]["accepted"] for r in records if r["aux"]),
         "wall_clock_s": time.time() - started,
     }
     if out_dir is not None:
@@ -472,12 +458,7 @@ def _exploit(config, learners, source, rng, probe_pool) -> dict:
         entry = picks[rng.integers(len(picks))]
     else:
         entry = source.sample_uniform(rng)
-    if entry.payload is not None:
-        restore_payload(worst, entry.payload)
-    else:  # externally built archives may lack payloads; copy what exists
-        worst.policy = worst.policy.with_params(entry.policy.params)
-        worst.obs = None
-        worst.pending_return = 0.0
+    restore_payload(worst, entry.payload)
     worst.fitness = entry.fitness
     return {"target": worst.id, "source_order": entry.order,
             "source_fitness": entry.fitness}
@@ -498,20 +479,17 @@ def _auxiliary_phase(config, source, archive, queue, eval_env, rng, probe_pool, 
         entries = source.top(config.population)
     probes = _sample_probes(probe_pool, config.probe_states, rng)
     out, trace = diversity_ascent(
-        [_view(e.policy, e.obs_mean, e.obs_std) for e in entries], StateBatch(probes),
+        [NormalizedPolicy(e.policy, e.obs_mean, e.obs_std) for e in entries],
+        StateBatch(probes),
         steps=config.diversity_iters, metric=config.metric, beta=config.beta,
         lr=config.aux_lr, grad_clip=config.grad_clip,
         deterministic=config.deterministic_kernel, rng=rng)
     accepted = 0
     offers = []
     for entry, cand in zip(entries, out):
-        inner = cand.policy if isinstance(cand, NormalizedPolicy) else cand
         res = evaluate(cand, eval_env, rng, episodes=config.eval_episodes)
-        payload = None
-        if entry.payload is not None:
-            payload = dict(entry.payload)
-            payload["policy_params"] = inner.params.copy()
-        ok_grid, ok_queue = _offer(archive, queue, inner, res.fitness, res.bd,
+        payload = dict(entry.payload, policy_params=cand.params.copy())
+        ok_grid, ok_queue = _offer(archive, queue, cand.policy, res.fitness, res.bd,
                                    obs_mean=entry.obs_mean, obs_std=entry.obs_std,
                                    source=entry.source, iteration=it, payload=payload)
         accepted += int(ok_grid or ok_queue)

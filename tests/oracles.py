@@ -10,7 +10,7 @@ production hot path, which must match them bit for bit.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -261,19 +261,11 @@ def kernel_backward(fwd, upstream):
 
 # -- reference MLP passes ------------------------------------------------------
 #
-# Every pass re-slices the flat vector with np.prod and looks the activation
-# up again, where the production passes use a layout and views cached once.
+# Every pass re-slices the flat vector with np.prod, where the production
+# passes use a layout and views cached once.
 
 def _mlp_sizes(topology: dict, out_dim: int) -> tuple:
     return (int(topology["obs_dim"]), *(int(h) for h in topology["hidden"]), out_dim)
-
-
-def _mlp_act(name: str):
-    if name == "tanh":
-        return np.tanh, lambda z, a: 1.0 - a * a
-    if name == "relu":
-        return lambda z: np.maximum(z, 0.0), lambda z, a: (z > 0.0).astype(np.float64)
-    raise ValueError(f"unknown activation {name!r}")
 
 
 def _mlp_unpack(sizes, flat: np.ndarray):
@@ -288,25 +280,20 @@ def _mlp_unpack(sizes, flat: np.ndarray):
     return out
 
 
-def mlp_forward(sizes, activation: str, flat: np.ndarray, x: np.ndarray):
+def mlp_forward(sizes, flat: np.ndarray, x: np.ndarray):
     views = _mlp_unpack(sizes, flat)
-    f, _ = _mlp_act(activation)
-    acts, zs, h = [x], [], x
+    acts, h = [x], x
     n_layers = len(sizes) - 1
     for layer in range(n_layers):
         w, b = views[2 * layer], views[2 * layer + 1]
         z = h @ w.T + b
-        zs.append(z)
-        h = f(z) if layer < n_layers - 1 else z
+        h = np.tanh(z) if layer < n_layers - 1 else z
         acts.append(h)
-    return h, (acts, zs)
+    return h, acts
 
 
-def mlp_backward(sizes, activation: str, flat: np.ndarray, cache,
-                 dout: np.ndarray) -> np.ndarray:
+def mlp_backward(sizes, flat: np.ndarray, acts, dout: np.ndarray) -> np.ndarray:
     views = _mlp_unpack(sizes, flat)
-    _, df = _mlp_act(activation)
-    acts, zs = cache
     n_params = sum(int(np.prod(v.shape)) for v in views)
     grad = np.zeros(n_params)
     gviews = _mlp_unpack(sizes, grad)
@@ -316,19 +303,18 @@ def mlp_backward(sizes, activation: str, flat: np.ndarray, cache,
         gviews[2 * layer + 1][...] = dz.sum(axis=0)
         if layer > 0:
             dh = dz @ views[2 * layer]
-            dz = dh * df(zs[layer - 1], acts[layer])
+            dz = dh * (1.0 - acts[layer] * acts[layer])  # tanh' from its output
     return grad
 
 
 def _policy_net(policy):
-    """(sizes, activation, network params, log_std params or None)."""
+    """(sizes, network params, log_std params or None)."""
     space = policy.topology["action_space"]
     sizes = _mlp_sizes(policy.topology, int(space["dim"]))
-    activation = policy.topology.get("activation", "tanh")
     if space["kind"] == "continuous":
         n_net = policy.params.size - int(space["dim"])
-        return sizes, activation, policy.params[:n_net], policy.params[n_net:]
-    return sizes, activation, policy.params, None
+        return sizes, policy.params[:n_net], policy.params[n_net:]
+    return sizes, policy.params, None
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -338,22 +324,22 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def gaussian_batch(policy, states):
-    sizes, act, net, log_std = _policy_net(policy)
-    out, _ = mlp_forward(sizes, act, net, np.asarray(states, dtype=np.float64))
+    sizes, net, log_std = _policy_net(policy)
+    out, _ = mlp_forward(sizes, net, np.asarray(states, dtype=np.float64))
     return out, np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX)
 
 
 def probs_batch(policy, states):
-    sizes, act, net, _ = _policy_net(policy)
-    out, _ = mlp_forward(sizes, act, net, np.asarray(states, dtype=np.float64))
+    sizes, net, _ = _policy_net(policy)
+    out, _ = mlp_forward(sizes, net, np.asarray(states, dtype=np.float64))
     return _softmax(out)
 
 
 def backward_gaussian(policy, states, d_mu, d_log_std=None):
-    sizes, act, net, log_std = _policy_net(policy)
+    sizes, net, log_std = _policy_net(policy)
     states = np.asarray(states, dtype=np.float64)
-    _, cache = mlp_forward(sizes, act, net, states)
-    g_net = mlp_backward(sizes, act, net, cache, np.asarray(d_mu, dtype=np.float64))
+    _, cache = mlp_forward(sizes, net, states)
+    g_net = mlp_backward(sizes, net, cache, np.asarray(d_mu, dtype=np.float64))
     g_ls = np.zeros_like(log_std)
     if d_log_std is not None:
         mask = (log_std > LOG_STD_MIN) & (log_std < LOG_STD_MAX)
@@ -362,10 +348,10 @@ def backward_gaussian(policy, states, d_mu, d_log_std=None):
 
 
 def backward_logits(policy, states, d_logits):
-    sizes, act, net, _ = _policy_net(policy)
+    sizes, net, _ = _policy_net(policy)
     states = np.asarray(states, dtype=np.float64)
-    _, cache = mlp_forward(sizes, act, net, states)
-    return mlp_backward(sizes, act, net, cache, np.asarray(d_logits, dtype=np.float64))
+    _, cache = mlp_forward(sizes, net, states)
+    return mlp_backward(sizes, net, cache, np.asarray(d_logits, dtype=np.float64))
 
 
 def backward_probs(policy, states, d_probs):
@@ -377,17 +363,15 @@ def backward_probs(policy, states, d_probs):
 
 def value_batch(value_fn, states):
     sizes = _mlp_sizes(value_fn.topology, 1)
-    act = value_fn.topology.get("activation", "tanh")
-    out, _ = mlp_forward(sizes, act, value_fn.params, np.asarray(states, dtype=np.float64))
+    out, _ = mlp_forward(sizes, value_fn.params, np.asarray(states, dtype=np.float64))
     return out[:, 0]
 
 
 def value_backward(value_fn, states, d_value):
     sizes = _mlp_sizes(value_fn.topology, 1)
-    act = value_fn.topology.get("activation", "tanh")
     states = np.asarray(states, dtype=np.float64)
-    _, cache = mlp_forward(sizes, act, value_fn.params, states)
-    return mlp_backward(sizes, act, value_fn.params, cache,
+    _, cache = mlp_forward(sizes, value_fn.params, states)
+    return mlp_backward(sizes, value_fn.params, cache,
                         np.asarray(d_value, dtype=np.float64)[:, None])
 
 
@@ -449,7 +433,8 @@ class ArrayRewardScaler:
 # -- reference dogfight kinematics -------------------------------------------------
 
 def integrate(state, action, cfg):
-    """dogfight.integrate with np.clip on scalars and an intermediate state."""
+    """dogfight.integrate with np.clip on scalars and the nose vector left to
+    the state to build."""
     action = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
     throttle, elevator, roll_cmd, rudder = action
     speed = float(np.clip(state.speed + throttle * cfg.accel_max * cfg.dt,
@@ -460,8 +445,10 @@ def integrate(state, action, cfg):
     bank_turn = float(np.clip((GRAVITY / speed) * math.tan(roll),
                               -cfg.turn_rate_max, cfg.turn_rate_max))
     heading = wrap_angle(state.heading + (rudder * cfg.yaw_rate + bank_turn) * cfg.dt)
-    new = AircraftState(pos=state.pos, speed=speed, heading=heading, pitch=pitch, roll=roll)
-    return replace(new, pos=state.pos + speed * new.forward_axis() * cfg.dt)
+    forward = np.array([math.sin(heading) * math.cos(pitch),
+                        math.cos(heading) * math.cos(pitch), math.sin(pitch)])
+    return AircraftState(pos=state.pos + speed * forward * cfg.dt, speed=speed,
+                         heading=heading, pitch=pitch, roll=roll)
 
 
 def relative_geometry(attacker, target):

@@ -275,6 +275,14 @@ class TestStepOp:
         assert nxt.status.step == 1
         assert nxt.status.terminal is None
 
+    def test_info_carries_the_next_state_geometries(self):
+        rng = np.random.default_rng(3)
+        state = DogfightState(red=random_craft(rng), blue=random_craft(rng),
+                              status=EpisodeStatus())
+        nxt, _, info = step(state, rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4), CFG)
+        assert info["red_geometry"] == relative_geometry(nxt.red, nxt.blue)
+        assert info["blue_geometry"] == relative_geometry(nxt.blue, nxt.red)
+
     def test_lock_scores_plus_one(self):
         red = craft([0, 0, 5000], heading=0.0)
         blue = craft([0, 500, 5000], heading=0.0)
@@ -453,6 +461,42 @@ def random_craft(rng):
                  roll=float(rng.uniform(-math.pi, math.pi)))
 
 
+def nose_formula(heading, pitch):
+    """The unit nose vector written out from heading and pitch."""
+    return np.array([math.sin(heading) * math.cos(pitch),
+                     math.cos(heading) * math.cos(pitch), math.sin(pitch)])
+
+
+class TestNoseVector:
+    """Each state carries its nose vector; readers get copies."""
+
+    def test_stored_forward_equals_the_formula(self):
+        rng = np.random.default_rng(27)
+        for _ in range(200):
+            hand_built = random_craft(rng)
+            flown = integrate(hand_built, rng.uniform(-1.5, 1.5, 4), CFG)
+            for state in (hand_built, flown):
+                want = nose_formula(state.heading, state.pitch)
+                assert np.array_equal(state.forward, want)
+                assert np.array_equal(state.forward_axis(), want)
+
+    def test_forward_axis_is_a_copy(self):
+        state = craft([0, 0, 5000], heading=0.3, pitch=0.2)
+        axis = state.forward_axis()
+        axis[:] = 0.0
+        assert np.array_equal(state.forward, nose_formula(0.3, 0.2))
+
+    def test_step_info_vectors_are_copies(self):
+        env = DogfightEnv()
+        env.reset(np.random.default_rng(28))
+        _, _, _, info = env.step(np.zeros(4))
+        red, blue = env.state.red, env.state.blue
+        info["red_forward"][:] = 0.0
+        info["blue_forward"][:] = 0.0
+        assert np.array_equal(red.forward, nose_formula(red.heading, red.pitch))
+        assert np.array_equal(blue.forward, nose_formula(blue.heading, blue.pitch))
+
+
 class TestMatchesReferenceKinematics:
     """Scalar clamps and the inlined forward axis leave every bit unchanged."""
 
@@ -491,8 +535,9 @@ class TestStepEquivalence:
 
         def check_reset(obs):
             s = env.state
-            assert np.array_equal(obs, observe(s.red, s.blue, s.status, 0, 0, cfg))
-            return relative_geometry(s.red, s.blue)
+            geom = relative_geometry(s.red, s.blue)
+            assert np.array_equal(obs, observe(s.red, s.blue, geom, s.status, 0, 0, cfg))
+            return geom
 
         prev = check_reset(env.reset(rng))
         red_locks = blue_locks = resets = 0
@@ -506,7 +551,7 @@ class TestStepEquivalence:
             obs, _, done, info = env.step(action)
             s = env.state
             geom = relative_geometry(s.red, s.blue)
-            assert np.array_equal(obs, observe(s.red, s.blue, s.status,
+            assert np.array_equal(obs, observe(s.red, s.blue, geom, s.status,
                                                s.status.lock_steps_agent,
                                                s.status.lock_steps_opponent, cfg))
             assert info["distance"] == geom.distance

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -127,19 +129,17 @@ class TestBackward:
 
 def _oracle_cases():
     """Seeded continuous and discrete policies with value functions over several
-    depths and both activations, each also re-derived through with_params."""
+    depths, each also re-derived through with_params."""
     rng = np.random.default_rng(12)
     cases = []
     for kind, dim in (("continuous", 2), ("discrete", 4)):
         for hidden in ((), (5,), (6, 4)):
-            for activation in ("tanh", "relu"):
-                obs_dim = int(rng.integers(1, 5))
-                pol = Policy.init(obs_dim, ActionSpace(kind, dim), rng, hidden=hidden,
-                                  activation=activation)
-                pol = pol.with_params(pol.params + 0.4 * rng.standard_normal(pol.n_params))
-                vf = ValueFunction.init(obs_dim, rng, hidden=hidden, activation=activation)
-                vf = vf.with_params(vf.params + 0.4 * rng.standard_normal(vf.params.size))
-                cases.append((pol, vf, rng.standard_normal((7, obs_dim))))
+            obs_dim = int(rng.integers(1, 5))
+            pol = Policy.init(obs_dim, ActionSpace(kind, dim), rng, hidden=hidden)
+            pol = pol.with_params(pol.params + 0.4 * rng.standard_normal(pol.n_params))
+            vf = ValueFunction.init(obs_dim, rng, hidden=hidden)
+            vf = vf.with_params(vf.params + 0.4 * rng.standard_normal(vf.params.size))
+            cases.append((pol, vf, rng.standard_normal((7, obs_dim))))
     return cases
 
 
@@ -249,6 +249,29 @@ class TestImmutabilityAndSerialization:
         a, b = pol.forward(obs), loaded.forward(obs)
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.log_std, b.log_std)
+
+    def test_blobs_name_the_tanh_activation(self, tmp_path):
+        pol = random_gaussian_policy(np.random.default_rng(9), hidden=(3,))
+        assert pol.topology["activation"] == "tanh"
+        save_policy(tmp_path / "pol.npz", pol)
+        assert load_policy(tmp_path / "pol.npz")[0].topology["activation"] == "tanh"
+
+    def test_other_activations_are_rejected(self, tmp_path):
+        pol = random_gaussian_policy(np.random.default_rng(9), hidden=(3,))
+        relu = dict(pol.topology, activation="relu")
+        with pytest.raises(ValueError, match="activation"):
+            Policy(relu, pol.params)
+        vf = ValueFunction.init(2, np.random.default_rng(9), hidden=(3,))
+        with pytest.raises(ValueError, match="activation"):
+            ValueFunction(dict(vf.topology, activation="relu"), vf.params)
+        # a blob naming another activation does not load
+        save_policy(tmp_path / "relu.npz", pol)
+        with np.load(tmp_path / "relu.npz") as blob:
+            arrays = dict(blob)
+        arrays["topology"] = np.frombuffer(json.dumps(relu).encode(), dtype=np.uint8)
+        np.savez(tmp_path / "relu.npz", **arrays)
+        with pytest.raises(ValueError, match="activation"):
+            load_policy(tmp_path / "relu.npz")
 
     def test_seeded_init_reproducible(self):
         a = Policy.init(3, ActionSpace("continuous", 2), np.random.default_rng(42))

@@ -9,7 +9,7 @@ from phasic.rl import (Normalizer, PPOConfig, RewardScaler, RolloutBuffer,
                        RunningStat, collect_rollout, evaluate, gae, ppo_update)
 from phasic.toy import ToyConfig, ToyEnv
 
-from factories import linear_gaussian_policy
+from factories import linear_gaussian_policy, random_discrete_policy
 from oracles import ArrayRewardScaler, BatchMoments
 
 
@@ -453,6 +453,41 @@ class TestEvaluate:
         assert after["count"] == before["stat"]["count"]
         assert np.array_equal(after["mean"], before["stat"]["mean"])
         assert np.array_equal(after["m2"], before["stat"]["m2"])
+
+
+class TestContinuousOnly:
+    """The reward phase serves continuous actions: a discrete policy is refused
+    by the ValueError of ``gaussian_batch``."""
+
+    @staticmethod
+    def discrete_policy():
+        return random_discrete_policy(np.random.default_rng(30), obs_dim=2, n_actions=3)
+
+    def test_collect_rollout_rejects_discrete(self):
+        value_fn = ValueFunction.init(2, np.random.default_rng(31), hidden=(4,))
+        with pytest.raises(ValueError, match="discrete"):
+            collect_rollout(self.discrete_policy(), value_fn, ToyEnv(), 8,
+                            np.random.default_rng(32), normalizer=Normalizer(2))
+
+    def test_ppo_update_rejects_discrete(self):
+        rng = np.random.default_rng(33)
+        policy = self.discrete_policy()
+        value_fn = ValueFunction.init(2, rng, hidden=(4,))
+        n = 8
+        buf = RolloutBuffer(
+            learner_id=0, obs=rng.normal(size=(n, 2)), raw_obs=np.zeros((n, 2)),
+            actions=rng.integers(0, 3, n), log_probs=np.full(n, -np.log(3.0)),
+            rewards=np.ones(n), values=np.zeros(n),
+            dones=np.zeros(n, dtype=bool), bootstrap_value=0.0)
+        with pytest.raises(ValueError, match="discrete"):
+            ppo_update(policy, value_fn, buf, PPOConfig(), Adam(policy.n_params),
+                       Adam(value_fn.params.size), rng)
+
+    def test_evaluate_rejects_discrete(self):
+        policy = self.discrete_policy()
+        for candidate in (policy, NormalizedPolicy(policy, np.zeros(2), np.ones(2))):
+            with pytest.raises(ValueError, match="discrete"):
+                evaluate(candidate, ToyEnv(), np.random.default_rng(34), episodes=1)
 
 
 def _true_log_probs(policy, obs, actions):

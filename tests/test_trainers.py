@@ -167,10 +167,12 @@ class TestAuxiliaryPhase:
         # phase the ascended candidates must have pushed apart
         cfg = small_config(population=3, diversity_iters=10, iterations=1)
         rng = np.random.default_rng(0)
-        policy = Policy.init(2, ToyEnv().action_space, rng, hidden=(16,))
+        learner = fresh_learner(seed=0, hidden=(16,))
+        stat = learner.normalizer.stat
         archive = GridArchive()
         for i, bd in enumerate(([0.15, 0.15], [0.45, 0.45], [0.85, 0.85])):
-            archive.add(policy, 1.0 + i, bd)
+            archive.add(learner.policy, 1.0 + i, bd, obs_mean=stat.mean, obs_std=stat.std,
+                        payload=snapshot_payload(learner))
         from phasic.trainers import _auxiliary_phase
         probe_pool = rng.uniform(-1, 1, size=(128, 2))
         info = _auxiliary_phase(cfg, archive, archive, __import__("phasic.archive",
@@ -207,6 +209,21 @@ def test_every_offer_was_evaluated_through_its_frozen_normalizer(monkeypatch):
             assert view.policy is policy
             assert np.array_equal(view.obs_mean, meta["obs_mean"])
             assert np.array_equal(view.obs_std, np.maximum(meta["obs_std"], 1e-8))
+
+
+def test_summary_counters_sum_the_records():
+    for trainer in ("pdo", "dvd"):
+        res = run_training(small_config(trainer=trainer, diversity_iters=2,
+                                        lambda_arms=(0.5,)))
+        records, summary = res.records, res.summary
+        assert summary["nan_events"] == sum(
+            l["nan_event"] for r in records for l in r["learners"])
+        assert summary["exploit_events"] == sum(r["exploit"] is not None for r in records)
+        assert summary["aux_offers"] == sum(r["aux"]["offered"] for r in records if r["aux"])
+        assert summary["aux_accepts"] == sum(
+            r["aux"]["accepted"] for r in records if r["aux"])
+        if trainer == "pdo":
+            assert summary["exploit_events"] > 0 and summary["aux_offers"] > 0
 
 
 class TestExploitation:
