@@ -37,7 +37,8 @@ class _Mlp:
     The flat-vector layout (slice bounds and shapes) is fixed at construction,
     so a pass does no per-call bookkeeping.  Hidden layers apply tanh and the
     output layer is linear.  The passes take ``layers``, the per-layer views
-    that ``layers(flat)`` returns.
+    that ``layers(flat)`` returns; stacked (M, ·) weights run ``forward``
+    over (M, N, in) inputs (see ``stacked_forward``).
     """
 
     def __init__(self, sizes):
@@ -183,12 +184,23 @@ class Policy:
             return DiagGaussian(mu[0], ls)
         return DiscreteDist(self.probs_batch(obs[None])[0])
 
-    def gaussian_batch(self, states: np.ndarray):
-        """(means (N, A), clamped log_std (A,), read-only) for continuous policies."""
+    @property
+    def log_std(self) -> np.ndarray:
+        """Clamped log-std (A,), read-only; continuous policies only."""
+        if self._log_std is None:
+            raise ValueError("log_std of a discrete policy")
+        return self._clamped_log_std
+
+    def gaussian_batch(self, states: np.ndarray, with_cache: bool = False):
+        """(means (N, A), clamped log_std (A,), read-only) for continuous policies.
+
+        ``with_cache`` appends the layer inputs that ``backward_gaussian``
+        takes as its ``cache``.
+        """
         if self._log_std is None:
             raise ValueError("gaussian_batch on a discrete policy")
-        out, _ = self._mlp.forward(self._layers, np.asarray(states, dtype=np.float64))
-        return out, self._clamped_log_std
+        out, cache = self._mlp.forward(self._layers, np.asarray(states, dtype=np.float64))
+        return (out, self._clamped_log_std, cache) if with_cache else (out, self._clamped_log_std)
 
     def logits_batch(self, states: np.ndarray) -> np.ndarray:
         if self.action_space.kind != "discrete":
@@ -202,13 +214,18 @@ class Policy:
     # -- reverse mode -----------------------------------------------------
 
     def backward_gaussian(self, states: np.ndarray, d_mu: np.ndarray,
-                          d_log_std: np.ndarray | None = None) -> np.ndarray:
-        """Flat parameter gradient from upstream gradients on (mean, log_std)."""
+                          d_log_std: np.ndarray | None = None, cache=None) -> np.ndarray:
+        """Flat parameter gradient from upstream gradients on (mean, log_std).
+
+        ``cache`` is the layer-input list of a ``gaussian_batch(states,
+        with_cache=True)`` call on these states; without it the forward runs
+        again.
+        """
         log_std = self._log_std
         if log_std is None:
             raise ValueError("backward_gaussian on a discrete policy")
-        states = np.asarray(states, dtype=np.float64)
-        _, cache = self._mlp.forward(self._layers, states)
+        if cache is None:
+            _, cache = self._mlp.forward(self._layers, np.asarray(states, dtype=np.float64))
         g_net = self._mlp.backward(self._layers, cache, np.asarray(d_mu, dtype=np.float64))
         g_ls = np.zeros_like(log_std)
         if d_log_std is not None:
@@ -265,17 +282,19 @@ class ValueFunction:
         out._set_params(params)
         return out
 
-    def value_batch(self, states: np.ndarray) -> np.ndarray:
-        out, _ = self._mlp.forward(self._layers, np.asarray(states, dtype=np.float64))
-        return out[:, 0]
+    def value_batch(self, states: np.ndarray, with_cache: bool = False):
+        """Values (N,); ``with_cache`` adds the layer inputs ``backward`` takes."""
+        out, cache = self._mlp.forward(self._layers, np.asarray(states, dtype=np.float64))
+        return (out[:, 0], cache) if with_cache else out[:, 0]
 
     def value(self, obs: np.ndarray) -> float:
         out, _ = self._mlp.forward(self._layers, np.asarray(obs, dtype=np.float64)[None])
         return float(out[0, 0])
 
-    def backward(self, states: np.ndarray, d_value: np.ndarray) -> np.ndarray:
-        states = np.asarray(states, dtype=np.float64)
-        _, cache = self._mlp.forward(self._layers, states)
+    def backward(self, states: np.ndarray, d_value: np.ndarray, cache=None) -> np.ndarray:
+        """Flat parameter gradient; ``cache`` as in ``Policy.backward_gaussian``."""
+        if cache is None:
+            _, cache = self._mlp.forward(self._layers, np.asarray(states, dtype=np.float64))
         return self._mlp.backward(self._layers, cache,
                                   np.asarray(d_value, dtype=np.float64)[:, None])
 
@@ -311,9 +330,7 @@ class NormalizedPolicy:
                                 self.obs_std, self.clip)
 
     def _tx(self, states: np.ndarray) -> np.ndarray:
-        z = (np.asarray(states, dtype=np.float64) - self.obs_mean) / self.obs_std
-        # Normalizer.normalize's clamp, so a frozen view transforms bit for bit alike
-        return np.minimum(np.maximum(z, -self.clip), self.clip)
+        return whiten(states, self.obs_mean, self.obs_std, self.clip)
 
     def forward(self, obs: np.ndarray):
         return self.policy.forward(self._tx(np.asarray(obs)[None])[0])
@@ -329,6 +346,34 @@ class NormalizedPolicy:
 
     def backward_probs(self, states, d_probs):
         return self.policy.backward_probs(self._tx(states), d_probs)
+
+
+def stacked_forward(nets):
+    """One forward over M networks of one layout, for (M, N, in) inputs.
+
+    Takes policies or value functions.  Their layer weights are stacked once
+    into (M, out, in) arrays, with (M, in, out) transposed views and (M, 1,
+    out) biases, and ``_Mlp.forward`` maps (M, N, in) inputs to (M, N, out)
+    outputs.  Each network's rows carry the bits of its own pass.
+    """
+    mlp = nets[0]._mlp
+    if any(net._mlp.sizes != mlp.sizes for net in nets):
+        raise ValueError("stacked networks must share one layout")
+    layers = []
+    for k in range(len(mlp.sizes) - 1):
+        w = np.stack([net._layers[k][0] for net in nets])
+        b = np.stack([net._layers[k][2] for net in nets])[:, None]
+        layers.append((w, w.swapaxes(-1, -2), b))
+    return lambda x: mlp.forward(layers, x)[0]
+
+
+def whiten(states: np.ndarray, mean, std, clip) -> np.ndarray:
+    """(states - mean) / std clamped to [-clip, clip]; ``std`` comes floored.
+
+    np.clip's bits without its per-call wrapper cost on the per-step path.
+    """
+    z = (np.asarray(states, dtype=np.float64) - mean) / std
+    return np.minimum(np.maximum(z, -clip), clip)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:

@@ -1,60 +1,37 @@
-"""On-policy reward phase: rollouts, GAE, clipped-surrogate updates, evaluation.
+"""On-policy reward phase: lockstep rollouts, GAE, clipped-surrogate updates, evaluation.
 
 A learner owns a policy, a value function, running observation/return
-normalizers, and an environment instance.  Rollouts store both normalized and
-raw observations; the raw ones feed the probe-state pool the diversity kernel
-samples from.  Fitness is always the sparse (unshaped) reward under
-deterministic actions.  The phase serves continuous actions only: its
-policies are diagonal Gaussians, and a discrete policy is rejected by the
-ValueError ``gaussian_batch`` raises.
+normalizers, and an environment instance.  The M learners of a population
+roll out and evaluate in lockstep: each tick runs one stacked policy forward
+(and one value forward) over all M, keeps the normalizer and reward-scaler
+statistics as (M, ·) arrays, and steps each learner's own environment once
+with draws from its own generator.  Every learner so gets the bits, the
+environment steps and the generator draws that a loop of its own would give.
+Rollouts store both normalized and raw observations; the raw ones feed the
+probe-state pool the diversity kernel samples from.  Fitness is always the
+sparse (unshaped) reward under deterministic actions.  The phase serves
+continuous actions only: its policies are diagonal Gaussians, and a discrete
+policy is rejected with a ValueError.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .nets import stacked_forward, whiten
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 class RunningStat:
-    """Streaming mean/variance, combining each batch's moments in parallel form."""
+    """Streaming count, mean and m2 (sum of squared deviations) of a statistic."""
 
     def __init__(self, shape=()):
         self.count = 0.0
         self.mean = np.zeros(shape)
         self.m2 = np.zeros(shape)
-
-    def update_batch(self, x: np.ndarray) -> None:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == self.mean.ndim:
-            x = x[None]
-        n = x.shape[0]
-        if n == 0:
-            return
-        if n == 1:
-            # a lone row is its own mean; (row - row)**2 keeps non-finite rows
-            # propagating exactly as the reductions below would
-            batch_mean = x[0]
-            batch_m2 = (batch_mean - batch_mean) ** 2
-        else:
-            batch_mean = x.mean(axis=0)
-            batch_m2 = ((x - batch_mean) ** 2).sum(axis=0)
-        self._combine(n, batch_mean, batch_m2)
-
-    def _combine(self, n, mean, m2):
-        if self.count == 0.0:
-            self.count = float(n)
-            self.mean = np.array(mean, dtype=np.float64)
-            self.m2 = np.array(m2, dtype=np.float64)
-            return
-        total = self.count + n
-        delta = mean - self.mean
-        self.mean = self.mean + delta * (n / total)
-        self.m2 = self.m2 + m2 + delta ** 2 * (self.count * n / total)
-        self.count = total
 
     @property
     def var(self) -> np.ndarray:
@@ -76,21 +53,63 @@ class RunningStat:
         self.m2 = np.array(state["m2"], dtype=np.float64)
 
 
+class StackedStats:
+    """M running statistics as (M, ·) arrays, each advanced by one row per tick.
+
+    ``add`` is the batch update on a one-row batch: the row is its own mean
+    and ``(row - row)**2`` its m2, so a non-finite row propagates as the
+    batch reductions would, and the two are combined in parallel form; a
+    statistic with count 0 takes the row as it is.  ``std`` is
+    ``RunningStat.std``.  ``write`` hands each statistic fresh arrays.
+    """
+
+    def __init__(self, stats):
+        self.count = np.array([s.count for s in stats], dtype=np.float64)
+        self.mean = np.stack([s.mean for s in stats]).astype(np.float64)
+        self.m2 = np.stack([s.m2 for s in stats]).astype(np.float64)
+        # the counts as a column against (M, ·), and the least of them: the
+        # empty and under-two cases below arise only while it is small
+        self._col = self.count.reshape((-1,) + (1,) * (self.mean.ndim - 1))
+        self._least = float(self.count.min())
+
+    def add(self, rows: np.ndarray) -> None:
+        count = self._col
+        total = count + 1.0
+        delta = rows - self.mean
+        row_m2 = (rows - rows) ** 2
+        mean = self.mean + delta * (1.0 / total)
+        m2 = self.m2 + row_m2 + delta ** 2 * (count / total)
+        if self._least == 0.0:
+            empty = count == 0.0
+            mean, m2 = np.where(empty, rows, mean), np.where(empty, row_m2, m2)
+        self.mean, self.m2 = mean, m2
+        self._col, self.count = total, total.reshape(-1)
+        self._least += 1.0
+
+    def std(self) -> np.ndarray:
+        var = np.maximum(self.m2 / self._col, 0.0)
+        if self._least < 2.0:  # fewer than two samples carry no scale information
+            var = np.where(self._col < 2, 1.0, var)
+        return np.sqrt(var)
+
+    def write(self, stats) -> None:
+        for i, stat in enumerate(stats):
+            stat.count = float(self.count[i])
+            stat.mean = np.array(self.mean[i])
+            stat.m2 = np.array(self.m2[i])
+
+
 class Normalizer:
-    """Observation whitening with clipping; update and apply are separable."""
+    """Observation whitening with clipping by running statistics.
+
+    The reward phase advances the statistics once per rollout tick and
+    whitens with ``nets.whiten`` (see ``collect_rollout``); frozen copies
+    travel with archived policies as ``NormalizedPolicy`` constants.
+    """
 
     def __init__(self, obs_dim: int, clip: float = 10.0):
         self.stat = RunningStat((obs_dim,))
         self.clip = float(clip)
-
-    def update(self, obs: np.ndarray) -> None:
-        self.stat.update_batch(obs)
-
-    def normalize(self, obs: np.ndarray) -> np.ndarray:
-        std = np.maximum(self.stat.std, 1e-8)
-        z = (np.asarray(obs, dtype=np.float64) - self.stat.mean) / std
-        # np.clip's bits without its per-call wrapper cost on this hot path
-        return np.minimum(np.maximum(z, -self.clip), self.clip)
 
     def state_dict(self) -> dict:
         return {"clip": self.clip, "stat": self.stat.state_dict()}
@@ -101,31 +120,17 @@ class Normalizer:
 
 
 class RewardScaler:
-    """Scale learning rewards by the running std of the discounted return."""
+    """Scale learning rewards by the running std of the discounted return.
+
+    Each tick ``ret = gamma * ret + reward`` enters the statistic, the reward
+    is divided by its std (floored at 1e-8), and a finished episode resets
+    ``ret`` to 0 (see ``collect_rollout``).
+    """
 
     def __init__(self, gamma: float = 0.99):
         self.gamma = float(gamma)
         self.ret = 0.0
         self.stat = RunningStat(())
-
-    def scale(self, reward: float, done: bool) -> float:
-        ret = self.ret = self.gamma * self.ret + reward
-        # one-sample RunningStat update on plain floats, in _combine's order
-        stat = self.stat
-        m2_row = (ret - ret) * (ret - ret)
-        if stat.count == 0.0:
-            count, mean, m2 = 1.0, ret, m2_row
-        else:
-            count = stat.count + 1
-            delta = ret - float(stat.mean)
-            mean = float(stat.mean) + delta * (1 / count)
-            m2 = float(stat.m2) + m2_row + delta * delta * (stat.count / count)
-        stat.count, stat.mean, stat.m2 = count, np.array(mean), np.array(m2)
-        std = math.sqrt(max(m2 / count, 0.0)) if count >= 2 else 1.0
-        out = reward / max(std, 1e-8)
-        if done:
-            self.ret = 0.0
-        return out
 
     def state_dict(self) -> dict:
         return {"gamma": self.gamma, "ret": self.ret, "stat": self.stat.state_dict()}
@@ -155,67 +160,92 @@ class RolloutBuffer:
         return self.obs.shape[0]
 
 
-def collect_rollout(policy, value_fn, env, steps: int, rng: np.random.Generator,
-                    normalizer: Normalizer | None = None,
-                    reward_scaler: RewardScaler | None = None,
-                    learner_id: int = 0, initial_obs: np.ndarray | None = None,
-                    carry_return: float = 0.0) -> RolloutBuffer:
-    """Exactly ``steps`` transitions, auto-resetting episodes as they end.
+def collect_rollout(policies, value_fns, envs, steps: int, rngs, normalizers,
+                    reward_scalers, initial_obs=None, carry_returns=None) -> list:
+    """Exactly ``steps`` transitions per learner, in lockstep; one buffer each.
 
-    ``initial_obs`` continues a previous rollout's episode; None starts fresh.
-    ``carry_return`` is the continued episode's sparse return so far (the
-    previous buffer's ``pending_return``), so recorded episode returns stay
-    whole across rollout windows.
+    Learner i runs ``policies[i]`` and ``value_fns[i]`` in ``envs[i]``,
+    drawing exploration noise (and env resets) from ``rngs[i]``; its
+    ``normalizers[i]`` and ``reward_scalers[i]`` advance one row per tick
+    and get their new state at the end.  Episodes auto-reset as they end.
+    ``initial_obs[i]`` continues a previous rollout's episode (None starts
+    fresh), and ``carry_returns[i]`` is that episode's sparse return so far
+    (the previous buffer's ``pending_return``), so recorded episode returns
+    stay whole across rollout windows.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    obs = env.reset(rng) if initial_obs is None else np.asarray(initial_obs, dtype=np.float64)
-    obs_n, raw, acts, logps, rews, vals, dones = [], [], [], [], [], [], []
-    episode_returns = []
-    ep_sparse = float(carry_return) if initial_obs is not None else 0.0
-    for _ in range(steps):
-        if normalizer is not None:
-            normalizer.update(obs)
-            x = normalizer.normalize(obs)
-        else:
-            x = obs.copy()
-        mu, ls = policy.gaussian_batch(x[None])
-        std = np.exp(ls)
-        action = mu[0] + std * rng.standard_normal(std.shape)
-        z = (action - mu[0]) / std
-        logp = float(np.sum(-0.5 * z * z - ls - 0.5 * _LOG_2PI))
-        value = value_fn.value(x)
-        next_obs, reward, done, info = env.step(action)
-        ep_sparse += info.get("sparse_reward", reward)
-        if reward_scaler is not None:
-            reward = reward_scaler.scale(float(reward), done)
-        obs_n.append(x)
-        raw.append(obs.copy())
-        acts.append(action)
-        logps.append(logp)
-        rews.append(float(reward))
-        vals.append(value)
-        dones.append(done)
-        if done:
-            episode_returns.append(ep_sparse)
-            ep_sparse = 0.0
-            obs = env.reset(rng)
-        else:
-            obs = next_obs
-    if dones[-1]:
-        bootstrap, final_obs = 0.0, None
-    else:
-        x = normalizer.normalize(obs) if normalizer is not None else obs
-        bootstrap, final_obs = value_fn.value(x), obs.copy()
-    return RolloutBuffer(
-        learner_id=learner_id,
-        obs=np.asarray(obs_n), raw_obs=np.asarray(raw),
-        actions=np.asarray(acts),
-        log_probs=np.asarray(logps), rewards=np.asarray(rews),
-        values=np.asarray(vals), dones=np.asarray(dones, dtype=bool),
-        bootstrap_value=float(bootstrap), final_obs=final_obs,
-        episode_returns=episode_returns,
-        pending_return=0.0 if dones[-1] else ep_sparse)
+    m = len(policies)
+    initial_obs = [None] * m if initial_obs is None else initial_obs
+    carry_returns = [0.0] * m if carry_returns is None else carry_returns
+    log_std = np.stack([p.log_std for p in policies])            # (M, A)
+    std = np.exp(log_std)
+    act_dim = log_std.shape[1]
+    policy_mean, value_of = stacked_forward(policies), stacked_forward(value_fns)
+    obs_stats = StackedStats([n.stat for n in normalizers])
+    clip = np.array([n.clip for n in normalizers])[:, None]
+    ret_stats = StackedStats([s.stat for s in reward_scalers])
+    gamma = np.array([s.gamma for s in reward_scalers])
+    ret = np.array([s.ret for s in reward_scalers], dtype=np.float64)
+
+    obs = np.stack([env.reset(rng) if o is None else o
+                    for env, rng, o in zip(envs, rngs, initial_obs)], dtype=np.float64)
+    ep_sparse = [float(c) if o is not None else 0.0
+                 for c, o in zip(carry_returns, initial_obs)]
+    episode_returns = [[] for _ in range(m)]
+    noise = np.empty((m, act_dim))
+    obs_n = np.empty((m, steps, obs.shape[1]))
+    raw = np.empty_like(obs_n)
+    acts = np.empty((m, steps, act_dim))
+    logps, rews, vals = np.empty((m, steps)), np.empty((m, steps)), np.empty((m, steps))
+    dones = np.empty((m, steps), dtype=bool)
+    for t in range(steps):
+        raw[:, t] = obs
+        obs_stats.add(obs)
+        x = whiten(obs, obs_stats.mean, np.maximum(obs_stats.std(), 1e-8), clip)
+        rows = x[:, None]  # each learner's one-row batch
+        mu = policy_mean(rows)[:, 0]
+        for i, rng in enumerate(rngs):
+            rng.standard_normal(out=noise[i])
+        action = mu + std * noise
+        z = (action - mu) / std
+        logps[:, t] = np.sum(-0.5 * z * z - log_std - 0.5 * _LOG_2PI, axis=1)
+        vals[:, t] = value_of(rows)[:, 0, 0]
+        obs_n[:, t] = x
+        acts[:, t] = action
+        next_obs = np.empty_like(obs)
+        reward = np.empty(m)
+        for i, env in enumerate(envs):
+            next_obs[i], r, done, info = env.step(action[i])
+            reward[i] = r
+            dones[i, t] = done
+            ep_sparse[i] += info.get("sparse_reward", r)
+            if done:
+                episode_returns[i].append(ep_sparse[i])
+                ep_sparse[i] = 0.0
+                next_obs[i] = env.reset(rngs[i])
+        ret = gamma * ret + reward
+        ret_stats.add(ret)
+        rews[:, t] = reward / np.maximum(ret_stats.std(), 1e-8)
+        ret = np.where(dones[:, t], 0.0, ret)
+        obs = next_obs
+    obs_stats.write([n.stat for n in normalizers])
+    ret_stats.write([s.stat for s in reward_scalers])
+    for scaler, r in zip(reward_scalers, ret):
+        scaler.ret = float(r)
+    x = whiten(obs, obs_stats.mean, np.maximum(obs_stats.std(), 1e-8), clip)
+    bootstrap = value_of(x[:, None])[:, 0, 0]
+    buffers = []
+    for i in range(m):
+        live = not dones[i, -1]
+        buffers.append(RolloutBuffer(
+            learner_id=i, obs=obs_n[i], raw_obs=raw[i], actions=acts[i],
+            log_probs=logps[i], rewards=rews[i], values=vals[i], dones=dones[i],
+            bootstrap_value=float(bootstrap[i]) if live else 0.0,
+            final_obs=obs[i].copy() if live else None,
+            episode_returns=episode_returns[i],
+            pending_return=ep_sparse[i] if live else 0.0))
+    return buffers
 
 
 def gae(buffer: RolloutBuffer, gamma: float, lam: float, normalize: bool = False):
@@ -285,7 +315,7 @@ def ppo_update(policy, value_fn, buffer: RolloutBuffer, config: PPOConfig,
             old_logp = buffer.log_probs[idx]
             k = idx.size
 
-            mu, ls = policy.gaussian_batch(x)
+            mu, ls, cache = policy.gaussian_batch(x, with_cache=True)
             std = np.exp(ls)
             z = (buffer.actions[idx] - mu) / std
             logp = np.sum(-0.5 * z * z - ls - 0.5 * _LOG_2PI, axis=1)
@@ -301,12 +331,12 @@ def ppo_update(policy, value_fn, buffer: RolloutBuffer, config: PPOConfig,
             entropy = float(np.sum(ls + 0.5 * (1.0 + _LOG_2PI)))
             dmu = dlogp[:, None] * (z / std)
             dls = (dlogp[:, None] * (z * z - 1.0)).sum(axis=0)
-            grad = policy.backward_gaussian(x, dmu, dls)
+            grad = policy.backward_gaussian(x, dmu, dls, cache=cache)
 
-            v = value_fn.value_batch(x)
+            v, v_cache = value_fn.value_batch(x, with_cache=True)
             v_loss = 0.5 * float(np.mean((v - returns[idx]) ** 2))
             dv = config.value_coef * (v - returns[idx]) / k
-            v_grad = value_fn.backward(x, dv)
+            v_grad = value_fn.backward(x, dv, cache=v_cache)
 
             if not (np.isfinite(pi_loss) and np.isfinite(v_loss)
                     and np.all(np.isfinite(grad)) and np.all(np.isfinite(v_grad))):
@@ -334,33 +364,50 @@ class EvalResult:
     episode_returns: np.ndarray
 
 
-def evaluate(policy, env, rng: np.random.Generator, episodes: int = 10) -> EvalResult:
-    """Mean sparse return and mean behavior descriptor over full episodes.
+def evaluate(policies, envs, rngs, episodes: int = 10) -> list:
+    """Mean sparse return and mean behavior descriptor over full episodes, per learner.
 
-    Every step takes the policy's mean action; ``rng`` goes to ``env.reset``
-    and drives the environment alone.  A policy trained on normalized observations is evaluated through
-    a ``NormalizedPolicy`` view, whose constants stay frozen here.
+    ``policies`` are ``NormalizedPolicy`` views, whose frozen normalization
+    constants stay fixed here.  The M learners run in lockstep: each tick
+    takes every view's mean action from one stacked forward and steps each
+    learner still in its ``episodes`` episodes once in ``envs[i]``;
+    ``rngs[i]`` goes to that env's resets and drives the environment alone.
+    Returns one ``EvalResult`` per learner.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    totals = []
-    bds = []
-    for _ in range(episodes):
-        obs = env.reset(rng)
-        done = False
-        total = 0.0
-        actions = []
-        info = {}
-        while not done:
-            mu, _ = policy.gaussian_batch(np.asarray(obs)[None])
-            action = mu[0]
-            obs, _, done, info = env.step(action)
-            total += info.get("sparse_reward", 0.0)
-            actions.append(action)
-        totals.append(total)
-        bd = env.episode_bd(np.asarray(actions), info)
-        if bd is not None:
-            bds.append(np.asarray(bd, dtype=np.float64))
-    fitness = float(np.mean(totals))
-    bd_mean = np.mean(np.stack(bds), axis=0) if bds else None
-    return EvalResult(fitness=fitness, bd=bd_mean, episode_returns=np.asarray(totals))
+    m = len(policies)
+    if any(view.action_space.kind != "continuous" for view in policies):
+        raise ValueError("evaluate takes continuous policies, not a discrete policy")
+    policy_mean = stacked_forward([view.policy for view in policies])
+    shift = np.stack([view.obs_mean for view in policies])
+    scale = np.stack([view.obs_std for view in policies])
+    clip = np.array([view.clip for view in policies])[:, None]
+    obs = np.stack([env.reset(rng) for env, rng in zip(envs, rngs)], dtype=np.float64)
+    totals = [[] for _ in range(m)]
+    bds = [[] for _ in range(m)]
+    total = [0.0] * m
+    actions = [[] for _ in range(m)]
+    live = list(range(m))
+    while live:
+        mu = policy_mean(whiten(obs, shift, scale, clip)[:, None])[:, 0]
+        for i in tuple(live):
+            env = envs[i]
+            obs[i], _, done, info = env.step(mu[i])
+            total[i] += info.get("sparse_reward", 0.0)
+            actions[i].append(mu[i])
+            if not done:
+                continue
+            totals[i].append(total[i])
+            bd = env.episode_bd(np.asarray(actions[i]), info)
+            if bd is not None:
+                bds[i].append(np.asarray(bd, dtype=np.float64))
+            if len(totals[i]) == episodes:
+                live.remove(i)
+            else:
+                obs[i] = env.reset(rngs[i])
+                total[i], actions[i] = 0.0, []
+    return [EvalResult(fitness=float(np.mean(totals[i])),
+                       bd=np.mean(np.stack(bds[i]), axis=0) if bds[i] else None,
+                       episode_returns=np.asarray(totals[i]))
+            for i in range(m)]

@@ -55,20 +55,23 @@ class ToyEnv:
         return self._pos.copy()
 
     def reward_at(self, pos: np.ndarray) -> float:
-        d2 = np.sum((self._goals - pos) ** 2, axis=1)
-        return float(np.max(self._goal_rewards * np.exp(-d2 / self.config.bump_scale)))
+        # the ndarray methods run the same reductions as np.sum/np.max, minus the wrappers
+        d2 = ((self._goals - pos) ** 2).sum(axis=1)
+        return float((self._goal_rewards * np.exp(-d2 / self.config.bump_scale)).max())
 
     def step(self, action: np.ndarray):
         if self._done:
             raise RuntimeError("step() on a finished episode; call reset()")
         # np.clip's bits without its per-call wrapper cost on this hot path
         action = np.minimum(np.maximum(np.asarray(action, dtype=np.float64), -1.0), 1.0)
-        self._pos = np.minimum(np.maximum(self._pos + self.config.step_size * action, -1.0), 1.0)
+        pos = np.minimum(np.maximum(self._pos + self.config.step_size * action, -1.0), 1.0)
+        # a fresh array each step that the env never writes into, so the
+        # observation and the info share it
+        self._pos = pos
         self._step += 1
-        reward = self.reward_at(self._pos)
+        reward = self.reward_at(pos)
         self._done = self._step >= self.config.horizon
-        info = {"sparse_reward": reward, "position": self._pos.copy()}
-        return self._pos.copy(), reward, self._done, info
+        return pos, reward, self._done, {"sparse_reward": reward, "position": pos}
 
     def episode_bd(self, actions: np.ndarray, last_info: dict) -> np.ndarray:
         """Behavior descriptor: final position mapped into [0, 1]^2."""

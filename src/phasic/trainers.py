@@ -175,7 +175,7 @@ def dvd_update(policies, value_fns, buffers, lam, probe_states, *,
                ppo_config: PPOConfig, policy_opts, value_opts, update_rngs,
                aux_rng=None, aux_lr: float = 1e-3, grad_clip: float = 1.0,
                metric: str = "w2", beta: float = 0.99, deterministic: bool = False,
-               normalizers=None):
+               normalizers):
     """One joint step: theta += (1-lam) * dtheta_reward + lam * dtheta_diversity.
 
     Reward deltas come from a full PPO update per learner; the diversity delta
@@ -183,19 +183,18 @@ def dvd_update(policies, value_fns, buffers, lam, probe_states, *,
     reproduces the plain PPO result exactly, with no ascent and no
     ``aux_rng`` draw, and ``lam`` = 1 the pure ascent step; interior values
     mix the two parameter deltas convexly.  Value functions and optimizer
-    state always advance along the reward path.  A learner whose update
-    turns non-finite keeps its parameters and is flagged ``nan_event``.
+    state always advance along the reward path.  The ascent sees each policy
+    through its learner's normalizer in ``normalizers``.  A learner whose
+    update turns non-finite keeps its parameters and is flagged ``nan_event``.
     Returns (new_policies, new_value_fns, stats_list).
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must lie in [0, 1]")
     n = len(policies)
-    if normalizers is None:
-        normalizers = [None] * n
     aux_deltas = [np.zeros_like(p.params) for p in policies]
     aux_out = None
     if lam > 0.0 and n >= 2:
-        wrapped = [p if norm is None else NormalizedPolicy(p, norm.stat.mean, norm.stat.std)
+        wrapped = [NormalizedPolicy(p, norm.stat.mean, norm.stat.std)
                    for p, norm in zip(policies, normalizers)]
         aux_out, _ = diversity_ascent(
             wrapped, StateBatch(np.asarray(probe_states, dtype=np.float64)),
@@ -324,21 +323,17 @@ def run_training(config: TrainerConfig, out_dir=None, env_factory=None) -> RunRe
                       "env_steps": (it + 1) * config.rollout_steps,
                       "learners": [], "eval": None, "archive": None,
                       "exploit": None, "aux": None, "bandit": None}
-            buffers = []
-            probe_chunks = []
-            for learner in learners:
-                buf = collect_rollout(
-                    learner.policy, learner.value_fn, learner.train_env,
-                    config.rollout_steps, learner.rng,
-                    normalizer=learner.normalizer,
-                    reward_scaler=learner.reward_scaler,
-                    learner_id=learner.id, initial_obs=learner.obs,
-                    carry_return=learner.pending_return)
+            buffers = collect_rollout(
+                [l.policy for l in learners], [l.value_fn for l in learners],
+                [l.train_env for l in learners], config.rollout_steps,
+                [l.rng for l in learners], [l.normalizer for l in learners],
+                [l.reward_scaler for l in learners],
+                initial_obs=[l.obs for l in learners],
+                carry_returns=[l.pending_return for l in learners])
+            for learner, buf in zip(learners, buffers):
                 learner.obs = buf.final_obs
                 learner.pending_return = buf.pending_return
-                buffers.append(buf)
-                probe_chunks.append(buf.raw_obs)
-            probe_pool = np.concatenate(probe_chunks, axis=0)
+            probe_pool = np.concatenate([buf.raw_obs for buf in buffers], axis=0)
 
             probes = (_sample_probes(probe_pool, config.probe_states, aux_rng)
                       if lam > 0.0 else probe_pool[:1])
@@ -364,11 +359,13 @@ def run_training(config: TrainerConfig, out_dir=None, env_factory=None) -> RunRe
             cycle = ((it + 1) % config.eval_every == 0) or (it == n_iters - 1)
             if cycle:
                 evals = []
-                for learner in learners:
+                results = evaluate(
+                    [NormalizedPolicy(l.policy, l.normalizer.stat.mean, l.normalizer.stat.std)
+                     for l in learners],
+                    [l.eval_env for l in learners], [l.rng for l in learners],
+                    episodes=config.eval_episodes)
+                for learner, res in zip(learners, results):
                     stat = learner.normalizer.stat
-                    res = evaluate(NormalizedPolicy(learner.policy, stat.mean, stat.std),
-                                   learner.eval_env, learner.rng,
-                                   episodes=config.eval_episodes)
                     learner.fitness = res.fitness
                     payload = snapshot_payload(learner)
                     last_snapshot[learner.id] = payload
@@ -487,7 +484,8 @@ def _auxiliary_phase(config, source, archive, queue, eval_env, rng, probe_pool, 
     accepted = 0
     offers = []
     for entry, cand in zip(entries, out):
-        res = evaluate(cand, eval_env, rng, episodes=config.eval_episodes)
+        # candidates share one env and ``rng``, so each is evaluated alone, in order
+        res, = evaluate([cand], [eval_env], [rng], episodes=config.eval_episodes)
         payload = dict(entry.payload, policy_params=cand.params.copy())
         ok_grid, ok_queue = _offer(archive, queue, cand.policy, res.fitness, res.bd,
                                    obs_mean=entry.obs_mean, obs_std=entry.obs_std,

@@ -5,8 +5,8 @@ is a recursive cofactor expansion, gradients come from central finite
 differences, and the optimal-transport oracle estimates W2^2 by Monte-Carlo
 over an explicit coupling.  The closed-form distances are written per pair of
 distributions.  The reference kernel passes, network passes, running
-statistics and dogfight kinematics below are the plain forms of the
-production hot path, which must match them bit for bit.
+statistics, per-learner reward phase and dogfight kinematics below are the
+plain forms of the production hot path, which must match them bit for bit.
 """
 
 import math
@@ -16,6 +16,7 @@ import numpy as np
 
 from phasic.dists import LOG_STD_MAX, LOG_STD_MIN, DiagGaussian, DiscreteDist
 from phasic.dogfight import GRAVITY, AircraftState, Geometry, wrap_angle
+from phasic.rl import EvalResult, RolloutBuffer
 
 
 def cofactor_det(a: np.ndarray) -> float:
@@ -377,6 +378,29 @@ def value_backward(value_fn, states, d_value):
 
 # -- reference running statistics -------------------------------------------------
 
+def update_stat(stat, x) -> None:
+    """Batch update of a (count, mean, m2) statistic by the batch reductions,
+    one-row inputs included; ``x`` is one row or a batch of rows."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == stat.mean.ndim:
+        x = x[None]
+    n = x.shape[0]
+    if n == 0:
+        return
+    mean = x.mean(axis=0)
+    m2 = ((x - mean) ** 2).sum(axis=0)
+    if stat.count == 0.0:
+        stat.count = float(n)
+        stat.mean = np.array(mean, dtype=np.float64)
+        stat.m2 = np.array(m2, dtype=np.float64)
+        return
+    total = stat.count + n
+    delta = mean - stat.mean
+    stat.mean = stat.mean + delta * (n / total)
+    stat.m2 = stat.m2 + m2 + delta ** 2 * (stat.count * n / total)
+    stat.count = total
+
+
 class BatchMoments:
     """Streaming (count, mean, m2) that takes the batch reductions for every
     input, one-row inputs included."""
@@ -387,24 +411,7 @@ class BatchMoments:
         self.m2 = np.zeros(shape)
 
     def update(self, x) -> None:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == self.mean.ndim:
-            x = x[None]
-        n = x.shape[0]
-        if n == 0:
-            return
-        mean = x.mean(axis=0)
-        m2 = ((x - mean) ** 2).sum(axis=0)
-        if self.count == 0.0:
-            self.count = float(n)
-            self.mean = np.array(mean, dtype=np.float64)
-            self.m2 = np.array(m2, dtype=np.float64)
-            return
-        total = self.count + n
-        delta = mean - self.mean
-        self.mean = self.mean + delta * (n / total)
-        self.m2 = self.m2 + m2 + delta ** 2 * (self.count * n / total)
-        self.count = total
+        update_stat(self, x)
 
     @property
     def std(self) -> np.ndarray:
@@ -464,3 +471,99 @@ def relative_geometry(attacker, target):
     return Geometry(distance=dist, ata=math.acos(cos_ata), aspect=math.acos(cos_aspect),
                     cos_ata=cos_ata, az_err=wrap_angle(bearing - attacker.heading),
                     elev_err=math.atan2(los[2], math.hypot(los[0], los[1])) - attacker.pitch)
+
+
+# -- reference per-learner reward phase ----------------------------------------------
+
+def normalize(normalizer, obs):
+    """Whiten ``obs`` by a ``Normalizer``'s running statistics, np.clip-clamped."""
+    std = np.maximum(normalizer.stat.std, 1e-8)
+    z = (np.asarray(obs, dtype=np.float64) - normalizer.stat.mean) / std
+    return np.clip(z, -normalizer.clip, normalizer.clip)
+
+
+def scale_reward(scaler, reward: float, done: bool) -> float:
+    """One ``RewardScaler`` step on plain floats: update the discounted return
+    and its statistic, divide the reward by that std, reset on ``done``."""
+    ret = scaler.ret = scaler.gamma * scaler.ret + reward
+    stat = scaler.stat
+    m2_row = (ret - ret) * (ret - ret)
+    if stat.count == 0.0:
+        count, mean, m2 = 1.0, ret, m2_row
+    else:
+        count = stat.count + 1
+        delta = ret - float(stat.mean)
+        mean = float(stat.mean) + delta * (1 / count)
+        m2 = float(stat.m2) + m2_row + delta * delta * (stat.count / count)
+    stat.count, stat.mean, stat.m2 = count, np.array(mean), np.array(m2)
+    std = math.sqrt(max(m2 / count, 0.0)) if count >= 2 else 1.0
+    out = reward / max(std, 1e-8)
+    if done:
+        scaler.ret = 0.0
+    return out
+
+
+def collect_rollout(policy, value_fn, env, steps, rng, normalizer, reward_scaler,
+                    learner_id=0, initial_obs=None, carry_return=0.0) -> RolloutBuffer:
+    """One learner's rollout, one step at a time with one-row forwards."""
+    obs = env.reset(rng) if initial_obs is None else np.asarray(initial_obs, dtype=np.float64)
+    obs_n, raw, acts, logps, rews, vals, dones = [], [], [], [], [], [], []
+    episode_returns = []
+    ep_sparse = float(carry_return) if initial_obs is not None else 0.0
+    for _ in range(steps):
+        update_stat(normalizer.stat, obs)
+        x = normalize(normalizer, obs)
+        mu, ls = policy.gaussian_batch(x[None])
+        std = np.exp(ls)
+        action = mu[0] + std * rng.standard_normal(std.shape)
+        z = (action - mu[0]) / std
+        logp = float(np.sum(-0.5 * z * z - ls - 0.5 * float(np.log(2.0 * np.pi))))
+        value = value_fn.value(x)
+        next_obs, reward, done, info = env.step(action)
+        ep_sparse += info.get("sparse_reward", reward)
+        reward = scale_reward(reward_scaler, float(reward), done)
+        obs_n.append(x)
+        raw.append(np.array(obs))
+        acts.append(action)
+        logps.append(logp)
+        rews.append(float(reward))
+        vals.append(value)
+        dones.append(done)
+        if done:
+            episode_returns.append(ep_sparse)
+            ep_sparse = 0.0
+            obs = env.reset(rng)
+        else:
+            obs = next_obs
+    if dones[-1]:
+        bootstrap, final_obs = 0.0, None
+    else:
+        bootstrap, final_obs = value_fn.value(normalize(normalizer, obs)), np.array(obs)
+    return RolloutBuffer(
+        learner_id=learner_id, obs=np.asarray(obs_n), raw_obs=np.asarray(raw),
+        actions=np.asarray(acts), log_probs=np.asarray(logps), rewards=np.asarray(rews),
+        values=np.asarray(vals), dones=np.asarray(dones, dtype=bool),
+        bootstrap_value=float(bootstrap), final_obs=final_obs,
+        episode_returns=episode_returns,
+        pending_return=0.0 if dones[-1] else ep_sparse)
+
+
+def evaluate(policy, env, rng, episodes=10) -> EvalResult:
+    """One policy's evaluation, episode after episode with one-row forwards."""
+    totals, bds = [], []
+    for _ in range(episodes):
+        obs = env.reset(rng)
+        done, total, actions, info = False, 0.0, [], {}
+        while not done:
+            mu, _ = policy.gaussian_batch(np.asarray(obs)[None])
+            action = mu[0]
+            obs, _, done, info = env.step(action)
+            total += info.get("sparse_reward", 0.0)
+            actions.append(action)
+        totals.append(total)
+        bd = env.episode_bd(np.asarray(actions), info)
+        if bd is not None:
+            bds.append(np.asarray(bd, dtype=np.float64))
+    return EvalResult(fitness=float(np.mean(totals)),
+                      bd=np.mean(np.stack(bds), axis=0) if bds else None,
+                      episode_returns=np.asarray(totals))

@@ -59,8 +59,10 @@ def test_engine_calls_run_through_the_hooks(tracing, tmp_path):
                               env_factory=meter.factory(lambda: make_env("toy")))
     assert meter.train_steps == cfg.iterations * cfg.rollout_steps * cfg.population
     table = tracer.table()
-    for name, calls in (("rl.collect_rollout", 4), ("rl.ppo_update", 4),
-                        ("rl.evaluate", 4 + 2 * 2), ("detops.diversity_ascent", 2),
+    # one population rollout per iteration; one live evaluation per cycle, plus
+    # one per auxiliary candidate
+    for name, calls in (("rl.collect_rollout", 2), ("rl.ppo_update", 4),
+                        ("rl.evaluate", 2 + 2 * 2), ("detops.diversity_ascent", 2),
                         ("archive.save", 1)):
         assert table.durations(name).size == calls, name
     offers = 4 + sum(r["aux"]["offered"] for r in result.records)

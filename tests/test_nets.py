@@ -8,7 +8,7 @@ import oracles
 from oracles import central_diff_grad, grad_close
 
 from phasic.nets import (ActionSpace, NormalizedPolicy, Policy, ValueFunction,
-                         load_policy, save_policy)
+                         load_policy, save_policy, stacked_forward)
 from phasic.optim import Adam
 
 
@@ -169,8 +169,11 @@ class TestForwardBackwardMatchReference:
             up = rng.standard_normal((rows, dim))
             if pol.action_space.kind == "continuous":
                 d_ls = rng.standard_normal(dim)
-                assert np.array_equal(pol.backward_gaussian(x, up, d_ls),
-                                      oracles.backward_gaussian(pol, x, up, d_ls))
+                want = oracles.backward_gaussian(pol, x, up, d_ls)
+                assert np.array_equal(pol.backward_gaussian(x, up, d_ls), want)
+                mu, ls, cache = pol.gaussian_batch(x, with_cache=True)
+                assert np.array_equal(mu, pol.gaussian_batch(x)[0])
+                assert np.array_equal(pol.backward_gaussian(x, up, d_ls, cache=cache), want)
                 assert np.array_equal(pol.backward_gaussian(x, up),
                                       oracles.backward_gaussian(pol, x, up))
             else:
@@ -179,7 +182,31 @@ class TestForwardBackwardMatchReference:
                 assert np.array_equal(pol.backward_probs(x, up),
                                       oracles.backward_probs(pol, x, up))
             dv = rng.standard_normal(rows)
-            assert np.array_equal(vf.backward(x, dv), oracles.value_backward(vf, x, dv))
+            want = oracles.value_backward(vf, x, dv)
+            assert np.array_equal(vf.backward(x, dv), want)
+            v, cache = vf.value_batch(x, with_cache=True)
+            assert np.array_equal(v, vf.value_batch(x))
+            assert np.array_equal(vf.backward(x, dv, cache=cache), want)
+
+    @pytest.mark.parametrize("obs_dim,act_dim", [(2, 2), (22, 4)])
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_stacked_forward_equals_per_network(self, obs_dim, act_dim, m):
+        """One ``_Mlp.forward`` over stacked (M, in, out) weights gives each
+        network's rows the bits of its own pass, one-row inputs included."""
+        rng = np.random.default_rng(obs_dim + m)
+        pols = [random_gaussian_policy(rng, obs_dim, act_dim, hidden=(64, 64))
+                for _ in range(m)]
+        vfs = [ValueFunction.init(obs_dim, rng, hidden=(64, 64)) for _ in range(m)]
+        policy_mean, value_of = stacked_forward(pols), stacked_forward(vfs)
+        for rows in (1, 4):
+            x = 3.0 * rng.standard_normal((m, rows, obs_dim))
+            mu, v = policy_mean(x), value_of(x)
+            assert mu.shape == (m, rows, act_dim) and v.shape == (m, rows, 1)
+            for i in range(m):
+                assert np.array_equal(mu[i], pols[i].gaussian_batch(x[i])[0])
+                assert np.array_equal(v[i, :, 0], vfs[i].value_batch(x[i]))
+        with pytest.raises(ValueError, match="layout"):
+            stacked_forward([pols[0], random_gaussian_policy(rng, obs_dim, act_dim, (8,))])
 
     def test_clamped_log_std_matches_reference(self):
         pol = linear_gaussian_policy([[1.0], [2.0], [3.0]], [0.0, 0.0, 0.0], [-30.0, 0.5, 5.0])

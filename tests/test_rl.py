@@ -3,21 +3,67 @@
 import numpy as np
 import pytest
 
-from phasic.nets import ActionSpace, NormalizedPolicy, Policy, ValueFunction
+from phasic.dogfight import DogfightConfig, DogfightEnv
+from phasic.nets import ActionSpace, NormalizedPolicy, Policy, ValueFunction, whiten
 from phasic.optim import Adam
 from phasic.rl import (Normalizer, PPOConfig, RewardScaler, RolloutBuffer,
-                       RunningStat, collect_rollout, evaluate, gae, ppo_update)
+                       RunningStat, StackedStats, collect_rollout, evaluate, gae,
+                       ppo_update)
 from phasic.toy import ToyConfig, ToyEnv
 
+import oracles
 from factories import linear_gaussian_policy, random_discrete_policy
 from oracles import ArrayRewardScaler, BatchMoments
 
 
 def make_learner(rng, obs_dim=2, act_dim=2, hidden=(8,)):
-    policy = Policy.init(obs_dim, __import__("phasic.nets", fromlist=["ActionSpace"])
-                         .ActionSpace("continuous", act_dim), rng, hidden=hidden)
+    policy = Policy.init(obs_dim, ActionSpace("continuous", act_dim), rng, hidden=hidden)
     value_fn = ValueFunction.init(obs_dim, rng, hidden=hidden)
     return policy, value_fn
+
+
+def rollout(policy, value_fn, env, steps, rng, normalizer=None, reward_scaler=None, **kw):
+    """A population-of-one rollout; fresh statistics unless given."""
+    normalizer = normalizer or Normalizer(env.obs_dim)
+    reward_scaler = reward_scaler or RewardScaler()
+    buf, = collect_rollout([policy], [value_fn], [env], steps, [rng], [normalizer],
+                           [reward_scaler], **kw)
+    return buf
+
+
+def add_rows(stat, rows):
+    """Advance a RunningStat by one row at a time, as a rollout tick does."""
+    stacked = StackedStats([stat])
+    for row in np.asarray(rows, dtype=np.float64):
+        stacked.add(row[None])
+    stacked.write([stat])
+
+
+class ScriptedEnv:
+    """One-dimensional env whose steps pay a fixed reward script; no draws."""
+
+    obs_dim = 1
+    action_space = ActionSpace("continuous", 1)
+
+    def __init__(self, rewards, dones=None):
+        self.rewards = [float(r) for r in rewards]
+        self.dones = [False] * len(self.rewards) if dones is None else [bool(d) for d in dones]
+        self.t = 0
+
+    def reset(self, rng):
+        return np.zeros(1)
+
+    def step(self, action):
+        t, self.t = self.t, self.t + 1
+        return np.zeros(1), self.rewards[t], self.dones[t], {}
+
+
+def scaled_rewards(scaler, rewards, dones=None):
+    """The learning rewards a rollout hands PPO for a reward script."""
+    policy = linear_gaussian_policy([[0.0]], [0.0], 0.0)
+    value_fn = ValueFunction.init(1, np.random.default_rng(0), hidden=())
+    return rollout(policy, value_fn, ScriptedEnv(rewards, dones), len(rewards),
+                   np.random.default_rng(0), reward_scaler=scaler).rewards
 
 
 class TestRunningStat:
@@ -25,7 +71,7 @@ class TestRunningStat:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(50, 3))
         stat = RunningStat((3,))
-        stat.update_batch(x)
+        add_rows(stat, x)
         assert stat.mean == pytest.approx(x.mean(axis=0), abs=1e-12)
         assert stat.var == pytest.approx(x.var(axis=0), abs=1e-12)
 
@@ -34,7 +80,7 @@ class TestRunningStat:
         x = rng.normal(loc=3.0, scale=2.0, size=(300, 4))
         stat = RunningStat((4,))
         for lo in range(0, 300, 17):
-            stat.update_batch(x[lo:lo + 17])
+            add_rows(stat, x[lo:lo + 17])
         assert stat.count == 300
         assert stat.mean == pytest.approx(x.mean(axis=0), abs=1e-10)
         assert stat.var == pytest.approx(x.var(axis=0), rel=1e-10)
@@ -42,13 +88,13 @@ class TestRunningStat:
     def test_few_samples_report_unit_variance(self):
         stat = RunningStat(())
         assert stat.var == pytest.approx(1.0)
-        stat.update_batch(np.array([4.2]))
+        add_rows(stat, [4.2])
         assert stat.var == pytest.approx(1.0)
         assert stat.mean == pytest.approx(4.2)
 
     def test_state_round_trip(self):
         stat = RunningStat((2,))
-        stat.update_batch(np.arange(10).reshape(5, 2))
+        add_rows(stat, np.arange(10).reshape(5, 2))
         clone = RunningStat((2,))
         clone.load_state(stat.state_dict())
         assert clone.count == stat.count
@@ -57,7 +103,8 @@ class TestRunningStat:
 
 
 class TestOneRowUpdatesMatchBatchFormula:
-    """One-row updates skip the reductions but must equal them bit for bit."""
+    """Stacked one-row updates skip the reductions but must equal them bit for bit,
+    for every statistic of the stack, whatever its count."""
 
     @staticmethod
     def _stream(rng, shape, poison):
@@ -66,40 +113,55 @@ class TestOneRowUpdatesMatchBatchFormula:
             rows[at] = np.full(shape, value)
         return rows
 
+    def _check_streams(self, shape, poison, seed):
+        rng = np.random.default_rng(seed)
+        # three statistics at once: fresh, fresh with a poisoned stream, and one
+        # already holding rows of its own (as after an exploit)
+        streams = [self._stream(rng, shape, ()), self._stream(rng, shape, poison),
+                   self._stream(rng, shape, ())]
+        refs = [BatchMoments(shape) for _ in streams]
+        stats = [RunningStat(shape) for _ in streams]
+        head = rng.normal(size=(7, *shape))
+        refs[2].update(head)
+        stats[2].load_state({"count": refs[2].count, "mean": refs[2].mean, "m2": refs[2].m2})
+        stacked = StackedStats(stats)
+        for rows in zip(*streams):
+            stacked.add(np.stack(rows))
+            for i, (ref, row) in enumerate(zip(refs, rows)):
+                ref.update(row)
+                assert stacked.count[i] == ref.count
+                assert np.array_equal(stacked.mean[i], ref.mean, equal_nan=True)
+                assert np.array_equal(stacked.m2[i], ref.m2, equal_nan=True)
+        return stacked
+
     @pytest.mark.parametrize("shape", [(), (3,)])
     def test_finite_stream(self, shape):
-        rng = np.random.default_rng(16)
-        stat, ref = RunningStat(shape), BatchMoments(shape)
-        for row in self._stream(rng, shape, ()):
-            stat.update_batch(row)
-            ref.update(row)
-            assert stat.count == ref.count
-            assert np.array_equal(stat.mean, ref.mean)
-            assert np.array_equal(stat.m2, ref.m2)
+        self._check_streams(shape, (), 16)
 
     @pytest.mark.parametrize("shape", [(), (3,)])
     @pytest.mark.parametrize("poison", [[(30, np.inf)], [(30, np.nan)],
                                         [(0, -np.inf)], [(20, np.inf), (40, np.nan)]])
     def test_non_finite_rows_propagate_alike(self, shape, poison):
-        rng = np.random.default_rng(17)
-        stat, ref = RunningStat(shape), BatchMoments(shape)
         with np.errstate(invalid="ignore"):
-            for row in self._stream(rng, shape, poison):
-                stat.update_batch(row)
-                ref.update(row)
-                assert stat.count == ref.count
-                assert np.array_equal(stat.mean, ref.mean, equal_nan=True)
-                assert np.array_equal(stat.m2, ref.m2, equal_nan=True)
-        assert not np.all(np.isfinite(stat.m2))
+            stacked = self._check_streams(shape, poison, 17)
+        assert not np.all(np.isfinite(stacked.m2[1]))
+        assert np.all(np.isfinite(stacked.m2[[0, 2]]))
 
-    def test_one_row_batches_and_bare_rows_agree(self):
+    def test_stacked_rows_and_lone_rows_agree(self):
         rng = np.random.default_rng(18)
-        bare, wrapped = RunningStat((2,)), RunningStat((2,))
-        for row in rng.standard_normal((25, 2)):
-            bare.update_batch(row)
-            wrapped.update_batch(row[None])
-        assert np.array_equal(bare.mean, wrapped.mean)
-        assert np.array_equal(bare.m2, wrapped.m2)
+        rows = rng.standard_normal((25, 3, 2))
+        stacked = StackedStats([RunningStat((2,)) for _ in range(3)])
+        alone = [StackedStats([RunningStat((2,))]) for _ in range(3)]
+        for tick in rows:
+            stacked.add(tick)
+            for i, lone in enumerate(alone):
+                lone.add(tick[i][None])
+        written = [RunningStat((2,)) for _ in range(3)]
+        stacked.write(written)
+        for stat, lone in zip(written, alone):
+            assert np.array_equal(stat.mean, lone.mean[0])
+            assert np.array_equal(stat.m2, lone.m2[0])
+            assert not np.shares_memory(stat.mean, stacked.mean)
 
     @pytest.mark.parametrize("gamma", [0.5, 0.99])
     @pytest.mark.parametrize("poison", [None, (0, np.inf), (150, np.inf), (150, np.nan)])
@@ -113,22 +175,23 @@ class TestOneRowUpdatesMatchBatchFormula:
             rewards[poison[0]] = poison[1]
         dones = rng.random(300) < 0.05
         with np.errstate(invalid="ignore"):
-            for r, d in zip(rewards, dones):
-                assert np.array_equal(scaler.scale(float(r), bool(d)),
-                                      ref.scale(float(r), bool(d)), equal_nan=True)
-                assert np.array_equal(scaler.ret, ref.ret, equal_nan=True)
-                assert scaler.stat.count == ref.stat.count
-                assert np.array_equal(scaler.stat.mean, ref.stat.mean, equal_nan=True)
-                assert np.array_equal(scaler.stat.m2, ref.stat.m2, equal_nan=True)
+            got = scaled_rewards(scaler, rewards, dones)
+            want = [ref.scale(float(r), bool(d)) for r, d in zip(rewards, dones)]
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(scaler.ret, ref.ret, equal_nan=True)
+        assert scaler.stat.count == ref.stat.count
+        assert np.array_equal(scaler.stat.mean, ref.stat.mean, equal_nan=True)
+        assert np.array_equal(scaler.stat.m2, ref.stat.m2, equal_nan=True)
 
     def test_reward_scaler_state_round_trips(self):
         scaler = RewardScaler(0.9)
-        for r in (1.0, -2.0, 0.5):
-            scaler.scale(r, False)
+        scaled_rewards(scaler, [1.0, -2.0, 0.5])
         clone = RewardScaler()
         clone.load_state(scaler.state_dict())
         assert clone.gamma == 0.9
-        assert clone.scale(3.0, True) == scaler.scale(3.0, True)
+        assert np.array_equal(scaled_rewards(clone, [3.0], [True]),
+                              scaled_rewards(scaler, [3.0], [True]))
+        assert clone.state_dict()["stat"]["count"] == scaler.stat.count == 4
 
 
 class TestNormalizer:
@@ -136,24 +199,27 @@ class TestNormalizer:
         rng = np.random.default_rng(3)
         data = rng.normal(loc=10.0, scale=0.5, size=(200, 2))
         norm = Normalizer(2)
-        norm.update(data)
-        out = norm.normalize(data)
+        add_rows(norm.stat, data)
+        std = np.maximum(norm.stat.std, 1e-8)
+        out = whiten(data, norm.stat.mean, std, norm.clip)
         assert out.mean(axis=0) == pytest.approx(np.zeros(2), abs=1e-10)
         assert out.std(axis=0) == pytest.approx(np.ones(2), rel=1e-10)
-        assert np.all(np.abs(norm.normalize(np.array([1e9, -1e9]))) <= 10.0)
+        assert np.all(np.abs(whiten(np.array([1e9, -1e9]), norm.stat.mean, std,
+                                    norm.clip)) <= 10.0)
         # the clamp gives np.clip's bits, non-finite inputs included
         x = rng.normal(loc=10.0, scale=20.0, size=(300, 2))
         x[::7, 0], x[3::11, 1], x[5::13] = np.inf, -np.inf, np.nan
-        z = (x - norm.stat.mean) / np.maximum(norm.stat.std, 1e-8)
-        assert np.array_equal(norm.normalize(x), np.clip(z, -10.0, 10.0), equal_nan=True)
+        z = (x - norm.stat.mean) / std
+        assert np.array_equal(whiten(x, norm.stat.mean, std, norm.clip),
+                              np.clip(z, -10.0, 10.0), equal_nan=True)
 
     def test_copy_is_independent(self):
         # the snapshot path: a loaded state shares no arrays with its source
         norm = Normalizer(2, clip=5.0)
-        norm.update(np.ones((5, 2)))
+        add_rows(norm.stat, np.ones((5, 2)))
         clone = Normalizer(2)
         clone.load_state(norm.state_dict())
-        norm.update(np.full((50, 2), 100.0))
+        add_rows(norm.stat, np.full((50, 2), 100.0))
         assert clone.stat.count == 5
         assert clone.clip == 5.0
         assert np.array_equal(clone.stat.mean, np.ones(2))
@@ -163,7 +229,7 @@ class TestNormalizer:
         norm = Normalizer(3)
         data = rng.normal(loc=2.0, scale=3.0, size=(40, 3))
         data[:, 2] = 7.0  # a zero-variance column: std floors at 1e-8
-        norm.update(data)
+        add_rows(norm.stat, data)
         x = rng.normal(loc=2.0, scale=40.0, size=(300, 3))
         x[::7, 0], x[3::11, 1], x[5::13] = np.inf, -np.inf, np.nan
         x[1::4, 2] = 7.0 + rng.normal(scale=1e-9, size=x[1::4, 2].shape)
@@ -178,32 +244,29 @@ class TestNormalizer:
 
         view = NormalizedPolicy(Recorder(), norm.stat.mean, norm.stat.std)
         view.gaussian_batch(x)
-        assert np.array_equal(seen[0], norm.normalize(x), equal_nan=True)
+        assert np.array_equal(seen[0], oracles.normalize(norm, x), equal_nan=True)
 
 
 class TestRewardScaler:
     def test_first_reward_passes_through(self):
         scaler = RewardScaler(gamma=0.99)
-        assert scaler.scale(1.0, False) == pytest.approx(1.0)
+        assert scaled_rewards(scaler, [1.0])[0] == pytest.approx(1.0)
 
     def test_scales_by_return_std(self):
         rng = np.random.default_rng(4)
         scaler = RewardScaler(gamma=0.9)
-        ret = 0.0
+        rewards = rng.normal(size=100)
         rets = []
-        out = 0.0
-        for i in range(100):
-            r = float(rng.normal())
+        ret = 0.0
+        for r in rewards:
             ret = 0.9 * ret + r
             rets.append(ret)
-            out = scaler.scale(r, False)
-            r_last = r
-        expected = r_last / np.std(rets)
-        assert out == pytest.approx(expected, rel=1e-9)
+        out = scaled_rewards(scaler, rewards)[-1]
+        assert out == pytest.approx(rewards[-1] / np.std(rets), rel=1e-9)
 
     def test_done_resets_the_return_accumulator(self):
         scaler = RewardScaler(gamma=0.5)
-        scaler.scale(8.0, True)
+        scaled_rewards(scaler, [8.0], [True])
         assert scaler.ret == 0.0
 
 
@@ -270,7 +333,7 @@ class TestCollectRollout:
         rng = np.random.default_rng(7)
         env = ToyEnv()
         policy, value_fn = make_learner(rng)
-        buf = collect_rollout(policy, value_fn, env, steps=37, rng=rng)
+        buf = rollout(policy, value_fn, env, 37, rng)
         assert len(buf) == 37
         assert buf.obs.shape == (37, 2)
         assert buf.raw_obs.shape == (37, 2)
@@ -278,20 +341,11 @@ class TestCollectRollout:
         assert buf.log_probs.shape == (37,)
         assert buf.dones.dtype == bool
 
-    def test_without_normalizer_obs_equals_raw(self):
-        rng = np.random.default_rng(8)
-        env = ToyEnv()
-        policy, value_fn = make_learner(rng)
-        buf = collect_rollout(policy, value_fn, env, steps=20, rng=rng)
-        assert np.array_equal(buf.obs, buf.raw_obs)
-
     def test_seeded_determinism(self):
         env_a, env_b = ToyEnv(), ToyEnv()
         policy, value_fn = make_learner(np.random.default_rng(9))
-        buf_a = collect_rollout(policy, value_fn, env_a, 50, np.random.default_rng(42),
-                                normalizer=Normalizer(2), reward_scaler=RewardScaler())
-        buf_b = collect_rollout(policy, value_fn, env_b, 50, np.random.default_rng(42),
-                                normalizer=Normalizer(2), reward_scaler=RewardScaler())
+        buf_a = rollout(policy, value_fn, env_a, 50, np.random.default_rng(42))
+        buf_b = rollout(policy, value_fn, env_b, 50, np.random.default_rng(42))
         assert np.array_equal(buf_a.obs, buf_b.obs)
         assert np.array_equal(buf_a.actions, buf_b.actions)
         assert np.array_equal(buf_a.rewards, buf_b.rewards)
@@ -303,8 +357,8 @@ class TestCollectRollout:
         env = ToyEnv(ToyConfig(horizon=50))
         policy = linear_gaussian_policy(np.zeros((2, 2)), np.zeros(2), log_std=-20.0)
         value_fn = ValueFunction.init(2, np.random.default_rng(0), hidden=(4,))
-        buf = collect_rollout(policy, value_fn, env, steps=125,
-                              rng=np.random.default_rng(10))
+        norm = Normalizer(2)
+        buf = rollout(policy, value_fn, env, 125, np.random.default_rng(10), normalizer=norm)
         assert int(buf.dones.sum()) == 2
         assert len(buf.episode_returns) == 2
         starts = [buf.raw_obs[0], buf.raw_obs[50]]
@@ -312,38 +366,206 @@ class TestCollectRollout:
             assert got == pytest.approx(50 * env.reward_at(start), rel=1e-5)
         # mid-episode cut: bootstrap from the live state, continuation obs kept
         assert buf.final_obs is not None
-        assert buf.bootstrap_value == pytest.approx(value_fn.value(buf.final_obs))
+        assert buf.bootstrap_value == pytest.approx(
+            value_fn.value(oracles.normalize(norm, buf.final_obs)))
 
     def test_rollout_ending_on_done_has_no_continuation(self):
         env = ToyEnv(ToyConfig(horizon=25))
         policy, value_fn = make_learner(np.random.default_rng(11))
-        buf = collect_rollout(policy, value_fn, env, steps=50,
-                              rng=np.random.default_rng(11))
+        buf = rollout(policy, value_fn, env, 50, np.random.default_rng(11))
         assert buf.dones[-1]
         assert buf.final_obs is None
         assert buf.bootstrap_value == 0.0
 
     def test_continuation_resumes_episode(self):
-        env = ToyEnv(ToyConfig(horizon=60))
+        env = SparseLog(ToyEnv(ToyConfig(horizon=60)))
         policy, value_fn = make_learner(np.random.default_rng(12))
         rng = np.random.default_rng(13)
-        buf1 = collect_rollout(policy, value_fn, env, 30, rng)
-        buf2 = collect_rollout(policy, value_fn, env, 30, rng,
-                               initial_obs=buf1.final_obs,
-                               carry_return=buf1.pending_return)
+        norm, scaler = Normalizer(2), RewardScaler()
+        buf1 = rollout(policy, value_fn, env, 30, rng, norm, scaler)
+        buf2 = rollout(policy, value_fn, env, 30, rng, norm, scaler,
+                       initial_obs=[buf1.final_obs], carry_returns=[buf1.pending_return])
         assert not buf1.dones.any()
         assert buf2.dones[-1]
         assert len(buf2.episode_returns) == 1
         # the stitched episode spans both rollouts
         total = buf2.episode_returns[0]
-        assert total == pytest.approx(
-            buf1.rewards.sum() + buf2.rewards.sum(), rel=1e-12)
+        assert total == pytest.approx(sum(env.sparse), rel=1e-12)
+        assert len(env.sparse) == 60
+
+
+class SparseLog:
+    """Env wrapper that logs each step's sparse reward."""
+
+    def __init__(self, env):
+        self.env = env
+        self.obs_dim, self.action_space = env.obs_dim, env.action_space
+        self.sparse = []
+
+    def reset(self, rng):
+        return self.env.reset(rng)
+
+    def step(self, action):
+        out = self.env.step(action)
+        self.sparse.append(out[3]["sparse_reward"])
+        return out
+
+
+class Poisoned:
+    """Env wrapper that overwrites the observation at given steps with a value."""
+
+    def __init__(self, env, poison):
+        self.env = env
+        self.obs_dim, self.action_space = env.obs_dim, env.action_space
+        self.poison = dict(poison)
+        self.t = 0
+
+    def reset(self, rng):
+        return self.env.reset(rng)
+
+    def step(self, action):
+        obs, reward, done, info = self.env.step(action)
+        self.t += 1
+        if self.t in self.poison:
+            obs = np.full_like(obs, self.poison[self.t])
+        return obs, reward, done, info
+
+
+def _stats_equal(a, b):
+    return (a.count == b.count and np.array_equal(a.mean, b.mean, equal_nan=True)
+            and np.array_equal(a.m2, b.m2, equal_nan=True))
+
+
+def _buffers_equal(got, want):
+    for name in ("obs", "raw_obs", "actions", "log_probs", "rewards", "values"):
+        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+    assert np.array_equal(got.dones, want.dones)
+    assert np.array_equal(got.bootstrap_value, want.bootstrap_value, equal_nan=True)
+    assert (got.final_obs is None) == (want.final_obs is None)
+    if got.final_obs is not None:
+        assert np.array_equal(got.final_obs, want.final_obs, equal_nan=True)
+    assert np.array_equal(got.episode_returns, want.episode_returns, equal_nan=True)
+    assert np.array_equal(got.pending_return, want.pending_return, equal_nan=True)
+    assert got.learner_id == want.learner_id
+
+
+class TestLockstepMatchesPerLearner:
+    """The population rollout and evaluation equal M per-learner reference loops
+    (tests/oracles.py) bit for bit: every buffer field, the statistics and
+    generators afterwards."""
+
+    @staticmethod
+    def population(m, obs_dim, act_dim, seed, hidden=(16, 16)):
+        rng = np.random.default_rng(seed)
+        pols, vfs = [], []
+        for _ in range(m):
+            pol, vf = make_learner(rng, obs_dim, act_dim, hidden)
+            pols.append(pol.with_params(pol.params + 0.3 * rng.standard_normal(pol.n_params)))
+            vfs.append(vf)
+        return pols, vfs
+
+    @staticmethod
+    def statistics(m, obs_dim, seed):
+        """Normalizers and scalers; learner i has already seen 3*i rows (none for i=0)."""
+        rng = np.random.default_rng(seed)
+        norms, scalers = [], []
+        for i in range(m):
+            norm, scaler = Normalizer(obs_dim), RewardScaler()
+            if i:
+                oracles.update_stat(norm.stat, rng.normal(size=(3 * i, obs_dim)))
+                for r in rng.normal(size=3 * i):
+                    oracles.scale_reward(scaler, float(r), False)
+            norms.append(norm)
+            scalers.append(scaler)
+        return norms, scalers
+
+    def check(self, make_env, m, steps, windows=2, obs_dim=2, act_dim=2, seed=0):
+        pols, vfs = self.population(m, obs_dim, act_dim, seed)
+        got_norms, got_scalers = self.statistics(m, obs_dim, seed)
+        ref_norms, ref_scalers = self.statistics(m, obs_dim, seed)
+        got_envs, ref_envs = [make_env(i) for i in range(m)], [make_env(i) for i in range(m)]
+        got_rngs = [np.random.default_rng(100 + i) for i in range(m)]
+        ref_rngs = [np.random.default_rng(100 + i) for i in range(m)]
+        carry = [(None, 0.0)] * m
+        out = []
+        for _ in range(windows):
+            got = collect_rollout(pols, vfs, got_envs, steps, got_rngs, got_norms, got_scalers,
+                                  initial_obs=[c[0] for c in carry],
+                                  carry_returns=[c[1] for c in carry])
+            refs = []
+            for i in range(m):
+                obs, ret = carry[i]
+                refs.append(oracles.collect_rollout(
+                    pols[i], vfs[i], ref_envs[i], steps, ref_rngs[i], ref_norms[i],
+                    ref_scalers[i], learner_id=i, initial_obs=obs, carry_return=ret))
+            assert len(got) == m
+            for g, r in zip(got, refs):
+                _buffers_equal(g, r)
+            carry = [(b.final_obs, b.pending_return) for b in got]
+            out.append(got)
+            for i in range(m):
+                assert _stats_equal(got_norms[i].stat, ref_norms[i].stat)
+                assert got_norms[i].clip == ref_norms[i].clip
+                assert _stats_equal(got_scalers[i].stat, ref_scalers[i].stat)
+                assert np.array_equal(got_scalers[i].ret, ref_scalers[i].ret, equal_nan=True)
+                assert got_rngs[i].bit_generator.state == ref_rngs[i].bit_generator.state
+        return out
+
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_toy_rollout(self, m):
+        # horizons differ, so learners finish episodes on different ticks, and
+        # the second window starts learner 0 afresh and continues the others
+        first, _ = self.check(lambda i: ToyEnv(ToyConfig(horizon=35 + 7 * i)), m, steps=70)
+        assert [b.final_obs is None for b in first] == [True] + [False] * (m - 1)
+        assert [b.pending_return != 0.0 for b in first] == [False] + [True] * (m - 1)
+
+    def test_dogfight_rollout_with_staggered_episode_ends(self):
+        _, got = self.check(lambda i: DogfightEnv(DogfightConfig(max_steps=25 + 10 * i)), 3,
+                            steps=60, obs_dim=22, act_dim=4)
+        assert [len(b.episode_returns) for b in got] == [2, 2, 1]
+
+    def test_non_finite_observation_row(self):
+        poison = {0: [(5, np.inf)], 1: [], 2: [(9, np.nan), (12, -np.inf)]}
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, = self.check(lambda i: Poisoned(ToyEnv(), poison[i]), 3, steps=20, windows=1)
+        assert not np.all(np.isfinite(got[0].obs)) and not np.all(np.isfinite(got[2].obs))
+        assert np.all(np.isfinite(got[1].obs))
+
+    @staticmethod
+    def views(m, obs_dim, act_dim, seed):
+        pols, _ = TestLockstepMatchesPerLearner.population(m, obs_dim, act_dim, seed)
+        rng = np.random.default_rng(seed + 1)
+        return [NormalizedPolicy(p, rng.normal(scale=0.2, size=obs_dim),
+                                 rng.uniform(0.5, 2.0, size=obs_dim)) for p in pols]
+
+    def check_evaluate(self, make_env, views, episodes):
+        m = len(views)
+        got_rngs = [np.random.default_rng(200 + i) for i in range(m)]
+        ref_rngs = [np.random.default_rng(200 + i) for i in range(m)]
+        got = evaluate(views, [make_env(i) for i in range(m)], got_rngs, episodes=episodes)
+        assert len(got) == m
+        for i, (view, res) in enumerate(zip(views, got)):
+            ref = oracles.evaluate(view, make_env(i), ref_rngs[i], episodes=episodes)
+            assert res.fitness == ref.fitness
+            assert np.array_equal(res.bd, ref.bd)
+            assert np.array_equal(res.episode_returns, ref.episode_returns)
+            assert got_rngs[i].bit_generator.state == ref_rngs[i].bit_generator.state
+        return got
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_toy_evaluate(self, m):
+        views = self.views(m, 2, 2, seed=3)
+        self.check_evaluate(lambda i: ToyEnv(ToyConfig(horizon=20 + 15 * i)), views, 3)
+
+    def test_dogfight_evaluate(self):
+        views = self.views(3, 22, 4, seed=4)
+        self.check_evaluate(lambda i: DogfightEnv(DogfightConfig(max_steps=400)), views, 2)
 
 
 class TestPpoUpdate:
     @staticmethod
     def random_buffer(rng, policy, value_fn, env, steps=64):
-        return collect_rollout(policy, value_fn, env, steps, rng)
+        return rollout(policy, value_fn, env, steps, rng)
 
     def test_zero_advantage_leaves_policy_unchanged(self):
         rng = np.random.default_rng(14)
@@ -424,7 +646,8 @@ class TestEvaluate:
     def test_quiet_policy_matches_closed_form(self):
         env = ToyEnv(ToyConfig(spawn_jitter=0.0, horizon=40))
         policy = linear_gaussian_policy(np.zeros((2, 2)), np.zeros(2), log_std=0.0)
-        res = evaluate(policy, env, np.random.default_rng(20), episodes=3)
+        view = NormalizedPolicy(policy, np.zeros(2), np.ones(2))
+        res, = evaluate([view], [env], [np.random.default_rng(20)], episodes=3)
         # deterministic mean action is 0 from the origin: parked at spawn
         assert res.fitness == pytest.approx(40 * env.reward_at(np.zeros(2)), rel=1e-12)
         assert res.episode_returns.shape == (3,)
@@ -433,19 +656,19 @@ class TestEvaluate:
     def test_normalizer_applied_but_not_updated(self):
         policy, _ = make_learner(np.random.default_rng(21))
         norm = Normalizer(2)
-        norm.update(np.random.default_rng(22).normal(loc=3.0, scale=0.1, size=(50, 2)))
+        add_rows(norm.stat, np.random.default_rng(22).normal(loc=3.0, scale=0.1, size=(50, 2)))
         before = norm.state_dict()
 
         class Normalizing:  # applies the live normalizer at every step
             action_space = policy.action_space
 
             def gaussian_batch(self, states):
-                return policy.gaussian_batch(norm.normalize(states))
+                return policy.gaussian_batch(oracles.normalize(norm, states))
 
         view = NormalizedPolicy(policy, norm.stat.mean, norm.stat.std)
-        got = evaluate(view, ToyEnv(), np.random.default_rng(23), episodes=2)
-        want = evaluate(Normalizing(), ToyEnv(), np.random.default_rng(23), episodes=2)
-        raw = evaluate(policy, ToyEnv(), np.random.default_rng(23), episodes=2)
+        got, = evaluate([view], [ToyEnv()], [np.random.default_rng(23)], episodes=2)
+        want = oracles.evaluate(Normalizing(), ToyEnv(), np.random.default_rng(23), episodes=2)
+        raw = oracles.evaluate(policy, ToyEnv(), np.random.default_rng(23), episodes=2)
         assert np.array_equal(got.episode_returns, want.episode_returns)
         assert np.array_equal(got.bd, want.bd)
         assert not np.array_equal(got.bd, raw.bd)
@@ -457,7 +680,7 @@ class TestEvaluate:
 
 class TestContinuousOnly:
     """The reward phase serves continuous actions: a discrete policy is refused
-    by the ValueError of ``gaussian_batch``."""
+    with a ValueError."""
 
     @staticmethod
     def discrete_policy():
@@ -466,8 +689,7 @@ class TestContinuousOnly:
     def test_collect_rollout_rejects_discrete(self):
         value_fn = ValueFunction.init(2, np.random.default_rng(31), hidden=(4,))
         with pytest.raises(ValueError, match="discrete"):
-            collect_rollout(self.discrete_policy(), value_fn, ToyEnv(), 8,
-                            np.random.default_rng(32), normalizer=Normalizer(2))
+            rollout(self.discrete_policy(), value_fn, ToyEnv(), 8, np.random.default_rng(32))
 
     def test_ppo_update_rejects_discrete(self):
         rng = np.random.default_rng(33)
@@ -487,7 +709,7 @@ class TestContinuousOnly:
         policy = self.discrete_policy()
         for candidate in (policy, NormalizedPolicy(policy, np.zeros(2), np.ones(2))):
             with pytest.raises(ValueError, match="discrete"):
-                evaluate(candidate, ToyEnv(), np.random.default_rng(34), episodes=1)
+                evaluate([candidate], [ToyEnv()], [np.random.default_rng(34)], episodes=1)
 
 
 def _true_log_probs(policy, obs, actions):
