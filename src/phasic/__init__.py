@@ -2,8 +2,8 @@
 
 The package splits into five layers:
 
-* distance/kernel machinery (``dists``, ``kernels``, ``detops``) — policy
-  similarity kernels, determinant objectives, and log-det gradient ascent;
+* distance/kernel machinery (``kernels``, ``detops``) — policy similarity
+  kernels, determinant objectives, and log-det gradient ascent;
 * policies and learning (``nets``, ``optim``, ``rl``) — numpy MLP policies
   with manual backprop, Adam, and a clipped-surrogate policy-gradient loop;
 * environments (``toy``, ``dogfight``) — a 2-D navigation task and a 3-D
@@ -18,7 +18,6 @@ from .archive import (ArchiveEntry, FitnessQueue, GridArchive, bd_to_cell,
                       load_archive, qd_metrics, save_archive)
 from .detops import (NotPositiveDefinite, cholesky, det_via_cholesky,
                      diversity_ascent, spd_inverse, surrogate_det_bound)
-from .dists import DiagGaussian, DiscreteDist
 from .dogfight import DogfightConfig, DogfightEnv
 from .kernels import StateBatch, kernel_backward, kernel_forward
 from .nets import (ActionSpace, NormalizedPolicy, Policy, ValueFunction,
@@ -35,11 +34,11 @@ from .trainers import TrainerConfig, run_training, validate_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "Adam", "ActionSpace", "ArchiveEntry", "BanditState", "DiagGaussian",
-    "DiscreteDist", "DogfightConfig", "DogfightEnv", "FitnessQueue",
-    "GridArchive", "NormalizedPolicy", "Normalizer", "NotPositiveDefinite",
-    "PPOConfig", "Policy", "RewardScaler", "RolloutBuffer", "RunningStat",
-    "StateBatch", "ToyConfig", "ToyEnv", "TrainerConfig", "ValueFunction",
+    "Adam", "ActionSpace", "ArchiveEntry", "BanditState", "DogfightConfig",
+    "DogfightEnv", "FitnessQueue", "GridArchive", "NormalizedPolicy",
+    "Normalizer", "NotPositiveDefinite", "PPOConfig", "Policy",
+    "RewardScaler", "RolloutBuffer", "RunningStat", "StateBatch", "ToyConfig",
+    "ToyEnv", "TrainerConfig", "ValueFunction",
     "bandit_update", "bd_to_cell", "cholesky", "clustering_selection",
     "collect_rollout", "det_via_cholesky", "diversity_ascent", "evaluate",
     "gae", "generate_report", "kernel_backward", "kernel_forward",

@@ -35,9 +35,9 @@ from .rl import PPOConfig
 from .trainers import TrainerConfig, run_training, validate_config
 
 # fields a config file may set directly on the trainer configuration
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(TrainerConfig)} - {"ppo"}
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(TrainerConfig)} - {"ppo", "seed"}
 # run-level keys handled outside TrainerConfig
-_SPEC_KEYS = {"env", "seeds", "ppo", "out"}
+_SPEC_KEYS = {"env", "seed", "seeds", "ppo", "out"}
 
 # knobs whose defaults differ per environment when the file doesn't set them:
 # the toy task evaluates cheaply, the flight task amortizes evaluation over
@@ -95,9 +95,10 @@ def resolve_config(raw: dict, *, seeds_override=None, scale_override=None,
                    deterministic=False):
     """Turn a raw config dict plus flag overrides into (TrainerConfig, seeds).
 
-    The returned configuration carries seed 0; per-seed copies are minted by
-    the run command.  Unknown keys are rejected by name so typos surface
-    instead of silently falling back to defaults.
+    The returned configuration carries the first seed; per-seed copies are
+    minted by the run command.  A ``seed`` key, as in a run's own config.json,
+    means ``seeds: [seed]``.  Unknown keys are rejected by name so typos
+    surface instead of silently falling back to defaults.
     """
     raw = dict(raw)
     unknown = sorted(set(raw) - _CONFIG_FIELDS - _SPEC_KEYS)
@@ -127,7 +128,9 @@ def resolve_config(raw: dict, *, seeds_override=None, scale_override=None,
         raise CliError(f"unknown ppo config keys: {', '.join(bad)}")
     fields["ppo"] = PPOConfig(**ppo_raw)
 
-    seeds = raw.get("seeds", [0])
+    if "seed" in raw and "seeds" in raw:
+        raise CliError("give 'seed' or 'seeds', not both")
+    seeds = [raw["seed"]] if "seed" in raw else raw.get("seeds", [0])
     if seeds_override is not None:
         seeds = seeds_override
     if not isinstance(seeds, (list, tuple)) or not seeds or \
@@ -141,7 +144,6 @@ def resolve_config(raw: dict, *, seeds_override=None, scale_override=None,
         fields["scale"] = scale_override
     if deterministic:
         fields["deterministic_kernel"] = True
-    fields.pop("seed", None)
 
     try:
         config = TrainerConfig(seed=seeds[0], **fields)
@@ -172,7 +174,7 @@ def cmd_run(args) -> int:
     out_root = Path(args.out) if args.out else Path(raw.get("out", "runs"))
     out_root.mkdir(parents=True, exist_ok=True)
 
-    started = time.time()
+    started = time.perf_counter()
     summaries, run_dirs = [], []
     for seed in seeds:
         cfg = dataclasses.replace(config, seed=seed)
@@ -190,7 +192,7 @@ def cmd_run(args) -> int:
         "seeds": seeds,
         "runs": [str(rd) for rd in run_dirs],
         "qd": _aggregate_summaries(summaries),
-        "wall_clock_s": time.time() - started,
+        "wall_clock_s": time.perf_counter() - started,
     }
     with open(out_root / "aggregate.json", "w") as fh:
         json.dump(aggregate, fh, indent=2, sort_keys=True)

@@ -26,7 +26,6 @@ target's tail, and uniform [-0.1, 0.1] noise on inactive channels.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -317,12 +316,10 @@ class DogfightEnv:
 
     qd_offset = -2000.0  # fitness floor used by QD-score reporting
 
-    def __init__(self, config: DogfightConfig | None = None, record: bool = False):
+    def __init__(self, config: DogfightConfig | None = None):
         self.config = config or DogfightConfig()
         self.obs_dim = 22
         self.action_space = ActionSpace("continuous", 4)
-        self.record = record
-        self.trajectory: list = []
         self._state: DogfightState | None = None
         self._rng: np.random.Generator | None = None
         self._prev_geom: Geometry | None = None   # red->blue, feeds the shaping
@@ -347,7 +344,6 @@ class DogfightEnv:
         self._state = DogfightState(red=red, blue=blue, status=EpisodeStatus())
         self._prev_geom = relative_geometry(red, blue)
         self._blue_geom = relative_geometry(blue, red)
-        self.trajectory = []
         return observe(red, blue, self._prev_geom, self._state.status, 0, 0, cfg)
 
     def step(self, action: np.ndarray):
@@ -377,10 +373,6 @@ class DogfightEnv:
             "blue_pos": next_state.blue.pos.copy(),
             "blue_forward": next_state.blue.forward_axis(),
         }
-        if self.record:
-            self.trajectory.append(
-                (status.step, next_state.red, next_state.blue, np.asarray(action, dtype=np.float64),
-                 action_blue, flags["red_locks"], flags["blue_locks"]))
         done = status.terminal is not None
         return obs, sparse + shaping, done, info
 
@@ -391,23 +383,3 @@ class DogfightEnv:
     def state(self) -> DogfightState:
         return self._state
 
-
-def write_trajectory_csv(trajectory, path) -> None:
-    """One row per step; both aircraft states, both actions, lock flags."""
-    cols = ["step"]
-    for side in ("red", "blue"):
-        cols += [f"{side}_{c}" for c in ("x", "y", "z", "speed", "heading", "pitch", "roll")]
-    cols += [f"red_act_{c}" for c in ("throttle", "elevator", "roll", "rudder")]
-    cols += [f"blue_act_{c}" for c in ("throttle", "elevator", "roll", "rudder")]
-    cols += ["red_locks", "blue_locks"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for step_i, red, blue, a_red, a_blue, rl, bl in trajectory:
-            row = [step_i]
-            for craft in (red, blue):
-                row += [f"{v:.17g}" for v in (*craft.pos, craft.speed, craft.heading,
-                                              craft.pitch, craft.roll)]
-            row += [f"{v:.17g}" for v in a_red] + [f"{v:.17g}" for v in a_blue]
-            row += [int(rl), int(bl)]
-            writer.writerow(row)

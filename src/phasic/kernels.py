@@ -43,9 +43,6 @@ class StateBatch:
             raise ValueError("non-finite probe states")
         object.__setattr__(self, "states", states)
 
-    def __len__(self) -> int:
-        return self.states.shape[0]
-
 
 @dataclass
 class KernelForward:

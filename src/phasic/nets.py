@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import LOG_STD_MAX, LOG_STD_MIN, DiagGaussian, DiscreteDist
-
 BLOB_VERSION = 1
+# bounds on a Gaussian policy's log-std, so its exponentials stay finite
+LOG_STD_MIN = -20.0
+LOG_STD_MAX = 2.0
 
 
 @dataclass(frozen=True)
@@ -175,15 +176,6 @@ class Policy:
 
     # -- forward ----------------------------------------------------------
 
-    def forward(self, obs: np.ndarray):
-        obs = np.asarray(obs, dtype=np.float64)
-        if obs.shape != (self.topology["obs_dim"],):
-            raise ValueError(f"bad observation shape {obs.shape}")
-        if self.action_space.kind == "continuous":
-            mu, ls = self.gaussian_batch(obs[None])
-            return DiagGaussian(mu[0], ls)
-        return DiscreteDist(self.probs_batch(obs[None])[0])
-
     @property
     def log_std(self) -> np.ndarray:
         """Clamped log-std (A,), read-only; continuous policies only."""
@@ -202,14 +194,11 @@ class Policy:
         out, cache = self._mlp.forward(self._layers, np.asarray(states, dtype=np.float64))
         return (out, self._clamped_log_std, cache) if with_cache else (out, self._clamped_log_std)
 
-    def logits_batch(self, states: np.ndarray) -> np.ndarray:
-        if self.action_space.kind != "discrete":
-            raise ValueError("logits_batch on a continuous policy")
-        out, _ = self._mlp.forward(self._layers, np.asarray(states, dtype=np.float64))
-        return out
-
     def probs_batch(self, states: np.ndarray) -> np.ndarray:
-        return _softmax(self.logits_batch(states))
+        if self.action_space.kind != "discrete":
+            raise ValueError("probs_batch on a continuous policy")
+        out, _ = self._mlp.forward(self._layers, np.asarray(states, dtype=np.float64))
+        return _softmax(out)
 
     # -- reverse mode -----------------------------------------------------
 
@@ -331,9 +320,6 @@ class NormalizedPolicy:
 
     def _tx(self, states: np.ndarray) -> np.ndarray:
         return whiten(states, self.obs_mean, self.obs_std, self.clip)
-
-    def forward(self, obs: np.ndarray):
-        return self.policy.forward(self._tx(np.asarray(obs)[None])[0])
 
     def gaussian_batch(self, states):
         return self.policy.gaussian_batch(self._tx(states))

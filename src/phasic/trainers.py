@@ -104,7 +104,7 @@ def validate_config(config: TrainerConfig) -> None:
         raise ValueError("diversity_iters must be >= 0")
     if not 0.0 < config.beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
-    if config.scale <= 0 or config.total_steps <= 0:
+    if not (config.scale > 0 and config.total_steps > 0):  # NaN fails too
         raise ValueError("scale and total_steps must be positive")
     if config.exploit_period <= 0:
         raise ValueError("exploit_period must be positive (inf disables)")
@@ -112,8 +112,10 @@ def validate_config(config: TrainerConfig) -> None:
         raise ValueError("rollout_steps, eval_every, eval_episodes must be >= 1")
     if config.probe_states < 1:
         raise ValueError("probe_states must be >= 1")
-    if config.trainer in _JOINT and not config.lambda_arms:
-        raise ValueError("bandit trainers need at least one lambda arm")
+    if not config.lambda_arms or not all(0.0 <= lam <= 1.0 for lam in config.lambda_arms):
+        raise ValueError("lambda_arms must hold at least one value, each in [0, 1]")
+    if config.cells_per_dim < 1 or config.queue_capacity < 1:
+        raise ValueError("cells_per_dim and queue_capacity must be >= 1")
     if config.iterations is not None and config.iterations < 1:
         raise ValueError("iterations must be >= 1 when given")
 
@@ -190,10 +192,9 @@ def dvd_update(policies, value_fns, buffers, lam, probe_states, *,
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must lie in [0, 1]")
-    n = len(policies)
     aux_deltas = [np.zeros_like(p.params) for p in policies]
     aux_out = None
-    if lam > 0.0 and n >= 2:
+    if lam > 0.0 and len(policies) >= 2:
         wrapped = [NormalizedPolicy(p, norm.stat.mean, norm.stat.std)
                    for p, norm in zip(policies, normalizers)]
         aux_out, _ = diversity_ascent(
@@ -223,16 +224,6 @@ def dvd_update(policies, value_fns, buffers, lam, probe_states, *,
     return new_policies, new_values, stats_list
 
 
-@dataclass
-class RunResult:
-    config: TrainerConfig
-    archive: GridArchive
-    queue: FitnessQueue
-    records: list
-    summary: dict
-    learners: list
-
-
 def _jsonable(x):
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
@@ -248,67 +239,88 @@ def _jsonable(x):
 def _sample_probes(pool: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     if pool.shape[0] <= k:
         return pool.copy()
-    idx = rng.choice(pool.shape[0], size=k, replace=False)
-    return pool[idx]
+    return pool[rng.choice(pool.shape[0], size=k, replace=False)]
 
 
-def run_training(config: TrainerConfig, out_dir=None, env_factory=None) -> RunResult:
+@dataclass
+class RunState:
+    """All of a run's mutable state: the phase functions advance it in place,
+    and ``run_training`` returns it with every record and the summary."""
+
+    config: TrainerConfig
+    learners: list
+    archive: GridArchive
+    queue: FitnessQueue
+    bandit: BanditState
+    exploit_rng: np.random.Generator
+    aux_rng: np.random.Generator
+    bandit_rng: np.random.Generator
+    aux_eval_env: object
+    last_snapshot: list             # per-learner payloads for NaN recovery
+    next_exploit: float             # cumulative env steps at which exploitation is due
+    qd_offset: float                # the env's fitness floor for QD-score
+    arm: int | None = None          # the bandit's current arm (bandit trainers only)
+    lam: float = 0.0                # the diversity coefficient λ of that arm
+    bandit_best: float = float("-inf")  # best archive fitness the bandit has credited
+    records: list = field(default_factory=list)  # one metrics record per iteration
+    summary: dict | None = None     # set when the run ends
+
+    @classmethod
+    def create(cls, config: TrainerConfig, factory) -> "RunState":
+        """Seed every stream in a fixed order: learners, exploit, aux, bandit."""
+        m = config.population
+        seqs = np.random.SeedSequence(config.seed).spawn(m + 3)
+        proto = factory()
+        learners = []
+        for i in range(m):
+            rng = np.random.default_rng(seqs[i])
+            policy = Policy.init(proto.obs_dim, proto.action_space, rng, hidden=config.hidden)
+            value_fn = ValueFunction.init(proto.obs_dim, rng, hidden=config.hidden)
+            learners.append(Learner(
+                id=i, policy=policy, value_fn=value_fn,
+                policy_opt=Adam(policy.n_params, lr=config.ppo.lr),
+                value_opt=Adam(value_fn.params.size, lr=config.ppo.lr),
+                normalizer=Normalizer(proto.obs_dim),
+                reward_scaler=RewardScaler(config.ppo.gamma),
+                rng=rng, train_env=factory(), eval_env=factory()))
+        state = cls(
+            config=config, learners=learners,
+            archive=GridArchive(dims=2, cells_per_dim=config.cells_per_dim),
+            queue=FitnessQueue(capacity=config.queue_capacity),
+            bandit=BanditState(arms=tuple(config.lambda_arms)),
+            exploit_rng=np.random.default_rng(seqs[m]),
+            aux_rng=np.random.default_rng(seqs[m + 1]),
+            bandit_rng=np.random.default_rng(seqs[m + 2]),
+            aux_eval_env=factory(),
+            last_snapshot=[snapshot_payload(l) for l in learners],
+            next_exploit=config.exploit_period * config.scale,  # inf or nan: never
+            qd_offset=proto.qd_offset)
+        if config.trainer in _JOINT:
+            _select_arm(state)
+        return state
+
+    @property
+    def mediator(self):
+        """The container that exploitation and the auxiliary phase draw from."""
+        return self.archive if self.config.archive == "grid" else self.queue
+
+
+def run_training(config: TrainerConfig, out_dir=None, env_factory=None) -> RunState:
     """Execute one training run; writes run artifacts when ``out_dir`` is given.
 
-    The run directory holds config.json, metrics.jsonl (one record per
-    iteration), archive/ (policy snapshots + manifest + heatmap), and
-    summary.json.  Wall-clock only ever appears in the summary so metric logs
-    from equal-seed runs can be compared byte for byte.
+    Each iteration runs the reward phase; each evaluation cycle then runs
+    evaluate-and-offer, exploitation, the auxiliary phase and the bandit, in
+    that order.  The run directory holds config.json, metrics.jsonl (one
+    record per iteration), archive/ (policy snapshots + manifest + heatmap),
+    and summary.json.  Wall-clock only ever appears in the summary so metric
+    logs from equal-seed runs can be compared byte for byte.
     """
     validate_config(config)
-    started = time.time()
-    factory = env_factory or (lambda: make_env(config.env_name))
-    m = config.population
-    scale = config.scale
-    steps_per_learner = config.total_steps * scale
-    if config.iterations is not None:
-        n_iters = config.iterations
-    else:
-        n_iters = max(1, math.ceil(steps_per_learner / config.rollout_steps))
-    exploit_period = config.exploit_period * scale
-    next_exploit = exploit_period if math.isfinite(exploit_period) else float("inf")
-
-    seqs = np.random.SeedSequence(config.seed).spawn(m + 3)
-    exploit_rng = np.random.default_rng(seqs[m])
-    aux_rng = np.random.default_rng(seqs[m + 1])
-    bandit_rng = np.random.default_rng(seqs[m + 2])
-
-    proto = factory()
-    learners = []
-    for i in range(m):
-        rng = np.random.default_rng(seqs[i])
-        policy = Policy.init(proto.obs_dim, proto.action_space, rng, hidden=config.hidden)
-        value_fn = ValueFunction.init(proto.obs_dim, rng, hidden=config.hidden)
-        learners.append(Learner(
-            id=i, policy=policy, value_fn=value_fn,
-            policy_opt=Adam(policy.n_params, lr=config.ppo.lr),
-            value_opt=Adam(value_fn.params.size, lr=config.ppo.lr),
-            normalizer=Normalizer(proto.obs_dim),
-            reward_scaler=RewardScaler(config.ppo.gamma),
-            rng=rng, train_env=factory(), eval_env=factory()))
-
-    archive = GridArchive(dims=2, cells_per_dim=config.cells_per_dim)
-    queue = FitnessQueue(capacity=config.queue_capacity)
-    mediator = archive if config.archive == "grid" else queue
-    bandit = BanditState(arms=tuple(config.lambda_arms))
-    bandit_best = float("-inf")
-    joint = config.trainer in _JOINT
-    arm = None
-    lam = 0.0
-    if joint:
-        arm = (thompson_select(bandit, bandit_rng) if config.trainer == "dvd"
-               else ucb_select(bandit))
-        lam = float(bandit.arms[arm])
-
-    # per-learner fallback snapshots for NaN recovery
-    last_snapshot = [snapshot_payload(l) for l in learners]
-    aux_eval_env = factory()
-    records = []
+    started = time.perf_counter()
+    n_iters = config.iterations or max(
+        1, math.ceil(config.total_steps * config.scale / config.rollout_steps))
+    state = RunState.create(config, env_factory or (lambda: make_env(config.env_name)))
+    records = state.records
     metrics_fh = None
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -319,90 +331,17 @@ def run_training(config: TrainerConfig, out_dir=None, env_factory=None) -> RunRe
 
     try:
         for it in range(n_iters):
+            learner_records, probe_pool = _reward_phase(state)
             record = {"type": "iteration", "iteration": it,
                       "env_steps": (it + 1) * config.rollout_steps,
-                      "learners": [], "eval": None, "archive": None,
+                      "learners": learner_records, "eval": None, "archive": None,
                       "exploit": None, "aux": None, "bandit": None}
-            buffers = collect_rollout(
-                [l.policy for l in learners], [l.value_fn for l in learners],
-                [l.train_env for l in learners], config.rollout_steps,
-                [l.rng for l in learners], [l.normalizer for l in learners],
-                [l.reward_scaler for l in learners],
-                initial_obs=[l.obs for l in learners],
-                carry_returns=[l.pending_return for l in learners])
-            for learner, buf in zip(learners, buffers):
-                learner.obs = buf.final_obs
-                learner.pending_return = buf.pending_return
-            probe_pool = np.concatenate([buf.raw_obs for buf in buffers], axis=0)
-
-            probes = (_sample_probes(probe_pool, config.probe_states, aux_rng)
-                      if lam > 0.0 else probe_pool[:1])
-            new_ps, new_vs, stats_list = dvd_update(
-                [l.policy for l in learners], [l.value_fn for l in learners],
-                buffers, lam, probes,
-                ppo_config=config.ppo,
-                policy_opts=[l.policy_opt for l in learners],
-                value_opts=[l.value_opt for l in learners],
-                update_rngs=[l.rng for l in learners], aux_rng=aux_rng,
-                aux_lr=config.aux_lr, grad_clip=config.grad_clip,
-                metric=config.metric, beta=config.beta,
-                deterministic=config.deterministic_kernel,
-                normalizers=[l.normalizer for l in learners])
-            for learner, new_p, new_v, stats in zip(learners, new_ps, new_vs, stats_list):
-                if stats.nan_event:
-                    restore_payload(learner, last_snapshot[learner.id])
-                else:
-                    learner.policy, learner.value_fn = new_p, new_v
-                record["learners"].append(_learner_record(learner, buffers[learner.id], stats))
-
-            cum_steps = (it + 1) * config.rollout_steps
-            cycle = ((it + 1) % config.eval_every == 0) or (it == n_iters - 1)
-            if cycle:
-                evals = []
-                results = evaluate(
-                    [NormalizedPolicy(l.policy, l.normalizer.stat.mean, l.normalizer.stat.std)
-                     for l in learners],
-                    [l.eval_env for l in learners], [l.rng for l in learners],
-                    episodes=config.eval_episodes)
-                for learner, res in zip(learners, results):
-                    stat = learner.normalizer.stat
-                    learner.fitness = res.fitness
-                    payload = snapshot_payload(learner)
-                    last_snapshot[learner.id] = payload
-                    _offer(archive, queue, learner.policy, res.fitness, res.bd,
-                           obs_mean=stat.mean, obs_std=stat.std,
-                           source=learner.id, iteration=it, payload=payload)
-                    evals.append({"id": learner.id, "fitness": res.fitness,
-                                  "bd": res.bd})
-                record["eval"] = evals
-
-                if (config.trainer in _EXPLOITING and m >= 2 and len(mediator) > 0
-                        and cum_steps >= next_exploit):
-                    record["exploit"] = _exploit(
-                        config, learners, mediator, exploit_rng, probe_pool)
-                    while next_exploit <= cum_steps:
-                        next_exploit += exploit_period
-
-                if (config.trainer in ("pdo", "edo-cs") and config.diversity_iters > 0
-                        and len(mediator) > 0):
-                    record["aux"] = _auxiliary_phase(
-                        config, mediator, archive, queue, aux_eval_env, aux_rng,
-                        probe_pool, it)
-
-                if joint:
-                    current_best = mediator.max_fitness()
-                    improved = (np.isfinite(current_best)
-                                and current_best > bandit_best)
-                    bandit_update(bandit, arm, bool(improved))
-                    if np.isfinite(current_best):
-                        bandit_best = max(bandit_best, current_best)
-                    arm = (thompson_select(bandit, bandit_rng)
-                           if config.trainer == "dvd" else ucb_select(bandit))
-                    lam = float(bandit.arms[arm])
-                    record["bandit"] = {"arm": arm, "lambda": lam,
-                                        "improved": bool(improved)}
-
-                record["archive"] = qd_metrics(archive, fitness_offset=proto.qd_offset)
+            if (it + 1) % config.eval_every == 0 or it == n_iters - 1:
+                record["eval"] = _evaluate_and_offer(state, it)
+                record["exploit"] = _exploit(state, probe_pool, record["env_steps"])
+                record["aux"] = _auxiliary_phase(state, probe_pool, it)
+                record["bandit"] = _bandit_phase(state)
+                record["archive"] = qd_metrics(state.archive, fitness_offset=state.qd_offset)
 
             clean = _jsonable(record)
             records.append(clean)
@@ -413,62 +352,129 @@ def run_training(config: TrainerConfig, out_dir=None, env_factory=None) -> RunRe
         if metrics_fh is not None:
             metrics_fh.close()
 
-    summary = {
+    state.summary = summary = {
         "trainer": config.trainer, "env": config.env_name, "seed": config.seed,
         "iterations": n_iters, "env_steps_per_learner": n_iters * config.rollout_steps,
-        "qd": qd_metrics(archive, fitness_offset=proto.qd_offset),
-        "queue_best": queue.best().fitness if len(queue) else None,
+        "qd": qd_metrics(state.archive, fitness_offset=state.qd_offset),
+        "queue_best": state.queue.best().fitness if len(state.queue) else None,
         "nan_events": sum(l["nan_event"] for r in records for l in r["learners"]),
         "exploit_events": sum(r["exploit"] is not None for r in records),
         "aux_offers": sum(r["aux"]["offered"] for r in records if r["aux"]),
         "aux_accepts": sum(r["aux"]["accepted"] for r in records if r["aux"]),
-        "wall_clock_s": time.time() - started,
+        "wall_clock_s": time.perf_counter() - started,
     }
     if out_dir is not None:
-        save_archive(archive, out_dir / "archive")
+        save_archive(state.archive, out_dir / "archive")
         with open(out_dir / "summary.json", "w") as fh:
             json.dump(_jsonable(summary), fh, indent=2, sort_keys=True)
-    return RunResult(config=config, archive=archive, queue=queue,
-                     records=records, summary=summary, learners=learners)
+    return state
 
 
-def _learner_record(learner: Learner, buf, stats) -> dict:
-    returns = buf.episode_returns
-    return {
-        "id": learner.id,
-        "train_return_mean": float(np.mean(returns)) if returns else None,
-        "episodes": len(returns),
-        "pi_loss": stats.pi_loss, "v_loss": stats.v_loss,
-        "entropy": stats.entropy, "approx_kl": stats.approx_kl,
-        "clip_frac": stats.clip_frac, "nan_event": stats.nan_event,
-    }
+def _reward_phase(state: RunState) -> tuple:
+    """One lockstep rollout and one population update, restoring NaN learners.
+
+    Returns the learner records and the probe pool (the rollouts' raw frames).
+    """
+    config, learners = state.config, state.learners
+    buffers = collect_rollout(
+        [l.policy for l in learners], [l.value_fn for l in learners],
+        [l.train_env for l in learners], config.rollout_steps,
+        [l.rng for l in learners], [l.normalizer for l in learners],
+        [l.reward_scaler for l in learners],
+        initial_obs=[l.obs for l in learners],
+        carry_returns=[l.pending_return for l in learners])
+    probe_pool = np.concatenate([buf.raw_obs for buf in buffers], axis=0)
+
+    probes = (_sample_probes(probe_pool, config.probe_states, state.aux_rng)
+              if state.lam > 0.0 else probe_pool[:1])
+    new_ps, new_vs, stats_list = dvd_update(
+        [l.policy for l in learners], [l.value_fn for l in learners],
+        buffers, state.lam, probes,
+        ppo_config=config.ppo,
+        policy_opts=[l.policy_opt for l in learners],
+        value_opts=[l.value_opt for l in learners],
+        update_rngs=[l.rng for l in learners], aux_rng=state.aux_rng,
+        aux_lr=config.aux_lr, grad_clip=config.grad_clip,
+        metric=config.metric, beta=config.beta,
+        deterministic=config.deterministic_kernel,
+        normalizers=[l.normalizer for l in learners])
+    records = []
+    for learner, buf, new_p, new_v, stats in zip(learners, buffers, new_ps, new_vs, stats_list):
+        learner.obs, learner.pending_return = buf.final_obs, buf.pending_return
+        if stats.nan_event:  # the snapshot restarts the episode
+            restore_payload(learner, state.last_snapshot[learner.id])
+        else:
+            learner.policy, learner.value_fn = new_p, new_v
+        returns = buf.episode_returns
+        records.append({
+            "id": learner.id,
+            "train_return_mean": float(np.mean(returns)) if returns else None,
+            "episodes": len(returns),
+            "pi_loss": stats.pi_loss, "v_loss": stats.v_loss,
+            "entropy": stats.entropy, "approx_kl": stats.approx_kl,
+            "clip_frac": stats.clip_frac, "nan_event": stats.nan_event})
+    return records, probe_pool
 
 
-def _exploit(config, learners, source, rng, probe_pool) -> dict:
-    """Replace the worst-evaluated live learner with an archived snapshot."""
-    worst = min(learners, key=lambda l: (l.fitness, l.id))
+def _evaluate_and_offer(state: RunState, it: int) -> list:
+    """Evaluate every live learner, snapshot it, and offer it to both archives."""
+    learners = state.learners
+    results = evaluate(
+        [NormalizedPolicy(l.policy, l.normalizer.stat.mean, l.normalizer.stat.std)
+         for l in learners],
+        [l.eval_env for l in learners], [l.rng for l in learners],
+        episodes=state.config.eval_episodes)
+    evals = []
+    for learner, res in zip(learners, results):
+        stat = learner.normalizer.stat
+        learner.fitness = res.fitness
+        payload = snapshot_payload(learner)
+        state.last_snapshot[learner.id] = payload
+        _offer(state.archive, state.queue, learner.policy, res.fitness, res.bd,
+               obs_mean=stat.mean, obs_std=stat.std,
+               source=learner.id, iteration=it, payload=payload)
+        evals.append({"id": learner.id, "fitness": res.fitness, "bd": res.bd})
+    return evals
+
+
+def _exploit(state: RunState, probe_pool, cum_steps: int) -> dict | None:
+    """Replace the worst-evaluated live learner with an archived snapshot.
+
+    Runs when exploitation is due at ``cum_steps`` env steps, then moves the
+    due point past them.
+    """
+    config, source, rng = state.config, state.mediator, state.exploit_rng
+    if not (config.trainer in _EXPLOITING and len(source) > 0
+            and cum_steps >= state.next_exploit):
+        return None
+    worst = min(state.learners, key=lambda l: (l.fitness, l.id))
     if config.trainer == "edo-cs":
         probes = _sample_probes(probe_pool, config.probe_states, rng)
-        picks = clustering_selection(source.entries(),
-                                     min(config.population, len(source)),
+        picks = clustering_selection(source.entries(), min(config.population, len(source)),
                                      probes, rng)
         entry = picks[rng.integers(len(picks))]
     else:
         entry = source.sample_uniform(rng)
     restore_payload(worst, entry.payload)
     worst.fitness = entry.fitness
+    while state.next_exploit <= cum_steps:
+        state.next_exploit += config.exploit_period * config.scale
     return {"target": worst.id, "source_order": entry.order,
             "source_fitness": entry.fitness}
 
 
-def _auxiliary_phase(config, source, archive, queue, eval_env, rng, probe_pool, it) -> dict:
+def _auxiliary_phase(state: RunState, probe_pool, it: int) -> dict | None:
     """Diversity ascent on archive copies, then gated re-insertion.
 
     Live learners are never touched: candidates are snapshots wrapped with
     their own frozen normalization constants, ascended jointly, re-evaluated
     with the full episode protocol, and offered back through the same strict
-    gate as any other candidate.
+    gate as any other candidate.  Returns None when the phase does not run.
     """
+    config, source, rng = state.config, state.mediator, state.aux_rng
+    if not (config.trainer in ("pdo", "edo-cs") and config.diversity_iters > 0
+            and len(source) > 0):
+        return None
     if config.trainer == "edo-cs":
         probes = _sample_probes(probe_pool, config.probe_states, rng)
         entries = clustering_selection(source.entries(), config.population, probes, rng)
@@ -481,18 +487,37 @@ def _auxiliary_phase(config, source, archive, queue, eval_env, rng, probe_pool, 
         steps=config.diversity_iters, metric=config.metric, beta=config.beta,
         lr=config.aux_lr, grad_clip=config.grad_clip,
         deterministic=config.deterministic_kernel, rng=rng)
-    accepted = 0
     offers = []
     for entry, cand in zip(entries, out):
         # candidates share one env and ``rng``, so each is evaluated alone, in order
-        res, = evaluate([cand], [eval_env], [rng], episodes=config.eval_episodes)
+        res, = evaluate([cand], [state.aux_eval_env], [rng], episodes=config.eval_episodes)
         payload = dict(entry.payload, policy_params=cand.params.copy())
-        ok_grid, ok_queue = _offer(archive, queue, cand.policy, res.fitness, res.bd,
-                                   obs_mean=entry.obs_mean, obs_std=entry.obs_std,
+        ok_grid, ok_queue = _offer(state.archive, state.queue, cand.policy, res.fitness,
+                                   res.bd, obs_mean=entry.obs_mean, obs_std=entry.obs_std,
                                    source=entry.source, iteration=it, payload=payload)
-        accepted += int(ok_grid or ok_queue)
         offers.append({"source_order": entry.order, "fitness": res.fitness,
                        "accepted_grid": ok_grid, "accepted_queue": ok_queue})
+    accepted = sum(o["accepted_grid"] or o["accepted_queue"] for o in offers)
     return {"offered": len(out), "accepted": accepted,
             "det_start": float(trace[0]), "det_end": float(trace[-1]),
             "offers": offers}
+
+
+def _bandit_phase(state: RunState) -> dict | None:
+    """Credit the current arm if the archive's best rose, then pick the next arm."""
+    if state.config.trainer not in _JOINT:
+        return None
+    current_best = state.mediator.max_fitness()
+    improved = bool(np.isfinite(current_best) and current_best > state.bandit_best)
+    bandit_update(state.bandit, state.arm, improved)
+    if improved:
+        state.bandit_best = current_best
+    _select_arm(state)
+    return {"arm": state.arm, "lambda": state.lam, "improved": improved}
+
+
+def _select_arm(state: RunState) -> None:
+    """Pick the next arm, by Thompson sampling for dvd and by UCB1 for dse-ucb."""
+    state.arm = (thompson_select(state.bandit, state.bandit_rng)
+                 if state.config.trainer == "dvd" else ucb_select(state.bandit))
+    state.lam = float(state.bandit.arms[state.arm])

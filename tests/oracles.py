@@ -3,10 +3,11 @@
 These deliberately avoid the library's own code paths: the determinant oracle
 is a recursive cofactor expansion, gradients come from central finite
 differences, and the optimal-transport oracle estimates W2^2 by Monte-Carlo
-over an explicit coupling.  The closed-form distances are written per pair of
-distributions.  The reference kernel passes, network passes, running
-statistics, per-learner reward phase and dogfight kinematics below are the
-plain forms of the production hot path, which must match them bit for bit.
+over an explicit coupling.  ``DiagGaussian`` and ``DiscreteDist`` are reference
+distributions, and the closed-form distances are written per pair of them.
+The reference kernel passes, network passes, running statistics, per-learner
+reward phase and dogfight kinematics below are the plain forms of the
+production hot path, which must match them bit for bit.
 """
 
 import math
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from phasic.dists import LOG_STD_MAX, LOG_STD_MIN, DiagGaussian, DiscreteDist
 from phasic.dogfight import GRAVITY, AircraftState, Geometry, wrap_angle
+from phasic.nets import LOG_STD_MAX, LOG_STD_MIN
 from phasic.rl import EvalResult, RolloutBuffer
 
 
@@ -105,6 +106,91 @@ def kernel_invariant_violations(k: np.ndarray) -> list:
     elif np.linalg.eigvalsh(0.5 * (k + k.T))[0] < -1e-8:
         bad.append("not PSD")
     return bad
+
+
+# -- reference distributions ---------------------------------------------------
+#
+# One distribution at a time, with sampling, log-density and entropy; the
+# closed-form distances and the loop kernel passes below take these.
+
+_HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
+
+
+@dataclass(frozen=True)
+class DiagGaussian:
+    """Gaussian with diagonal covariance, parameterised by mean and log-std.
+
+    ``log_std`` is clamped into ``[LOG_STD_MIN, LOG_STD_MAX]`` at construction
+    so downstream exponentials stay finite.
+    """
+
+    mean: np.ndarray
+    log_std: np.ndarray
+
+    def __post_init__(self):
+        mean = np.asarray(self.mean, dtype=np.float64)
+        log_std = np.asarray(self.log_std, dtype=np.float64)
+        if mean.shape != log_std.shape:
+            raise ValueError(f"mean shape {mean.shape} != log_std shape {log_std.shape}")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(log_std))):
+            raise ValueError("non-finite Gaussian parameters")
+        log_std = np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "log_std", log_std)
+
+    @property
+    def std(self) -> np.ndarray:
+        return np.exp(self.log_std)
+
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        return self.mean + self.std * rng.standard_normal(self.mean.shape)
+
+    def log_prob(self, action: np.ndarray) -> float:
+        """Log density of ``action``, summed over dimensions."""
+        action = np.asarray(action, dtype=np.float64)
+        z = (action - self.mean) / self.std
+        return float(np.sum(-0.5 * z * z - self.log_std - _HALF_LOG_2PI))
+
+    def entropy(self) -> float:
+        return float(np.sum(self.log_std + _HALF_LOG_2PI + 0.5))
+
+    def mode(self) -> np.ndarray:
+        return self.mean.copy()
+
+
+@dataclass(frozen=True)
+class DiscreteDist:
+    """Categorical distribution over ``len(probs)`` actions."""
+
+    probs: np.ndarray
+
+    def __post_init__(self):
+        probs = np.asarray(self.probs, dtype=np.float64)
+        if probs.ndim != 1 or probs.size == 0:
+            raise ValueError("probs must be a non-empty vector")
+        if np.any(probs < 0) or not np.all(np.isfinite(probs)):
+            raise ValueError("probs must be finite and non-negative")
+        if abs(float(probs.sum()) - 1.0) > 1e-9:
+            raise ValueError(f"probs sum to {probs.sum()}, expected 1")
+        object.__setattr__(self, "probs", probs)
+
+    @property
+    def n(self) -> int:
+        return self.probs.size
+
+    def sample(self, rng: np.random.Generator) -> int:
+        return int(rng.choice(self.n, p=self.probs))
+
+    def log_prob(self, action: int) -> float:
+        p = self.probs[int(action)]
+        return float(np.log(np.maximum(p, 1e-300)))
+
+    def entropy(self) -> float:
+        p = self.probs
+        return float(-np.sum(np.where(p > 0, p * np.log(np.maximum(p, 1e-300)), 0.0)))
+
+    def mode(self) -> int:
+        return int(np.argmax(self.probs))
 
 
 # -- closed-form distribution distances -----------------------------------------

@@ -74,6 +74,16 @@ class TestResolveConfig:
         with pytest.raises(CliError):
             resolve_config({"seeds": "0,1"})
 
+    def test_seed_key_is_one_seed(self):
+        cfg, seeds = resolve_config({"seed": 3})
+        assert seeds == [3] and cfg.seed == 3
+        _, seeds = resolve_config({"seed": 3}, seeds_override=[4, 5])
+        assert seeds == [4, 5]
+        with pytest.raises(CliError, match="not both"):
+            resolve_config({"seed": 3, "seeds": [3]})
+        with pytest.raises(CliError):
+            resolve_config({"seed": "3"})
+
     def test_ppo_fields_applied(self):
         cfg, _ = resolve_config({"ppo": {"lr": 1e-3, "epochs": 2}})
         assert cfg.ppo.lr == 1e-3
@@ -133,6 +143,15 @@ class TestValidateCommand:
         assert rc == 0
         assert json.loads(out)["config"]["scale"] == 0.125
 
+    @pytest.mark.parametrize("bad", [{"trainer": "dvd", "lambda_arms": [0.0, 2.0]},
+                                     {"cells_per_dim": 0}, {"queue_capacity": 0}])
+    def test_values_the_run_would_reject(self, tmp_path, capsys, bad):
+        cfg = _cfg_file(tmp_path, bad)
+        rc, out, err = _run_main(capsys, ["validate", "--config", cfg])
+        assert rc != 0
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "config"
+
     def test_queue_archive_accepted(self, capsys):
         rc, out, _ = _run_main(capsys, ["validate"])
         assert json.loads(out)["config"]["archive"] == "grid"
@@ -182,6 +201,20 @@ class TestRunCommand:
         log_a = (tmp_path / "a" / "seed_0" / "metrics.jsonl").read_bytes()
         log_b = (tmp_path / "b" / "seed_0" / "metrics.jsonl").read_bytes()
         assert log_a == log_b
+
+    def test_config_json_replays_its_run(self, tmp_path, capsys):
+        cfg = _cfg_file(tmp_path, dict(_FAST, trainer="pdo"))
+        rc, _, _ = _run_main(capsys, ["run", "--config", cfg, "--seeds", "3",
+                                      "--out", str(tmp_path / "first")])
+        assert rc == 0
+        first = tmp_path / "first" / "seed_3"
+        rc, _, _ = _run_main(capsys, ["run", "--config", str(first / "config.json"),
+                                      "--out", str(tmp_path / "replay")])
+        assert rc == 0
+        replay = tmp_path / "replay" / "seed_3"
+        assert [p.name for p in (tmp_path / "replay").glob("seed_*")] == ["seed_3"]
+        assert (replay / "metrics.jsonl").read_bytes() == (first / "metrics.jsonl").read_bytes()
+        assert (replay / "config.json").read_bytes() == (first / "config.json").read_bytes()
 
     def test_single_seed_zero_std(self, tmp_path, capsys):
         cfg = _cfg_file(tmp_path, dict(_FAST, trainer="pbt"))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phasic.dists import DiagGaussian, DiscreteDist
+from oracles import DiagGaussian, DiscreteDist
 
 
 def test_gaussian_log_prob_standard_normal_at_zero():

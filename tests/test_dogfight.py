@@ -9,8 +9,7 @@ from phasic.dogfight import (AircraftState, DogfightConfig, DogfightEnv,
                              DogfightState, EpisodeStatus, Geometry,
                              behavior_descriptor, dense_reward, expert_policy,
                              integrate, lock_check, observe, out_of_bounds,
-                             relative_geometry, step, wrap_angle,
-                             write_trajectory_csv)
+                             relative_geometry, step, wrap_angle)
 
 import oracles
 
@@ -431,17 +430,6 @@ class TestEnv:
         bd = env.episode_bd(actions, {})
         assert bd == pytest.approx([1.0, 0.0])
 
-    def test_trajectory_csv(self, tmp_path):
-        env = DogfightEnv(record=True)
-        env.reset(np.random.default_rng(4))
-        for _ in range(5):
-            env.step(np.zeros(4))
-        path = tmp_path / "ep.csv"
-        write_trajectory_csv(env.trajectory, path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 6  # header + 5 steps
-        assert lines[0].startswith("step,red_x")
-
     def test_blue_expert_closes_on_a_straight_flyer(self):
         env = DogfightEnv()
         env.reset(np.random.default_rng(5))
@@ -529,7 +517,7 @@ class TestStepEquivalence:
     def test_env_outputs_match_public_functions(self):
         cfg = DogfightConfig(spawn_distance=1200.0, lock_range=1500.0, lock_cone=0.6,
                              max_steps=150)
-        env = DogfightEnv(cfg, record=True)
+        env = DogfightEnv(cfg)
         rng = np.random.default_rng(25)
         act_rng = np.random.default_rng(26)
 
@@ -558,7 +546,12 @@ class TestStepEquivalence:
             assert info["red_locks"] == lock_check(s.red, s.blue, cfg)
             assert info["blue_locks"] == lock_check(s.blue, s.red, cfg)
             assert info["dense_reward"] == dense_reward(prev, geom, info["blue_locks"], cfg)
-            assert np.array_equal(env.trajectory[-1][4], blue_expected)
+            # the expert's action shows in the next blue state
+            blue = integrate(before.blue, blue_expected, cfg)
+            assert np.array_equal(s.blue.pos, blue.pos)
+            assert np.array_equal(s.blue.forward, blue.forward)
+            assert (s.blue.speed, s.blue.heading, s.blue.pitch, s.blue.roll) == (
+                blue.speed, blue.heading, blue.pitch, blue.roll)
             red_locks += info["red_locks"]
             blue_locks += info["blue_locks"]
             prev = geom

@@ -4,11 +4,10 @@ import pytest
 import oracles
 from factories import (linear_discrete_policy, linear_gaussian_policy,
                        random_discrete_policy, random_gaussian_policy)
-from oracles import (LN2, central_diff_grad, f_js, grad_close, jsd,
-                     kernel_invariant_violations, mc_w2_diag_gaussian,
-                     w2_squared_diag, w2_squared_full)
+from oracles import (LN2, DiagGaussian, DiscreteDist, central_diff_grad, f_js,
+                     grad_close, jsd, kernel_invariant_violations,
+                     mc_w2_diag_gaussian, w2_squared_diag, w2_squared_full)
 
-from phasic.dists import DiagGaussian, DiscreteDist
 from phasic.kernels import StateBatch, kernel_backward, kernel_forward
 
 

@@ -17,9 +17,9 @@ class TestForward:
         rng = np.random.default_rng(0)
         pol = Policy.init(3, ActionSpace("continuous", 2), rng, hidden=(8,),
                           log_std_init=-0.5, out_gain=0.0)
-        dist = pol.forward(np.ones(3))
-        assert np.array_equal(dist.mean, np.zeros(2))
-        assert np.allclose(dist.log_std, -0.5)
+        mean, log_std = pol.gaussian_batch(np.ones((1, 3)))
+        assert np.array_equal(mean[0], np.zeros(2))
+        assert np.allclose(log_std, -0.5)
 
     def test_hand_set_two_layer_forward(self):
         # tanh hidden layer with identity-ish weights, linear output summing units
@@ -31,26 +31,27 @@ class TestForward:
         b2 = np.zeros(1)
         log_std = np.zeros(1)
         pol = Policy(topology, np.concatenate([w1, b1, w2, b2, log_std]))
-        dist = pol.forward(np.array([1.0, 0.0]))
-        assert np.isclose(dist.mean[0], np.tanh(1.0), atol=1e-12)
+        mean, _ = pol.gaussian_batch(np.array([[1.0, 0.0]]))
+        assert np.isclose(mean[0, 0], np.tanh(1.0), atol=1e-12)
 
     def test_linear_policy_matrix_multiply(self):
         pol = linear_gaussian_policy([[1.0, 2.0]], [0.5], [0.0])
-        dist = pol.forward(np.array([1.0, 0.0]))
-        assert np.isclose(dist.mean[0], 1.5, atol=1e-15)
+        mean, _ = pol.gaussian_batch(np.array([[1.0, 0.0]]))
+        assert np.isclose(mean[0, 0], 1.5, atol=1e-15)
 
     def test_forward_deterministic(self):
         rng = np.random.default_rng(1)
         pol = random_gaussian_policy(rng)
-        obs = rng.standard_normal(2)
-        d1, d2 = pol.forward(obs), pol.forward(obs)
-        assert np.array_equal(d1.mean, d2.mean)
-        assert np.array_equal(d1.log_std, d2.log_std)
+        obs = rng.standard_normal((1, 2))
+        mean1, log_std1 = pol.gaussian_batch(obs)
+        mean2, log_std2 = pol.gaussian_batch(obs)
+        assert np.array_equal(mean1, mean2)
+        assert np.array_equal(log_std1, log_std2)
 
     def test_dimension_mismatch(self):
         pol = linear_gaussian_policy([[1.0]], [0.0], [0.0])
         with pytest.raises(ValueError):
-            pol.forward(np.zeros(3))
+            pol.gaussian_batch(np.zeros((1, 3)))
 
     def test_discrete_probs_normalized(self):
         rng = np.random.default_rng(2)
@@ -272,10 +273,11 @@ class TestImmutabilityAndSerialization:
         loaded, extra = load_policy(path)
         assert np.array_equal(loaded.params, pol.params)
         assert np.array_equal(extra["obs_mean"], np.arange(2.0))
-        obs = rng.standard_normal(2)
-        a, b = pol.forward(obs), loaded.forward(obs)
-        assert np.array_equal(a.mean, b.mean)
-        assert np.array_equal(a.log_std, b.log_std)
+        obs = rng.standard_normal((1, 2))
+        mean_a, log_std_a = pol.gaussian_batch(obs)
+        mean_b, log_std_b = loaded.gaussian_batch(obs)
+        assert np.array_equal(mean_a, mean_b)
+        assert np.array_equal(log_std_a, log_std_b)
 
     def test_blobs_name_the_tanh_activation(self, tmp_path):
         pol = random_gaussian_policy(np.random.default_rng(9), hidden=(3,))
@@ -310,8 +312,8 @@ class TestNormalizedPolicy:
     def test_observation_transform_applied(self):
         pol = linear_gaussian_policy([[1.0]], [0.0], [0.0])
         wrapped = NormalizedPolicy(pol, obs_mean=np.array([2.0]), obs_std=np.array([4.0]))
-        dist = wrapped.forward(np.array([6.0]))
-        assert np.isclose(dist.mean[0], 1.0)  # (6-2)/4
+        mean, _ = wrapped.gaussian_batch(np.array([[6.0]]))
+        assert np.isclose(mean[0, 0], 1.0)  # (6-2)/4
 
     def test_gradients_respect_transform(self):
         rng = np.random.default_rng(10)

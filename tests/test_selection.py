@@ -145,7 +145,7 @@ class TestClusteringSelection:
         probes = np.random.default_rng(0).normal(size=(16, 2))
         picked = clustering_selection(arch.entries(), 2, probes,
                                       np.random.default_rng(1))
-        means = [e.policy.forward(np.zeros(2)).mean for e in picked]
+        means = [e.policy.gaussian_batch(np.zeros((1, 2)))[0][0] for e in picked]
         signs = sorted(float(np.sign(m[0])) for m in means)
         assert signs == [-1.0, 1.0]
         fits_picked = sorted(e.fitness for e in picked)

@@ -14,9 +14,9 @@ from phasic.nets import NormalizedPolicy, Policy, ValueFunction
 from phasic.optim import Adam
 from phasic.rl import Normalizer, PPOConfig, RewardScaler, collect_rollout
 from phasic.toy import ToyEnv
-from phasic.trainers import (Learner, TrainerConfig, dvd_update, make_env,
+from phasic.trainers import (Learner, RunState, TrainerConfig, dvd_update, make_env,
                              restore_payload, run_training, snapshot_payload,
-                             validate_config, _exploit)
+                             validate_config, _auxiliary_phase, _exploit)
 
 
 def small_config(**kw):
@@ -66,6 +66,22 @@ class TestConfigValidation:
             validate_config(small_config(scale=0.0))
         with pytest.raises(ValueError):
             validate_config(small_config(iterations=0))
+
+    @pytest.mark.parametrize("trainer, bad", [
+        ("dvd", {"lambda_arms": (0.0, 1.5)}),
+        ("dse-ucb", {"lambda_arms": (-0.5,)}),
+        ("pdo", {"lambda_arms": ()}),
+        ("pdo", {"cells_per_dim": 0}),
+        ("pdo", {"queue_capacity": 0}),
+        ("pdo", {"scale": float("nan"), "iterations": None}),
+    ])
+    def test_values_run_training_cannot_use(self, trainer, bad, tmp_path):
+        cfg = small_config(trainer=trainer, **bad)
+        with pytest.raises(ValueError):
+            validate_config(cfg)
+        with pytest.raises(ValueError):
+            run_training(cfg, out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     def test_unknown_metric(self):
         with pytest.raises(ValueError, match="kl"):
@@ -175,11 +191,10 @@ class TestAuxiliaryPhase:
         for i, bd in enumerate(([0.15, 0.15], [0.45, 0.45], [0.85, 0.85])):
             archive.add(learner.policy, 1.0 + i, bd, obs_mean=stat.mean, obs_std=stat.std,
                         payload=snapshot_payload(learner))
-        from phasic.trainers import _auxiliary_phase
         probe_pool = rng.uniform(-1, 1, size=(128, 2))
-        info = _auxiliary_phase(cfg, archive, archive, __import__("phasic.archive",
-                                fromlist=["FitnessQueue"]).FitnessQueue(10),
-                                ToyEnv(), np.random.default_rng(1), probe_pool, 0)
+        state = RunState.create(cfg, ToyEnv)
+        state.archive, state.aux_rng = archive, np.random.default_rng(1)
+        info = _auxiliary_phase(state, probe_pool, 0)
         assert info["offered"] == 3
         assert info["det_end"] > info["det_start"]
 
@@ -281,9 +296,13 @@ class TestExploitation:
         target.fitness = -1.0
         donor_live = fresh_learner(seed=3, learner_id=0)
         donor_live.fitness = 4.0
-        cfg = small_config(population=2)
-        ev = _exploit(cfg, [donor_live, target], archive,
-                      np.random.default_rng(0), np.zeros((4, 2)))
+        state = RunState.create(small_config(population=2), ToyEnv)
+        state.learners, state.archive = [donor_live, target], archive
+        state.exploit_rng = np.random.default_rng(0)
+        # exploit_period 200 at scale 1: due from 200 env steps, then from 400
+        assert _exploit(state, np.zeros((4, 2)), 199) is None
+        ev = _exploit(state, np.zeros((4, 2)), 200)
+        assert state.next_exploit == 400.0
         assert ev["target"] == 1
         assert np.array_equal(target.policy.params, payload["policy_params"])
         assert np.array_equal(target.value_fn.params, payload["value_params"])
@@ -483,26 +502,59 @@ def test_queue_archive_rejected_values():
         validate_config(TrainerConfig(archive="ring"))
 
 
-# metrics.jsonl sha256 of two small seeded pdo runs, so output-bit drift shows
-# in the tier-1 suite and not only in the benchmark's digests; a change that
-# moves them on purpose says so and records the new digests here
+# metrics.jsonl sha256 of small seeded runs, so output-bit drift shows in the
+# tier-1 suite and not only in the benchmark's digests; a change that moves
+# them on purpose says so and records the new digests here.  Each id names
+# the env, then the trainer and the archive where they differ from pdo and the
+# env's default archive (grid on toy, queue on dogfight).  dvd, dse-ucb and
+# ppo-single read the same on both archives, which only mediate exploitation
+# and the auxiliary phase.
 PINNED_DIGESTS = {
-    "toy": "fe05991fc9ac8c1161093518f3c07495aafb35e599b1d29ac97db82e90845764",
-    "dogfight": "7a40315e00158fdccbb08ce93fff631117424fc7109a90d74c3356b0691f31fa",
+    "toy": ("pdo", "grid",
+            "fe05991fc9ac8c1161093518f3c07495aafb35e599b1d29ac97db82e90845764"),
+    "toy-queue": ("pdo", "queue",
+                  "210d2bc3e4a7c611ad3279e3f0ab9f561814e3a4cf7db5d79c1120fc3cfe3369"),
+    "toy-pbt": ("pbt", "grid",
+                "da5b5d52d766293cd94973e40112cd0be600dcf99012ce5baa02aa1ddce7b7e2"),
+    "toy-pbt-queue": ("pbt", "queue",
+                      "255b68858ed24ed3b73ec1f9d867c5f61ad8e9d5e3da8c13f14b6cb8a101cb8f"),
+    "toy-dvd": ("dvd", "grid",
+                "bcf7f0fd7ca14d0cf03112e600e9a3e784a782006dc9b700a8936722eaf16088"),
+    "toy-dvd-queue": ("dvd", "queue",
+                      "bcf7f0fd7ca14d0cf03112e600e9a3e784a782006dc9b700a8936722eaf16088"),
+    "toy-dse-ucb": ("dse-ucb", "grid",
+                    "68e23f559f015fe7de9e8b1c9fd2f83fa6794146424738f84ad7c76116768831"),
+    "toy-dse-ucb-queue": ("dse-ucb", "queue",
+                          "68e23f559f015fe7de9e8b1c9fd2f83fa6794146424738f84ad7c76116768831"),
+    "toy-edo-cs": ("edo-cs", "grid",
+                   "b4ffa31c7f21c0de091dd55905def5a8acce168bf045c3f7ab9a84daf96195fc"),
+    "toy-edo-cs-queue": ("edo-cs", "queue",
+                         "21669631de50eaea0ef462ffaa7060cef14454105beb083b265bd1f2212950f3"),
+    "toy-ppo-single": ("ppo-single", "grid",
+                       "01753c8c903d478bfbb73d39816a0e2a5e9bb3f02c8a69dc82af17fd741b60dc"),
+    "toy-ppo-single-queue": ("ppo-single", "queue",
+                             "01753c8c903d478bfbb73d39816a0e2a5e9bb3f02c8a69dc82af17fd741b60dc"),
+    "dogfight": ("pdo", "queue",
+                 "7a40315e00158fdccbb08ce93fff631117424fc7109a90d74c3356b0691f31fa"),
+    "dogfight-dvd": ("dvd", "queue",
+                     "d52827dcc9a5ff0c3d953cfb05132f4e759d8f01aeb8bcd524c9f9b3a0234d88"),
 }
 
 
-@pytest.mark.parametrize("env_name", ["toy", "dogfight"])
-def test_seeded_metrics_digest_is_pinned(env_name, tmp_path):
-    cfg = TrainerConfig(env_name=env_name, trainer="pdo", archive="grid", population=3,
+@pytest.mark.parametrize("case", list(PINNED_DIGESTS))
+def test_seeded_metrics_digest_is_pinned(case, tmp_path):
+    env_name = case.split("-")[0]
+    trainer, archive, expected = PINNED_DIGESTS[case]
+    cfg = TrainerConfig(env_name=env_name, trainer=trainer, archive=archive,
+                        population=1 if trainer == "ppo-single" else 3,
                         iterations=3, rollout_steps=128, eval_episodes=2,
                         diversity_iters=3, probe_states=32, hidden=(16,),
                         exploit_period=200.0, scale=1.0, seed=5)
     factory = None
     if env_name == "dogfight":
-        cfg = dataclasses.replace(cfg, archive="queue", iterations=2, eval_episodes=1,
+        cfg = dataclasses.replace(cfg, iterations=2, eval_episodes=1,
                                   exploit_period=100.0, lambda_arms=(0.5,))
         factory = lambda: DogfightEnv(DogfightConfig(max_steps=300))  # noqa: E731
     run_training(cfg, out_dir=tmp_path / "run", env_factory=factory)
     digest = hashlib.sha256((tmp_path / "run" / "metrics.jsonl").read_bytes()).hexdigest()
-    assert digest == PINNED_DIGESTS[env_name]
+    assert digest == expected
