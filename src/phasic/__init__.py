@@ -24,8 +24,8 @@ from .nets import (ActionSpace, NormalizedPolicy, Policy, ValueFunction,
                    load_policy, save_policy)
 from .optim import Adam
 from .report import generate_report
-from .rl import (Normalizer, PPOConfig, RewardScaler, RolloutBuffer,
-                 RunningStat, collect_rollout, evaluate, gae, ppo_update)
+from .rl import (Learner, PPOConfig, RolloutBuffer, RunningStat, collect_rollout,
+                 evaluate, gae, ppo_update)
 from .selection import (BanditState, bandit_update, clustering_selection,
                         thompson_select, ucb_select)
 from .toy import ToyConfig, ToyEnv
@@ -35,9 +35,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Adam", "ActionSpace", "ArchiveEntry", "BanditState", "DogfightConfig",
-    "DogfightEnv", "FitnessQueue", "GridArchive", "NormalizedPolicy",
-    "Normalizer", "NotPositiveDefinite", "PPOConfig", "Policy",
-    "RewardScaler", "RolloutBuffer", "RunningStat", "StateBatch", "ToyConfig",
+    "DogfightEnv", "FitnessQueue", "GridArchive", "Learner", "NormalizedPolicy",
+    "NotPositiveDefinite", "PPOConfig", "Policy", "RolloutBuffer", "RunningStat",
+    "StateBatch", "ToyConfig",
     "ToyEnv", "TrainerConfig", "ValueFunction",
     "bandit_update", "bd_to_cell", "cholesky", "clustering_selection",
     "collect_rollout", "det_via_cholesky", "diversity_ascent", "evaluate",

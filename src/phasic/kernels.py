@@ -33,7 +33,6 @@ class StateBatch:
     """Probe observations the similarity expectation is taken over."""
 
     states: np.ndarray  # (N, obs_dim)
-    source: str = ""
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=np.float64)

@@ -18,6 +18,8 @@ BLOB_VERSION = 1
 # bounds on a Gaussian policy's log-std, so its exponentials stay finite
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
+# the clamp on whitened observations, for live learners and frozen views alike
+OBS_CLIP = 10.0
 
 
 @dataclass(frozen=True)
@@ -299,7 +301,6 @@ class NormalizedPolicy:
     policy: Policy
     obs_mean: np.ndarray
     obs_std: np.ndarray
-    clip: float = 10.0  # same clamp the live observation normalizer applies
 
     def __post_init__(self):
         object.__setattr__(self, "obs_mean", np.asarray(self.obs_mean, dtype=np.float64))
@@ -315,11 +316,10 @@ class NormalizedPolicy:
         return self.policy.params
 
     def with_params(self, params: np.ndarray) -> "NormalizedPolicy":
-        return NormalizedPolicy(self.policy.with_params(params), self.obs_mean,
-                                self.obs_std, self.clip)
+        return NormalizedPolicy(self.policy.with_params(params), self.obs_mean, self.obs_std)
 
     def _tx(self, states: np.ndarray) -> np.ndarray:
-        return whiten(states, self.obs_mean, self.obs_std, self.clip)
+        return whiten(states, self.obs_mean, self.obs_std)
 
     def gaussian_batch(self, states):
         return self.policy.gaussian_batch(self._tx(states))
@@ -353,13 +353,13 @@ def stacked_forward(nets):
     return lambda x: mlp.forward(layers, x)[0]
 
 
-def whiten(states: np.ndarray, mean, std, clip) -> np.ndarray:
-    """(states - mean) / std clamped to [-clip, clip]; ``std`` comes floored.
+def whiten(states: np.ndarray, mean, std) -> np.ndarray:
+    """(states - mean) / std clamped to [-OBS_CLIP, OBS_CLIP]; ``std`` comes floored.
 
     np.clip's bits without its per-call wrapper cost on the per-step path.
     """
     z = (np.asarray(states, dtype=np.float64) - mean) / std
-    return np.minimum(np.maximum(z, -clip), clip)
+    return np.minimum(np.maximum(z, -OBS_CLIP), OBS_CLIP)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:

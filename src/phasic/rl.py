@@ -1,9 +1,9 @@
 """On-policy reward phase: lockstep rollouts, GAE, clipped-surrogate updates, evaluation.
 
-A learner owns a policy, a value function, running observation/return
-normalizers, and an environment instance.  The M learners of a population
-roll out and evaluate in lockstep: each tick runs one stacked policy forward
-(and one value forward) over all M, keeps the normalizer and reward-scaler
+A ``Learner`` owns a policy, a value function, their optimizers, running
+observation and return statistics, and its environments.  The M learners of
+a population roll out and evaluate in lockstep: each tick runs one stacked
+policy forward (and one value forward) over all M, keeps the running
 statistics as (M, ·) arrays, and steps each learner's own environment once
 with draws from its own generator.  Every learner so gets the bits, the
 environment steps and the generator draws that a loop of its own would give.
@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nets import stacked_forward, whiten
+from .nets import NormalizedPolicy, Policy, ValueFunction, stacked_forward, whiten
+from .optim import Adam
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -99,51 +100,63 @@ class StackedStats:
             stat.m2 = np.array(self.m2[i])
 
 
-class Normalizer:
-    """Observation whitening with clipping by running statistics.
+@dataclass
+class Learner:
+    """One population member: the unit every phase advances.
 
-    The reward phase advances the statistics once per rollout tick and
-    whitens with ``nets.whiten`` (see ``collect_rollout``); frozen copies
-    travel with archived policies as ``NormalizedPolicy`` constants.
+    ``obs_stat`` holds the running statistics that whiten observations;
+    ``ret_stat`` those of the discounted return ``ret`` by whose std learning
+    rewards are scaled.  ``obs`` and ``pending_return`` continue an unfinished
+    training episode from one rollout into the next (see ``collect_rollout``).
     """
 
-    def __init__(self, obs_dim: int, clip: float = 10.0):
-        self.stat = RunningStat((obs_dim,))
-        self.clip = float(clip)
+    id: int
+    policy: Policy
+    value_fn: ValueFunction
+    policy_opt: Adam
+    value_opt: Adam
+    obs_stat: RunningStat
+    rng: np.random.Generator
+    train_env: object
+    eval_env: object
+    ret_stat: RunningStat = field(default_factory=RunningStat)
+    ret: float = 0.0
+    obs: np.ndarray | None = None     # mid-episode continuation point
+    pending_return: float = 0.0       # sparse return of that episode so far
+    fitness: float = float("nan")
 
-    def state_dict(self) -> dict:
-        return {"clip": self.clip, "stat": self.stat.state_dict()}
-
-    def load_state(self, state: dict) -> None:
-        self.clip = float(state["clip"])
-        self.stat.load_state(state["stat"])
+    def view(self) -> NormalizedPolicy:
+        """The policy behind the current, frozen observation statistics."""
+        return NormalizedPolicy(self.policy, self.obs_stat.mean, self.obs_stat.std)
 
 
-class RewardScaler:
-    """Scale learning rewards by the running std of the discounted return.
+def snapshot_payload(learner: Learner) -> dict:
+    """Everything exploitation must copy: nets, optimizers, running statistics."""
+    return {
+        "policy_params": learner.policy.params.copy(),
+        "value_params": learner.value_fn.params.copy(),
+        "policy_opt": learner.policy_opt.state_dict(),
+        "value_opt": learner.value_opt.state_dict(),
+        "obs_stat": learner.obs_stat.state_dict(),
+        "ret_stat": learner.ret_stat.state_dict(),
+        "ret": learner.ret,
+    }
 
-    Each tick ``ret = gamma * ret + reward`` enters the statistic, the reward
-    is divided by its std (floored at 1e-8), and a finished episode resets
-    ``ret`` to 0 (see ``collect_rollout``).
-    """
 
-    def __init__(self, gamma: float = 0.99):
-        self.gamma = float(gamma)
-        self.ret = 0.0
-        self.stat = RunningStat(())
-
-    def state_dict(self) -> dict:
-        return {"gamma": self.gamma, "ret": self.ret, "stat": self.stat.state_dict()}
-
-    def load_state(self, state: dict) -> None:
-        self.gamma = float(state["gamma"])
-        self.ret = float(state["ret"])
-        self.stat.load_state(state["stat"])
+def restore_payload(learner: Learner, payload: dict) -> None:
+    learner.policy = learner.policy.with_params(payload["policy_params"])
+    learner.value_fn = learner.value_fn.with_params(payload["value_params"])
+    learner.policy_opt = Adam.from_state(payload["policy_opt"])
+    learner.value_opt = Adam.from_state(payload["value_opt"])
+    learner.obs_stat.load_state(payload["obs_stat"])
+    learner.ret_stat.load_state(payload["ret_stat"])
+    learner.ret = float(payload["ret"])
+    learner.obs = None            # the copied policy starts a fresh episode
+    learner.pending_return = 0.0
 
 
 @dataclass
 class RolloutBuffer:
-    learner_id: int
     obs: np.ndarray        # normalized, as seen by the policy
     raw_obs: np.ndarray    # environment frame, feeds the probe-state pool
     actions: np.ndarray
@@ -152,46 +165,41 @@ class RolloutBuffer:
     values: np.ndarray
     dones: np.ndarray
     bootstrap_value: float
-    final_obs: np.ndarray | None = None  # raw continuation point, None if done
     episode_returns: list = field(default_factory=list)  # sparse, finished episodes
-    pending_return: float = 0.0  # sparse return of the unfinished episode, if any
 
     def __len__(self) -> int:
         return self.obs.shape[0]
 
 
-def collect_rollout(policies, value_fns, envs, steps: int, rngs, normalizers,
-                    reward_scalers, initial_obs=None, carry_returns=None) -> list:
+def collect_rollout(learners, steps: int, gamma: float) -> list:
     """Exactly ``steps`` transitions per learner, in lockstep; one buffer each.
 
-    Learner i runs ``policies[i]`` and ``value_fns[i]`` in ``envs[i]``,
-    drawing exploration noise (and env resets) from ``rngs[i]``; its
-    ``normalizers[i]`` and ``reward_scalers[i]`` advance one row per tick
-    and get their new state at the end.  Episodes auto-reset as they end.
-    ``initial_obs[i]`` continues a previous rollout's episode (None starts
-    fresh), and ``carry_returns[i]`` is that episode's sparse return so far
-    (the previous buffer's ``pending_return``), so recorded episode returns
-    stay whole across rollout windows.
+    Each learner runs its nets in its ``train_env``, drawing exploration
+    noise (and env resets) from its ``rng``.  Each tick its ``obs_stat`` takes
+    the observation it then whitens by; the discounted return ``ret = gamma *
+    ret + reward`` enters ``ret_stat``, the reward is divided by that std
+    (floored at 1e-8), and a finished episode resets ``ret`` to 0.  Episodes
+    auto-reset as they end; a learner's ``obs`` (None starts fresh) and
+    ``pending_return`` carry an unfinished episode and its sparse return so
+    far into the next rollout.  The statistics, ``ret``, ``obs`` and
+    ``pending_return`` are written back at the end.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    m = len(policies)
-    initial_obs = [None] * m if initial_obs is None else initial_obs
-    carry_returns = [0.0] * m if carry_returns is None else carry_returns
-    log_std = np.stack([p.log_std for p in policies])            # (M, A)
+    m = len(learners)
+    envs, rngs = [l.train_env for l in learners], [l.rng for l in learners]
+    log_std = np.stack([l.policy.log_std for l in learners])     # (M, A)
     std = np.exp(log_std)
     act_dim = log_std.shape[1]
-    policy_mean, value_of = stacked_forward(policies), stacked_forward(value_fns)
-    obs_stats = StackedStats([n.stat for n in normalizers])
-    clip = np.array([n.clip for n in normalizers])[:, None]
-    ret_stats = StackedStats([s.stat for s in reward_scalers])
-    gamma = np.array([s.gamma for s in reward_scalers])
-    ret = np.array([s.ret for s in reward_scalers], dtype=np.float64)
+    policy_mean = stacked_forward([l.policy for l in learners])
+    value_of = stacked_forward([l.value_fn for l in learners])
+    obs_stats = StackedStats([l.obs_stat for l in learners])
+    ret_stats = StackedStats([l.ret_stat for l in learners])
+    ret = np.array([l.ret for l in learners], dtype=np.float64)
 
-    obs = np.stack([env.reset(rng) if o is None else o
-                    for env, rng, o in zip(envs, rngs, initial_obs)], dtype=np.float64)
-    ep_sparse = [float(c) if o is not None else 0.0
-                 for c, o in zip(carry_returns, initial_obs)]
+    obs = np.stack([l.train_env.reset(l.rng) if l.obs is None else l.obs for l in learners],
+                   dtype=np.float64)
+    ep_sparse = [float(l.pending_return) if l.obs is not None else 0.0 for l in learners]
     episode_returns = [[] for _ in range(m)]
     noise = np.empty((m, act_dim))
     obs_n = np.empty((m, steps, obs.shape[1]))
@@ -202,7 +210,7 @@ def collect_rollout(policies, value_fns, envs, steps: int, rngs, normalizers,
     for t in range(steps):
         raw[:, t] = obs
         obs_stats.add(obs)
-        x = whiten(obs, obs_stats.mean, np.maximum(obs_stats.std(), 1e-8), clip)
+        x = whiten(obs, obs_stats.mean, np.maximum(obs_stats.std(), 1e-8))
         rows = x[:, None]  # each learner's one-row batch
         mu = policy_mean(rows)[:, 0]
         for i, rng in enumerate(rngs):
@@ -229,22 +237,21 @@ def collect_rollout(policies, value_fns, envs, steps: int, rngs, normalizers,
         rews[:, t] = reward / np.maximum(ret_stats.std(), 1e-8)
         ret = np.where(dones[:, t], 0.0, ret)
         obs = next_obs
-    obs_stats.write([n.stat for n in normalizers])
-    ret_stats.write([s.stat for s in reward_scalers])
-    for scaler, r in zip(reward_scalers, ret):
-        scaler.ret = float(r)
-    x = whiten(obs, obs_stats.mean, np.maximum(obs_stats.std(), 1e-8), clip)
+    obs_stats.write([l.obs_stat for l in learners])
+    ret_stats.write([l.ret_stat for l in learners])
+    x = whiten(obs, obs_stats.mean, np.maximum(obs_stats.std(), 1e-8))
     bootstrap = value_of(x[:, None])[:, 0, 0]
     buffers = []
-    for i in range(m):
+    for i, learner in enumerate(learners):
         live = not dones[i, -1]
+        learner.ret = float(ret[i])
+        learner.obs = obs[i].copy() if live else None
+        learner.pending_return = ep_sparse[i] if live else 0.0
         buffers.append(RolloutBuffer(
-            learner_id=i, obs=obs_n[i], raw_obs=raw[i], actions=acts[i],
-            log_probs=logps[i], rewards=rews[i], values=vals[i], dones=dones[i],
+            obs=obs_n[i], raw_obs=raw[i], actions=acts[i], log_probs=logps[i],
+            rewards=rews[i], values=vals[i], dones=dones[i],
             bootstrap_value=float(bootstrap[i]) if live else 0.0,
-            final_obs=obs[i].copy() if live else None,
-            episode_returns=episode_returns[i],
-            pending_return=ep_sparse[i] if live else 0.0))
+            episode_returns=episode_returns[i]))
     return buffers
 
 
@@ -361,7 +368,6 @@ def ppo_update(policy, value_fn, buffer: RolloutBuffer, config: PPOConfig,
 class EvalResult:
     fitness: float
     bd: np.ndarray | None
-    episode_returns: np.ndarray
 
 
 def evaluate(policies, envs, rngs, episodes: int = 10) -> list:
@@ -382,7 +388,6 @@ def evaluate(policies, envs, rngs, episodes: int = 10) -> list:
     policy_mean = stacked_forward([view.policy for view in policies])
     shift = np.stack([view.obs_mean for view in policies])
     scale = np.stack([view.obs_std for view in policies])
-    clip = np.array([view.clip for view in policies])[:, None]
     obs = np.stack([env.reset(rng) for env, rng in zip(envs, rngs)], dtype=np.float64)
     totals = [[] for _ in range(m)]
     bds = [[] for _ in range(m)]
@@ -390,7 +395,7 @@ def evaluate(policies, envs, rngs, episodes: int = 10) -> list:
     actions = [[] for _ in range(m)]
     live = list(range(m))
     while live:
-        mu = policy_mean(whiten(obs, shift, scale, clip)[:, None])[:, 0]
+        mu = policy_mean(whiten(obs, shift, scale)[:, None])[:, 0]
         for i in tuple(live):
             env = envs[i]
             obs[i], _, done, info = env.step(mu[i])
@@ -408,6 +413,5 @@ def evaluate(policies, envs, rngs, episodes: int = 10) -> list:
                 obs[i] = env.reset(rngs[i])
                 total[i], actions[i] = 0.0, []
     return [EvalResult(fitness=float(np.mean(totals[i])),
-                       bd=np.mean(np.stack(bds[i]), axis=0) if bds[i] else None,
-                       episode_returns=np.asarray(totals[i]))
+                       bd=np.mean(np.stack(bds[i]), axis=0) if bds[i] else None)
             for i in range(m)]

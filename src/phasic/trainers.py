@@ -39,8 +39,8 @@ from .dogfight import DogfightEnv
 from .kernels import METRIC_KINDS, StateBatch
 from .nets import NormalizedPolicy, Policy, ValueFunction
 from .optim import Adam
-from .rl import (Normalizer, PPOConfig, RewardScaler, collect_rollout, evaluate,
-                 ppo_update)
+from .rl import (Learner, PPOConfig, RunningStat, collect_rollout, evaluate, ppo_update,
+                 restore_payload, snapshot_payload)
 from .selection import (BanditState, bandit_update, clustering_selection,
                         thompson_select, ucb_select)
 from .toy import ToyEnv
@@ -118,6 +118,8 @@ def validate_config(config: TrainerConfig) -> None:
         raise ValueError("cells_per_dim and queue_capacity must be >= 1")
     if config.iterations is not None and config.iterations < 1:
         raise ValueError("iterations must be >= 1 when given")
+    if config.ppo.epochs < 1 or config.ppo.minibatches < 1:
+        raise ValueError("ppo.epochs and ppo.minibatches must be >= 1")
 
 
 def make_env(name: str):
@@ -128,100 +130,51 @@ def make_env(name: str):
     raise ValueError(f"unknown env {name!r}")
 
 
-@dataclass
-class Learner:
-    id: int
-    policy: Policy
-    value_fn: ValueFunction
-    policy_opt: Adam
-    value_opt: Adam
-    normalizer: Normalizer
-    reward_scaler: RewardScaler
-    rng: np.random.Generator
-    train_env: object
-    eval_env: object
-    obs: np.ndarray | None = None     # mid-episode continuation point
-    pending_return: float = 0.0
-    fitness: float = float("nan")
-
-
-def snapshot_payload(learner: Learner) -> dict:
-    """Everything exploitation must copy: nets, optimizers, normalizers."""
-    return {
-        "policy_params": learner.policy.params.copy(),
-        "value_params": learner.value_fn.params.copy(),
-        "policy_opt": learner.policy_opt.state_dict(),
-        "value_opt": learner.value_opt.state_dict(),
-        "normalizer": learner.normalizer.state_dict(),
-        "reward_scaler": learner.reward_scaler.state_dict(),
-    }
-
-
-def restore_payload(learner: Learner, payload: dict) -> None:
-    learner.policy = learner.policy.with_params(payload["policy_params"])
-    learner.value_fn = learner.value_fn.with_params(payload["value_params"])
-    learner.policy_opt = Adam.from_state(payload["policy_opt"])
-    learner.value_opt = Adam.from_state(payload["value_opt"])
-    learner.normalizer.load_state(payload["normalizer"])
-    learner.reward_scaler.load_state(payload["reward_scaler"])
-    learner.obs = None            # the copied policy starts a fresh episode
-    learner.pending_return = 0.0
-
-
 def _offer(archive, queue, policy, fitness, bd, **meta) -> tuple:
     """Offer one candidate to the grid, then the queue; returns both verdicts."""
     return archive.add(policy, fitness, bd, **meta), queue.add(policy, fitness, bd, **meta)
 
 
-def dvd_update(policies, value_fns, buffers, lam, probe_states, *,
-               ppo_config: PPOConfig, policy_opts, value_opts, update_rngs,
-               aux_rng=None, aux_lr: float = 1e-3, grad_clip: float = 1.0,
-               metric: str = "w2", beta: float = 0.99, deterministic: bool = False,
-               normalizers):
+def dvd_update(learners, buffers, lam, probe_states, config: TrainerConfig,
+               aux_rng=None) -> list:
     """One joint step: theta += (1-lam) * dtheta_reward + lam * dtheta_diversity.
 
-    Reward deltas come from a full PPO update per learner; the diversity delta
-    is a single determinant-ascent step on the live population.  ``lam`` = 0
-    reproduces the plain PPO result exactly, with no ascent and no
-    ``aux_rng`` draw, and ``lam`` = 1 the pure ascent step; interior values
-    mix the two parameter deltas convexly.  Value functions and optimizer
-    state always advance along the reward path.  The ascent sees each policy
-    through its learner's normalizer in ``normalizers``.  A learner whose
-    update turns non-finite keeps its parameters and is flagged ``nan_event``.
-    Returns (new_policies, new_value_fns, stats_list).
+    The reward delta is each learner's full PPO update; the diversity delta is
+    one determinant-ascent step on the learners' ``view()``s, or zero for fewer
+    than two learners.  ``lam`` = 0 is plain PPO exactly, with no ascent and no
+    ``aux_rng`` draw, and ``lam`` = 1 the pure ascent step.  Value functions
+    and optimizer state always take the reward path.  Each learner gets its new
+    nets in place, except one whose update turns non-finite: it keeps its nets
+    and its stats are flagged ``nan_event``.  Returns the stats list.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must lie in [0, 1]")
-    aux_deltas = [np.zeros_like(p.params) for p in policies]
     aux_out = None
-    if lam > 0.0 and len(policies) >= 2:
-        wrapped = [NormalizedPolicy(p, norm.stat.mean, norm.stat.std)
-                   for p, norm in zip(policies, normalizers)]
+    if lam > 0.0 and len(learners) >= 2:
         aux_out, _ = diversity_ascent(
-            wrapped, StateBatch(np.asarray(probe_states, dtype=np.float64)),
-            steps=1, metric=metric, beta=beta, lr=aux_lr, grad_clip=grad_clip,
-            deterministic=deterministic, rng=aux_rng)
-        aux_deltas = [o.params - p.params for o, p in zip(aux_out, policies)]
-    new_policies, new_values, stats_list = [], [], []
-    for i, policy in enumerate(policies):
+            [l.view() for l in learners], StateBatch(probe_states), steps=1, metric=config.metric, beta=config.beta, lr=config.aux_lr,
+            grad_clip=config.grad_clip, deterministic=config.deterministic_kernel,
+            rng=aux_rng)
+    stats_list = []
+    for i, (learner, buffer) in enumerate(zip(learners, buffers)):
+        policy = learner.policy
         new_policy, new_value, stats = ppo_update(
-            policy, value_fns[i], buffers[i], ppo_config,
-            policy_opts[i], value_opts[i], update_rngs[i])
+            policy, learner.value_fn, buffer, config.ppo,
+            learner.policy_opt, learner.value_opt, learner.rng)
+        ascended = policy.params if aux_out is None else aux_out[i].params
         mixed = new_policy.params
         if lam == 1.0:
-            mixed = aux_out[i].params
+            mixed = ascended
         elif lam > 0.0:
             mixed = (policy.params + (1.0 - lam) * (new_policy.params - policy.params)
-                     + lam * aux_deltas[i])
+                     + lam * (ascended - policy.params))
         if stats.nan_event or not np.all(np.isfinite(mixed)):
             stats.nan_event = True
-            new_policy, new_value = policy, value_fns[i]
-        elif lam > 0.0:
-            new_policy = policy.with_params(mixed)
-        new_policies.append(new_policy)
-        new_values.append(new_value)
+        else:
+            learner.policy = policy.with_params(mixed) if lam > 0.0 else new_policy
+            learner.value_fn = new_value
         stats_list.append(stats)
-    return new_policies, new_values, stats_list
+    return stats_list
 
 
 def _jsonable(x):
@@ -280,9 +233,7 @@ class RunState:
                 id=i, policy=policy, value_fn=value_fn,
                 policy_opt=Adam(policy.n_params, lr=config.ppo.lr),
                 value_opt=Adam(value_fn.params.size, lr=config.ppo.lr),
-                normalizer=Normalizer(proto.obs_dim),
-                reward_scaler=RewardScaler(config.ppo.gamma),
-                rng=rng, train_env=factory(), eval_env=factory()))
+                obs_stat=RunningStat((proto.obs_dim,)), rng=rng, train_env=factory(), eval_env=factory()))
         state = cls(
             config=config, learners=learners,
             archive=GridArchive(dims=2, cells_per_dim=config.cells_per_dim),
@@ -376,35 +327,15 @@ def _reward_phase(state: RunState) -> tuple:
     Returns the learner records and the probe pool (the rollouts' raw frames).
     """
     config, learners = state.config, state.learners
-    buffers = collect_rollout(
-        [l.policy for l in learners], [l.value_fn for l in learners],
-        [l.train_env for l in learners], config.rollout_steps,
-        [l.rng for l in learners], [l.normalizer for l in learners],
-        [l.reward_scaler for l in learners],
-        initial_obs=[l.obs for l in learners],
-        carry_returns=[l.pending_return for l in learners])
+    buffers = collect_rollout(learners, config.rollout_steps, config.ppo.gamma)
     probe_pool = np.concatenate([buf.raw_obs for buf in buffers], axis=0)
-
     probes = (_sample_probes(probe_pool, config.probe_states, state.aux_rng)
-              if state.lam > 0.0 else probe_pool[:1])
-    new_ps, new_vs, stats_list = dvd_update(
-        [l.policy for l in learners], [l.value_fn for l in learners],
-        buffers, state.lam, probes,
-        ppo_config=config.ppo,
-        policy_opts=[l.policy_opt for l in learners],
-        value_opts=[l.value_opt for l in learners],
-        update_rngs=[l.rng for l in learners], aux_rng=state.aux_rng,
-        aux_lr=config.aux_lr, grad_clip=config.grad_clip,
-        metric=config.metric, beta=config.beta,
-        deterministic=config.deterministic_kernel,
-        normalizers=[l.normalizer for l in learners])
+              if state.lam > 0.0 else None)
+    stats_list = dvd_update(learners, buffers, state.lam, probes, config, state.aux_rng)
     records = []
-    for learner, buf, new_p, new_v, stats in zip(learners, buffers, new_ps, new_vs, stats_list):
-        learner.obs, learner.pending_return = buf.final_obs, buf.pending_return
+    for learner, buf, stats in zip(learners, buffers, stats_list):
         if stats.nan_event:  # the snapshot restarts the episode
             restore_payload(learner, state.last_snapshot[learner.id])
-        else:
-            learner.policy, learner.value_fn = new_p, new_v
         returns = buf.episode_returns
         records.append({
             "id": learner.id,
@@ -419,19 +350,14 @@ def _reward_phase(state: RunState) -> tuple:
 def _evaluate_and_offer(state: RunState, it: int) -> list:
     """Evaluate every live learner, snapshot it, and offer it to both archives."""
     learners = state.learners
-    results = evaluate(
-        [NormalizedPolicy(l.policy, l.normalizer.stat.mean, l.normalizer.stat.std)
-         for l in learners],
-        [l.eval_env for l in learners], [l.rng for l in learners],
-        episodes=state.config.eval_episodes)
+    results = evaluate([l.view() for l in learners], [l.eval_env for l in learners],
+                       [l.rng for l in learners], episodes=state.config.eval_episodes)
     evals = []
     for learner, res in zip(learners, results):
-        stat = learner.normalizer.stat
         learner.fitness = res.fitness
-        payload = snapshot_payload(learner)
-        state.last_snapshot[learner.id] = payload
+        state.last_snapshot[learner.id] = payload = snapshot_payload(learner)
         _offer(state.archive, state.queue, learner.policy, res.fitness, res.bd,
-               obs_mean=stat.mean, obs_std=stat.std,
+               obs_mean=learner.obs_stat.mean, obs_std=learner.obs_stat.std,
                source=learner.id, iteration=it, payload=payload)
         evals.append({"id": learner.id, "fitness": res.fitness, "bd": res.bd})
     return evals

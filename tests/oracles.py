@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from phasic.dogfight import GRAVITY, AircraftState, Geometry, wrap_angle
-from phasic.nets import LOG_STD_MAX, LOG_STD_MIN
+from phasic.nets import LOG_STD_MAX, LOG_STD_MIN, OBS_CLIP
 from phasic.rl import EvalResult, RolloutBuffer
 
 
@@ -507,7 +507,8 @@ class BatchMoments:
 
 
 class ArrayRewardScaler:
-    """RewardScaler feeding each return through the batch update as a one-element array."""
+    """The rollout's reward scaling, feeding each discounted return through the
+    batch update as a one-element array."""
 
     def __init__(self, gamma: float = 0.99):
         self.gamma = float(gamma)
@@ -561,18 +562,20 @@ def relative_geometry(attacker, target):
 
 # -- reference per-learner reward phase ----------------------------------------------
 
-def normalize(normalizer, obs):
-    """Whiten ``obs`` by a ``Normalizer``'s running statistics, np.clip-clamped."""
-    std = np.maximum(normalizer.stat.std, 1e-8)
-    z = (np.asarray(obs, dtype=np.float64) - normalizer.stat.mean) / std
-    return np.clip(z, -normalizer.clip, normalizer.clip)
+def normalize(stat, obs):
+    """Whiten ``obs`` by a running statistic, np.clip-clamped to ``OBS_CLIP``."""
+    std = np.maximum(stat.std, 1e-8)
+    z = (np.asarray(obs, dtype=np.float64) - stat.mean) / std
+    return np.clip(z, -OBS_CLIP, OBS_CLIP)
 
 
-def scale_reward(scaler, reward: float, done: bool) -> float:
-    """One ``RewardScaler`` step on plain floats: update the discounted return
-    and its statistic, divide the reward by that std, reset on ``done``."""
-    ret = scaler.ret = scaler.gamma * scaler.ret + reward
-    stat = scaler.stat
+def scale_reward(stat, ret: float, gamma: float, reward: float, done: bool) -> tuple:
+    """One reward-scaling step on plain floats: update the discounted return
+    and its statistic, divide the reward by that std, reset on ``done``.
+
+    Returns (scaled reward, the return carried to the next step).
+    """
+    ret = gamma * ret + reward
     m2_row = (ret - ret) * (ret - ret)
     if stat.count == 0.0:
         count, mean, m2 = 1.0, ret, m2_row
@@ -583,22 +586,23 @@ def scale_reward(scaler, reward: float, done: bool) -> float:
         m2 = float(stat.m2) + m2_row + delta * delta * (stat.count / count)
     stat.count, stat.mean, stat.m2 = count, np.array(mean), np.array(m2)
     std = math.sqrt(max(m2 / count, 0.0)) if count >= 2 else 1.0
-    out = reward / max(std, 1e-8)
-    if done:
-        scaler.ret = 0.0
-    return out
+    return reward / max(std, 1e-8), 0.0 if done else ret
 
 
-def collect_rollout(policy, value_fn, env, steps, rng, normalizer, reward_scaler,
-                    learner_id=0, initial_obs=None, carry_return=0.0) -> RolloutBuffer:
-    """One learner's rollout, one step at a time with one-row forwards."""
+def collect_rollout(policy, value_fn, env, steps, rng, obs_stat, ret_stat, ret, gamma,
+                    initial_obs=None, carry_return=0.0) -> tuple:
+    """One learner's rollout, one step at a time with one-row forwards.
+
+    Returns (buffer, ret, the raw continuation observation or None if the
+    last step ended an episode, the sparse return pending on it).
+    """
     obs = env.reset(rng) if initial_obs is None else np.asarray(initial_obs, dtype=np.float64)
     obs_n, raw, acts, logps, rews, vals, dones = [], [], [], [], [], [], []
     episode_returns = []
     ep_sparse = float(carry_return) if initial_obs is not None else 0.0
     for _ in range(steps):
-        update_stat(normalizer.stat, obs)
-        x = normalize(normalizer, obs)
+        update_stat(obs_stat, obs)
+        x = normalize(obs_stat, obs)
         mu, ls = policy.gaussian_batch(x[None])
         std = np.exp(ls)
         action = mu[0] + std * rng.standard_normal(std.shape)
@@ -607,7 +611,7 @@ def collect_rollout(policy, value_fn, env, steps, rng, normalizer, reward_scaler
         value = value_fn.value(x)
         next_obs, reward, done, info = env.step(action)
         ep_sparse += info.get("sparse_reward", reward)
-        reward = scale_reward(reward_scaler, float(reward), done)
+        reward, ret = scale_reward(ret_stat, ret, gamma, float(reward), done)
         obs_n.append(x)
         raw.append(np.array(obs))
         acts.append(action)
@@ -624,14 +628,13 @@ def collect_rollout(policy, value_fn, env, steps, rng, normalizer, reward_scaler
     if dones[-1]:
         bootstrap, final_obs = 0.0, None
     else:
-        bootstrap, final_obs = value_fn.value(normalize(normalizer, obs)), np.array(obs)
-    return RolloutBuffer(
-        learner_id=learner_id, obs=np.asarray(obs_n), raw_obs=np.asarray(raw),
-        actions=np.asarray(acts), log_probs=np.asarray(logps), rewards=np.asarray(rews),
-        values=np.asarray(vals), dones=np.asarray(dones, dtype=bool),
-        bootstrap_value=float(bootstrap), final_obs=final_obs,
-        episode_returns=episode_returns,
-        pending_return=0.0 if dones[-1] else ep_sparse)
+        bootstrap, final_obs = value_fn.value(normalize(obs_stat, obs)), np.array(obs)
+    buffer = RolloutBuffer(
+        obs=np.asarray(obs_n), raw_obs=np.asarray(raw), actions=np.asarray(acts),
+        log_probs=np.asarray(logps), rewards=np.asarray(rews), values=np.asarray(vals),
+        dones=np.asarray(dones, dtype=bool), bootstrap_value=float(bootstrap),
+        episode_returns=episode_returns)
+    return buffer, ret, final_obs, 0.0 if dones[-1] else ep_sparse
 
 
 def evaluate(policy, env, rng, episodes=10) -> EvalResult:
@@ -651,5 +654,4 @@ def evaluate(policy, env, rng, episodes=10) -> EvalResult:
         if bd is not None:
             bds.append(np.asarray(bd, dtype=np.float64))
     return EvalResult(fitness=float(np.mean(totals)),
-                      bd=np.mean(np.stack(bds), axis=0) if bds else None,
-                      episode_returns=np.asarray(totals))
+                      bd=np.mean(np.stack(bds), axis=0) if bds else None)

@@ -103,7 +103,7 @@ def test_criterion_1_math_oracles(capfd):
         else:
             policies = [random_discrete_policy(prng) for _ in range(3)]
             metric = "jsd"
-        batch = StateBatch(prng.uniform(-1, 1, (24, 2)), "probe")
+        batch = StateBatch(prng.uniform(-1, 1, (24, 2)))
         fwd, _, _, grads = log_det_chain(policies, batch, metric, beta=0.9)
         i = int(prng.integers(3))
 
@@ -176,7 +176,7 @@ def test_criterion_3_repulsion(capfd):
     base = Policy.init(2, env.action_space, rng, hidden=(16,))
     population = [base, base.with_params(base.params),
                   base.with_params(base.params)]
-    batch = StateBatch(rng.uniform(-1.0, 1.0, (256, 2)), "toy-probes")
+    batch = StateBatch(rng.uniform(-1.0, 1.0, (256, 2)))
     ascended, trace = diversity_ascent(population, batch, steps=20,
                                        metric="w2", beta=0.99,
                                        rng=np.random.default_rng(34))
@@ -387,7 +387,7 @@ def test_criterion_8_kernel_closed_forms(capfd):
     for case in range(20):
         prng = np.random.default_rng(880 + case)
         n_pols = 2 + case % 4
-        batch = StateBatch(prng.uniform(-1.0, 1.0, (16, 2)), "probe")
+        batch = StateBatch(prng.uniform(-1.0, 1.0, (16, 2)))
         if case % 3 == 2:
             pols = [random_discrete_policy(prng) for _ in range(n_pols)]
             got = kernel_forward(pols, batch, "jsd").entries

@@ -152,6 +152,20 @@ class TestValidateCommand:
         assert out == ""
         assert json.loads(err)["error"]["type"] == "config"
 
+    @pytest.mark.parametrize("ppo", [{"minibatches": 0}, {"epochs": -1}])
+    def test_ppo_loop_counts_below_one(self, tmp_path, capsys, ppo):
+        cfg = _cfg_file(tmp_path, {"ppo": ppo})
+        out_dir = tmp_path / "exp"
+        for argv in (["validate", "--config", cfg],
+                     ["run", "--config", cfg, "--out", str(out_dir)]):
+            rc, out, err = _run_main(capsys, argv)
+            assert rc != 0
+            assert out == ""
+            error = json.loads(err)["error"]
+            assert error["type"] == "config"
+            assert next(iter(ppo)) in error["message"]
+        assert not out_dir.exists()
+
     def test_queue_archive_accepted(self, capsys):
         rc, out, _ = _run_main(capsys, ["validate"])
         assert json.loads(out)["config"]["archive"] == "grid"

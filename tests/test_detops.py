@@ -43,7 +43,7 @@ class TestSurrogate:
     def test_beta_out_of_range(self):
         rng = np.random.default_rng(0)
         pols = [random_gaussian_policy(rng) for _ in range(2)]
-        batch = StateBatch(rng.standard_normal((3, 2)), "probe")
+        batch = StateBatch(rng.standard_normal((3, 2)))
         for beta in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
                 diversity_ascent(pols, batch, steps=0, beta=beta)
@@ -158,7 +158,7 @@ class TestDetGradient:
     def test_zero_entry_gradient(self):
         rng = np.random.default_rng(7)
         pols = [random_gaussian_policy(rng) for _ in range(3)]
-        fwd = kernel_forward(pols, StateBatch(rng.standard_normal((4, 2)), "probe"))
+        fwd = kernel_forward(pols, StateBatch(rng.standard_normal((4, 2))))
         for g, pol in zip(kernel_backward(fwd, np.zeros((3, 3))), pols):
             assert np.array_equal(g, np.zeros(pol.n_params))
 
@@ -200,13 +200,13 @@ class TestDiversityObjective:
     """The log-det value and gradients of the chain one ascent step runs."""
 
     def _batch(self, rng, n=4, dim=2):
-        return StateBatch(rng.standard_normal((n, dim)), "probe")
+        return StateBatch(rng.standard_normal((n, dim)))
 
     def test_near_duplicate_pair_value(self):
         # two policies with a vanishing mean offset: det(K~) -> 3/4 at beta=0.5
         a = linear_gaussian_policy([[0.0, 0.0]], [0.0], [0.0])
         b = linear_gaussian_policy([[0.0, 0.0]], [1e-5], [0.0])
-        batch = StateBatch(np.zeros((2, 2)), "probe")
+        batch = StateBatch(np.zeros((2, 2)))
         _, det, _, grads = log_det_chain([a, b], batch, beta=0.5)
         assert np.isclose(det, 0.75, atol=1e-8)
         # ascent direction pushes the biases apart
@@ -218,7 +218,7 @@ class TestDiversityObjective:
         a = linear_gaussian_policy([[0.0, 0.0]], [0.0], [0.0])
         b = linear_gaussian_policy([[0.0, 0.0]], [50.0], [0.0])
         c = linear_gaussian_policy([[0.0, 0.0]], [-50.0], [0.0])
-        batch = StateBatch(np.zeros((2, 2)), "probe")
+        batch = StateBatch(np.zeros((2, 2)))
         _, det, _, grads = log_det_chain([a, b, c], batch, beta=0.99, norm_scale=1.0)
         assert det > 0.999
         for g in grads:
@@ -259,7 +259,7 @@ class TestDiversityAscent:
         rng = np.random.default_rng(11)
         base = random_gaussian_policy(rng)
         pols = [base, base.with_params(base.params), base.with_params(base.params)]
-        batch = StateBatch(rng.standard_normal((6, 2)), "probe")
+        batch = StateBatch(rng.standard_normal((6, 2)))
         out, trace = diversity_ascent(pols, batch, steps=20, beta=0.99, lr=1e-3,
                                       rng=np.random.default_rng(12))
         assert len(trace) == 21
@@ -278,7 +278,7 @@ class TestDiversityAscent:
         rng = np.random.default_rng(27)
         make = random_gaussian_policy if metric == "w2" else random_discrete_policy
         pols = [make(rng) for _ in range(3)]
-        batch = StateBatch(rng.standard_normal((5, 2)), "probe")
+        batch = StateBatch(rng.standard_normal((5, 2)))
         start, start_det, _, _ = log_det_chain(pols, batch, metric, beta=0.99)
         scales = []
         real = phasic.detops.kernel_forward
@@ -303,7 +303,7 @@ class TestDiversityAscent:
         rng = np.random.default_rng(29)
         make = random_gaussian_policy if metric == "w2" else random_discrete_policy
         pols = [make(rng) for _ in range(3)]
-        batch = StateBatch(rng.standard_normal((5, 2)), "probe")
+        batch = StateBatch(rng.standard_normal((5, 2)))
         _, _, _, grads = log_det_chain(pols, batch, metric, beta=0.99)
         out, _ = diversity_ascent(pols, batch, steps=1, metric=metric, beta=0.99,
                                   lr=1e-3, grad_clip=0.0)
@@ -314,7 +314,7 @@ class TestDiversityAscent:
         rng = np.random.default_rng(13)
         pols = [random_gaussian_policy(rng) for _ in range(3)]
         before = [p.params.copy() for p in pols]
-        batch = StateBatch(rng.standard_normal((4, 2)), "probe")
+        batch = StateBatch(rng.standard_normal((4, 2)))
         diversity_ascent(pols, batch, steps=5, rng=np.random.default_rng(1))
         for p, b in zip(pols, before):
             assert np.array_equal(p.params, b)

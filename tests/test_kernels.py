@@ -130,14 +130,14 @@ class TestVarianceNormalize:
     def test_equal_entries_unchanged(self):
         # unit-vector means: every pairwise squared distance is exactly 2
         pols = [linear_gaussian_policy(np.zeros((3, 1)), np.eye(3)[i], 0.0) for i in range(3)]
-        fwd = kernel_forward(pols, StateBatch(np.zeros((1, 1)), "t"))
+        fwd = kernel_forward(pols, StateBatch(np.zeros((1, 1))))
         assert fwd.scale == 1.0
         assert np.array_equal(fwd.sq_dists, 2.0 * (1.0 - np.eye(3)))
         assert np.array_equal(fwd.entries[~np.eye(3, dtype=bool)], np.full(6, np.exp(-1.0)))
 
     def test_zero_matrix_unchanged(self):
         pol = linear_gaussian_policy([[1.0]], [0.0], [0.0])
-        fwd = kernel_forward([pol] * 3, StateBatch(np.array([[0.5]]), "t"))
+        fwd = kernel_forward([pol] * 3, StateBatch(np.array([[0.5]])))
         assert fwd.scale == 1.0
         assert np.array_equal(fwd.sq_dists, np.zeros((3, 3)))
         assert np.array_equal(fwd.entries, np.ones((3, 3)))
@@ -145,7 +145,7 @@ class TestVarianceNormalize:
     def test_hand_computed_std(self):
         # biases 0, 1, 3: squared distances 1, 9, 4
         pols = [linear_gaussian_policy([[0.0]], [b], [0.0]) for b in (0.0, 1.0, 3.0)]
-        fwd = kernel_forward(pols, StateBatch(np.zeros((1, 1)), "t"))
+        fwd = kernel_forward(pols, StateBatch(np.zeros((1, 1))))
         sq = np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 4.0], [9.0, 4.0, 0.0]])
         std = np.std([1.0, 4.0, 9.0])  # duplication across the diagonal cancels
         assert np.isclose(fwd.scale, std, rtol=1e-15)
@@ -157,8 +157,7 @@ class TestKernelEntry:
     """Single entries of the population kernel and their reverse pass."""
 
     def _batch(self, n=3, dim=1):
-        return StateBatch(states=np.arange(n * dim, dtype=np.float64).reshape(n, dim),
-                          source="test")
+        return StateBatch(states=np.arange(n * dim, dtype=np.float64).reshape(n, dim))
 
     def _entry(self, a, b, batch, metric="w2", deterministic=False):
         return kernel_forward([a, b], batch, metric, deterministic).entries[0, 1]
@@ -175,7 +174,7 @@ class TestKernelEntry:
     def test_three_probe_states_hand_average(self):
         a = linear_gaussian_policy([[1.0]], [0.0], [0.0])
         b = linear_gaussian_policy([[0.5]], [0.25], [0.0])
-        batch = StateBatch(states=np.array([[0.0], [1.0], [2.0]]), source="test")
+        batch = StateBatch(states=np.array([[0.0], [1.0], [2.0]]))
         # per-state mean differences -0.25, 0.25, 0.75 (stds equal); the
         # kernel maps the state-averaged squared distance (M=2: scale 1)
         expected = np.exp(-0.5 * np.mean([0.0625, 0.0625, 0.5625]))
@@ -208,8 +207,8 @@ class TestKernelEntry:
         pols = [random_gaussian_policy(rng) for _ in range(3)]
         states = rng.standard_normal((8, 2))
         perm = rng.permutation(8)
-        e1 = kernel_forward(pols, StateBatch(states, "x")).entries
-        e2 = kernel_forward(pols, StateBatch(states[perm], "x")).entries
+        e1 = kernel_forward(pols, StateBatch(states)).entries
+        e2 = kernel_forward(pols, StateBatch(states[perm])).entries
         assert np.allclose(e1, e2, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("metric", ["w2", "jsd"])
@@ -223,7 +222,7 @@ class TestKernelEntry:
         upstream[0, 1] = 1.0  # d entry[0, 1]
         for _ in range(25):
             pols = [make(rng) for _ in range(3)]
-            batch = StateBatch(rng.standard_normal((4, 2)), "fd")
+            batch = StateBatch(rng.standard_normal((4, 2)))
             fwd = kernel_forward(pols, batch, metric, deterministic)
             grads = kernel_backward(fwd, upstream)
             for i in range(3):
@@ -238,7 +237,7 @@ class TestKernelEntry:
 class TestKernelMatrix:
     def test_duplicate_pair_all_ones(self):
         pol = linear_gaussian_policy([[1.0]], [0.0], [0.0])
-        batch = StateBatch(np.array([[0.0], [1.0]]), "t")
+        batch = StateBatch(np.array([[0.0], [1.0]]))
         k = kernel_forward([pol, pol.with_params(pol.params)], batch).entries
         assert np.array_equal(k, np.ones((2, 2)))
 
@@ -247,14 +246,14 @@ class TestKernelMatrix:
         # guard passes raw distances through; raw d^2 = 1 -> exp(-1/2)
         a = linear_gaussian_policy([[0.0]], [0.0], [0.0])
         b = linear_gaussian_policy([[0.0]], [1.0], [0.0])
-        batch = StateBatch(np.array([[0.0], [1.0]]), "t")
+        batch = StateBatch(np.array([[0.0], [1.0]]))
         k = kernel_forward([a, b], batch).entries
         assert np.isclose(k[0, 1], np.exp(-0.5), atol=1e-12)
 
     def test_duplicated_pair_inside_triple(self):
         a = linear_gaussian_policy([[0.0]], [0.0], [0.0])
         b = linear_gaussian_policy([[0.0]], [1.0], [0.0])
-        batch = StateBatch(np.array([[0.0]]), "t")
+        batch = StateBatch(np.array([[0.0]]))
         k = kernel_forward([a, a.with_params(a.params), b], batch).entries
         assert np.isclose(k[0, 1], 1.0, atol=1e-12)
         assert kernel_invariant_violations(k) == []
@@ -264,7 +263,7 @@ class TestKernelMatrix:
         for _ in range(500):
             m = int(rng.integers(2, 6))
             pols = [random_gaussian_policy(rng) for _ in range(m)]
-            batch = StateBatch(rng.standard_normal((4, 2)), "t")
+            batch = StateBatch(rng.standard_normal((4, 2)))
             k = kernel_forward(pols, batch, deterministic=bool(rng.integers(0, 2))).entries
             assert kernel_invariant_violations(k) == []
 
@@ -273,7 +272,7 @@ class TestKernelMatrix:
         for _ in range(100):
             m = int(rng.integers(2, 5))
             pols = [random_discrete_policy(rng) for _ in range(m)]
-            batch = StateBatch(rng.standard_normal((4, 2)), "t")
+            batch = StateBatch(rng.standard_normal((4, 2)))
             k = kernel_forward(pols, batch, metric="jsd").entries
             assert kernel_invariant_violations(k) == []
 
@@ -287,7 +286,7 @@ class TestKernelMatrix:
     def test_pinned_norm_scale_reproduces_entries(self):
         rng = np.random.default_rng(8)
         pols = [random_gaussian_policy(rng) for _ in range(3)]
-        batch = StateBatch(rng.standard_normal((5, 2)), "t")
+        batch = StateBatch(rng.standard_normal((5, 2)))
         k1 = kernel_forward(pols, batch)
         k2 = kernel_forward(pols, batch, norm_scale=k1.scale)
         assert np.array_equal(k1.entries, k2.entries)

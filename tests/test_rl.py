@@ -6,9 +6,9 @@ import pytest
 from phasic.dogfight import DogfightConfig, DogfightEnv
 from phasic.nets import ActionSpace, NormalizedPolicy, Policy, ValueFunction, whiten
 from phasic.optim import Adam
-from phasic.rl import (Normalizer, PPOConfig, RewardScaler, RolloutBuffer,
-                       RunningStat, StackedStats, collect_rollout, evaluate, gae,
-                       ppo_update)
+from phasic.rl import (Learner, PPOConfig, RolloutBuffer, RunningStat, StackedStats,
+                       collect_rollout, evaluate, gae, ppo_update, restore_payload,
+                       snapshot_payload)
 from phasic.toy import ToyConfig, ToyEnv
 
 import oracles
@@ -22,12 +22,19 @@ def make_learner(rng, obs_dim=2, act_dim=2, hidden=(8,)):
     return policy, value_fn
 
 
-def rollout(policy, value_fn, env, steps, rng, normalizer=None, reward_scaler=None, **kw):
-    """A population-of-one rollout; fresh statistics unless given."""
-    normalizer = normalizer or Normalizer(env.obs_dim)
-    reward_scaler = reward_scaler or RewardScaler()
-    buf, = collect_rollout([policy], [value_fn], [env], steps, [rng], [normalizer],
-                           [reward_scaler], **kw)
+GAMMA = PPOConfig().gamma
+
+
+def learner_of(policy, value_fn, env, rng):
+    """A learner with fresh optimizers and statistics that trains in ``env``."""
+    return Learner(id=0, policy=policy, value_fn=value_fn, policy_opt=Adam(policy.n_params),
+                   value_opt=Adam(value_fn.params.size), obs_stat=RunningStat((env.obs_dim,)),
+                   rng=rng, train_env=env, eval_env=None)
+
+
+def rollout(learner, steps, gamma=GAMMA):
+    """A population-of-one rollout; the learner carries its state on."""
+    buf, = collect_rollout([learner], steps, gamma)
     return buf
 
 
@@ -58,12 +65,20 @@ class ScriptedEnv:
         return np.zeros(1), self.rewards[t], self.dones[t], {}
 
 
-def scaled_rewards(scaler, rewards, dones=None):
-    """The learning rewards a rollout hands PPO for a reward script."""
+def scripted_learner():
+    """A one-dimensional learner for ``scaled_rewards``; its return statistics
+    carry over from one script to the next."""
     policy = linear_gaussian_policy([[0.0]], [0.0], 0.0)
     value_fn = ValueFunction.init(1, np.random.default_rng(0), hidden=())
-    return rollout(policy, value_fn, ScriptedEnv(rewards, dones), len(rewards),
-                   np.random.default_rng(0), reward_scaler=scaler).rewards
+    return learner_of(policy, value_fn, ScriptedEnv([]), None)
+
+
+def scaled_rewards(learner, rewards, dones=None, gamma=GAMMA):
+    """The learning rewards a rollout hands PPO for a reward script, played
+    from a fresh episode."""
+    learner.train_env, learner.rng = ScriptedEnv(rewards, dones), np.random.default_rng(0)
+    learner.obs = None
+    return rollout(learner, len(rewards), gamma).rewards
 
 
 class TestRunningStat:
@@ -167,7 +182,7 @@ class TestOneRowUpdatesMatchBatchFormula:
     @pytest.mark.parametrize("poison", [None, (0, np.inf), (150, np.inf), (150, np.nan)])
     def test_reward_scaler_matches_array_path(self, gamma, poison):
         rng = np.random.default_rng(19)
-        scaler, ref = RewardScaler(gamma), ArrayRewardScaler(gamma)
+        learner, ref = scripted_learner(), ArrayRewardScaler(gamma)
         rewards = list(rng.normal(scale=5.0, size=300))
         rewards[7] = 0.0
         rewards[100] = -1000.0
@@ -175,61 +190,63 @@ class TestOneRowUpdatesMatchBatchFormula:
             rewards[poison[0]] = poison[1]
         dones = rng.random(300) < 0.05
         with np.errstate(invalid="ignore"):
-            got = scaled_rewards(scaler, rewards, dones)
+            got = scaled_rewards(learner, rewards, dones, gamma)
             want = [ref.scale(float(r), bool(d)) for r, d in zip(rewards, dones)]
         assert np.array_equal(got, want, equal_nan=True)
-        assert np.array_equal(scaler.ret, ref.ret, equal_nan=True)
-        assert scaler.stat.count == ref.stat.count
-        assert np.array_equal(scaler.stat.mean, ref.stat.mean, equal_nan=True)
-        assert np.array_equal(scaler.stat.m2, ref.stat.m2, equal_nan=True)
+        assert np.array_equal(learner.ret, ref.ret, equal_nan=True)
+        assert learner.ret_stat.count == ref.stat.count
+        assert np.array_equal(learner.ret_stat.mean, ref.stat.mean, equal_nan=True)
+        assert np.array_equal(learner.ret_stat.m2, ref.stat.m2, equal_nan=True)
 
     def test_reward_scaler_state_round_trips(self):
-        scaler = RewardScaler(0.9)
-        scaled_rewards(scaler, [1.0, -2.0, 0.5])
-        clone = RewardScaler()
-        clone.load_state(scaler.state_dict())
-        assert clone.gamma == 0.9
-        assert np.array_equal(scaled_rewards(clone, [3.0], [True]),
-                              scaled_rewards(scaler, [3.0], [True]))
-        assert clone.state_dict()["stat"]["count"] == scaler.stat.count == 4
+        # the return and its statistics travel in the learner's payload
+        learner = scripted_learner()
+        scaled_rewards(learner, [1.0, -2.0, 0.5], gamma=0.9)
+        clone = scripted_learner()
+        restore_payload(clone, snapshot_payload(learner))
+        assert clone.ret == learner.ret != 0.0
+        assert np.array_equal(scaled_rewards(clone, [3.0], [True], gamma=0.9),
+                              scaled_rewards(learner, [3.0], [True], gamma=0.9))
+        assert snapshot_payload(clone)["ret_stat"]["count"] == learner.ret_stat.count == 4
 
 
 class TestNormalizer:
+    """Observation whitening by a learner's ``obs_stat``."""
+
     def test_whitens_and_clips(self):
         rng = np.random.default_rng(3)
         data = rng.normal(loc=10.0, scale=0.5, size=(200, 2))
-        norm = Normalizer(2)
-        add_rows(norm.stat, data)
-        std = np.maximum(norm.stat.std, 1e-8)
-        out = whiten(data, norm.stat.mean, std, norm.clip)
+        stat = RunningStat((2,))
+        add_rows(stat, data)
+        std = np.maximum(stat.std, 1e-8)
+        out = whiten(data, stat.mean, std)
         assert out.mean(axis=0) == pytest.approx(np.zeros(2), abs=1e-10)
         assert out.std(axis=0) == pytest.approx(np.ones(2), rel=1e-10)
-        assert np.all(np.abs(whiten(np.array([1e9, -1e9]), norm.stat.mean, std,
-                                    norm.clip)) <= 10.0)
+        assert np.all(np.abs(whiten(np.array([1e9, -1e9]), stat.mean, std)) <= 10.0)
         # the clamp gives np.clip's bits, non-finite inputs included
         x = rng.normal(loc=10.0, scale=20.0, size=(300, 2))
         x[::7, 0], x[3::11, 1], x[5::13] = np.inf, -np.inf, np.nan
-        z = (x - norm.stat.mean) / std
-        assert np.array_equal(whiten(x, norm.stat.mean, std, norm.clip),
+        z = (x - stat.mean) / std
+        assert np.array_equal(whiten(x, stat.mean, std),
                               np.clip(z, -10.0, 10.0), equal_nan=True)
 
     def test_copy_is_independent(self):
-        # the snapshot path: a loaded state shares no arrays with its source
-        norm = Normalizer(2, clip=5.0)
-        add_rows(norm.stat, np.ones((5, 2)))
-        clone = Normalizer(2)
-        clone.load_state(norm.state_dict())
-        add_rows(norm.stat, np.full((50, 2), 100.0))
-        assert clone.stat.count == 5
-        assert clone.clip == 5.0
-        assert np.array_equal(clone.stat.mean, np.ones(2))
+        # the snapshot path: a restored learner shares no arrays with its source
+        policy, value_fn = make_learner(np.random.default_rng(5))
+        source = learner_of(policy, value_fn, ToyEnv(), None)
+        add_rows(source.obs_stat, np.ones((5, 2)))
+        clone = learner_of(policy, value_fn, ToyEnv(), None)
+        restore_payload(clone, snapshot_payload(source))
+        add_rows(source.obs_stat, np.full((50, 2), 100.0))
+        assert clone.obs_stat.count == 5
+        assert np.array_equal(clone.obs_stat.mean, np.ones(2))
 
     def test_frozen_view_transforms_like_normalize(self):
         rng = np.random.default_rng(4)
-        norm = Normalizer(3)
+        stat = RunningStat((3,))
         data = rng.normal(loc=2.0, scale=3.0, size=(40, 3))
         data[:, 2] = 7.0  # a zero-variance column: std floors at 1e-8
-        add_rows(norm.stat, data)
+        add_rows(stat, data)
         x = rng.normal(loc=2.0, scale=40.0, size=(300, 3))
         x[::7, 0], x[3::11, 1], x[5::13] = np.inf, -np.inf, np.nan
         x[1::4, 2] = 7.0 + rng.normal(scale=1e-9, size=x[1::4, 2].shape)
@@ -242,38 +259,40 @@ class TestNormalizer:
                 seen.append(states)
                 return states[:, :1], np.zeros(1)
 
-        view = NormalizedPolicy(Recorder(), norm.stat.mean, norm.stat.std)
-        view.gaussian_batch(x)
-        assert np.array_equal(seen[0], oracles.normalize(norm, x), equal_nan=True)
+        learner = Learner(id=0, policy=Recorder(), value_fn=None, policy_opt=None,
+                          value_opt=None, obs_stat=stat, rng=None, train_env=None,
+                          eval_env=None)
+        learner.view().gaussian_batch(x)
+        assert np.array_equal(seen[0], oracles.normalize(stat, x), equal_nan=True)
 
 
 class TestRewardScaler:
+    """Learning rewards scaled by the std of the learner's discounted return."""
+
     def test_first_reward_passes_through(self):
-        scaler = RewardScaler(gamma=0.99)
-        assert scaled_rewards(scaler, [1.0])[0] == pytest.approx(1.0)
+        assert scaled_rewards(scripted_learner(), [1.0])[0] == pytest.approx(1.0)
 
     def test_scales_by_return_std(self):
         rng = np.random.default_rng(4)
-        scaler = RewardScaler(gamma=0.9)
         rewards = rng.normal(size=100)
         rets = []
         ret = 0.0
         for r in rewards:
             ret = 0.9 * ret + r
             rets.append(ret)
-        out = scaled_rewards(scaler, rewards)[-1]
+        out = scaled_rewards(scripted_learner(), rewards, gamma=0.9)[-1]
         assert out == pytest.approx(rewards[-1] / np.std(rets), rel=1e-9)
 
     def test_done_resets_the_return_accumulator(self):
-        scaler = RewardScaler(gamma=0.5)
-        scaled_rewards(scaler, [8.0], [True])
-        assert scaler.ret == 0.0
+        learner = scripted_learner()
+        scaled_rewards(learner, [8.0], [True], gamma=0.5)
+        assert learner.ret == 0.0
 
 
 class TestGae:
     def test_unit_discount_constant_rewards(self):
         buf = RolloutBuffer(
-            learner_id=0, obs=np.zeros((3, 1)), raw_obs=np.zeros((3, 1)),
+            obs=np.zeros((3, 1)), raw_obs=np.zeros((3, 1)),
             actions=np.zeros((3, 1)), log_probs=np.zeros(3),
             rewards=np.ones(3), values=np.zeros(3),
             dones=np.array([False, False, True]), bootstrap_value=0.0)
@@ -283,7 +302,7 @@ class TestGae:
 
     def test_single_transition(self):
         buf = RolloutBuffer(
-            learner_id=0, obs=np.zeros((1, 1)), raw_obs=np.zeros((1, 1)),
+            obs=np.zeros((1, 1)), raw_obs=np.zeros((1, 1)),
             actions=np.zeros((1, 1)), log_probs=np.zeros(1),
             rewards=np.array([1.0]), values=np.array([0.0]),
             dones=np.array([True]), bootstrap_value=0.0)
@@ -293,7 +312,7 @@ class TestGae:
 
     def test_done_blocks_credit_flow(self):
         buf = RolloutBuffer(
-            learner_id=0, obs=np.zeros((2, 1)), raw_obs=np.zeros((2, 1)),
+            obs=np.zeros((2, 1)), raw_obs=np.zeros((2, 1)),
             actions=np.zeros((2, 1)), log_probs=np.zeros(2),
             rewards=np.array([1.0, 1.0]), values=np.array([5.0, 7.0]),
             dones=np.array([True, False]), bootstrap_value=3.0)
@@ -305,7 +324,7 @@ class TestGae:
         rng = np.random.default_rng(5)
         rewards = rng.normal(size=12)
         buf = RolloutBuffer(
-            learner_id=0, obs=np.zeros((12, 1)), raw_obs=np.zeros((12, 1)),
+            obs=np.zeros((12, 1)), raw_obs=np.zeros((12, 1)),
             actions=np.zeros((12, 1)), log_probs=np.zeros(12),
             rewards=rewards, values=np.zeros(12),
             dones=np.zeros(12, dtype=bool), bootstrap_value=0.0)
@@ -319,7 +338,7 @@ class TestGae:
     def test_normalize_flag(self):
         rng = np.random.default_rng(6)
         buf = RolloutBuffer(
-            learner_id=0, obs=np.zeros((30, 1)), raw_obs=np.zeros((30, 1)),
+            obs=np.zeros((30, 1)), raw_obs=np.zeros((30, 1)),
             actions=np.zeros((30, 1)), log_probs=np.zeros(30),
             rewards=rng.normal(size=30), values=rng.normal(size=30),
             dones=np.zeros(30, dtype=bool), bootstrap_value=0.0)
@@ -333,7 +352,7 @@ class TestCollectRollout:
         rng = np.random.default_rng(7)
         env = ToyEnv()
         policy, value_fn = make_learner(rng)
-        buf = rollout(policy, value_fn, env, 37, rng)
+        buf = rollout(learner_of(policy, value_fn, env, rng), 37)
         assert len(buf) == 37
         assert buf.obs.shape == (37, 2)
         assert buf.raw_obs.shape == (37, 2)
@@ -344,8 +363,8 @@ class TestCollectRollout:
     def test_seeded_determinism(self):
         env_a, env_b = ToyEnv(), ToyEnv()
         policy, value_fn = make_learner(np.random.default_rng(9))
-        buf_a = rollout(policy, value_fn, env_a, 50, np.random.default_rng(42))
-        buf_b = rollout(policy, value_fn, env_b, 50, np.random.default_rng(42))
+        buf_a = rollout(learner_of(policy, value_fn, env_a, np.random.default_rng(42)), 50)
+        buf_b = rollout(learner_of(policy, value_fn, env_b, np.random.default_rng(42)), 50)
         assert np.array_equal(buf_a.obs, buf_b.obs)
         assert np.array_equal(buf_a.actions, buf_b.actions)
         assert np.array_equal(buf_a.rewards, buf_b.rewards)
@@ -357,34 +376,35 @@ class TestCollectRollout:
         env = ToyEnv(ToyConfig(horizon=50))
         policy = linear_gaussian_policy(np.zeros((2, 2)), np.zeros(2), log_std=-20.0)
         value_fn = ValueFunction.init(2, np.random.default_rng(0), hidden=(4,))
-        norm = Normalizer(2)
-        buf = rollout(policy, value_fn, env, 125, np.random.default_rng(10), normalizer=norm)
+        learner = learner_of(policy, value_fn, env, np.random.default_rng(10))
+        buf = rollout(learner, 125)
         assert int(buf.dones.sum()) == 2
         assert len(buf.episode_returns) == 2
         starts = [buf.raw_obs[0], buf.raw_obs[50]]
         for got, start in zip(buf.episode_returns, starts):
             assert got == pytest.approx(50 * env.reward_at(start), rel=1e-5)
         # mid-episode cut: bootstrap from the live state, continuation obs kept
-        assert buf.final_obs is not None
+        assert learner.obs is not None
+        assert learner.pending_return == pytest.approx(25 * env.reward_at(buf.raw_obs[100]),
+                                                       rel=1e-5)
         assert buf.bootstrap_value == pytest.approx(
-            value_fn.value(oracles.normalize(norm, buf.final_obs)))
+            value_fn.value(oracles.normalize(learner.obs_stat, learner.obs)))
 
     def test_rollout_ending_on_done_has_no_continuation(self):
         env = ToyEnv(ToyConfig(horizon=25))
         policy, value_fn = make_learner(np.random.default_rng(11))
-        buf = rollout(policy, value_fn, env, 50, np.random.default_rng(11))
+        learner = learner_of(policy, value_fn, env, np.random.default_rng(11))
+        buf = rollout(learner, 50)
         assert buf.dones[-1]
-        assert buf.final_obs is None
+        assert learner.obs is None and learner.pending_return == 0.0
         assert buf.bootstrap_value == 0.0
 
     def test_continuation_resumes_episode(self):
         env = SparseLog(ToyEnv(ToyConfig(horizon=60)))
         policy, value_fn = make_learner(np.random.default_rng(12))
-        rng = np.random.default_rng(13)
-        norm, scaler = Normalizer(2), RewardScaler()
-        buf1 = rollout(policy, value_fn, env, 30, rng, norm, scaler)
-        buf2 = rollout(policy, value_fn, env, 30, rng, norm, scaler,
-                       initial_obs=[buf1.final_obs], carry_returns=[buf1.pending_return])
+        learner = learner_of(policy, value_fn, env, np.random.default_rng(13))
+        buf1 = rollout(learner, 30)
+        buf2 = rollout(learner, 30)
         assert not buf1.dones.any()
         assert buf2.dones[-1]
         assert len(buf2.episode_returns) == 1
@@ -395,12 +415,13 @@ class TestCollectRollout:
 
 
 class SparseLog:
-    """Env wrapper that logs each step's sparse reward."""
+    """Env wrapper that logs each step's sparse reward and, as a loop summing
+    them would, each finished episode's sparse return."""
 
     def __init__(self, env):
         self.env = env
         self.obs_dim, self.action_space = env.obs_dim, env.action_space
-        self.sparse = []
+        self.sparse, self.episode_returns, self._total = [], [], 0.0
 
     def reset(self, rng):
         return self.env.reset(rng)
@@ -408,7 +429,14 @@ class SparseLog:
     def step(self, action):
         out = self.env.step(action)
         self.sparse.append(out[3]["sparse_reward"])
+        self._total += out[3]["sparse_reward"]
+        if out[2]:
+            self.episode_returns.append(self._total)
+            self._total = 0.0
         return out
+
+    def episode_bd(self, actions, last_info):
+        return self.env.episode_bd(actions, last_info)
 
 
 class Poisoned:
@@ -441,18 +469,25 @@ def _buffers_equal(got, want):
         assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
     assert np.array_equal(got.dones, want.dones)
     assert np.array_equal(got.bootstrap_value, want.bootstrap_value, equal_nan=True)
-    assert (got.final_obs is None) == (want.final_obs is None)
-    if got.final_obs is not None:
-        assert np.array_equal(got.final_obs, want.final_obs, equal_nan=True)
     assert np.array_equal(got.episode_returns, want.episode_returns, equal_nan=True)
+
+
+def _learners_equal(got, want):
+    """The state a rollout carries on: statistics, return, continuation, generator."""
+    assert _stats_equal(got.obs_stat, want.obs_stat)
+    assert _stats_equal(got.ret_stat, want.ret_stat)
+    assert np.array_equal(got.ret, want.ret, equal_nan=True)
+    assert (got.obs is None) == (want.obs is None)
+    if got.obs is not None:
+        assert np.array_equal(got.obs, want.obs, equal_nan=True)
     assert np.array_equal(got.pending_return, want.pending_return, equal_nan=True)
-    assert got.learner_id == want.learner_id
+    assert got.rng.bit_generator.state == want.rng.bit_generator.state
 
 
 class TestLockstepMatchesPerLearner:
     """The population rollout and evaluation equal M per-learner reference loops
-    (tests/oracles.py) bit for bit: every buffer field, the statistics and
-    generators afterwards."""
+    (tests/oracles.py) bit for bit: every buffer field, and each learner's
+    statistics, return, continuation and generator afterwards."""
 
     @staticmethod
     def population(m, obs_dim, act_dim, seed, hidden=(16, 16)):
@@ -465,69 +500,59 @@ class TestLockstepMatchesPerLearner:
         return pols, vfs
 
     @staticmethod
-    def statistics(m, obs_dim, seed):
-        """Normalizers and scalers; learner i has already seen 3*i rows (none for i=0)."""
+    def learners(pols, vfs, make_env, seed):
+        """Learner i has already seen 3*i observations and returns (none for i=0)."""
         rng = np.random.default_rng(seed)
-        norms, scalers = [], []
-        for i in range(m):
-            norm, scaler = Normalizer(obs_dim), RewardScaler()
+        out = []
+        for i, (pol, vf) in enumerate(zip(pols, vfs)):
+            learner = learner_of(pol, vf, make_env(i), np.random.default_rng(100 + i))
             if i:
-                oracles.update_stat(norm.stat, rng.normal(size=(3 * i, obs_dim)))
+                oracles.update_stat(learner.obs_stat,
+                                    rng.normal(size=(3 * i, learner.obs_stat.mean.size)))
                 for r in rng.normal(size=3 * i):
-                    oracles.scale_reward(scaler, float(r), False)
-            norms.append(norm)
-            scalers.append(scaler)
-        return norms, scalers
+                    _, learner.ret = oracles.scale_reward(learner.ret_stat, learner.ret, GAMMA,
+                                                          float(r), False)
+            out.append(learner)
+        return out
 
     def check(self, make_env, m, steps, windows=2, obs_dim=2, act_dim=2, seed=0):
+        """Per window: the buffers and each learner's (obs, pending_return) after it."""
         pols, vfs = self.population(m, obs_dim, act_dim, seed)
-        got_norms, got_scalers = self.statistics(m, obs_dim, seed)
-        ref_norms, ref_scalers = self.statistics(m, obs_dim, seed)
-        got_envs, ref_envs = [make_env(i) for i in range(m)], [make_env(i) for i in range(m)]
-        got_rngs = [np.random.default_rng(100 + i) for i in range(m)]
-        ref_rngs = [np.random.default_rng(100 + i) for i in range(m)]
-        carry = [(None, 0.0)] * m
+        got, refs = (self.learners(pols, vfs, make_env, seed) for _ in range(2))
         out = []
         for _ in range(windows):
-            got = collect_rollout(pols, vfs, got_envs, steps, got_rngs, got_norms, got_scalers,
-                                  initial_obs=[c[0] for c in carry],
-                                  carry_returns=[c[1] for c in carry])
-            refs = []
-            for i in range(m):
-                obs, ret = carry[i]
-                refs.append(oracles.collect_rollout(
-                    pols[i], vfs[i], ref_envs[i], steps, ref_rngs[i], ref_norms[i],
-                    ref_scalers[i], learner_id=i, initial_obs=obs, carry_return=ret))
-            assert len(got) == m
+            bufs = collect_rollout(got, steps, GAMMA)
+            assert len(bufs) == m
+            for buf, ref in zip(bufs, refs):
+                want, ref.ret, ref.obs, ref.pending_return = oracles.collect_rollout(
+                    ref.policy, ref.value_fn, ref.train_env, steps, ref.rng, ref.obs_stat,
+                    ref.ret_stat, ref.ret, GAMMA, initial_obs=ref.obs,
+                    carry_return=ref.pending_return)
+                _buffers_equal(buf, want)
             for g, r in zip(got, refs):
-                _buffers_equal(g, r)
-            carry = [(b.final_obs, b.pending_return) for b in got]
-            out.append(got)
-            for i in range(m):
-                assert _stats_equal(got_norms[i].stat, ref_norms[i].stat)
-                assert got_norms[i].clip == ref_norms[i].clip
-                assert _stats_equal(got_scalers[i].stat, ref_scalers[i].stat)
-                assert np.array_equal(got_scalers[i].ret, ref_scalers[i].ret, equal_nan=True)
-                assert got_rngs[i].bit_generator.state == ref_rngs[i].bit_generator.state
+                _learners_equal(g, r)
+            out.append((bufs, [(l.obs, l.pending_return) for l in got]))
         return out
 
     @pytest.mark.parametrize("m", [1, 3, 5])
     def test_toy_rollout(self, m):
         # horizons differ, so learners finish episodes on different ticks, and
         # the second window starts learner 0 afresh and continues the others
-        first, _ = self.check(lambda i: ToyEnv(ToyConfig(horizon=35 + 7 * i)), m, steps=70)
-        assert [b.final_obs is None for b in first] == [True] + [False] * (m - 1)
-        assert [b.pending_return != 0.0 for b in first] == [False] + [True] * (m - 1)
+        (_, carried), _ = self.check(lambda i: ToyEnv(ToyConfig(horizon=35 + 7 * i)), m,
+                                     steps=70)
+        assert [obs is None for obs, _ in carried] == [True] + [False] * (m - 1)
+        assert [pending != 0.0 for _, pending in carried] == [False] + [True] * (m - 1)
 
     def test_dogfight_rollout_with_staggered_episode_ends(self):
-        _, got = self.check(lambda i: DogfightEnv(DogfightConfig(max_steps=25 + 10 * i)), 3,
-                            steps=60, obs_dim=22, act_dim=4)
+        _, (got, _) = self.check(lambda i: DogfightEnv(DogfightConfig(max_steps=25 + 10 * i)),
+                                 3, steps=60, obs_dim=22, act_dim=4)
         assert [len(b.episode_returns) for b in got] == [2, 2, 1]
 
     def test_non_finite_observation_row(self):
         poison = {0: [(5, np.inf)], 1: [], 2: [(9, np.nan), (12, -np.inf)]}
         with np.errstate(invalid="ignore", over="ignore"):
-            got, = self.check(lambda i: Poisoned(ToyEnv(), poison[i]), 3, steps=20, windows=1)
+            (got, _), = self.check(lambda i: Poisoned(ToyEnv(), poison[i]), 3, steps=20,
+                                   windows=1)
         assert not np.all(np.isfinite(got[0].obs)) and not np.all(np.isfinite(got[2].obs))
         assert np.all(np.isfinite(got[1].obs))
 
@@ -542,13 +567,16 @@ class TestLockstepMatchesPerLearner:
         m = len(views)
         got_rngs = [np.random.default_rng(200 + i) for i in range(m)]
         ref_rngs = [np.random.default_rng(200 + i) for i in range(m)]
-        got = evaluate(views, [make_env(i) for i in range(m)], got_rngs, episodes=episodes)
+        got_envs = [SparseLog(make_env(i)) for i in range(m)]
+        got = evaluate(views, got_envs, got_rngs, episodes=episodes)
         assert len(got) == m
         for i, (view, res) in enumerate(zip(views, got)):
-            ref = oracles.evaluate(view, make_env(i), ref_rngs[i], episodes=episodes)
+            ref_env = SparseLog(make_env(i))
+            ref = oracles.evaluate(view, ref_env, ref_rngs[i], episodes=episodes)
             assert res.fitness == ref.fitness
             assert np.array_equal(res.bd, ref.bd)
-            assert np.array_equal(res.episode_returns, ref.episode_returns)
+            assert len(got_envs[i].episode_returns) == episodes
+            assert np.array_equal(got_envs[i].episode_returns, ref_env.episode_returns)
             assert got_rngs[i].bit_generator.state == ref_rngs[i].bit_generator.state
         return got
 
@@ -565,14 +593,14 @@ class TestLockstepMatchesPerLearner:
 class TestPpoUpdate:
     @staticmethod
     def random_buffer(rng, policy, value_fn, env, steps=64):
-        return rollout(policy, value_fn, env, steps, rng)
+        return rollout(learner_of(policy, value_fn, env, rng), steps)
 
     def test_zero_advantage_leaves_policy_unchanged(self):
         rng = np.random.default_rng(14)
         policy, value_fn = make_learner(rng)
         n = 32
         buf = RolloutBuffer(
-            learner_id=0, obs=rng.normal(size=(n, 2)), raw_obs=np.zeros((n, 2)),
+            obs=rng.normal(size=(n, 2)), raw_obs=np.zeros((n, 2)),
             actions=rng.normal(size=(n, 2)), log_probs=np.zeros(n),
             rewards=np.zeros(n), values=np.zeros(n),
             dones=np.zeros(n, dtype=bool), bootstrap_value=0.0)
@@ -605,7 +633,7 @@ class TestPpoUpdate:
         actions = np.full((8, 1), 0.5)
         logp = _true_log_probs(policy, obs, actions)
         buf = RolloutBuffer(
-            learner_id=0, obs=obs, raw_obs=obs, actions=actions, log_probs=logp,
+            obs=obs, raw_obs=obs, actions=actions, log_probs=logp,
             rewards=np.ones(8), values=np.zeros(8),
             dones=np.zeros(8, dtype=bool), bootstrap_value=0.0)
         cfg = PPOConfig(epochs=1, minibatches=1, norm_adv=False)
@@ -644,38 +672,40 @@ class TestPpoUpdate:
 
 class TestEvaluate:
     def test_quiet_policy_matches_closed_form(self):
-        env = ToyEnv(ToyConfig(spawn_jitter=0.0, horizon=40))
+        env = SparseLog(ToyEnv(ToyConfig(spawn_jitter=0.0, horizon=40)))
         policy = linear_gaussian_policy(np.zeros((2, 2)), np.zeros(2), log_std=0.0)
         view = NormalizedPolicy(policy, np.zeros(2), np.ones(2))
         res, = evaluate([view], [env], [np.random.default_rng(20)], episodes=3)
         # deterministic mean action is 0 from the origin: parked at spawn
-        assert res.fitness == pytest.approx(40 * env.reward_at(np.zeros(2)), rel=1e-12)
-        assert res.episode_returns.shape == (3,)
+        assert res.fitness == pytest.approx(40 * env.env.reward_at(np.zeros(2)), rel=1e-12)
+        assert len(env.episode_returns) == 3
         assert res.bd == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_normalizer_applied_but_not_updated(self):
-        policy, _ = make_learner(np.random.default_rng(21))
-        norm = Normalizer(2)
-        add_rows(norm.stat, np.random.default_rng(22).normal(loc=3.0, scale=0.1, size=(50, 2)))
-        before = norm.state_dict()
+        policy, value_fn = make_learner(np.random.default_rng(21))
+        learner = learner_of(policy, value_fn, ToyEnv(), None)
+        stat = learner.obs_stat
+        add_rows(stat, np.random.default_rng(22).normal(loc=3.0, scale=0.1, size=(50, 2)))
+        before = stat.state_dict()
 
-        class Normalizing:  # applies the live normalizer at every step
+        class Normalizing:  # applies the live statistics at every step
             action_space = policy.action_space
 
             def gaussian_batch(self, states):
-                return policy.gaussian_batch(oracles.normalize(norm, states))
+                return policy.gaussian_batch(oracles.normalize(stat, states))
 
-        view = NormalizedPolicy(policy, norm.stat.mean, norm.stat.std)
-        got, = evaluate([view], [ToyEnv()], [np.random.default_rng(23)], episodes=2)
-        want = oracles.evaluate(Normalizing(), ToyEnv(), np.random.default_rng(23), episodes=2)
+        got_env, want_env = SparseLog(ToyEnv()), SparseLog(ToyEnv())
+        got, = evaluate([learner.view()], [got_env], [np.random.default_rng(23)], episodes=2)
+        want = oracles.evaluate(Normalizing(), want_env, np.random.default_rng(23), episodes=2)
         raw = oracles.evaluate(policy, ToyEnv(), np.random.default_rng(23), episodes=2)
-        assert np.array_equal(got.episode_returns, want.episode_returns)
+        assert got.fitness == want.fitness
+        assert np.array_equal(got_env.episode_returns, want_env.episode_returns)
         assert np.array_equal(got.bd, want.bd)
         assert not np.array_equal(got.bd, raw.bd)
-        after = norm.state_dict()["stat"]
-        assert after["count"] == before["stat"]["count"]
-        assert np.array_equal(after["mean"], before["stat"]["mean"])
-        assert np.array_equal(after["m2"], before["stat"]["m2"])
+        after = stat.state_dict()
+        assert after["count"] == before["count"]
+        assert np.array_equal(after["mean"], before["mean"])
+        assert np.array_equal(after["m2"], before["m2"])
 
 
 class TestContinuousOnly:
@@ -689,7 +719,8 @@ class TestContinuousOnly:
     def test_collect_rollout_rejects_discrete(self):
         value_fn = ValueFunction.init(2, np.random.default_rng(31), hidden=(4,))
         with pytest.raises(ValueError, match="discrete"):
-            rollout(self.discrete_policy(), value_fn, ToyEnv(), 8, np.random.default_rng(32))
+            rollout(learner_of(self.discrete_policy(), value_fn, ToyEnv(),
+                               np.random.default_rng(32)), 8)
 
     def test_ppo_update_rejects_discrete(self):
         rng = np.random.default_rng(33)
@@ -697,7 +728,7 @@ class TestContinuousOnly:
         value_fn = ValueFunction.init(2, rng, hidden=(4,))
         n = 8
         buf = RolloutBuffer(
-            learner_id=0, obs=rng.normal(size=(n, 2)), raw_obs=np.zeros((n, 2)),
+            obs=rng.normal(size=(n, 2)), raw_obs=np.zeros((n, 2)),
             actions=rng.integers(0, 3, n), log_probs=np.full(n, -np.log(3.0)),
             rewards=np.ones(n), values=np.zeros(n),
             dones=np.zeros(n, dtype=bool), bootstrap_value=0.0)

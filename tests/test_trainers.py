@@ -12,11 +12,13 @@ from phasic.dogfight import DogfightConfig, DogfightEnv
 from phasic.kernels import StateBatch
 from phasic.nets import NormalizedPolicy, Policy, ValueFunction
 from phasic.optim import Adam
-from phasic.rl import Normalizer, PPOConfig, RewardScaler, collect_rollout
+from phasic.rl import (Learner, PPOConfig, RunningStat, collect_rollout, ppo_update,
+                       restore_payload, snapshot_payload)
 from phasic.toy import ToyEnv
-from phasic.trainers import (Learner, RunState, TrainerConfig, dvd_update, make_env,
-                             restore_payload, run_training, snapshot_payload,
+from phasic.trainers import (RunState, TrainerConfig, dvd_update, make_env, run_training,
                              validate_config, _auxiliary_phase, _exploit)
+
+GAMMA = PPOConfig().gamma
 
 
 def small_config(**kw):
@@ -35,8 +37,7 @@ def fresh_learner(seed=0, obs_dim=2, act_dim=2, hidden=(8,), learner_id=0):
     return Learner(
         id=learner_id, policy=policy, value_fn=value_fn,
         policy_opt=Adam(policy.n_params), value_opt=Adam(value_fn.params.size),
-        normalizer=Normalizer(obs_dim), reward_scaler=RewardScaler(),
-        rng=rng, train_env=ToyEnv(), eval_env=ToyEnv())
+        obs_stat=RunningStat((obs_dim,)), rng=rng, train_env=ToyEnv(), eval_env=ToyEnv())
 
 
 class TestConfigValidation:
@@ -74,6 +75,9 @@ class TestConfigValidation:
         ("pdo", {"cells_per_dim": 0}),
         ("pdo", {"queue_capacity": 0}),
         ("pdo", {"scale": float("nan"), "iterations": None}),
+        ("pdo", {"ppo": PPOConfig(minibatches=0)}),
+        ("pdo", {"ppo": PPOConfig(epochs=0)}),
+        ("pdo", {"ppo": PPOConfig(epochs=-1)}),
     ])
     def test_values_run_training_cannot_use(self, trainer, bad, tmp_path):
         cfg = small_config(trainer=trainer, **bad)
@@ -186,7 +190,7 @@ class TestAuxiliaryPhase:
         cfg = small_config(population=3, diversity_iters=10, iterations=1)
         rng = np.random.default_rng(0)
         learner = fresh_learner(seed=0, hidden=(16,))
-        stat = learner.normalizer.stat
+        stat = learner.obs_stat
         archive = GridArchive()
         for i, bd in enumerate(([0.15, 0.15], [0.45, 0.45], [0.85, 0.85])):
             archive.add(learner.policy, 1.0 + i, bd, obs_mean=stat.mean, obs_std=stat.std,
@@ -285,9 +289,8 @@ class TestExploitation:
         donor = fresh_learner(seed=1, learner_id=0)
         # give the donor distinctive state everywhere
         donor.policy_opt.step(donor.policy.params, np.ones(donor.policy.n_params))
-        collect_rollout([donor.policy], [donor.value_fn], [donor.train_env], 6, [donor.rng],
-                        [donor.normalizer], [donor.reward_scaler])
-        assert donor.normalizer.stat.count == 6 and donor.reward_scaler.ret != 0.0
+        collect_rollout([donor], 6, GAMMA)
+        assert donor.obs_stat.count == donor.ret_stat.count == 6 and donor.ret != 0.0
         payload = snapshot_payload(donor)
         archive = GridArchive()
         assert archive.add(donor.policy, 5.0, [0.5, 0.5], payload=payload)
@@ -308,22 +311,22 @@ class TestExploitation:
         assert np.array_equal(target.value_fn.params, payload["value_params"])
         assert np.array_equal(target.policy_opt.m, payload["policy_opt"]["m"])
         assert target.policy_opt.t == payload["policy_opt"]["t"]
-        assert np.array_equal(target.normalizer.stat.mean,
-                              payload["normalizer"]["stat"]["mean"])
-        assert target.normalizer.stat.count == payload["normalizer"]["stat"]["count"]
-        assert target.reward_scaler.ret == payload["reward_scaler"]["ret"]
+        assert np.array_equal(target.obs_stat.mean, payload["obs_stat"]["mean"])
+        assert target.obs_stat.count == payload["obs_stat"]["count"]
+        assert np.array_equal(target.ret_stat.m2, payload["ret_stat"]["m2"])
+        assert target.ret == payload["ret"]
         assert target.obs is None and target.pending_return == 0.0
 
     def test_restore_payload_round_trip(self):
         learner = fresh_learner(seed=4)
         snap = snapshot_payload(learner)
         learner.policy = learner.policy.with_params(learner.policy.params + 1.0)
-        collect_rollout([learner.policy], [learner.value_fn], [learner.train_env], 10,
-                        [learner.rng], [learner.normalizer], [learner.reward_scaler])
-        assert learner.normalizer.stat.count == 10
+        collect_rollout([learner], 10, GAMMA)
+        assert learner.obs_stat.count == 10
         restore_payload(learner, snap)
         assert np.array_equal(learner.policy.params, snap["policy_params"])
-        assert learner.normalizer.stat.count == snap["normalizer"]["stat"]["count"]
+        assert learner.obs_stat.count == snap["obs_stat"]["count"]
+        assert learner.ret == snap["ret"] == 0.0
 
 
 class TestGatingAcrossRuns:
@@ -343,104 +346,83 @@ class TestGatingAcrossRuns:
 
 class TestDvdUpdate:
     @staticmethod
-    def setup_population(seed=0, n=3, steps=64):
-        """Policies, value functions, rollout buffers, the normalizers the
-        rollouts advanced, and probe states."""
-        rng = np.random.default_rng(seed)
-        policies = [Policy.init(2, ToyEnv().action_space, rng, hidden=(8,)) for _ in range(n)]
-        value_fns = [ValueFunction.init(2, rng, hidden=(8,)) for _ in range(n)]
-        normalizers = [Normalizer(2) for _ in range(n)]
-        buffers = collect_rollout(policies, value_fns, [ToyEnv() for _ in range(n)], steps,
-                                  [np.random.default_rng([seed, i]) for i in range(n)],
-                                  normalizers, [RewardScaler() for _ in range(n)])
-        probes = rng.uniform(-1, 1, size=(32, 2))
-        return policies, value_fns, buffers, normalizers, probes
+    def setup_population(seed=0, n=3, steps=64, update_seed=0):
+        """Learners after one rollout, their buffers, and probe states.
+
+        Each learner's generator is then reseeded to ``update_seed + i``, the
+        stream its PPO update draws from.
+        """
+        learners = [fresh_learner(seed=[seed, i], learner_id=i) for i in range(n)]
+        buffers = collect_rollout(learners, steps, GAMMA)
+        for i, learner in enumerate(learners):
+            learner.rng = np.random.default_rng(update_seed + i)
+        probes = np.random.default_rng(seed).uniform(-1, 1, size=(32, 2))
+        return learners, buffers, probes
 
     @staticmethod
-    def views(policies, normalizers):
-        return [NormalizedPolicy(p, n.stat.mean, n.stat.std)
-                for p, n in zip(policies, normalizers)]
-
-    @staticmethod
-    def opts(policies, value_fns, lr=3e-4):
-        return ([Adam(p.n_params, lr=lr) for p in policies],
-                [Adam(v.params.size, lr=lr) for v in value_fns])
+    def ppo_reference(policy, value_fn, buffer, rng):
+        return ppo_update(policy, value_fn, buffer, PPOConfig(), Adam(policy.n_params),
+                          Adam(value_fn.params.size), rng)
 
     def test_lambda_zero_equals_plain_ppo(self):
-        policies, values, buffers, norms, probes = self.setup_population()
-        cfg = PPOConfig()
-        po1, vo1 = self.opts(policies, values)
-        new_ps, new_vs, stats = dvd_update(
-            policies, values, buffers, 0.0, probes, ppo_config=cfg,
-            policy_opts=po1, value_opts=vo1,
-            update_rngs=[np.random.default_rng(100 + i) for i in range(3)],
-            normalizers=norms)
-        po2, vo2 = self.opts(policies, values)
-        for i in range(3):
-            from phasic.rl import ppo_update
-            ref_p, ref_v, _ = ppo_update(policies[i], values[i], buffers[i], cfg,
-                                         po2[i], vo2[i], np.random.default_rng(100 + i))
-            assert np.array_equal(new_ps[i].params, ref_p.params)
-            assert np.array_equal(new_vs[i].params, ref_v.params)
+        learners, buffers, probes = self.setup_population(update_seed=100)
+        policies, values = [l.policy for l in learners], [l.value_fn for l in learners]
+        stats = dvd_update(learners, buffers, 0.0, probes, TrainerConfig())
+        for i, learner in enumerate(learners):
+            ref_p, ref_v, _ = self.ppo_reference(policies[i], values[i], buffers[i],
+                                                 np.random.default_rng(100 + i))
+            assert np.array_equal(learner.policy.params, ref_p.params)
+            assert np.array_equal(learner.value_fn.params, ref_v.params)
             assert not stats[i].nan_event
 
     def test_lambda_one_equals_one_ascent_step(self):
         from phasic.detops import diversity_ascent
-        policies, values, buffers, norms, probes = self.setup_population(seed=1)
-        po, vo = self.opts(policies, values)
-        new_ps, _, _ = dvd_update(
-            policies, values, buffers, 1.0, probes, ppo_config=PPOConfig(),
-            policy_opts=po, value_opts=vo,
-            update_rngs=[np.random.default_rng(200 + i) for i in range(3)],
-            aux_lr=1e-3, normalizers=norms)
-        ref, _ = diversity_ascent(self.views(policies, norms), StateBatch(probes), steps=1,
+        learners, buffers, probes = self.setup_population(seed=1, update_seed=200)
+        views = [l.view() for l in learners]
+        dvd_update(learners, buffers, 1.0, probes, TrainerConfig(aux_lr=1e-3))
+        ref, _ = diversity_ascent(views, StateBatch(probes), steps=1,
                                   lr=1e-3, rng=np.random.default_rng(0))
-        for got, want in zip(new_ps, ref):
-            assert np.array_equal(got.params, want.params)
+        for learner, want in zip(learners, ref):
+            assert np.array_equal(learner.policy.params, want.params)
+
+    def test_one_learner_lambda_one_keeps_its_policy(self):
+        # no ascent runs on a population of one, so the diversity step is zero
+        learners, buffers, probes = self.setup_population(seed=5, n=1)
+        before = learners[0].policy.params.copy()
+        stats = dvd_update(learners, buffers, 1.0, probes, TrainerConfig())
+        assert np.array_equal(learners[0].policy.params, before)
+        assert not stats[0].nan_event
 
     def test_interior_lambda_is_the_convex_mix(self):
         from phasic.detops import diversity_ascent
-        from phasic.rl import ppo_update
-        policies, values, buffers, norms, probes = self.setup_population(seed=2)
-        cfg = PPOConfig()
-        po1, vo1 = self.opts(policies, values)
-        mixed, _, _ = dvd_update(
-            policies, values, buffers, 0.5, probes, ppo_config=cfg,
-            policy_opts=po1, value_opts=vo1,
-            update_rngs=[np.random.default_rng(300 + i) for i in range(3)],
-            aux_lr=1e-3, normalizers=norms)
-        po2, vo2 = self.opts(policies, values)
-        aux_ref, _ = diversity_ascent(self.views(policies, norms), StateBatch(probes), steps=1,
+        learners, buffers, probes = self.setup_population(seed=2, update_seed=300)
+        policies, values = [l.policy for l in learners], [l.value_fn for l in learners]
+        views = [l.view() for l in learners]
+        dvd_update(learners, buffers, 0.5, probes, TrainerConfig(aux_lr=1e-3))
+        aux_ref, _ = diversity_ascent(views, StateBatch(probes), steps=1,
                                       lr=1e-3, rng=np.random.default_rng(0))
-        for i in range(3):
-            ppo_ref, _, _ = ppo_update(policies[i], values[i], buffers[i], cfg,
-                                       po2[i], vo2[i], np.random.default_rng(300 + i))
+        for i, learner in enumerate(learners):
+            ppo_ref, _, _ = self.ppo_reference(policies[i], values[i], buffers[i],
+                                               np.random.default_rng(300 + i))
             want = (policies[i].params
                     + 0.5 * (ppo_ref.params - policies[i].params)
                     + 0.5 * (aux_ref[i].params - policies[i].params))
-            assert mixed[i].params == pytest.approx(want, abs=1e-12)
+            assert learner.policy.params == pytest.approx(want, abs=1e-12)
 
     def test_lambda_out_of_range_rejected(self):
-        policies, values, buffers, norms, probes = self.setup_population(seed=3)
-        po, vo = self.opts(policies, values)
+        learners, buffers, probes = self.setup_population(seed=3)
         with pytest.raises(ValueError):
-            dvd_update(policies, values, buffers, 1.5, probes,
-                       ppo_config=PPOConfig(), policy_opts=po, value_opts=vo,
-                       update_rngs=[np.random.default_rng(i) for i in range(3)],
-                       normalizers=norms)
+            dvd_update(learners, buffers, 1.5, probes, TrainerConfig())
 
     def test_nan_buffer_keeps_original_parameters(self):
-        policies, values, buffers, norms, probes = self.setup_population(seed=4)
+        learners, buffers, probes = self.setup_population(seed=4)
+        policies, values = [l.policy for l in learners], [l.value_fn for l in learners]
         buffers[1].rewards = buffers[1].rewards.copy()
         buffers[1].rewards[0] = np.nan
-        po, vo = self.opts(policies, values)
-        new_ps, _, stats = dvd_update(
-            policies, values, buffers, 0.5, probes, ppo_config=PPOConfig(),
-            policy_opts=po, value_opts=vo,
-            update_rngs=[np.random.default_rng(i) for i in range(3)],
-            normalizers=norms)
+        stats = dvd_update(learners, buffers, 0.5, probes, TrainerConfig())
         assert stats[1].nan_event
-        assert new_ps[1] is policies[1]
+        assert learners[1].policy is policies[1]
+        assert learners[1].value_fn is values[1]
         assert not stats[0].nan_event
 
 
