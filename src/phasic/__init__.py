@@ -14,8 +14,8 @@ The package splits into five layers:
   for all six population variants plus deterministic reporting.
 """
 
-from .archive import (ArchiveEntry, FitnessQueue, GridArchive, bd_to_cell,
-                      load_archive, qd_metrics, save_archive)
+from .archive import (ArchiveEntry, FitnessQueue, GridArchive, bd_to_cell, qd_metrics,
+                      save_archive)
 from .detops import (NotPositiveDefinite, cholesky, det_via_cholesky,
                      diversity_ascent, spd_inverse, surrogate_det_bound)
 from .dogfight import DogfightConfig, DogfightEnv
@@ -42,7 +42,7 @@ __all__ = [
     "bandit_update", "bd_to_cell", "cholesky", "clustering_selection",
     "collect_rollout", "det_via_cholesky", "diversity_ascent", "evaluate",
     "gae", "generate_report", "kernel_backward", "kernel_forward",
-    "load_archive", "load_policy", "ppo_update", "qd_metrics",
+    "load_policy", "ppo_update", "qd_metrics",
     "run_training", "save_archive", "save_policy", "spd_inverse",
     "surrogate_det_bound", "thompson_select", "ucb_select", "validate_config",
 ]

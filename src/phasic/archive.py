@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .nets import Policy, load_policy, save_policy
+from .nets import Policy, save_policy
 
 
 @dataclass(frozen=True)
@@ -69,12 +69,13 @@ def bd_to_cell(bd: np.ndarray, cells_per_dim: int = 10) -> tuple:
 
 
 class GridArchive:
-    """Elite-per-cell archive over a [0,1]^d descriptor grid."""
+    """Elite-per-cell archive over a [0,1]^2 descriptor grid."""
 
-    def __init__(self, dims: int = 2, cells_per_dim: int = 10):
-        if dims < 1 or cells_per_dim < 1:
-            raise ValueError("dims and cells_per_dim must be positive")
-        self.dims = dims
+    dims = 2  # both environments describe an episode by two numbers
+
+    def __init__(self, cells_per_dim: int = 10):
+        if cells_per_dim < 1:
+            raise ValueError("cells_per_dim must be positive")
         self.cells_per_dim = cells_per_dim
         self._cells: dict[tuple, ArchiveEntry] = {}
         self._counter = 0
@@ -136,9 +137,7 @@ class GridArchive:
         return _top(sorted(self._cells.values(), key=lambda e: (-e.fitness, e.order)), m)
 
     def heatmap(self) -> np.ndarray:
-        """Dense fitness grid (NaN for empty cells), 2-D archives only."""
-        if self.dims != 2:
-            raise ValueError("heatmap requires a 2-D descriptor grid")
+        """Dense fitness grid (NaN for empty cells)."""
         grid = np.full((self.cells_per_dim, self.cells_per_dim), np.nan)
         for (i, j), entry in self._cells.items():
             grid[i, j] = entry.fitness
@@ -260,23 +259,4 @@ def save_archive(archive: GridArchive, directory) -> None:
             "has_normalizer": entry.obs_mean is not None})
     with open(directory / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
-    grid = archive.heatmap() if archive.dims == 2 else None
-    if grid is not None:
-        np.savetxt(directory / "heatmap.csv", grid, delimiter=",", fmt="%.17g")
-
-
-def load_archive(directory) -> GridArchive:
-    directory = Path(directory)
-    with open(directory / "manifest.json") as fh:
-        manifest = json.load(fh)
-    archive = GridArchive(dims=manifest["dims"], cells_per_dim=manifest["cells_per_dim"])
-    for item in sorted(manifest["cells"], key=lambda c: c["order"]):
-        policy, extra = load_policy(directory / item["file"])
-        entry = ArchiveEntry(
-            policy=policy, fitness=float(item["fitness"]),
-            bd=np.array(item["bd"], dtype=np.float64),
-            obs_mean=extra.get("obs_mean"), obs_std=extra.get("obs_std"),
-            source=item["source"], iteration=item["iteration"], order=item["order"])
-        archive._cells[tuple(item["cell"])] = entry
-    archive._counter = manifest["counter"]
-    return archive
+    np.savetxt(directory / "heatmap.csv", archive.heatmap(), delimiter=",", fmt="%.17g")

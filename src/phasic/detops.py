@@ -23,6 +23,7 @@ import numpy as np
 from .kernels import StateBatch, kernel_backward, kernel_forward
 
 PIVOT_TOL = 1e-12
+DUPLICATE_JITTER = 1e-6  # std of the seeded jitter on a duplicated policy's parameters
 
 
 class NotPositiveDefinite(Exception):
@@ -101,8 +102,7 @@ def _factor_with_backoff(entries: np.ndarray, beta: float):
 
 def diversity_ascent(policies, batch: StateBatch, steps: int, metric: str = "w2",
                      beta: float = 0.99, lr: float = 1e-3, grad_clip: float = 1.0,
-                     deterministic: bool = False, rng: np.random.Generator | None = None,
-                     duplicate_jitter: float = 1e-6):
+                     deterministic: bool = False, rng: np.random.Generator | None = None):
     """Gradient-ascend the population diversity for ``steps`` steps.
 
     Exact parameter duplicates are a stationary point of the determinant, so
@@ -121,7 +121,7 @@ def diversity_ascent(policies, batch: StateBatch, steps: int, metric: str = "w2"
     for i in range(len(policies)):
         for j in range(i):
             if np.array_equal(policies[i].params, policies[j].params):
-                bumped = policies[i].params + duplicate_jitter * rng.standard_normal(
+                bumped = policies[i].params + DUPLICATE_JITTER * rng.standard_normal(
                     policies[i].params.shape)
                 policies[i] = policies[i].with_params(bumped)
                 break

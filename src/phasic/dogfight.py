@@ -91,10 +91,6 @@ class AircraftState:
         if self.forward is None:
             object.__setattr__(self, "forward", _nose(self.heading, self.pitch))
 
-    def forward_axis(self) -> np.ndarray:
-        """A copy of the nose vector."""
-        return self.forward.copy()
-
 
 def _nose(heading: float, pitch: float) -> np.ndarray:
     cp = math.cos(pitch)
@@ -369,9 +365,9 @@ class DogfightEnv:
             "step": status.step,
             "distance": geom.distance,
             "red_pos": next_state.red.pos.copy(),
-            "red_forward": next_state.red.forward_axis(),
+            "red_forward": next_state.red.forward.copy(),
             "blue_pos": next_state.blue.pos.copy(),
-            "blue_forward": next_state.blue.forward_axis(),
+            "blue_forward": next_state.blue.forward.copy(),
         }
         done = status.terminal is not None
         return obs, sparse + shaping, done, info

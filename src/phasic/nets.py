@@ -64,13 +64,12 @@ class _Mlp:
         views = self.unpack(flat)
         return [(w, w.T, b) for w, b in zip(views[0::2], views[1::2])]
 
-    def init_params(self, rng: np.random.Generator, out_gain: float,
-                    hidden_gain: float = np.sqrt(2.0)) -> np.ndarray:
+    def init_params(self, rng: np.random.Generator, out_gain: float) -> np.ndarray:
         flat = np.zeros(self.n_params)
         views = self.unpack(flat)
         n_layers = len(self.sizes) - 1
         for layer in range(n_layers):
-            gain = out_gain if layer == n_layers - 1 else hidden_gain
+            gain = out_gain if layer == n_layers - 1 else np.sqrt(2.0)
             views[2 * layer][...] = _orthogonal(views[2 * layer].shape, gain, rng)
         return flat
 
@@ -117,24 +116,22 @@ def _orthogonal(shape, gain: float, rng: np.random.Generator) -> np.ndarray:
     return gain * q
 
 
-class Policy:
-    """Immutable flat-parameter policy network.
+class _Net:
+    """Immutable flat-parameter tanh network: what policies and value functions share.
 
-    Each instance unpacks its weight views and clamps its log-std once; the
-    views alias ``params`` and, like it, are read-only.
+    Each instance unpacks its weight views once; they alias ``params`` and,
+    like it, are read-only.
     """
 
-    def __init__(self, topology: dict, params: np.ndarray):
+    def __init__(self, topology: dict, params: np.ndarray, out_dim: int = 1):
         self.topology = dict(topology)
         self.topology["hidden"] = tuple(self.topology["hidden"])  # JSON-safe canonical form
-        self.action_space = ActionSpace(**self.topology["action_space"])
-        self._mlp = _stack(self.topology, self.action_space.dim)
+        self._mlp = _stack(self.topology, out_dim)
         self._set_params(params)
 
-    def _set_params(self, params: np.ndarray) -> None:
+    def _set_params(self, params: np.ndarray, n_extra: int = 0) -> None:
+        """Copy ``params`` read-only; the first ``_mlp.n_params`` are the layers."""
         n_net = self._mlp.n_params
-        continuous = self.action_space.kind == "continuous"
-        n_extra = self.action_space.dim if continuous else 0
         params = np.asarray(params, dtype=np.float64).copy()
         if params.shape != (n_net + n_extra,):
             raise ValueError(f"expected {n_net + n_extra} parameters, "
@@ -142,14 +139,39 @@ class Policy:
         params.setflags(write=False)
         self.params = params
         self._layers = self._mlp.layers(params[:n_net])
+
+    def with_params(self, params: np.ndarray):
+        """Same topology and layout (the same ``_mlp``), new parameters."""
+        out = object.__new__(type(self))
+        vars(out).update(vars(self))
+        out._set_params(params)
+        return out
+
+    @property
+    def n_params(self) -> int:
+        return self.params.size
+
+    def _forward(self, states):
+        """(output (N, out), each layer's input for ``_mlp.backward``)."""
+        return self._mlp.forward(self._layers, np.asarray(states, dtype=np.float64))
+
+
+class Policy(_Net):
+    """Policy network; a continuous one clamps its log-std tail once, read-only."""
+
+    def __init__(self, topology: dict, params: np.ndarray):
+        self.action_space = ActionSpace(**topology["action_space"])
+        super().__init__(topology, params, self.action_space.dim)
+
+    def _set_params(self, params: np.ndarray) -> None:
+        continuous = self.action_space.kind == "continuous"
+        super()._set_params(params, self.action_space.dim if continuous else 0)
         if continuous:
-            self._log_std = params[n_net:]
+            self._log_std = self.params[self._mlp.n_params:]
             self._clamped_log_std = np.clip(self._log_std, LOG_STD_MIN, LOG_STD_MAX)
             self._clamped_log_std.setflags(write=False)
         else:
             self._log_std = self._clamped_log_std = None
-
-    # -- construction -----------------------------------------------------
 
     @classmethod
     def init(cls, obs_dim: int, action_space: ActionSpace, rng: np.random.Generator,
@@ -162,19 +184,6 @@ class Policy:
         if action_space.kind == "continuous":
             flat = np.concatenate([flat, np.full(action_space.dim, float(log_std_init))])
         return cls(topology, flat)
-
-    def with_params(self, params: np.ndarray) -> "Policy":
-        """Same topology and layout, new parameters."""
-        out = object.__new__(type(self))
-        out.topology = self.topology
-        out.action_space = self.action_space
-        out._mlp = self._mlp
-        out._set_params(params)
-        return out
-
-    @property
-    def n_params(self) -> int:
-        return self.params.size
 
     # -- forward ----------------------------------------------------------
 
@@ -193,14 +202,13 @@ class Policy:
         """
         if self._log_std is None:
             raise ValueError("gaussian_batch on a discrete policy")
-        out, cache = self._mlp.forward(self._layers, np.asarray(states, dtype=np.float64))
+        out, cache = self._forward(states)
         return (out, self._clamped_log_std, cache) if with_cache else (out, self._clamped_log_std)
 
     def probs_batch(self, states: np.ndarray) -> np.ndarray:
         if self.action_space.kind != "discrete":
             raise ValueError("probs_batch on a continuous policy")
-        out, _ = self._mlp.forward(self._layers, np.asarray(states, dtype=np.float64))
-        return _softmax(out)
+        return _softmax(self._forward(states)[0])
 
     # -- reverse mode -----------------------------------------------------
 
@@ -216,7 +224,7 @@ class Policy:
         if log_std is None:
             raise ValueError("backward_gaussian on a discrete policy")
         if cache is None:
-            _, cache = self._mlp.forward(self._layers, np.asarray(states, dtype=np.float64))
+            _, cache = self._forward(states)
         g_net = self._mlp.backward(self._layers, cache, np.asarray(d_mu, dtype=np.float64))
         g_ls = np.zeros_like(log_std)
         if d_log_std is not None:
@@ -226,37 +234,22 @@ class Policy:
         return np.concatenate([g_net, g_ls])
 
     def backward_logits(self, states: np.ndarray, d_logits: np.ndarray) -> np.ndarray:
-        states = np.asarray(states, dtype=np.float64)
-        _, cache = self._mlp.forward(self._layers, states)
+        _, cache = self._forward(states)
         return self._mlp.backward(self._layers, cache, np.asarray(d_logits, dtype=np.float64))
 
     def backward_probs(self, states: np.ndarray, d_probs: np.ndarray) -> np.ndarray:
         """Upstream on softmax probabilities, routed through the softmax Jacobian."""
         if self.action_space.kind != "discrete":
             raise ValueError("backward_probs on a continuous policy")
-        logits, cache = self._mlp.forward(self._layers, np.asarray(states, dtype=np.float64))
+        logits, cache = self._forward(states)
         p = _softmax(logits)
         d_probs = np.asarray(d_probs, dtype=np.float64)
         inner = np.sum(d_probs * p, axis=1, keepdims=True)
         return self._mlp.backward(self._layers, cache, p * (d_probs - inner))
 
 
-class ValueFunction:
-    """Scalar-output MLP sharing the Policy parameter conventions."""
-
-    def __init__(self, topology: dict, params: np.ndarray):
-        self.topology = dict(topology)
-        self.topology["hidden"] = tuple(self.topology["hidden"])  # JSON-safe canonical form
-        self._mlp = _stack(self.topology, 1)
-        self._set_params(params)
-
-    def _set_params(self, params: np.ndarray) -> None:
-        params = np.asarray(params, dtype=np.float64).copy()
-        if params.shape != (self._mlp.n_params,):
-            raise ValueError("parameter count mismatch")
-        params.setflags(write=False)
-        self.params = params
-        self._layers = self._mlp.layers(params)
+class ValueFunction(_Net):
+    """Scalar-output network sharing the Policy parameter conventions."""
 
     @classmethod
     def init(cls, obs_dim: int, rng: np.random.Generator,
@@ -265,27 +258,19 @@ class ValueFunction:
                     "activation": "tanh"}
         return cls(topology, _stack(topology, 1).init_params(rng, out_gain=1.0))
 
-    def with_params(self, params: np.ndarray) -> "ValueFunction":
-        """Same topology and layout, new parameters."""
-        out = object.__new__(type(self))
-        out.topology = self.topology
-        out._mlp = self._mlp
-        out._set_params(params)
-        return out
-
     def value_batch(self, states: np.ndarray, with_cache: bool = False):
         """Values (N,); ``with_cache`` adds the layer inputs ``backward`` takes."""
-        out, cache = self._mlp.forward(self._layers, np.asarray(states, dtype=np.float64))
+        out, cache = self._forward(states)
         return (out[:, 0], cache) if with_cache else out[:, 0]
 
     def value(self, obs: np.ndarray) -> float:
-        out, _ = self._mlp.forward(self._layers, np.asarray(obs, dtype=np.float64)[None])
+        out, _ = self._forward(np.asarray(obs, dtype=np.float64)[None])
         return float(out[0, 0])
 
     def backward(self, states: np.ndarray, d_value: np.ndarray, cache=None) -> np.ndarray:
         """Flat parameter gradient; ``cache`` as in ``Policy.backward_gaussian``."""
         if cache is None:
-            _, cache = self._mlp.forward(self._layers, np.asarray(states, dtype=np.float64))
+            _, cache = self._forward(states)
         return self._mlp.backward(self._layers, cache,
                                   np.asarray(d_value, dtype=np.float64)[:, None])
 

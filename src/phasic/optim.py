@@ -29,17 +29,10 @@ class Adam:
         return {"lr": self.lr, "beta1": self.beta1, "beta2": self.beta2, "eps": self.eps,
                 "m": self.m.copy(), "v": self.v.copy(), "t": self.t}
 
-    def load_state(self, state: dict) -> None:
-        self.lr = float(state["lr"])
-        self.beta1 = float(state["beta1"])
-        self.beta2 = float(state["beta2"])
-        self.eps = float(state["eps"])
-        self.m = np.asarray(state["m"], dtype=np.float64).copy()
-        self.v = np.asarray(state["v"], dtype=np.float64).copy()
-        self.t = int(state["t"])
-
     @classmethod
     def from_state(cls, state: dict) -> "Adam":
-        opt = cls(size=np.asarray(state["m"]).size)
-        opt.load_state(state)
+        opt = cls(0, state["lr"], state["beta1"], state["beta2"], state["eps"])
+        opt.m = np.asarray(state["m"], dtype=np.float64).copy()
+        opt.v = np.asarray(state["v"], dtype=np.float64).copy()
+        opt.t = int(state["t"])
         return opt

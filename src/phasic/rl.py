@@ -9,9 +9,9 @@ with draws from its own generator.  Every learner so gets the bits, the
 environment steps and the generator draws that a loop of its own would give.
 Rollouts store both normalized and raw observations; the raw ones feed the
 probe-state pool the diversity kernel samples from.  Fitness is always the
-sparse (unshaped) reward under deterministic actions.  The phase serves
-continuous actions only: its policies are diagonal Gaussians, and a discrete
-policy is rejected with a ValueError.
+sparse reward ``info["sparse_reward"]`` under deterministic actions.  The
+phase serves continuous actions only: its policies are diagonal Gaussians,
+and a discrete policy is rejected with a ValueError.
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ def collect_rollout(learners, steps: int, gamma: float) -> list:
             next_obs[i], r, done, info = env.step(action[i])
             reward[i] = r
             dones[i, t] = done
-            ep_sparse[i] += info.get("sparse_reward", r)
+            ep_sparse[i] += info["sparse_reward"]
             if done:
                 episode_returns[i].append(ep_sparse[i])
                 ep_sparse[i] = 0.0
@@ -399,7 +399,7 @@ def evaluate(policies, envs, rngs, episodes: int = 10) -> list:
         for i in tuple(live):
             env = envs[i]
             obs[i], _, done, info = env.step(mu[i])
-            total[i] += info.get("sparse_reward", 0.0)
+            total[i] += info["sparse_reward"]
             actions[i].append(mu[i])
             if not done:
                 continue

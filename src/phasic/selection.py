@@ -84,12 +84,9 @@ def bandit_update(state: BanditState, arm: int, improved: bool) -> None:
 
 
 def policy_embedding(policy, probe_states: np.ndarray) -> np.ndarray:
-    """Flatten the policy's mean action (or probs) over a fixed probe set."""
-    states = np.asarray(probe_states, dtype=np.float64)
-    if policy.action_space.kind == "continuous":
-        mu, _ = policy.gaussian_batch(states)
-        return mu.ravel()
-    return policy.probs_batch(states).ravel()
+    """Flatten a continuous policy's mean action over a fixed probe set."""
+    mu, _ = policy.gaussian_batch(np.asarray(probe_states, dtype=np.float64))
+    return mu.ravel()
 
 
 def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator,

@@ -36,7 +36,7 @@ import numpy as np
 from .archive import FitnessQueue, GridArchive, qd_metrics, save_archive
 from .detops import diversity_ascent
 from .dogfight import DogfightEnv
-from .kernels import METRIC_KINDS, StateBatch
+from .kernels import StateBatch
 from .nets import NormalizedPolicy, Policy, ValueFunction
 from .optim import Adam
 from .rl import (Learner, PPOConfig, RunningStat, collect_rollout, evaluate, ppo_update,
@@ -71,7 +71,6 @@ class TrainerConfig:
     beta: float = 0.99
     aux_lr: float = 1e-3
     grad_clip: float = 1.0
-    metric: str = "w2"
     deterministic_kernel: bool = False
     probe_states: int = 256
     lambda_arms: tuple = (0.0, 0.5)
@@ -87,12 +86,6 @@ def validate_config(config: TrainerConfig) -> None:
         raise ValueError(f"unknown trainer {config.trainer!r}; choose from {TRAINERS}")
     if config.env_name not in ENVS:
         raise ValueError(f"unknown env {config.env_name!r}; choose from {ENVS}")
-    if config.metric not in METRIC_KINDS:
-        raise ValueError(f"unknown metric {config.metric!r}; choose from {tuple(METRIC_KINDS)}")
-    kind = make_env(config.env_name).action_space.kind
-    if METRIC_KINDS[config.metric] != kind:
-        raise ValueError(f"{config.metric} metric requires {METRIC_KINDS[config.metric]} "
-                         f"action spaces; env {config.env_name!r} has {kind} actions")
     if config.archive not in ("grid", "queue"):
         raise ValueError("archive must be 'grid' or 'queue'")
     if config.trainer == "ppo-single":
@@ -118,8 +111,15 @@ def validate_config(config: TrainerConfig) -> None:
         raise ValueError("cells_per_dim and queue_capacity must be >= 1")
     if config.iterations is not None and config.iterations < 1:
         raise ValueError("iterations must be >= 1 when given")
-    if config.ppo.epochs < 1 or config.ppo.minibatches < 1:
+    ppo = config.ppo
+    if ppo.epochs < 1 or ppo.minibatches < 1:
         raise ValueError("ppo.epochs and ppo.minibatches must be >= 1")
+    if not (0.0 <= ppo.gamma <= 1.0 and 0.0 <= ppo.lam <= 1.0):  # NaN fails each check
+        raise ValueError("ppo.gamma and ppo.lam must lie in [0, 1]")
+    if not (ppo.lr > 0 and ppo.clip > 0):
+        raise ValueError("ppo.lr and ppo.clip must be positive")
+    if not ppo.value_coef >= 0:
+        raise ValueError("ppo.value_coef must be >= 0")
 
 
 def make_env(name: str):
@@ -152,9 +152,9 @@ def dvd_update(learners, buffers, lam, probe_states, config: TrainerConfig,
     aux_out = None
     if lam > 0.0 and len(learners) >= 2:
         aux_out, _ = diversity_ascent(
-            [l.view() for l in learners], StateBatch(probe_states), steps=1, metric=config.metric, beta=config.beta, lr=config.aux_lr,
-            grad_clip=config.grad_clip, deterministic=config.deterministic_kernel,
-            rng=aux_rng)
+            [l.view() for l in learners], StateBatch(probe_states), steps=1,
+            beta=config.beta, lr=config.aux_lr, grad_clip=config.grad_clip,
+            deterministic=config.deterministic_kernel, rng=aux_rng)
     stats_list = []
     for i, (learner, buffer) in enumerate(zip(learners, buffers)):
         policy = learner.policy
@@ -236,7 +236,7 @@ class RunState:
                 obs_stat=RunningStat((proto.obs_dim,)), rng=rng, train_env=factory(), eval_env=factory()))
         state = cls(
             config=config, learners=learners,
-            archive=GridArchive(dims=2, cells_per_dim=config.cells_per_dim),
+            archive=GridArchive(cells_per_dim=config.cells_per_dim),
             queue=FitnessQueue(capacity=config.queue_capacity),
             bandit=BanditState(arms=tuple(config.lambda_arms)),
             exploit_rng=np.random.default_rng(seqs[m]),
@@ -410,9 +410,8 @@ def _auxiliary_phase(state: RunState, probe_pool, it: int) -> dict | None:
     out, trace = diversity_ascent(
         [NormalizedPolicy(e.policy, e.obs_mean, e.obs_std) for e in entries],
         StateBatch(probes),
-        steps=config.diversity_iters, metric=config.metric, beta=config.beta,
-        lr=config.aux_lr, grad_clip=config.grad_clip,
-        deterministic=config.deterministic_kernel, rng=rng)
+        steps=config.diversity_iters, beta=config.beta, lr=config.aux_lr,
+        grad_clip=config.grad_clip, deterministic=config.deterministic_kernel, rng=rng)
     offers = []
     for entry, cand in zip(entries, out):
         # candidates share one env and ``rng``, so each is evaluated alone, in order

@@ -539,21 +539,27 @@ def integrate(state, action, cfg):
     bank_turn = float(np.clip((GRAVITY / speed) * math.tan(roll),
                               -cfg.turn_rate_max, cfg.turn_rate_max))
     heading = wrap_angle(state.heading + (rudder * cfg.yaw_rate + bank_turn) * cfg.dt)
-    forward = np.array([math.sin(heading) * math.cos(pitch),
-                        math.cos(heading) * math.cos(pitch), math.sin(pitch)])
+    forward = nose(heading, pitch)
     return AircraftState(pos=state.pos + speed * forward * cfg.dt, speed=speed,
                          heading=heading, pitch=pitch, roll=roll)
 
 
+def nose(heading: float, pitch: float) -> np.ndarray:
+    """The unit nose vector, written out from heading and pitch."""
+    return np.array([math.sin(heading) * math.cos(pitch),
+                     math.cos(heading) * math.cos(pitch), math.sin(pitch)])
+
+
 def relative_geometry(attacker, target):
-    """dogfight.relative_geometry with np.linalg.norm and np.clip."""
+    """dogfight.relative_geometry with np.linalg.norm and np.clip, and each nose
+    rebuilt from heading and pitch rather than read from the state."""
     los = target.pos - attacker.pos
     dist = float(np.linalg.norm(los))
     if dist < 1e-9:
         return Geometry(0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
     u = los / dist
-    cos_ata = float(np.clip(attacker.forward_axis() @ u, -1.0, 1.0))
-    cos_aspect = float(np.clip(target.forward_axis() @ u, -1.0, 1.0))
+    cos_ata = float(np.clip(nose(attacker.heading, attacker.pitch) @ u, -1.0, 1.0))
+    cos_aspect = float(np.clip(nose(target.heading, target.pitch) @ u, -1.0, 1.0))
     bearing = math.atan2(los[0], los[1])
     return Geometry(distance=dist, ata=math.acos(cos_ata), aspect=math.acos(cos_aspect),
                     cos_ata=cos_ata, az_err=wrap_angle(bearing - attacker.heading),
@@ -610,7 +616,7 @@ def collect_rollout(policy, value_fn, env, steps, rng, obs_stat, ret_stat, ret, 
         logp = float(np.sum(-0.5 * z * z - ls - 0.5 * float(np.log(2.0 * np.pi))))
         value = value_fn.value(x)
         next_obs, reward, done, info = env.step(action)
-        ep_sparse += info.get("sparse_reward", reward)
+        ep_sparse += info["sparse_reward"]
         reward, ret = scale_reward(ret_stat, ret, gamma, float(reward), done)
         obs_n.append(x)
         raw.append(np.array(obs))
@@ -647,7 +653,7 @@ def evaluate(policy, env, rng, episodes=10) -> EvalResult:
             mu, _ = policy.gaussian_batch(np.asarray(obs)[None])
             action = mu[0]
             obs, _, done, info = env.step(action)
-            total += info.get("sparse_reward", 0.0)
+            total += info["sparse_reward"]
             actions.append(action)
         totals.append(total)
         bd = env.episode_bd(np.asarray(actions), info)

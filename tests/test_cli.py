@@ -109,18 +109,24 @@ class TestValidateCommand:
         payload = json.loads(err)
         assert "sarsa" in payload["error"]["message"]
 
-    def test_metric_that_does_not_fit_the_env(self, tmp_path, capsys):
-        cfg = _cfg_file(tmp_path, {"env": "toy", "metric": "jsd"})
+    def test_unknown_metric(self, tmp_path, capsys):
+        # training always uses the W2 kernel, so a config may not name one
+        for metric in ("jsd", "w2"):
+            cfg = _cfg_file(tmp_path, {"env": "toy", "metric": metric})
+            rc, out, err = _run_main(capsys, ["validate", "--config", cfg])
+            assert rc != 0
+            assert out == ""
+            assert json.loads(err)["error"]["message"] == "unknown config keys: metric"
+
+    def test_out_of_range_ppo_value(self, tmp_path, capsys):
+        cfg = _cfg_file(tmp_path, {"ppo": {"gamma": 1.5}})
         rc, out, err = _run_main(capsys, ["validate", "--config", cfg])
         assert rc != 0
         assert out == ""
-        assert "jsd metric requires discrete" in json.loads(err)["error"]["message"]
-
-    def test_unknown_metric(self, tmp_path, capsys):
-        cfg = _cfg_file(tmp_path, {"metric": "kl"})
-        rc, _, err = _run_main(capsys, ["validate", "--config", cfg])
-        assert rc != 0
-        assert "'kl'" in json.loads(err)["error"]["message"]
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"]["type"] == "config"
+        assert "gamma" in payload["error"]["message"]
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc, out, err = _run_main(

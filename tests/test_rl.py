@@ -62,7 +62,7 @@ class ScriptedEnv:
 
     def step(self, action):
         t, self.t = self.t, self.t + 1
-        return np.zeros(1), self.rewards[t], self.dones[t], {}
+        return np.zeros(1), self.rewards[t], self.dones[t], {"sparse_reward": self.rewards[t]}
 
 
 def scripted_learner():
