@@ -109,6 +109,18 @@ class TestValidateCommand:
         payload = json.loads(err)
         assert "sarsa" in payload["error"]["message"]
 
+    def test_metric_that_does_not_fit_the_env(self, tmp_path, capsys):
+        cfg = _cfg_file(tmp_path, {"env": "toy", "metric": "jsd"})
+        rc, out, err = _run_main(capsys, ["validate", "--config", cfg])
+        assert rc != 0
+        assert out == ""
+        assert json.loads(err)["error"]["message"] == "unknown config keys: metric"
+        rc, out, err = _run_main(capsys, ["run", "--config", cfg,
+                                          "--out", str(tmp_path / "out")])
+        assert rc != 0
+        assert out == ""
+        assert not (tmp_path / "out" / "seed_0").exists()
+
     def test_unknown_metric(self, tmp_path, capsys):
         # training always uses the W2 kernel, so a config may not name one
         for metric in ("jsd", "w2"):

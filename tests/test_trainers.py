@@ -9,7 +9,7 @@ import pytest
 
 from phasic.archive import GridArchive
 from phasic.dogfight import DogfightConfig, DogfightEnv
-from phasic.kernels import StateBatch
+from phasic.kernels import StateBatch, kernel_forward
 from phasic.nets import NormalizedPolicy, Policy, ValueFunction
 from phasic.optim import Adam
 from phasic.rl import (Learner, PPOConfig, RunningStat, collect_rollout, ppo_update,
@@ -110,6 +110,24 @@ class TestConfigValidation:
         for metric in ("w2", "jsd", "kl"):
             with pytest.raises(TypeError, match="metric"):
                 small_config(metric=metric)
+
+    @pytest.mark.parametrize("env_name", ["toy", "dogfight"])
+    def test_metric_must_fit_the_action_space(self, env_name):
+        # training uses the W2 kernel; it fits each env's action space and JSD does not
+        env = make_env(env_name)
+        validate_config(small_config(env_name=env_name))
+        rng = np.random.default_rng(0)
+        pols = [Policy.init(env.obs_dim, env.action_space, rng, hidden=(8,)) for _ in range(2)]
+        batch = StateBatch(rng.normal(size=(4, env.obs_dim)))
+        with pytest.raises(ValueError, match="jsd metric requires discrete"):
+            kernel_forward(pols, batch, metric="jsd")
+        assert kernel_forward(pols, batch, metric="w2").entries.shape == (2, 2)
+
+    def test_bad_metric_rejected_before_training(self, tmp_path):
+        with pytest.raises(TypeError, match="metric"):
+            run_training(small_config(metric="jsd", population=2, iterations=1),
+                         out_dir=tmp_path / "run")
+        assert not (tmp_path / "run" / "metrics.jsonl").exists()
 
 
 class TestRunArtifacts:
