@@ -59,11 +59,12 @@ def bd_to_cell(bd: np.ndarray, cells_per_dim: int = 10) -> tuple:
     """Map a descriptor in [0,1]^d to integer grid coordinates.
 
     floor(bd * cells_per_dim), with the upper edge folded into the last cell
-    so bd = 1.0 is valid.
+    so bd = 1.0 is valid.  A NaN entry fails the range test too: cast to int
+    it would name a cell far outside the grid.
     """
     bd = np.asarray(bd, dtype=np.float64)
-    if np.any(bd < 0.0) or np.any(bd > 1.0):
-        raise ValueError(f"behavior descriptor outside [0,1]: {bd}")
+    if not np.all((bd >= 0.0) & (bd <= 1.0)):
+        raise ValueError(f"behavior descriptor outside [0,1] or not finite: {bd}")
     idx = np.minimum((bd * cells_per_dim).astype(int), cells_per_dim - 1)
     return tuple(int(i) for i in idx)
 
@@ -95,9 +96,11 @@ class GridArchive:
 
     def add(self, policy: Policy, fitness: float, bd, *, obs_mean=None, obs_std=None,
             source: int = -1, iteration: int = -1, payload: dict | None = None) -> bool:
-        """Insert if the cell is empty or the fitness strictly improves it."""
+        """Insert if the cell is empty or the fitness strictly improves it.
+
+        A non-finite fitness or descriptor is refused, not stored."""
         fitness = float(fitness)
-        if not np.isfinite(fitness):
+        if not np.isfinite(fitness) or not np.all(np.isfinite(bd)):
             return False
         cell = self.cell_of(bd)
         incumbent = self._cells.get(cell)

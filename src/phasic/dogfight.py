@@ -75,7 +75,11 @@ class DogfightConfig:
     expert_deadband: float = math.radians(2.0)
 
 
-@dataclass(frozen=True)
+# The per-step records below are frozen dataclasses whose __init__ fills the
+# instance dict in one update: the generated frozen __init__ pays one
+# object.__setattr__ per field, a sizeable share of a step.
+
+@dataclass(frozen=True, init=False)
 class AircraftState:
     pos: np.ndarray          # (x, y, z) meters
     speed: float             # m/s, within [v_min, v_max]
@@ -86,30 +90,38 @@ class AircraftState:
     # dataclasses.replace that turns the craft must pass forward=None)
     forward: np.ndarray | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "pos", np.asarray(self.pos, dtype=np.float64))
-        if self.forward is None:
-            object.__setattr__(self, "forward", _nose(self.heading, self.pitch))
+    def __init__(self, pos, speed, heading, pitch, roll, forward=None):
+        if forward is None:
+            forward = np.array(_nose(heading, pitch))
+        self.__dict__.update(pos=np.asarray(pos, dtype=np.float64), speed=speed,
+                             heading=heading, pitch=pitch, roll=roll, forward=forward)
 
 
-def _nose(heading: float, pitch: float) -> np.ndarray:
+def _nose(heading: float, pitch: float) -> tuple:
     cp = math.cos(pitch)
-    return np.array([math.sin(heading) * cp, math.cos(heading) * cp, math.sin(pitch)])
+    return math.sin(heading) * cp, math.cos(heading) * cp, math.sin(pitch)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EpisodeStatus:
     step: int = 0
     lock_steps_agent: int = 0      # red locking blue
     lock_steps_opponent: int = 0   # blue locking red
     terminal: str | None = None    # max_steps | out_of_bounds:who | lock_win:who
 
+    def __init__(self, step=0, lock_steps_agent=0, lock_steps_opponent=0, terminal=None):
+        self.__dict__.update(step=step, lock_steps_agent=lock_steps_agent,
+                             lock_steps_opponent=lock_steps_opponent, terminal=terminal)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class DogfightState:
     red: AircraftState
     blue: AircraftState
     status: EpisodeStatus
+
+    def __init__(self, red, blue, status):
+        self.__dict__.update(red=red, blue=blue, status=status)
 
 
 def wrap_angle(a: float) -> float:
@@ -118,8 +130,13 @@ def wrap_angle(a: float) -> float:
 
 def integrate(state: AircraftState, action: np.ndarray, cfg: DogfightConfig) -> AircraftState:
     """Advance one aircraft by dt under a clamped 4-channel control."""
-    action = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
-    throttle, elevator, roll_cmd, rudder = action.tolist()
+    # np.clip's bits on floats, NaN included: max(nan, lo) and min(nan, hi)
+    # both return the NaN
+    throttle, elevator, roll_cmd, rudder = np.asarray(action, dtype=np.float64).tolist()
+    throttle = min(max(throttle, -1.0), 1.0)
+    elevator = min(max(elevator, -1.0), 1.0)
+    roll_cmd = min(max(roll_cmd, -1.0), 1.0)
+    rudder = min(max(rudder, -1.0), 1.0)
     speed = min(max(state.speed + throttle * cfg.accel_max * cfg.dt, cfg.v_min), cfg.v_max)
     roll = wrap_angle(state.roll + roll_cmd * cfg.roll_rate * cfg.dt)
     pitch = min(max(state.pitch + elevator * cfg.pitch_rate * cfg.dt, -cfg.pitch_limit),
@@ -130,11 +147,14 @@ def integrate(state: AircraftState, action: np.ndarray, cfg: DogfightConfig) -> 
                     cfg.turn_rate_max)
     heading = wrap_angle(state.heading + (rudder * cfg.yaw_rate + bank_turn) * cfg.dt)
     forward = _nose(heading, pitch)
-    return AircraftState(pos=state.pos + speed * forward * cfg.dt, speed=speed,
-                         heading=heading, pitch=pitch, roll=roll, forward=forward)
+    fx, fy, fz = forward
+    x, y, z = state.pos.tolist()
+    dt = cfg.dt
+    pos = np.array([x + speed * fx * dt, y + speed * fy * dt, z + speed * fz * dt])
+    return AircraftState(pos, speed, heading, pitch, roll, np.array(forward))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Geometry:
     """Relative geometry from an attacker toward a target."""
 
@@ -145,25 +165,27 @@ class Geometry:
     az_err: float     # signed horizontal steering error (positive = target right)
     elev_err: float   # signed vertical steering error (positive = target above)
 
+    def __init__(self, distance, ata, aspect, cos_ata, az_err, elev_err):
+        self.__dict__.update(distance=distance, ata=ata, aspect=aspect, cos_ata=cos_ata,
+                             az_err=az_err, elev_err=elev_err)
+
 
 def relative_geometry(attacker: AircraftState, target: AircraftState) -> Geometry:
     los = target.pos - attacker.pos
+    # the two dot products stay BLAS ddot on ndarrays: a float sum of the
+    # three products rounds differently for about a fifth of all vectors
     dist = math.sqrt(los.dot(los))  # np.linalg.norm's own computation
     if dist < 1e-9:
         return Geometry(0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
     u = los / dist
-    cos_ata = min(max(float(attacker.forward @ u), -1.0), 1.0)
-    ata = math.acos(cos_ata)
+    cos_ata = min(max(float(attacker.forward.dot(u)), -1.0), 1.0)
     # aspect: target tail axis (-forward) vs LOS target->attacker (-u);
     # the two sign flips cancel
-    cos_aspect = min(max(float(target.forward @ u), -1.0), 1.0)
-    aspect = math.acos(cos_aspect)
-    bearing = math.atan2(los[0], los[1])
-    az_err = wrap_angle(bearing - attacker.heading)
-    horiz = math.hypot(los[0], los[1])
-    elev_err = math.atan2(los[2], horiz) - attacker.pitch
-    return Geometry(distance=dist, ata=ata, aspect=aspect, cos_ata=cos_ata,
-                    az_err=az_err, elev_err=elev_err)
+    cos_aspect = min(max(float(target.forward.dot(u)), -1.0), 1.0)
+    lx, ly, lz = los.tolist()
+    return Geometry(distance=dist, ata=math.acos(cos_ata), aspect=math.acos(cos_aspect),
+                    cos_ata=cos_ata, az_err=wrap_angle(math.atan2(lx, ly) - attacker.heading),
+                    elev_err=math.atan2(lz, math.hypot(lx, ly)) - attacker.pitch)
 
 
 def lock_check(attacker: AircraftState, target: AircraftState,
@@ -184,7 +206,7 @@ def _locks(geom: Geometry, cfg: DogfightConfig) -> bool:
 
 
 def out_of_bounds(state: AircraftState, cfg: DogfightConfig) -> bool:
-    x, y, z = state.pos
+    x, y, z = state.pos.tolist()
     return (abs(x) > cfg.half_width or abs(y) > cfg.half_width
             or z < cfg.alt_min or z > cfg.alt_max)
 
@@ -286,19 +308,21 @@ def observe(own: AircraftState, other: AircraftState, geom: Geometry,
 
     ``geom`` is ``relative_geometry(own, other)``, which every caller has at hand.
     """
-    los = (other.pos - own.pos) / max(geom.distance, 1e-9)
+    x, y, z = own.pos.tolist()
+    ox, oy, oz = other.pos.tolist()
+    dist = max(geom.distance, 1e-9)
     return np.array([
         own.speed / cfg.v_max,
         math.sin(own.heading), math.cos(own.heading),
         own.pitch / (0.5 * math.pi),
         math.sin(own.roll), math.cos(own.roll),
-        own.pos[0] / cfg.half_width,
-        own.pos[1] / cfg.half_width,
-        (2.0 * own.pos[2] - (cfg.alt_min + cfg.alt_max)) / (cfg.alt_max - cfg.alt_min),
-        los[0], los[1], los[2],
+        x / cfg.half_width,
+        y / cfg.half_width,
+        (2.0 * z - (cfg.alt_min + cfg.alt_max)) / (cfg.alt_max - cfg.alt_min),
+        (ox - x) / dist, (oy - y) / dist, (oz - z) / dist,
         geom.distance / cfg.dist_scale,
         other.speed / cfg.v_max,
-        *other.forward,
+        *other.forward.tolist(),
         geom.ata / math.pi,
         geom.aspect / math.pi,
         own_locks / cfg.lock_limit,

@@ -38,7 +38,7 @@ class ToyEnv:
         self.config = config or ToyConfig()
         self.obs_dim = 2
         self.action_space = ActionSpace("continuous", 2)
-        self._goals = np.asarray(self.config.goals, dtype=np.float64)
+        self._goals = np.asarray(self.config.goals, dtype=np.float64).tolist()
         self._goal_rewards = np.asarray(self.config.goal_rewards, dtype=np.float64)
         self._pos = np.zeros(2)
         self._step = 0
@@ -55,21 +55,34 @@ class ToyEnv:
         return self._pos.copy()
 
     def reward_at(self, pos: np.ndarray) -> float:
-        # the ndarray methods run the same reductions as np.sum/np.max, minus the wrappers
-        d2 = ((self._goals - pos) ** 2).sum(axis=1)
-        return float((self._goal_rewards * np.exp(-d2 / self.config.bump_scale)).max())
+        x, y = np.asarray(pos, dtype=np.float64).tolist()
+        return self._reward(x, y)
+
+    def _reward(self, x: float, y: float) -> float:
+        # squared goal distances on floats as d*d, numpy's square (Python's d**2
+        # can round differently); the bump stays one np.exp over the goals,
+        # whose bits math.exp does not always give
+        z = []
+        for gx, gy in self._goals:
+            dx, dy = gx - x, gy - y
+            z.append(-(dx * dx + dy * dy) / self.config.bump_scale)
+        return float((self._goal_rewards * np.exp(z)).max())
 
     def step(self, action: np.ndarray):
         if self._done:
             raise RuntimeError("step() on a finished episode; call reset()")
-        # np.clip's bits without its per-call wrapper cost on this hot path
-        action = np.minimum(np.maximum(np.asarray(action, dtype=np.float64), -1.0), 1.0)
-        pos = np.minimum(np.maximum(self._pos + self.config.step_size * action, -1.0), 1.0)
+        # np.clip's bits on floats, NaN included: max(nan, lo) and min(nan, hi)
+        # both return the NaN
+        ax, ay = np.asarray(action, dtype=np.float64).tolist()
+        x, y = self._pos.tolist()
+        step = self.config.step_size
+        x = min(max(x + step * min(max(ax, -1.0), 1.0), -1.0), 1.0)
+        y = min(max(y + step * min(max(ay, -1.0), 1.0), -1.0), 1.0)
         # a fresh array each step that the env never writes into, so the
         # observation and the info share it
-        self._pos = pos
+        pos = self._pos = np.array([x, y])
         self._step += 1
-        reward = self.reward_at(pos)
+        reward = self._reward(x, y)
         self._done = self._step >= self.config.horizon
         return pos, reward, self._done, {"sparse_reward": reward, "position": pos}
 

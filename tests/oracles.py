@@ -6,7 +6,7 @@ differences, and the optimal-transport oracle estimates W2^2 by Monte-Carlo
 over an explicit coupling.  ``DiagGaussian`` and ``DiscreteDist`` are reference
 distributions, and the closed-form distances are written per pair of them.
 The reference kernel passes, network passes, running statistics, per-learner
-reward phase and dogfight kinematics below are the plain forms of the
+reward phase, dogfight kinematics and toy step below are the plain forms of the
 production hot path, which must match them bit for bit.
 """
 
@@ -564,6 +564,24 @@ def relative_geometry(attacker, target):
     return Geometry(distance=dist, ata=math.acos(cos_ata), aspect=math.acos(cos_aspect),
                     cos_ata=cos_ata, az_err=wrap_angle(bearing - attacker.heading),
                     elev_err=math.atan2(los[2], math.hypot(los[0], los[1])) - attacker.pitch)
+
+
+# -- reference toy step --------------------------------------------------------------
+
+def toy_step(pos, action, cfg):
+    """ToyEnv.step's move on arrays: np.clip's bits from np.minimum/np.maximum.
+
+    Returns (next position, reward there)."""
+    action = np.minimum(np.maximum(np.asarray(action, dtype=np.float64), -1.0), 1.0)
+    pos = np.minimum(np.maximum(pos + cfg.step_size * action, -1.0), 1.0)
+    return pos, toy_reward(pos, cfg)
+
+
+def toy_reward(pos, cfg):
+    """ToyEnv.reward_at on arrays: squared distances to every goal at once."""
+    d2 = ((np.asarray(cfg.goals, dtype=np.float64) - pos) ** 2).sum(axis=1)
+    rewards = np.asarray(cfg.goal_rewards, dtype=np.float64)
+    return float((rewards * np.exp(-d2 / cfg.bump_scale)).max())
 
 
 # -- reference per-learner reward phase ----------------------------------------------

@@ -36,6 +36,12 @@ class TestCellMapping:
         with pytest.raises(ValueError):
             bd_to_cell(np.array([0.5, 1.01]))
 
+    def test_non_finite_rejected(self):
+        # NaN fails no comparison-based range test; cast to int it was cell -2**63
+        for bd in ([np.nan, 0.5], [0.5, np.nan], [np.inf, 0.5], [0.5, -np.inf]):
+            with pytest.raises(ValueError):
+                bd_to_cell(np.array(bd))
+
     def test_other_resolutions(self):
         assert bd_to_cell(np.array([0.5]), cells_per_dim=4) == (2,)
 
@@ -77,6 +83,14 @@ class TestGridArchive:
         assert not arch.add(tiny_policy(), float("nan"), [0.5, 0.5])
         assert not arch.add(tiny_policy(), float("inf"), [0.5, 0.5])
         assert len(arch) == 0
+
+    def test_nonfinite_descriptor_rejected(self):
+        arch = GridArchive()
+        for bd in ([np.nan, 0.5], [0.5, np.nan], [np.inf, 0.5], [0.5, -np.inf]):
+            assert not arch.add(tiny_policy(), 1.0, bd)
+        assert len(arch) == 0 and arch.cells() == {}
+        assert arch.heatmap().shape == (arch.cells_per_dim, arch.cells_per_dim)
+        assert np.all(np.isnan(arch.heatmap()))
 
     def test_archived_snapshot_untouched_by_caller(self):
         arch = GridArchive()

@@ -5,6 +5,9 @@ import pytest
 
 from phasic.toy import ToyConfig, ToyEnv
 
+import oracles
+from factories import StreamDigest
+
 
 def test_reward_peaks_at_goals():
     env = ToyEnv()
@@ -37,11 +40,8 @@ def test_step_moves_by_clipped_action():
     assert moved == pytest.approx([0.05, -0.025], abs=1e-12)
     # both clamps give np.clip's bits, at the walls and for non-finite actions
     rng = np.random.default_rng(5)
-    drift = np.repeat([1.5, -1.5], 300)[:, None]  # push into both walls
-    actions = rng.normal(0.0, 3.0, (600, 2)) + drift
-    actions[::17, 0], actions[3::23, 1], actions[5::97] = np.inf, -np.inf, np.nan
     done, walls = False, 0
-    for action in actions:
+    for action in wall_and_nonfinite_actions(rng):
         if done or not np.all(np.isfinite(env.position)):
             env.reset(rng)
         pos = env.position
@@ -50,6 +50,39 @@ def test_step_moves_by_clipped_action():
         assert np.array_equal(info["position"], expected, equal_nan=True)
         walls += int(np.any(np.abs(expected) == 1.0))
     assert walls > 50
+
+
+def wall_and_nonfinite_actions(rng):
+    """600 actions drifting into both walls, with +inf, -inf and NaN entries."""
+    drift = np.repeat([1.5, -1.5], 300)[:, None]
+    actions = rng.normal(0.0, 3.0, (600, 2)) + drift
+    actions[::17, 0], actions[3::23, 1], actions[5::97] = np.inf, -np.inf, np.nan
+    return actions
+
+
+def test_step_matches_the_reference_step():
+    """The float step against the array step it replaced, bit for bit.  A NaN
+    action makes the position and the reward NaN; where the reward is NaN
+    only its NaN-ness is compared, since the bits a NaN carries beyond that
+    (sign and payload) are left to the platform's arithmetic."""
+    env = ToyEnv()
+    rng = np.random.default_rng(6)
+    env.reset(rng)
+    done, nans = False, 0
+    for action in wall_and_nonfinite_actions(rng):
+        if done or not np.all(np.isfinite(env.position)):
+            env.reset(rng)
+        want_pos, want_reward = oracles.toy_step(env.position, action, env.config)
+        pos, reward, done, info = env.step(action)
+        assert np.array_equal(pos, want_pos, equal_nan=True)
+        assert reward == want_reward or (np.isnan(reward) and np.isnan(want_reward))
+        assert info["sparse_reward"] is reward and info["position"] is pos
+        assert env.reward_at(pos) == reward or np.isnan(reward)
+        nans += int(np.isnan(reward))
+    assert nans > 0
+    probes = rng.uniform(-1.0, 1.0, (500, 2))
+    for pos in np.concatenate([probes, np.array(env.config.goals)]):
+        assert env.reward_at(pos) == oracles.toy_reward(pos, env.config)
 
 
 def test_position_clamped_to_unit_box():
@@ -121,3 +154,37 @@ def test_scripted_walk_reaches_main_goal():
     assert info["position"] == pytest.approx([0.6, 0.6], abs=1e-9)
     # parked on the goal for the tail of the episode
     assert env.reward_at(info["position"]) == pytest.approx(1.0, abs=1e-9)
+
+
+# sha256 of a seeded random-action trajectory (see test_trajectory_digest_is_pinned),
+# computed before the step moved from numpy arrays to Python floats; any
+# change to a step's output bits moves it
+TOY_TRAJECTORY_DIGEST = "d2221f589c669e014fa3092dd18d57b553e7c1b6af791d88c473bf38e9678b63"
+
+
+def test_trajectory_digest_is_pinned():
+    """3000 steps with resets: biased segments drive the point into the walls,
+    some entries are +-inf and two steps carry a NaN action."""
+    env = ToyEnv()
+    rng = np.random.default_rng(31)
+    digest = StreamDigest()
+    digest.add(env.reset(rng))
+    walls = nans = resets = 0
+    bias = np.zeros(2)
+    for t in range(3000):
+        if t % 40 == 0:
+            bias = rng.choice([-3.0, 0.0, 3.0], size=2)
+        action = bias + rng.normal(0.0, 1.0, 2)
+        if t % 29 == 0:
+            action[t % 2] = np.inf if t % 58 else -np.inf
+        if t in (1234, 2222):
+            action[1] = np.nan
+        obs, reward, done, info = env.step(action)
+        digest.add(obs, reward, done, info["sparse_reward"], info["position"])
+        walls += int(np.any(np.abs(obs) == 1.0))
+        nans += int(np.isnan(reward))
+        if done:
+            digest.add(env.reset(rng))
+            resets += 1
+    assert walls > 300 and nans > 0 and resets == 30
+    assert digest.hexdigest() == TOY_TRAJECTORY_DIGEST
