@@ -4,9 +4,10 @@ The grid keeps, per cell, the single best policy whose episode behavior
 descriptor landed there; replacement requires a strictly better fitness, so
 the per-cell (and overall) best fitness never decreases.  The companion
 queue simply retains the top-k policies by fitness regardless of behavior,
-deduplicating exact parameter clones.  Both containers store frozen copies
-of whatever was inserted — callers keep training their live objects without
-disturbing archived snapshots.
+deduplicating exact parameter clones.  Both containers store the
+``NormalizedPolicy`` view a candidate was evaluated through (immutable
+parameters plus the normalizer copies the view owns) and a copy of its
+descriptor, so callers keep training without disturbing archived snapshots.
 """
 
 from __future__ import annotations
@@ -18,30 +19,27 @@ from pathlib import Path
 
 import numpy as np
 
-from .nets import Policy, save_policy
+from .nets import NormalizedPolicy, save_policy
 
 
 @dataclass(frozen=True)
 class ArchiveEntry:
-    policy: Policy
+    policy: NormalizedPolicy  # the view that was evaluated
     fitness: float
     bd: np.ndarray
-    obs_mean: np.ndarray | None = None
-    obs_std: np.ndarray | None = None
     source: int = -1          # learner id that produced the snapshot
     iteration: int = -1
     order: int = -1           # global insertion counter (ties -> older wins)
     payload: dict | None = None  # full learner state for exploitation (in-memory only)
 
 
-def _entry(policy, fitness, bd, order, obs_mean, obs_std, source, iteration,
-           payload) -> ArchiveEntry:
-    """A frozen entry holding its own copies of the descriptor and normalizer."""
+def _entry(policy, fitness, bd, order, source, iteration, payload) -> ArchiveEntry:
+    """A frozen entry holding its own copy of the descriptor."""
+    if not isinstance(policy, NormalizedPolicy):  # save_archive writes its normalizer
+        raise TypeError(f"archives store NormalizedPolicy views, not {type(policy).__name__}")
     return ArchiveEntry(
         policy=policy, fitness=fitness,
         bd=np.zeros(0) if bd is None else np.array(bd, dtype=np.float64),
-        obs_mean=None if obs_mean is None else np.array(obs_mean, dtype=np.float64),
-        obs_std=None if obs_std is None else np.array(obs_std, dtype=np.float64),
         source=source, iteration=iteration, order=order, payload=payload)
 
 
@@ -94,8 +92,8 @@ class GridArchive:
             raise ValueError(f"descriptor has {len(cell)} dims, archive expects {self.dims}")
         return cell
 
-    def add(self, policy: Policy, fitness: float, bd, *, obs_mean=None, obs_std=None,
-            source: int = -1, iteration: int = -1, payload: dict | None = None) -> bool:
+    def add(self, policy: NormalizedPolicy, fitness: float, bd, *, source: int = -1,
+            iteration: int = -1, payload: dict | None = None) -> bool:
         """Insert if the cell is empty or the fitness strictly improves it.
 
         A non-finite fitness or descriptor is refused, not stored."""
@@ -106,8 +104,8 @@ class GridArchive:
         incumbent = self._cells.get(cell)
         if incumbent is not None and fitness <= incumbent.fitness:
             return False
-        self._cells[cell] = _entry(policy, fitness, bd, self._counter, obs_mean, obs_std,
-                                   source, iteration, payload)
+        self._cells[cell] = _entry(policy, fitness, bd, self._counter, source, iteration,
+                                   payload)
         self._counter += 1
         return True
 
@@ -167,23 +165,22 @@ class FitnessQueue:
         return len(self._items)
 
     @staticmethod
-    def _digest(policy: Policy) -> str:
+    def _digest(policy: NormalizedPolicy) -> str:
+        """Hash of the raw net: its topology and parameters."""
         h = sha256()
-        h.update(json.dumps(policy.topology, sort_keys=True).encode())
+        h.update(json.dumps(policy.policy.topology, sort_keys=True).encode())
         h.update(np.ascontiguousarray(policy.params).tobytes())
         return h.hexdigest()
 
-    def add(self, policy: Policy, fitness: float, bd=None, *, obs_mean=None,
-            obs_std=None, source: int = -1, iteration: int = -1,
-            payload: dict | None = None) -> bool:
+    def add(self, policy: NormalizedPolicy, fitness: float, bd=None, *, source: int = -1,
+            iteration: int = -1, payload: dict | None = None) -> bool:
         fitness = float(fitness)
         if not np.isfinite(fitness):
             return False
+        entry = _entry(policy, fitness, bd, self._counter, source, iteration, payload)
         digest = self._digest(policy)
         if digest in self._digests:
             return False
-        entry = _entry(policy, fitness, bd, self._counter, obs_mean, obs_std, source,
-                       iteration, payload)
         self._counter += 1
         if len(self._items) >= self.capacity:
             # evict the worst; among equals the oldest goes first
@@ -243,23 +240,21 @@ def qd_metrics(archive: GridArchive, fitness_offset: float = 0.0) -> dict:
 # -- persistence -------------------------------------------------------------
 
 def save_archive(archive: GridArchive, directory) -> None:
-    """Write the archive as a manifest plus one policy blob per cell."""
+    """Write the archive as a manifest plus one policy blob per cell; a blob's
+    ``obs_mean``/``obs_std`` extras are the normalizer its policy ran with."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest = {"dims": archive.dims, "cells_per_dim": archive.cells_per_dim,
                 "counter": archive._counter, "cells": []}
     for cell, entry in sorted(archive.cells().items()):
         name = "cell_" + "_".join(str(c) for c in cell) + ".npz"
-        extra = {}
-        if entry.obs_mean is not None:
-            extra["obs_mean"] = entry.obs_mean
-            extra["obs_std"] = entry.obs_std
-        save_policy(directory / name, entry.policy, extra=extra)
+        view = entry.policy
+        save_policy(directory / name, view.policy,
+                    extra={"obs_mean": view.obs_mean, "obs_std": view.obs_std})
         manifest["cells"].append({
             "cell": list(cell), "file": name, "fitness": entry.fitness,
             "bd": entry.bd.tolist(), "source": entry.source,
-            "iteration": entry.iteration, "order": entry.order,
-            "has_normalizer": entry.obs_mean is not None})
+            "iteration": entry.iteration, "order": entry.order})
     with open(directory / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
     np.savetxt(directory / "heatmap.csv", archive.heatmap(), delimiter=",", fmt="%.17g")

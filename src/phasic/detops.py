@@ -102,22 +102,21 @@ def _factor_with_backoff(entries: np.ndarray, beta: float):
 
 def diversity_ascent(policies, batch: StateBatch, steps: int, metric: str = "w2",
                      beta: float = 0.99, lr: float = 1e-3, grad_clip: float = 1.0,
-                     deterministic: bool = False, rng: np.random.Generator | None = None):
+                     deterministic: bool = False, *, rng: np.random.Generator):
     """Gradient-ascend the population diversity for ``steps`` steps.
 
     Exact parameter duplicates are a stationary point of the determinant, so
-    duplicated policies receive a tiny seeded jitter before ascent.  The W2
-    normalization constant is frozen at its initial value so the objective is
-    fixed during the climb; ascent maximizes log det for conditioning, while
-    the recorded trace holds det itself (length steps+1, including the start).
+    duplicated policies receive a tiny jitter drawn from ``rng`` before
+    ascent.  The W2 normalization constant is frozen at its initial value so
+    the objective is fixed during the climb; ascent maximizes log det for
+    conditioning, while the recorded trace holds det itself (length steps+1,
+    including the start).
 
     Returns (ascended policies, det trace).
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0,1), got {beta}")
     policies = list(policies)
-    if rng is None:
-        rng = np.random.default_rng(0)
     for i in range(len(policies)):
         for j in range(i):
             if np.array_equal(policies[i].params, policies[j].params):

@@ -53,7 +53,6 @@ class KernelForward:
     deterministic: bool
     entries: np.ndarray                # (M, M) kernel values
     scale: float                       # W2 normalization constant actually applied
-    sq_dists: np.ndarray | None = None  # W2: (M, M) state-mean squared distances
     stds: np.ndarray | None = None     # W2: (M, A) action stds
     diffs: np.ndarray | None = None    # W2: (M, M, N, A) means[i] - means[j]
     probs: np.ndarray | None = None    # JSD: (M, N, K) categoricals
@@ -129,7 +128,7 @@ def kernel_forward(policies, batch: StateBatch, metric: str = "w2",
     k = np.exp(-0.5 * (sq / scale))
     np.fill_diagonal(k, 1.0)
     return KernelForward(list(policies), batch, metric, deterministic, k, scale,
-                         sq_dists=sq, stds=stds, diffs=diffs)
+                         stds=stds, diffs=diffs)
 
 
 def kernel_backward(fwd: KernelForward, upstream: np.ndarray) -> list:

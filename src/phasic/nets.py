@@ -175,14 +175,14 @@ class Policy(_Net):
 
     @classmethod
     def init(cls, obs_dim: int, action_space: ActionSpace, rng: np.random.Generator,
-             hidden=(64, 64), log_std_init: float = 0.0,
-             out_gain: float = 0.01) -> "Policy":
+             hidden=(64, 64)) -> "Policy":
+        """Orthogonal layers (output gain 0.01); a continuous policy's log-std starts at 0."""
         topology = {"obs_dim": int(obs_dim), "hidden": tuple(int(h) for h in hidden),
                     "activation": "tanh",
                     "action_space": {"kind": action_space.kind, "dim": action_space.dim}}
-        flat = _stack(topology, action_space.dim).init_params(rng, out_gain=out_gain)
+        flat = _stack(topology, action_space.dim).init_params(rng, out_gain=0.01)
         if action_space.kind == "continuous":
-            flat = np.concatenate([flat, np.full(action_space.dim, float(log_std_init))])
+            flat = np.concatenate([flat, np.zeros(action_space.dim)])
         return cls(topology, flat)
 
     # -- forward ----------------------------------------------------------
@@ -279,8 +279,10 @@ class ValueFunction(_Net):
 class NormalizedPolicy:
     """Policy composed with a frozen observation normalizer.
 
-    Used when archive snapshots are compared or ascended: each snapshot's own
-    normalization constants travel with its parameters.
+    What a learner is evaluated as and what the archive stores: each
+    snapshot's own normalization constants travel with its parameters.  The
+    view keeps read-only copies of ``obs_mean`` and of ``obs_std`` floored at
+    1e-8, so the caller may go on updating the arrays it passed in.
     """
 
     policy: Policy
@@ -288,9 +290,11 @@ class NormalizedPolicy:
     obs_std: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "obs_mean", np.asarray(self.obs_mean, dtype=np.float64))
-        object.__setattr__(self, "obs_std",
-                           np.maximum(np.asarray(self.obs_std, dtype=np.float64), 1e-8))
+        mean = np.array(self.obs_mean, dtype=np.float64)
+        std = np.maximum(np.asarray(self.obs_std, dtype=np.float64), 1e-8)
+        for name, value in (("obs_mean", mean), ("obs_std", std)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def action_space(self) -> ActionSpace:

@@ -287,7 +287,6 @@ class PPOConfig:
     gamma: float = 0.99
     lam: float = 0.95
     value_coef: float = 0.5
-    norm_adv: bool = True
 
 
 @dataclass
@@ -307,7 +306,7 @@ def ppo_update(policy, value_fn, buffer: RolloutBuffer, config: PPOConfig,
     Returns (policy, value_fn, stats); a non-finite loss aborts the update and
     the original parameters are returned with ``stats.nan_event`` set.
     """
-    adv, returns = gae(buffer, config.gamma, config.lam, normalize=config.norm_adv)
+    adv, returns = gae(buffer, config.gamma, config.lam, normalize=True)
     n = len(buffer)
     start_policy, start_value = policy, value_fn
     stats = UpdateStats()

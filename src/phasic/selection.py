@@ -135,8 +135,8 @@ def clustering_selection(entries: list, m: int, probe_states: np.ndarray,
         while len(out) < m:
             out.append(ranked[0])
         return out
-    # embeddings compare raw nets on shared probes
-    points = np.stack([policy_embedding(e.policy, probe_states) for e in entries])
+    # embeddings compare raw nets, not their normalized views, on shared probes
+    points = np.stack([policy_embedding(e.policy.policy, probe_states) for e in entries])
     distinct = np.unique(points, axis=0).shape[0]
     if distinct < m:
         return ranked[:m]

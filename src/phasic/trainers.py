@@ -37,7 +37,7 @@ from .archive import FitnessQueue, GridArchive, qd_metrics, save_archive
 from .detops import diversity_ascent
 from .dogfight import DogfightEnv
 from .kernels import StateBatch
-from .nets import NormalizedPolicy, Policy, ValueFunction
+from .nets import Policy, ValueFunction
 from .optim import Adam
 from .rl import (Learner, PPOConfig, RunningStat, collect_rollout, evaluate, ppo_update,
                  restore_payload, snapshot_payload)
@@ -120,6 +120,8 @@ def validate_config(config: TrainerConfig) -> None:
         raise ValueError("ppo.lr and ppo.clip must be positive")
     if not ppo.value_coef >= 0:
         raise ValueError("ppo.value_coef must be >= 0")
+    if not (config.aux_lr > 0 and config.grad_clip > 0):  # NaN fails too
+        raise ValueError("aux_lr and grad_clip must be positive")
 
 
 def make_env(name: str):
@@ -130,13 +132,13 @@ def make_env(name: str):
     raise ValueError(f"unknown env {name!r}")
 
 
-def _offer(archive, queue, policy, fitness, bd, **meta) -> tuple:
-    """Offer one candidate to the grid, then the queue; returns both verdicts."""
-    return archive.add(policy, fitness, bd, **meta), queue.add(policy, fitness, bd, **meta)
+def _offer(archive, queue, view, fitness, bd, **meta) -> tuple:
+    """Offer one evaluated view to the grid, then the queue; returns both verdicts."""
+    return archive.add(view, fitness, bd, **meta), queue.add(view, fitness, bd, **meta)
 
 
 def dvd_update(learners, buffers, lam, probe_states, config: TrainerConfig,
-               aux_rng=None) -> list:
+               aux_rng: np.random.Generator) -> list:
     """One joint step: theta += (1-lam) * dtheta_reward + lam * dtheta_diversity.
 
     The reward delta is each learner's full PPO update; the diversity delta is
@@ -348,16 +350,17 @@ def _reward_phase(state: RunState) -> tuple:
 
 
 def _evaluate_and_offer(state: RunState, it: int) -> list:
-    """Evaluate every live learner, snapshot it, and offer it to both archives."""
+    """Evaluate every live learner, snapshot it, and offer the view it was
+    evaluated through to both archives."""
     learners = state.learners
-    results = evaluate([l.view() for l in learners], [l.eval_env for l in learners],
+    views = [l.view() for l in learners]
+    results = evaluate(views, [l.eval_env for l in learners],
                        [l.rng for l in learners], episodes=state.config.eval_episodes)
     evals = []
-    for learner, res in zip(learners, results):
+    for learner, view, res in zip(learners, views, results):
         learner.fitness = res.fitness
         state.last_snapshot[learner.id] = payload = snapshot_payload(learner)
-        _offer(state.archive, state.queue, learner.policy, res.fitness, res.bd,
-               obs_mean=learner.obs_stat.mean, obs_std=learner.obs_stat.std,
+        _offer(state.archive, state.queue, view, res.fitness, res.bd,
                source=learner.id, iteration=it, payload=payload)
         evals.append({"id": learner.id, "fitness": res.fitness, "bd": res.bd})
     return evals
@@ -392,9 +395,9 @@ def _exploit(state: RunState, probe_pool, cum_steps: int) -> dict | None:
 def _auxiliary_phase(state: RunState, probe_pool, it: int) -> dict | None:
     """Diversity ascent on archive copies, then gated re-insertion.
 
-    Live learners are never touched: candidates are snapshots wrapped with
-    their own frozen normalization constants, ascended jointly, re-evaluated
-    with the full episode protocol, and offered back through the same strict
+    Live learners are never touched: candidates are archived views, each with
+    its own frozen normalizer, ascended jointly, re-evaluated with the full
+    episode protocol, and offered back as they are, through the same strict
     gate as any other candidate.  Returns None when the phase does not run.
     """
     config, source, rng = state.config, state.mediator, state.aux_rng
@@ -408,8 +411,7 @@ def _auxiliary_phase(state: RunState, probe_pool, it: int) -> dict | None:
         entries = source.top(config.population)
     probes = _sample_probes(probe_pool, config.probe_states, rng)
     out, trace = diversity_ascent(
-        [NormalizedPolicy(e.policy, e.obs_mean, e.obs_std) for e in entries],
-        StateBatch(probes),
+        [e.policy for e in entries], StateBatch(probes),
         steps=config.diversity_iters, beta=config.beta, lr=config.aux_lr,
         grad_clip=config.grad_clip, deterministic=config.deterministic_kernel, rng=rng)
     offers = []
@@ -417,8 +419,7 @@ def _auxiliary_phase(state: RunState, probe_pool, it: int) -> dict | None:
         # candidates share one env and ``rng``, so each is evaluated alone, in order
         res, = evaluate([cand], [state.aux_eval_env], [rng], episodes=config.eval_episodes)
         payload = dict(entry.payload, policy_params=cand.params.copy())
-        ok_grid, ok_queue = _offer(state.archive, state.queue, cand.policy, res.fitness,
-                                   res.bd, obs_mean=entry.obs_mean, obs_std=entry.obs_std,
+        ok_grid, ok_queue = _offer(state.archive, state.queue, cand, res.fitness, res.bd,
                                    source=entry.source, iteration=it, payload=payload)
         offers.append({"source_order": entry.order, "fitness": res.fitness,
                        "accepted_grid": ok_grid, "accepted_queue": ok_queue})

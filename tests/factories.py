@@ -9,7 +9,7 @@ import numpy as np
 
 from phasic.detops import _factor_with_backoff, det_via_cholesky, spd_inverse
 from phasic.kernels import kernel_backward, kernel_forward
-from phasic.nets import ActionSpace, Policy
+from phasic.nets import ActionSpace, NormalizedPolicy, Policy
 
 
 def linear_gaussian_policy(w, b, log_std) -> Policy:
@@ -32,9 +32,11 @@ def linear_discrete_policy(w, b) -> Policy:
 
 
 def random_gaussian_policy(rng, obs_dim=2, act_dim=2, hidden=(3,), scale=1.0) -> Policy:
-    pol = Policy.init(obs_dim, ActionSpace("continuous", act_dim), rng,
-                      hidden=hidden, log_std_init=float(rng.uniform(-0.5, 0.3)))
-    params = pol.params + scale * 0.3 * rng.standard_normal(pol.n_params)
+    log_std = float(rng.uniform(-0.5, 0.3))  # drawn before the layers
+    pol = Policy.init(obs_dim, ActionSpace("continuous", act_dim), rng, hidden=hidden)
+    params = pol.params.copy()
+    params[-act_dim:] = log_std
+    params += scale * 0.3 * rng.standard_normal(pol.n_params)
     return pol.with_params(params)
 
 
@@ -42,6 +44,12 @@ def random_discrete_policy(rng, obs_dim=2, n_actions=3, hidden=(3,)) -> Policy:
     pol = Policy.init(obs_dim, ActionSpace("discrete", n_actions), rng, hidden=hidden)
     params = pol.params + 0.3 * rng.standard_normal(pol.n_params)
     return pol.with_params(params)
+
+
+def view(policy) -> NormalizedPolicy:
+    """``policy`` behind the identity normalizer (mean 0, std 1), as the archive stores it."""
+    obs_dim = policy.topology["obs_dim"]
+    return NormalizedPolicy(policy, np.zeros(obs_dim), np.ones(obs_dim))
 
 
 def clustered_gaussian_policies(rng, m, spread=0.05, obs_dim=2, act_dim=2, hidden=(3,)):

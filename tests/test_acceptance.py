@@ -381,8 +381,9 @@ def test_criterion_8_kernel_closed_forms(capfd):
         ok_jsd = ok_jsd and 0.0 <= d <= LN2 + 1e-12
 
     # the training kernel's distances are the closed forms, state by state:
-    # W2 squared distances are the state-mean of w2_squared_diag and JSD
-    # entries the state-mean of f_js(jsd)
+    # W2 squared distances, read back from the entries through the kernel's
+    # map exp(-d^2 / (2 scale)), are the state-mean of w2_squared_diag and
+    # JSD entries the state-mean of f_js(jsd)
     worst_path = 0.0
     for case in range(20):
         prng = np.random.default_rng(880 + case)
@@ -398,7 +399,8 @@ def test_criterion_8_kernel_closed_forms(capfd):
         else:
             mean_only = case % 3 == 1
             pols = clustered_gaussian_policies(prng, n_pols, spread=0.3)
-            got = kernel_forward(pols, batch, "w2", mean_only).sq_dists
+            fwd = kernel_forward(pols, batch, "w2", mean_only)
+            got = -2.0 * fwd.scale * np.log(fwd.entries)
             outs = [pi.gaussian_batch(batch.states) for pi in pols]
             want = np.array([[np.mean([w2_squared_diag(DiagGaussian(mi, outs[i][1]),
                                                        DiagGaussian(mj, outs[j][1]),

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from phasic.archive import FitnessQueue, GridArchive, bd_to_cell, qd_metrics, save_archive
-from phasic.nets import load_policy
+from phasic.nets import NormalizedPolicy, load_policy
 
-from factories import random_gaussian_policy
+from factories import random_gaussian_policy, view
 
 
 def tiny_policy(seed=0):
     rng = np.random.default_rng(seed)
-    return random_gaussian_policy(rng, obs_dim=2, act_dim=2, hidden=())
+    return view(random_gaussian_policy(rng, obs_dim=2, act_dim=2, hidden=()))
 
 
 class TestCellMapping:
@@ -168,14 +168,20 @@ class TestQdMetrics:
 def test_entries_hold_their_own_arrays(container):
     store = container()
     bd, mean, std = np.array([0.5, 0.5]), np.array([1.0, 2.0]), np.array([3.0, 4.0])
-    assert store.add(tiny_policy(), 1.0, bd, obs_mean=mean, obs_std=std,
-                     source=2, iteration=5)
+    candidate = NormalizedPolicy(tiny_policy().policy, mean, std)
+    assert store.add(candidate, 1.0, bd, source=2, iteration=5)
     bd[:] = mean[:] = std[:] = 0.0  # the caller reuses its buffers
     entry = store.entries()[0]
+    assert entry.policy is candidate  # the view owns its normalizer copies
     assert entry.bd.tolist() == [0.5, 0.5]
-    assert entry.obs_mean.tolist() == [1.0, 2.0]
-    assert entry.obs_std.tolist() == [3.0, 4.0]
+    assert entry.policy.obs_mean.tolist() == [1.0, 2.0]
+    assert entry.policy.obs_std.tolist() == [3.0, 4.0]
+    assert not (entry.policy.obs_mean.flags.writeable or entry.policy.obs_std.flags.writeable)
     assert (entry.source, entry.iteration, entry.order) == (2, 5, 0)
+    # a bare net has no normalizer to store, so neither container takes one
+    with pytest.raises(TypeError, match="NormalizedPolicy"):
+        store.add(candidate.policy, 2.0, [0.25, 0.25])
+    assert len(store) == 1
 
 
 class TestFitnessQueue:
@@ -235,9 +241,9 @@ class TestPersistence:
         rng = np.random.default_rng(7)
         arch = GridArchive()
         for i in range(12):
-            pol = random_gaussian_policy(rng, hidden=(4,))
+            pol = NormalizedPolicy(random_gaussian_policy(rng, hidden=(4,)),
+                                   rng.normal(size=2), rng.uniform(0.5, 2, 2))
             arch.add(pol, float(rng.normal()), rng.uniform(0, 1, 2),
-                     obs_mean=rng.normal(size=2), obs_std=rng.uniform(0.5, 2, 2),
                      source=i % 3, iteration=i)
         save_archive(arch, tmp_path / "arch")
         manifest = json.loads((tmp_path / "arch" / "manifest.json").read_text())
@@ -251,13 +257,25 @@ class TestPersistence:
             assert np.array_equal(item["bd"], entry.bd)
             assert (item["source"], item["iteration"], item["order"]) == (
                 entry.source, entry.iteration, entry.order)
-            assert item["has_normalizer"] is True
+            assert "has_normalizer" not in item  # every blob carries its normalizer
             policy, extra = load_policy(tmp_path / "arch" / item["file"])
             assert np.array_equal(policy.params, entry.policy.params)
-            assert policy.topology == entry.policy.topology
-            assert np.array_equal(extra["obs_mean"], entry.obs_mean)
-            assert np.array_equal(extra["obs_std"], entry.obs_std)
+            assert policy.topology == entry.policy.policy.topology
+            assert np.array_equal(extra["obs_mean"], entry.policy.obs_mean)
+            assert np.array_equal(extra["obs_std"], entry.policy.obs_std)
         assert (tmp_path / "arch" / "heatmap.csv").exists()
+
+    def test_blob_keeps_the_floored_std_it_was_evaluated_with(self, tmp_path):
+        # an observation that never varied has std 0; the view floors it at
+        # 1e-8, and the blob must hold the floored value the policy ran with
+        candidate = NormalizedPolicy(tiny_policy().policy, np.zeros(2), np.array([0.0, 2.0]))
+        arch = GridArchive()
+        arch.add(candidate, 1.0, [0.5, 0.5])
+        save_archive(arch, tmp_path / "a")
+        entry, = arch.entries()
+        _, extra = load_policy(tmp_path / "a" / "cell_5_5.npz")
+        assert extra["obs_std"].tobytes() == entry.policy.obs_std.tobytes()
+        assert extra["obs_std"].tolist() == [1e-8, 2.0]
 
     def test_heatmap_csv_matches_grid(self, tmp_path):
         arch = GridArchive()

@@ -65,6 +65,9 @@ class TestResolveConfig:
     def test_unknown_ppo_keys_rejected(self):
         with pytest.raises(CliError, match="learning_rate"):
             resolve_config({"ppo": {"learning_rate": 1e-3}})
+        # PPO always standardizes its advantages
+        with pytest.raises(CliError, match="unknown ppo config keys: norm_adv"):
+            resolve_config({"ppo": {"norm_adv": False}})
 
     def test_bad_seeds_rejected(self):
         with pytest.raises(CliError):
@@ -162,7 +165,8 @@ class TestValidateCommand:
         assert json.loads(out)["config"]["scale"] == 0.125
 
     @pytest.mark.parametrize("bad", [{"trainer": "dvd", "lambda_arms": [0.0, 2.0]},
-                                     {"cells_per_dim": 0}, {"queue_capacity": 0}])
+                                     {"cells_per_dim": 0}, {"queue_capacity": 0},
+                                     {"aux_lr": -0.001}, {"grad_clip": -1}])
     def test_values_the_run_would_reject(self, tmp_path, capsys, bad):
         cfg = _cfg_file(tmp_path, bad)
         rc, out, err = _run_main(capsys, ["validate", "--config", cfg])

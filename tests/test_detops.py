@@ -46,7 +46,7 @@ class TestSurrogate:
         batch = StateBatch(rng.standard_normal((3, 2)))
         for beta in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
-                diversity_ascent(pols, batch, steps=0, beta=beta)
+                diversity_ascent(pols, batch, steps=0, beta=beta, rng=np.random.default_rng(0))
             with pytest.raises(ValueError):
                 surrogate_det_bound(2, beta)
 
@@ -306,7 +306,7 @@ class TestDiversityAscent:
         batch = StateBatch(rng.standard_normal((5, 2)))
         _, _, _, grads = log_det_chain(pols, batch, metric, beta=0.99)
         out, _ = diversity_ascent(pols, batch, steps=1, metric=metric, beta=0.99,
-                                  lr=1e-3, grad_clip=0.0)
+                                  lr=1e-3, grad_clip=0.0, rng=np.random.default_rng(30))
         for p, pol, g in zip(out, pols, grads):
             assert np.array_equal(p.params, pol.params + 1e-3 * g)
 

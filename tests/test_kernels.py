@@ -132,14 +132,12 @@ class TestVarianceNormalize:
         pols = [linear_gaussian_policy(np.zeros((3, 1)), np.eye(3)[i], 0.0) for i in range(3)]
         fwd = kernel_forward(pols, StateBatch(np.zeros((1, 1))))
         assert fwd.scale == 1.0
-        assert np.array_equal(fwd.sq_dists, 2.0 * (1.0 - np.eye(3)))
         assert np.array_equal(fwd.entries[~np.eye(3, dtype=bool)], np.full(6, np.exp(-1.0)))
 
     def test_zero_matrix_unchanged(self):
         pol = linear_gaussian_policy([[1.0]], [0.0], [0.0])
         fwd = kernel_forward([pol] * 3, StateBatch(np.array([[0.5]])))
         assert fwd.scale == 1.0
-        assert np.array_equal(fwd.sq_dists, np.zeros((3, 3)))
         assert np.array_equal(fwd.entries, np.ones((3, 3)))
 
     def test_hand_computed_std(self):

@@ -15,8 +15,11 @@ from phasic.optim import Adam
 class TestForward:
     def test_zero_final_layer_gives_zero_mean(self):
         rng = np.random.default_rng(0)
-        pol = Policy.init(3, ActionSpace("continuous", 2), rng, hidden=(8,),
-                          log_std_init=-0.5, out_gain=0.0)
+        pol = Policy.init(3, ActionSpace("continuous", 2), rng, hidden=(8,))
+        params = pol.params.copy()
+        params[-(8 * 2 + 2 + 2):-2] = 0.0  # output weights and biases
+        params[-2:] = -0.5                # log-std tail
+        pol = pol.with_params(params)
         mean, log_std = pol.gaussian_batch(np.ones((1, 3)))
         assert np.array_equal(mean[0], np.zeros(2))
         assert np.allclose(log_std, -0.5)

@@ -625,18 +625,19 @@ class TestPpoUpdate:
         assert np.isfinite(stats.pi_loss)
 
     def test_positive_advantage_raises_action_log_prob(self):
-        # one state, one rewarded continuous action; a PPO step must pull the
-        # mean toward that action
+        # one state and one-step episodes: the rewarded action 0.5 keeps a
+        # positive advantage after standardization and the unrewarded -0.5 a
+        # negative one, so a PPO step must pull the mean toward 0.5
         policy = linear_gaussian_policy(np.zeros((1, 1)), np.zeros(1), log_std=0.0)
         value_fn = ValueFunction.init(1, np.random.default_rng(16), hidden=())
         obs = np.zeros((8, 1))
-        actions = np.full((8, 1), 0.5)
+        actions = np.repeat([[0.5], [-0.5]], 4, axis=0)
         logp = _true_log_probs(policy, obs, actions)
         buf = RolloutBuffer(
             obs=obs, raw_obs=obs, actions=actions, log_probs=logp,
-            rewards=np.ones(8), values=np.zeros(8),
-            dones=np.zeros(8, dtype=bool), bootstrap_value=0.0)
-        cfg = PPOConfig(epochs=1, minibatches=1, norm_adv=False)
+            rewards=np.repeat([1.0, 0.0], 4), values=np.zeros(8),
+            dones=np.ones(8, dtype=bool), bootstrap_value=0.0)
+        cfg = PPOConfig(epochs=1, minibatches=1)
         new_policy, _, _ = ppo_update(
             policy, value_fn, buf, cfg, Adam(policy.params.size, lr=1e-2),
             Adam(value_fn.params.size), np.random.default_rng(17))

@@ -7,7 +7,7 @@ from phasic.archive import GridArchive
 from phasic.selection import (BanditState, bandit_update, clustering_selection,
                               policy_embedding, thompson_select, ucb_select)
 
-from factories import linear_gaussian_policy
+from factories import linear_gaussian_policy, view
 
 
 class TestBanditState:
@@ -128,7 +128,7 @@ class TestClusteringSelection:
         arch = GridArchive()
         for i, (bias, fit) in enumerate(zip(biases, fits)):
             bd = np.array([0.05 + 0.1 * (i % 10), 0.05 + 0.1 * (i // 10)])
-            assert arch.add(offset_policy(bias), fit, bd)
+            assert arch.add(view(offset_policy(bias)), fit, bd)
         return arch
 
     def test_embedding_flattens_mean_actions(self):
