@@ -133,6 +133,7 @@ def diversity_ascent(policies, batch: StateBatch, steps: int, metric: str = "w2"
         trace.append(det_via_cholesky(factor))
         upstream = beta_used * spd_inverse(factor)  # d log det / dK
         grads = kernel_backward(fwd, upstream)
+        del fwd  # its layer caches go before the next forward builds its own
         for i, g in enumerate(grads):
             norm = float(np.linalg.norm(g))
             if grad_clip > 0 and norm > grad_clip:

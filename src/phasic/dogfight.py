@@ -267,6 +267,9 @@ def expert_policy(geom: Geometry, rng: np.random.Generator,
     """
     cfg = cfg or DogfightConfig()
     mag, noise = cfg.expert_magnitude, cfg.expert_noise
+    # Generator.uniform(-noise, noise)'s own formula and bits, without its
+    # per-call cost
+    low, span = -noise, noise - -noise
     if geom.aspect < cfg.brake_aspect and geom.distance < cfg.brake_range:
         throttle = -mag
     else:
@@ -274,12 +277,12 @@ def expert_policy(geom: Geometry, rng: np.random.Generator,
     if abs(geom.elev_err) > cfg.expert_deadband:
         elevator = math.copysign(mag, geom.elev_err)
     else:
-        elevator = float(rng.uniform(-noise, noise))
-    roll = float(rng.uniform(-noise, noise))
+        elevator = low + span * rng.random()
+    roll = low + span * rng.random()
     if abs(geom.az_err) > cfg.expert_deadband:
         rudder = math.copysign(mag, geom.az_err)
     else:
-        rudder = float(rng.uniform(-noise, noise))
+        rudder = low + span * rng.random()
     return np.array([throttle, elevator, roll, rudder])
 
 

@@ -9,7 +9,9 @@ unit diagonal whose determinant scores the diversity of the population.
 
 Both passes are array operations over all pairs at once; gradients with
 respect to policy parameters come from a hand-written reverse pass that
-mirrors the forward computation exactly.
+mirrors the forward computation exactly.  The forward keeps each network's
+layer inputs for the reverse pass to reuse, so a forward and its reverse
+pass run each network once.
 """
 
 from __future__ import annotations
@@ -45,7 +47,11 @@ class StateBatch:
 
 @dataclass
 class KernelForward:
-    """Cached forward pass of a population kernel build (for reverse mode)."""
+    """Cached forward pass of a population kernel build (for reverse mode).
+
+    ``caches`` holds each policy's layer inputs (a discrete one's also its
+    probabilities), so ``kernel_backward`` runs no network forward again.
+    """
 
     policies: list
     batch: StateBatch
@@ -57,6 +63,7 @@ class KernelForward:
     diffs: np.ndarray | None = None    # W2: (M, M, N, A) means[i] - means[j]
     probs: np.ndarray | None = None    # JSD: (M, N, K) categoricals
     mids: np.ndarray | None = None     # JSD: (M, M, N, K) midpoints (p_i + p_j) / 2
+    caches: list | None = None         # per policy: the cache its backward_* takes
 
     @property
     def m(self) -> int:
@@ -99,7 +106,8 @@ def kernel_forward(policies, batch: StateBatch, metric: str = "w2",
     states = batch.states
     n = states.shape[0]
     if metric == "jsd":
-        probs = np.stack([pi.probs_batch(states) for pi in policies])  # (M, N, K)
+        outs = [pi.probs_batch(states, with_cache=True) for pi in policies]
+        probs = np.stack([o[0] for o in outs])  # (M, N, K)
         mids = 0.5 * (probs[:, None] + probs[None, :])
         # kl[i, j, s] = KL(p_i(s) || mid_ij(s)), with 0 * log 0 = 0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -111,8 +119,8 @@ def kernel_forward(policies, batch: StateBatch, metric: str = "w2",
         k = _ordered_sum(sim, axis=-1) / n
         np.fill_diagonal(k, 1.0)
         return KernelForward(list(policies), batch, metric, deterministic, k, 1.0,
-                             probs=probs, mids=mids)
-    outs = [pi.gaussian_batch(states) for pi in policies]
+                             probs=probs, mids=mids, caches=[o[1] for o in outs])
+    outs = [pi.gaussian_batch(states, with_cache=True) for pi in policies]
     mus = np.stack([o[0] for o in outs])            # (M, N, A)
     stds = np.exp(np.stack([o[1] for o in outs]))   # (M, A)
     diffs = mus[:, None] - mus[None, :]
@@ -128,7 +136,7 @@ def kernel_forward(policies, batch: StateBatch, metric: str = "w2",
     k = np.exp(-0.5 * (sq / scale))
     np.fill_diagonal(k, 1.0)
     return KernelForward(list(policies), batch, metric, deterministic, k, scale,
-                         stds=stds, diffs=diffs)
+                         stds=stds, diffs=diffs, caches=[o[2] for o in outs])
 
 
 def kernel_backward(fwd: KernelForward, upstream: np.ndarray) -> list:
@@ -148,7 +156,8 @@ def kernel_backward(fwd: KernelForward, upstream: np.ndarray) -> list:
         # mid_ii = p_i, so the diagonal is log(1e-300 / 0) wherever p_i(s) = 0; skip it
         off = ~np.eye(fwd.m, dtype=bool)[:, :, None, None]
         dp = _ordered_sum(np.where(off, coeff[:, :, None, None] * logs, 0.0), axis=1)
-        return [pi.backward_probs(states, d) for pi, d in zip(fwd.policies, dp)]
+        return [pi.backward_probs(states, d, cache=c)
+                for pi, d, c in zip(fwd.policies, dp, fwd.caches)]
     # dK/d sq = -K / (2 * scale) for each symmetric entry
     w = -sym * fwd.entries / (2.0 * fwd.scale)
     dmu = _ordered_sum((w * (2.0 / n))[:, :, None, None] * fwd.diffs, axis=1)
@@ -158,5 +167,5 @@ def kernel_backward(fwd: KernelForward, upstream: np.ndarray) -> list:
         s = fwd.stds
         dls = _ordered_sum((w * 2.0)[:, :, None] * (s[:, None] - s[None, :]) * s[:, None],
                            axis=1)
-    return [pi.backward_gaussian(states, dm, dl)
-            for pi, dm, dl in zip(fwd.policies, dmu, dls)]
+    return [pi.backward_gaussian(states, dm, dl, cache=c)
+            for pi, dm, dl, c in zip(fwd.policies, dmu, dls, fwd.caches)]

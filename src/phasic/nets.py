@@ -205,10 +205,17 @@ class Policy(_Net):
         out, cache = self._forward(states)
         return (out, self._clamped_log_std, cache) if with_cache else (out, self._clamped_log_std)
 
-    def probs_batch(self, states: np.ndarray) -> np.ndarray:
+    def probs_batch(self, states: np.ndarray, with_cache: bool = False):
+        """Softmax probabilities (N, K) for discrete policies.
+
+        ``with_cache`` appends what ``backward_probs`` takes as its ``cache``:
+        the layer inputs and these probabilities.
+        """
         if self.action_space.kind != "discrete":
             raise ValueError("probs_batch on a continuous policy")
-        return _softmax(self._forward(states)[0])
+        out, inputs = self._forward(states)
+        p = _softmax(out)
+        return (p, (inputs, p)) if with_cache else p
 
     # -- reverse mode -----------------------------------------------------
 
@@ -237,15 +244,23 @@ class Policy(_Net):
         _, cache = self._forward(states)
         return self._mlp.backward(self._layers, cache, np.asarray(d_logits, dtype=np.float64))
 
-    def backward_probs(self, states: np.ndarray, d_probs: np.ndarray) -> np.ndarray:
-        """Upstream on softmax probabilities, routed through the softmax Jacobian."""
+    def backward_probs(self, states: np.ndarray, d_probs: np.ndarray,
+                       cache=None) -> np.ndarray:
+        """Upstream on softmax probabilities, routed through the softmax Jacobian.
+
+        ``cache`` is what ``probs_batch(states, with_cache=True)`` returned
+        with the probabilities; without it the forward and softmax run again.
+        """
         if self.action_space.kind != "discrete":
             raise ValueError("backward_probs on a continuous policy")
-        logits, cache = self._forward(states)
-        p = _softmax(logits)
+        if cache is None:
+            logits, inputs = self._forward(states)
+            p = _softmax(logits)
+        else:
+            inputs, p = cache
         d_probs = np.asarray(d_probs, dtype=np.float64)
         inner = np.sum(d_probs * p, axis=1, keepdims=True)
-        return self._mlp.backward(self._layers, cache, p * (d_probs - inner))
+        return self._mlp.backward(self._layers, inputs, p * (d_probs - inner))
 
 
 class ValueFunction(_Net):
@@ -310,17 +325,24 @@ class NormalizedPolicy:
     def _tx(self, states: np.ndarray) -> np.ndarray:
         return whiten(states, self.obs_mean, self.obs_std)
 
-    def gaussian_batch(self, states):
-        return self.policy.gaussian_batch(self._tx(states))
+    def gaussian_batch(self, states, with_cache: bool = False):
+        return self.policy.gaussian_batch(self._tx(states), with_cache=with_cache)
 
-    def probs_batch(self, states):
-        return self.policy.probs_batch(self._tx(states))
+    def probs_batch(self, states, with_cache: bool = False):
+        return self.policy.probs_batch(self._tx(states), with_cache=with_cache)
 
-    def backward_gaussian(self, states, d_mu, d_log_std=None):
-        return self.policy.backward_gaussian(self._tx(states), d_mu, d_log_std)
+    # a cache's first layer input is the whitened batch, so with one the
+    # reverse passes skip the whitening
 
-    def backward_probs(self, states, d_probs):
-        return self.policy.backward_probs(self._tx(states), d_probs)
+    def backward_gaussian(self, states, d_mu, d_log_std=None, cache=None):
+        if cache is None:
+            states = self._tx(states)
+        return self.policy.backward_gaussian(states, d_mu, d_log_std, cache=cache)
+
+    def backward_probs(self, states, d_probs, cache=None):
+        if cache is None:
+            states = self._tx(states)
+        return self.policy.backward_probs(states, d_probs, cache=cache)
 
 
 def stacked_forward(nets):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -52,6 +53,9 @@ ENVS = ("toy", "dogfight")
 _JOINT = ("dvd", "dse-ucb")
 # trainers that exploit the archive into the worst live learner
 _EXPLOITING = ("pdo", "pbt", "edo-cs")
+# config fields that count something, so must hold integers
+_COUNTS = ("population", "iterations", "rollout_steps", "eval_every", "eval_episodes",
+           "diversity_iters", "probe_states", "cells_per_dim", "queue_capacity", "seed")
 
 
 @dataclass(frozen=True)
@@ -88,6 +92,16 @@ def validate_config(config: TrainerConfig) -> None:
         raise ValueError(f"unknown env {config.env_name!r}; choose from {ENVS}")
     if config.archive not in ("grid", "queue"):
         raise ValueError("archive must be 'grid' or 'queue'")
+    counts = [(name, getattr(config, name)) for name in _COUNTS]
+    counts += [(f"ppo.{name}", getattr(config.ppo, name)) for name in ("epochs", "minibatches")]
+    for name, value in counts:
+        if name == "iterations" and value is None:
+            continue
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not isinstance(config.deterministic_kernel, bool):
+        raise ValueError(f"deterministic_kernel must be true or false, "
+                         f"got {config.deterministic_kernel!r}")
     if config.trainer == "ppo-single":
         if config.population != 1:
             raise ValueError("ppo-single runs exactly one learner")

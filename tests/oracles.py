@@ -566,6 +566,24 @@ def relative_geometry(attacker, target):
                     elev_err=math.atan2(los[2], math.hypot(los[0], los[1])) - attacker.pitch)
 
 
+def expert_policy(geom, rng, cfg):
+    """dogfight.expert_policy drawing each noise channel with a scalar
+    ``rng.uniform(-noise, noise)`` call."""
+    mag, noise = cfg.expert_magnitude, cfg.expert_noise
+    throttle = -mag if geom.aspect < cfg.brake_aspect and geom.distance < cfg.brake_range \
+        else mag
+    if abs(geom.elev_err) > cfg.expert_deadband:
+        elevator = math.copysign(mag, geom.elev_err)
+    else:
+        elevator = float(rng.uniform(-noise, noise))
+    roll = float(rng.uniform(-noise, noise))
+    if abs(geom.az_err) > cfg.expert_deadband:
+        rudder = math.copysign(mag, geom.az_err)
+    else:
+        rudder = float(rng.uniform(-noise, noise))
+    return np.array([throttle, elevator, roll, rudder])
+
+
 # -- reference toy step --------------------------------------------------------------
 
 def toy_step(pos, action, cfg):

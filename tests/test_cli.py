@@ -166,7 +166,10 @@ class TestValidateCommand:
 
     @pytest.mark.parametrize("bad", [{"trainer": "dvd", "lambda_arms": [0.0, 2.0]},
                                      {"cells_per_dim": 0}, {"queue_capacity": 0},
-                                     {"aux_lr": -0.001}, {"grad_clip": -1}])
+                                     {"aux_lr": -0.001}, {"grad_clip": -1},
+                                     {"eval_episodes": 1.5}, {"diversity_iters": 1.5},
+                                     {"deterministic_kernel": "no"},
+                                     {"ppo": {"epochs": 2.5}}])
     def test_values_the_run_would_reject(self, tmp_path, capsys, bad):
         cfg = _cfg_file(tmp_path, bad)
         rc, out, err = _run_main(capsys, ["validate", "--config", cfg])

@@ -11,6 +11,7 @@ from phasic.detops import (NotPositiveDefinite, _factor_with_backoff, cholesky,
                            det_via_cholesky, diversity_ascent, spd_inverse,
                            surrogate_det_bound)
 from phasic.kernels import StateBatch, kernel_backward, kernel_forward
+from phasic.nets import NormalizedPolicy, _Mlp
 
 
 class TestSurrogate:
@@ -296,6 +297,29 @@ class TestDiversityAscent:
         assert scales[0] is None
         assert all(s == start.scale for s in scales[1:])
         assert trace[0] == start_det
+
+    @pytest.mark.parametrize("metric", ["w2", "jsd"])
+    @pytest.mark.parametrize("wrap", [False, True])
+    @pytest.mark.parametrize("steps", [1, 20])
+    def test_one_network_forward_per_policy_and_step(self, monkeypatch, metric, wrap, steps):
+        # the reverse pass reuses the layer inputs the kernel forward kept
+        rng = np.random.default_rng(32)
+        make = random_gaussian_policy if metric == "w2" else random_discrete_policy
+        pols = [make(rng) for _ in range(3)]
+        if wrap:
+            pols = [NormalizedPolicy(p, rng.standard_normal(2), rng.uniform(0.5, 2.0, 2))
+                    for p in pols]
+        batch = StateBatch(rng.standard_normal((5, 2)))
+        real, calls = _Mlp.forward, []
+
+        def counting(self, layers, x):
+            calls.append(x.shape)
+            return real(self, layers, x)
+
+        monkeypatch.setattr(_Mlp, "forward", counting)
+        diversity_ascent(pols, batch, steps=steps, metric=metric,
+                         rng=np.random.default_rng(33))
+        assert calls == [(5, 2)] * ((steps + 1) * len(pols))
 
     @pytest.mark.parametrize("metric", ["w2", "jsd"])
     def test_first_step_follows_log_det_chain(self, metric):

@@ -214,6 +214,24 @@ class TestExpert:
             act = expert_policy(g, rng, CFG)
             assert np.all(np.abs(act) <= 1.0)
 
+    @pytest.mark.parametrize("noise", [1e-3, 0.03, 0.1, 0.5, 1.0, 2.5])
+    def test_noise_matches_scalar_uniform_draws(self, noise):
+        # each geometry puts elevator and rudder inside or outside the deadband
+        cfg = DogfightConfig(expert_noise=noise)
+        band = cfg.expert_deadband
+        geoms = [self.geom(az_err=az, elev_err=el, distance=d, aspect=asp)
+                 for az in (0.0, 0.5 * band, -3.0 * band, 0.4)
+                 for el in (0.0, -0.5 * band, 3.0 * band, -0.2)
+                 for d, asp in ((2000.0, 0.2), (5000.0, 2.0))]
+        rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
+        for _ in range(25):
+            for g in geoms:
+                act = expert_policy(g, rng, cfg)
+                want = oracles.expert_policy(g, ref_rng, cfg)
+                assert type(act) is np.ndarray and act.dtype == np.float64
+                assert act.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
 
 class TestDenseReward:
     @staticmethod

@@ -9,6 +9,7 @@ from oracles import (LN2, DiagGaussian, DiscreteDist, central_diff_grad, f_js,
                      mc_w2_diag_gaussian, w2_squared_diag, w2_squared_full)
 
 from phasic.kernels import StateBatch, kernel_backward, kernel_forward
+from phasic.nets import NormalizedPolicy
 
 
 class TestJsd:
@@ -301,17 +302,41 @@ class TestLoopReference:
         make = random_gaussian_policy if metric == "w2" else random_discrete_policy
         for case in range(20):
             rng = np.random.default_rng([m, case])
-            pols = [make(rng) for _ in range(m)]
-            # a near-duplicate pair sits at the normalization floor's edge
-            pols[1] = pols[0].with_params(
-                pols[0].params + 1e-7 * rng.standard_normal(pols[0].n_params))
-            batch = StateBatch(rng.uniform(-1.0, 1.0, (int(rng.integers(1, 40)), 2)))
-            pinned = None if case % 2 else float(rng.uniform(0.1, 2.0))
-            fwd = kernel_forward(pols, batch, metric, deterministic, pinned)
-            ref = oracles.kernel_forward(pols, batch, metric, deterministic, pinned)
-            assert np.array_equal(fwd.entries, ref.entries)
-            assert fwd.scale == ref.scale
-            upstream = rng.standard_normal((m, m))
-            for g, g_ref in zip(kernel_backward(fwd, upstream),
-                                oracles.kernel_backward(ref, upstream)):
-                assert np.array_equal(g, g_ref)
+            self._check(self._near_duplicate_pair([make(rng) for _ in range(m)], rng),
+                        rng, metric, deterministic, pinned=not case % 2)
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    @pytest.mark.parametrize("metric,deterministic",
+                             [("w2", False), ("w2", True), ("jsd", False)])
+    def test_views_bitwise_equal_to_loop_reference(self, metric, deterministic, m):
+        """Views whiten and clamp; the reverse pass takes the whitened batch
+        from the forward's cache, the reference whitens again."""
+        make = random_gaussian_policy if metric == "w2" else random_discrete_policy
+        for case in range(10):
+            rng = np.random.default_rng([m, case, 1])
+            pols = self._near_duplicate_pair([make(rng) for _ in range(m)], rng)
+            norms = [(rng.normal(0.0, 0.5, 2), rng.uniform(0.05, 2.0, 2)) for _ in range(m)]
+            norms[1] = norms[0]  # the near-duplicate pair shares one normalizer
+            views = [NormalizedPolicy(p, mean, std) for p, (mean, std) in zip(pols, norms)]
+            self._check(views, rng, metric, deterministic, pinned=not case % 2)
+
+    @staticmethod
+    def _near_duplicate_pair(pols, rng):
+        # a near-duplicate pair sits at the normalization floor's edge
+        pols[1] = pols[0].with_params(
+            pols[0].params + 1e-7 * rng.standard_normal(pols[0].n_params))
+        return pols
+
+    @staticmethod
+    def _check(pols, rng, metric, deterministic, pinned):
+        m = len(pols)
+        batch = StateBatch(rng.uniform(-1.0, 1.0, (int(rng.integers(1, 40)), 2)))
+        scale = float(rng.uniform(0.1, 2.0)) if pinned else None
+        fwd = kernel_forward(pols, batch, metric, deterministic, scale)
+        ref = oracles.kernel_forward(pols, batch, metric, deterministic, scale)
+        assert np.array_equal(fwd.entries, ref.entries)
+        assert fwd.scale == ref.scale
+        upstream = rng.standard_normal((m, m))
+        for g, g_ref in zip(kernel_backward(fwd, upstream),
+                            oracles.kernel_backward(ref, upstream)):
+            assert np.array_equal(g, g_ref)

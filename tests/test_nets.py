@@ -3,12 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from factories import linear_gaussian_policy, random_gaussian_policy
+from factories import linear_gaussian_policy, random_discrete_policy, random_gaussian_policy
 import oracles
 from oracles import central_diff_grad, grad_close
 
-from phasic.nets import (ActionSpace, NormalizedPolicy, Policy, ValueFunction,
-                         load_policy, save_policy, stacked_forward)
+from phasic.nets import (OBS_CLIP, ActionSpace, NormalizedPolicy, Policy, ValueFunction,
+                         load_policy, save_policy, stacked_forward, whiten)
 from phasic.optim import Adam
 
 
@@ -183,8 +183,11 @@ class TestForwardBackwardMatchReference:
             else:
                 assert np.array_equal(pol.backward_logits(x, up),
                                       oracles.backward_logits(pol, x, up))
-                assert np.array_equal(pol.backward_probs(x, up),
-                                      oracles.backward_probs(pol, x, up))
+                want = oracles.backward_probs(pol, x, up)
+                assert np.array_equal(pol.backward_probs(x, up), want)
+                p, cache = pol.probs_batch(x, with_cache=True)
+                assert np.array_equal(p, pol.probs_batch(x))
+                assert np.array_equal(pol.backward_probs(x, up, cache=cache), want)
             dv = rng.standard_normal(rows)
             want = oracles.value_backward(vf, x, dv)
             assert np.array_equal(vf.backward(x, dv), want)
@@ -331,6 +334,33 @@ class TestNormalizedPolicy:
             return float(np.sum(mu * dmu))
 
         assert grad_close(g, central_diff_grad(scalar, wrapped.params))
+
+    @pytest.mark.parametrize("kind", ["continuous", "discrete"])
+    def test_cached_reverse_pass_equals_uncached(self, kind):
+        # with a cache the view does not whiten again: the cache's first
+        # layer input is the whitened, clamped batch
+        rng = np.random.default_rng(14)
+        make = random_gaussian_policy if kind == "continuous" else random_discrete_policy
+        pol = make(rng)
+        # the small first std clamps some whitened rows
+        wrapped = NormalizedPolicy(pol, rng.standard_normal(2), np.array([0.05, 1.5]))
+        states = rng.uniform(-3.0, 3.0, (9, 2))
+        up = rng.standard_normal((9, pol.action_space.dim))
+        if kind == "continuous":
+            d_ls = rng.standard_normal(pol.action_space.dim)
+            mu, _, cache = wrapped.gaussian_batch(states, with_cache=True)
+            assert np.array_equal(mu, wrapped.gaussian_batch(states)[0])
+            assert np.array_equal(wrapped.backward_gaussian(states, up, d_ls, cache=cache),
+                                  wrapped.backward_gaussian(states, up, d_ls))
+            inputs = cache
+        else:
+            p, cache = wrapped.probs_batch(states, with_cache=True)
+            assert np.array_equal(p, wrapped.probs_batch(states))
+            assert np.array_equal(wrapped.backward_probs(states, up, cache=cache),
+                                  wrapped.backward_probs(states, up))
+            inputs = cache[0]
+        assert np.array_equal(inputs[0], whiten(states, wrapped.obs_mean, wrapped.obs_std))
+        assert np.any(np.abs(inputs[0]) == OBS_CLIP)
 
 
 class TestAdam:

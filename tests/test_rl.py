@@ -255,7 +255,7 @@ class TestNormalizer:
         class Recorder:
             action_space = ActionSpace("continuous", 1)
 
-            def gaussian_batch(self, states):
+            def gaussian_batch(self, states, with_cache=False):
                 seen.append(states)
                 return states[:, :1], np.zeros(1)
 

@@ -98,6 +98,22 @@ class TestConfigValidation:
         ("dvd", {"grad_clip": 0.0}),
         ("dvd", {"grad_clip": -1.0}),
         ("dvd", {"grad_clip": float("nan")}),
+        # counts must be integers and the kernel flag a bool
+        ("pdo", {"population": 3.0}),
+        ("pdo", {"population": True}),
+        ("pdo", {"iterations": 1.5}),
+        ("pdo", {"rollout_steps": 96.0}),
+        ("pdo", {"eval_every": 1.5}),
+        ("pdo", {"eval_episodes": 1.5}),
+        ("pdo", {"diversity_iters": 1.5}),
+        ("pdo", {"probe_states": "48"}),
+        ("pdo", {"cells_per_dim": 10.0}),
+        ("pdo", {"queue_capacity": 2.5}),
+        ("pdo", {"seed": 5.5}),
+        ("pdo", {"ppo": PPOConfig(epochs=2.0)}),
+        ("pdo", {"ppo": PPOConfig(minibatches=1.5)}),
+        ("pdo", {"deterministic_kernel": "no"}),
+        ("pdo", {"deterministic_kernel": 1}),
     ])
     def test_values_run_training_cannot_use(self, trainer, bad, tmp_path):
         cfg = small_config(trainer=trainer, **bad)
@@ -110,6 +126,10 @@ class TestConfigValidation:
     def test_ppo_edge_values_are_accepted(self):
         validate_config(small_config(ppo=PPOConfig(gamma=0.0, lam=1.0, value_coef=0.0)))
         validate_config(small_config(ppo=PPOConfig(gamma=1.0, lam=0.0)))
+
+    def test_numpy_integer_counts_are_accepted(self):
+        validate_config(small_config(population=np.int64(3), seed=np.int64(5),
+                                     iterations=None, deterministic_kernel=True))
 
     def test_unknown_metric(self):
         # both envs have continuous actions, so training always uses the W2 kernel
