@@ -116,8 +116,8 @@ def resolve_config(raw: dict, *, seeds_override=None, scale_override=None,
             fields[key] = raw[key]
     if "lambda_arms" in fields:
         fields["lambda_arms"] = tuple(float(v) for v in fields["lambda_arms"])
-    if "hidden" in fields:
-        fields["hidden"] = tuple(int(v) for v in fields["hidden"])
+    if isinstance(fields.get("hidden"), list):  # validate_config checks the sizes
+        fields["hidden"] = tuple(fields["hidden"])
 
     ppo_raw = raw.get("ppo", {})
     if not isinstance(ppo_raw, dict):

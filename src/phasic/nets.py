@@ -346,12 +346,15 @@ class NormalizedPolicy:
 
 
 def stacked_forward(nets):
-    """One forward over M networks of one layout, for (M, N, in) inputs.
+    """One forward over M networks of one layout, for (M, ..., N, in) inputs.
 
     Takes policies or value functions.  Their layer weights are stacked once
     into (M, out, in) arrays, with (M, in, out) transposed views and (M, 1,
     out) biases, and ``_Mlp.forward`` maps (M, N, in) inputs to (M, N, out)
-    outputs.  Each network's rows carry the bits of its own pass.
+    outputs.  Each network's rows carry the bits of its own pass.  Inputs with
+    axes between M and N, such as (M, T, 1, in), broadcast the weights over
+    them, so each (N, in) block is a matmul of its own: T one-row blocks give
+    the bits of T one-row passes, which one (M, T, in) batch need not.
     """
     mlp = nets[0]._mlp
     if any(net._mlp.sizes != mlp.sizes for net in nets):
@@ -361,7 +364,13 @@ def stacked_forward(nets):
         w = np.stack([net._layers[k][0] for net in nets])
         b = np.stack([net._layers[k][2] for net in nets])[:, None]
         layers.append((w, w.swapaxes(-1, -2), b))
-    return lambda x: mlp.forward(layers, x)[0]
+
+    def forward(x):
+        if x.ndim == 3:
+            return mlp.forward(layers, x)[0]
+        axes = (slice(None),) + (None,) * (x.ndim - 3)
+        return mlp.forward([(w[axes], wt[axes], b[axes]) for w, wt, b in layers], x)[0]
+    return forward
 
 
 def whiten(states: np.ndarray, mean, std) -> np.ndarray:

@@ -3,9 +3,11 @@
 A ``Learner`` owns a policy, a value function, their optimizers, running
 observation and return statistics, and its environments.  The M learners of
 a population roll out and evaluate in lockstep: each tick runs one stacked
-policy forward (and one value forward) over all M, keeps the running
-statistics as (M, ·) arrays, and steps each learner's own environment once
-with draws from its own generator.  Every learner so gets the bits, the
+policy forward over all M, keeps the running observation statistics as
+(M, ·) arrays, and steps each learner's own environment once with draws from
+its own generator.  What the next step does not read runs once per rollout,
+after its ticks: the log-probs, the values with the bootstrap, and the
+return scaling of the rewards.  Every learner so gets the bits, the
 environment steps and the generator draws that a loop of its own would give.
 Rollouts store both normalized and raw observations; the raw ones feed the
 probe-state pool the diversity kernel samples from.  Fitness is always the
@@ -16,6 +18,7 @@ and a discrete policy is rejected with a ValueError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +27,9 @@ from .nets import NormalizedPolicy, Policy, ValueFunction, stacked_forward, whit
 from .optim import Adam
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+# ticks per stacked value pass after a rollout: keeps the pass's layer
+# inputs small whatever the rollout length
+_VALUE_CHUNK = 64
 
 
 class RunningStat:
@@ -183,6 +189,14 @@ def collect_rollout(learners, steps: int, gamma: float) -> list:
     ``pending_return`` carry an unfinished episode and its sparse return so
     far into the next rollout.  The statistics, ``ret``, ``obs`` and
     ``pending_return`` are written back at the end.
+
+    A tick does only what the next env step reads: the observation
+    statistics, whitening, one stacked policy-mean forward, the noise draws
+    and the env steps.  The log-probs (one elementwise pass over the stored
+    means and actions), the values with the bootstrap (stacked one-row
+    passes over the whitened observations, ``_VALUE_CHUNK`` ticks at a time)
+    and the return scaling (``_scale_rewards``) run once, after the ticks,
+    with the bits the per-tick computations give.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -192,67 +206,91 @@ def collect_rollout(learners, steps: int, gamma: float) -> list:
     std = np.exp(log_std)
     act_dim = log_std.shape[1]
     policy_mean = stacked_forward([l.policy for l in learners])
-    value_of = stacked_forward([l.value_fn for l in learners])
     obs_stats = StackedStats([l.obs_stat for l in learners])
-    ret_stats = StackedStats([l.ret_stat for l in learners])
-    ret = np.array([l.ret for l in learners], dtype=np.float64)
 
     obs = np.stack([l.train_env.reset(l.rng) if l.obs is None else l.obs for l in learners],
                    dtype=np.float64)
     ep_sparse = [float(l.pending_return) if l.obs is not None else 0.0 for l in learners]
     episode_returns = [[] for _ in range(m)]
     noise = np.empty((m, act_dim))
-    obs_n = np.empty((m, steps, obs.shape[1]))
-    raw = np.empty_like(obs_n)
-    acts = np.empty((m, steps, act_dim))
-    logps, rews, vals = np.empty((m, steps)), np.empty((m, steps)), np.empty((m, steps))
+    # whitened observations; row ``steps`` is the one the bootstrap value reads
+    obs_n = np.empty((m, steps + 1, obs.shape[1]))
+    raw = np.empty((m, steps, obs.shape[1]))
+    means, acts = np.empty((m, steps, act_dim)), np.empty((m, steps, act_dim))
+    rewards = np.empty((m, steps))
     dones = np.empty((m, steps), dtype=bool)
     for t in range(steps):
         raw[:, t] = obs
         obs_stats.add(obs)
-        x = whiten(obs, obs_stats.mean, np.maximum(obs_stats.std(), 1e-8))
-        rows = x[:, None]  # each learner's one-row batch
-        mu = policy_mean(rows)[:, 0]
+        x = obs_n[:, t] = whiten(obs, obs_stats.mean, np.maximum(obs_stats.std(), 1e-8))
+        mu = means[:, t] = policy_mean(x[:, None])[:, 0]  # each learner's one-row batch
         for i, rng in enumerate(rngs):
             rng.standard_normal(out=noise[i])
-        action = mu + std * noise
-        z = (action - mu) / std
-        logps[:, t] = np.sum(-0.5 * z * z - log_std - 0.5 * _LOG_2PI, axis=1)
-        vals[:, t] = value_of(rows)[:, 0, 0]
-        obs_n[:, t] = x
-        acts[:, t] = action
+        action = acts[:, t] = mu + std * noise
         next_obs = np.empty_like(obs)
-        reward = np.empty(m)
         for i, env in enumerate(envs):
-            next_obs[i], r, done, info = env.step(action[i])
-            reward[i] = r
+            next_obs[i], rewards[i, t], done, info = env.step(action[i])
             dones[i, t] = done
             ep_sparse[i] += info["sparse_reward"]
             if done:
                 episode_returns[i].append(ep_sparse[i])
                 ep_sparse[i] = 0.0
                 next_obs[i] = env.reset(rngs[i])
-        ret = gamma * ret + reward
-        ret_stats.add(ret)
-        rews[:, t] = reward / np.maximum(ret_stats.std(), 1e-8)
-        ret = np.where(dones[:, t], 0.0, ret)
         obs = next_obs
     obs_stats.write([l.obs_stat for l in learners])
-    ret_stats.write([l.ret_stat for l in learners])
-    x = whiten(obs, obs_stats.mean, np.maximum(obs_stats.std(), 1e-8))
-    bootstrap = value_of(x[:, None])[:, 0, 0]
+    obs_n[:, steps] = whiten(obs, obs_stats.mean, np.maximum(obs_stats.std(), 1e-8))
+
+    z = (acts - means) / std[:, None]
+    logps = np.sum(-0.5 * z * z - log_std[:, None] - 0.5 * _LOG_2PI, axis=2)
+    value_of = stacked_forward([l.value_fn for l in learners])
+    vals = np.empty((m, steps + 1))
+    for lo in range(0, steps + 1, _VALUE_CHUNK):
+        chunk = obs_n[:, lo:lo + _VALUE_CHUNK, None]  # (M, C, 1, in): C one-row passes
+        vals[:, lo:lo + _VALUE_CHUNK] = value_of(chunk)[:, :, 0, 0]
     buffers = []
     for i, learner in enumerate(learners):
+        scaled, learner.ret = _scale_rewards(learner.ret_stat, float(learner.ret), gamma,
+                                             rewards[i].tolist(), dones[i].tolist())
         live = not dones[i, -1]
-        learner.ret = float(ret[i])
         learner.obs = obs[i].copy() if live else None
         learner.pending_return = ep_sparse[i] if live else 0.0
         buffers.append(RolloutBuffer(
-            obs=obs_n[i], raw_obs=raw[i], actions=acts[i], log_probs=logps[i],
-            rewards=rews[i], values=vals[i], dones=dones[i],
-            bootstrap_value=float(bootstrap[i]) if live else 0.0,
+            obs=obs_n[i, :steps], raw_obs=raw[i], actions=acts[i], log_probs=logps[i],
+            rewards=np.array(scaled), values=vals[i, :steps], dones=dones[i],
+            bootstrap_value=float(vals[i, steps]) if live else 0.0,
             episode_returns=episode_returns[i]))
     return buffers
+
+
+def _scale_rewards(stat: RunningStat, ret: float, gamma: float, rewards, dones) -> tuple:
+    """One learner's rewards divided by the running std of its discounted return.
+
+    Runs on Python floats the operations of a one-row ``StackedStats.add``
+    and ``std`` in their order, so its bits are theirs: the square as
+    ``d * d``, the empty statistic taking the row as it is, unit variance
+    under two samples, and ``max(v, 0.0)`` keeping a NaN ``v`` as
+    ``np.maximum`` does.  Advances ``stat``; returns (the scaled rewards, the
+    return carried on).
+    """
+    count, mean, m2 = stat.count, float(stat.mean), float(stat.m2)
+    scaled = []
+    for reward, done in zip(rewards, dones):
+        ret = gamma * ret + reward
+        d = ret - ret
+        if count == 0.0:
+            mean, m2 = ret, d * d
+        else:
+            total = count + 1.0
+            delta = ret - mean
+            mean = mean + delta * (1.0 / total)
+            m2 = m2 + d * d + delta * delta * (count / total)
+        count += 1.0
+        std = math.sqrt(max(m2 / count, 0.0)) if count >= 2.0 else 1.0
+        scaled.append(reward / max(std, 1e-8))
+        if done:
+            ret = 0.0
+    stat.count, stat.mean, stat.m2 = count, np.array(mean), np.array(m2)
+    return scaled, ret
 
 
 def gae(buffer: RolloutBuffer, gamma: float, lam: float, normalize: bool = False):

@@ -39,7 +39,7 @@ class ToyEnv:
         self.obs_dim = 2
         self.action_space = ActionSpace("continuous", 2)
         self._goals = np.asarray(self.config.goals, dtype=np.float64).tolist()
-        self._goal_rewards = np.asarray(self.config.goal_rewards, dtype=np.float64)
+        self._goal_rewards = np.asarray(self.config.goal_rewards, dtype=np.float64).tolist()
         self._pos = np.zeros(2)
         self._step = 0
         self._done = True
@@ -66,7 +66,14 @@ class ToyEnv:
         for gx, gy in self._goals:
             dx, dy = gx - x, gy - y
             z.append(-(dx * dx + dy * dy) / self.config.bump_scale)
-        return float((self._goal_rewards * np.exp(z)).max())
+        rewards = [r * e for r, e in zip(self._goal_rewards, np.exp(z).tolist())]
+        # numpy's max over the products: a NaN anywhere is the result, and of
+        # equal values (0.0 and -0.0) the later one, which Python's max keeps
+        # only on the reversed list
+        for r in rewards:
+            if r != r:
+                return r
+        return max(reversed(rewards))
 
     def step(self, action: np.ndarray):
         if self._done:

@@ -56,6 +56,8 @@ _EXPLOITING = ("pdo", "pbt", "edo-cs")
 # config fields that count something, so must hold integers
 _COUNTS = ("population", "iterations", "rollout_steps", "eval_every", "eval_episodes",
            "diversity_iters", "probe_states", "cells_per_dim", "queue_capacity", "seed")
+# config fields that hold real numbers, checked as such before any comparison
+_REALS = ("total_steps", "exploit_period", "scale", "beta", "aux_lr", "grad_clip")
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,16 @@ def validate_config(config: TrainerConfig) -> None:
             continue
         if not isinstance(value, numbers.Integral) or isinstance(value, bool):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+    reals = [(name, getattr(config, name)) for name in _REALS]
+    reals += [(f"ppo.{name}", getattr(config.ppo, name))
+              for name in ("clip", "lr", "gamma", "lam", "value_coef")]
+    for name, value in reals:
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+    if not isinstance(config.hidden, (tuple, list)) or not all(
+            isinstance(h, numbers.Integral) and not isinstance(h, bool) and h >= 1
+            for h in config.hidden):
+        raise ValueError(f"hidden must be a list of positive integers, got {config.hidden!r}")
     if not isinstance(config.deterministic_kernel, bool):
         raise ValueError(f"deterministic_kernel must be true or false, "
                          f"got {config.deterministic_kernel!r}")

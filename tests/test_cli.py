@@ -177,6 +177,26 @@ class TestValidateCommand:
         assert out == ""
         assert json.loads(err)["error"]["type"] == "config"
 
+    @pytest.mark.parametrize("bad", [{"scale": "0.1"}, {"beta": "0.5"},
+                                     {"ppo": {"gamma": "0.9"}}, {"hidden": [8.7]},
+                                     {"hidden": [0]}, {"hidden": [-3]}, {"hidden": [True]},
+                                     {"hidden": 8}])
+    def test_wrong_type_or_size_is_one_config_error(self, tmp_path, capsys, bad):
+        """Both commands exit 1 with one JSON config error, not a traceback, and
+        the run writes nothing."""
+        cfg = _cfg_file(tmp_path, bad)
+        out_dir = tmp_path / "exp"
+        for argv in (["validate", "--config", cfg],
+                     ["run", "--config", cfg, "--out", str(out_dir)]):
+            rc, out, err = _run_main(capsys, argv)
+            assert rc == 1
+            assert out == ""
+            assert len(err.splitlines()) == 1
+            error = json.loads(err)["error"]
+            assert error["type"] == "config"
+            assert next(iter(bad)) in error["message"]
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("ppo", [{"minibatches": 0}, {"epochs": -1}])
     def test_ppo_loop_counts_below_one(self, tmp_path, capsys, ppo):
         cfg = _cfg_file(tmp_path, {"ppo": ppo})

@@ -199,7 +199,9 @@ class TestForwardBackwardMatchReference:
     @pytest.mark.parametrize("m", [1, 3, 5])
     def test_stacked_forward_equals_per_network(self, obs_dim, act_dim, m):
         """One ``_Mlp.forward`` over stacked (M, in, out) weights gives each
-        network's rows the bits of its own pass, one-row inputs included."""
+        network's rows the bits of its own pass, one-row inputs included, and
+        each one-row block of an (M, T, 1, in) input the bits of its own
+        one-row pass."""
         rng = np.random.default_rng(obs_dim + m)
         pols = [random_gaussian_policy(rng, obs_dim, act_dim, hidden=(64, 64))
                 for _ in range(m)]
@@ -212,6 +214,14 @@ class TestForwardBackwardMatchReference:
             for i in range(m):
                 assert np.array_equal(mu[i], pols[i].gaussian_batch(x[i])[0])
                 assert np.array_equal(v[i, :, 0], vfs[i].value_batch(x[i]))
+        # (M, T, 1, in) inputs: T one-row passes per network, each with the bits of its own
+        x = 3.0 * rng.standard_normal((m, 7, 1, obs_dim))
+        mu, v = policy_mean(x), value_of(x)
+        assert mu.shape == (m, 7, 1, act_dim) and v.shape == (m, 7, 1, 1)
+        for i in range(m):
+            for t in range(7):
+                assert np.array_equal(mu[i, t], pols[i].gaussian_batch(x[i, t])[0])
+                assert v[i, t, 0, 0] == vfs[i].value(x[i, t, 0])
         with pytest.raises(ValueError, match="layout"):
             stacked_forward([pols[0], random_gaussian_policy(rng, obs_dim, act_dim, (8,))])
 

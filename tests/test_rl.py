@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from phasic.dogfight import DogfightConfig, DogfightEnv
-from phasic.nets import ActionSpace, NormalizedPolicy, Policy, ValueFunction, whiten
+from phasic.nets import ActionSpace, NormalizedPolicy, Policy, ValueFunction, _Mlp, whiten
 from phasic.optim import Adam
-from phasic.rl import (Learner, PPOConfig, RolloutBuffer, RunningStat, StackedStats,
-                       collect_rollout, evaluate, gae, ppo_update, restore_payload,
-                       snapshot_payload)
+from phasic.rl import (_VALUE_CHUNK, Learner, PPOConfig, RolloutBuffer, RunningStat,
+                       StackedStats, collect_rollout, evaluate, gae, ppo_update,
+                       restore_payload, snapshot_payload)
 from phasic.toy import ToyConfig, ToyEnv
 
 import oracles
@@ -459,6 +459,15 @@ class Poisoned:
         return obs, reward, done, info
 
 
+class PoisonedReward(Poisoned):
+    """Env wrapper that overwrites the learning reward at given steps with a value."""
+
+    def step(self, action):
+        obs, reward, done, info = self.env.step(action)
+        self.t += 1
+        return obs, self.poison.get(self.t, reward), done, info
+
+
 def _stats_equal(a, b):
     return (a.count == b.count and np.array_equal(a.mean, b.mean, equal_nan=True)
             and np.array_equal(a.m2, b.m2, equal_nan=True))
@@ -555,6 +564,41 @@ class TestLockstepMatchesPerLearner:
                                    windows=1)
         assert not np.all(np.isfinite(got[0].obs)) and not np.all(np.isfinite(got[2].obs))
         assert np.all(np.isfinite(got[1].obs))
+
+    @pytest.mark.parametrize("steps", [1, 63, 64, 65, 127, 130])
+    def test_value_chunk_edges(self, steps):
+        # a rollout's steps + 1 values (the last the bootstrap's) run in
+        # passes of _VALUE_CHUNK = 64 ticks: these fill one pass, end one
+        # short of or one past a pass, and leave the bootstrap a pass alone
+        self.check(lambda i: ToyEnv(ToyConfig(horizon=30 + 7 * i)), 3, steps=steps)
+
+    def test_non_finite_rewards(self):
+        # returns and their statistics turn inf or NaN in some learners only;
+        # episodes of 8, 9 and 10 steps reset the return and carry the statistics
+        poison = {0: [(4, np.inf)], 1: [], 2: [(3, np.nan), (12, -np.inf)]}
+        with np.errstate(invalid="ignore"):
+            (got, _), _ = self.check(
+                lambda i: PoisonedReward(ToyEnv(ToyConfig(horizon=8 + i)), poison[i]), 3,
+                steps=15)
+        assert not np.all(np.isfinite(got[0].rewards))
+        assert np.isnan(got[2].rewards[2]) and not np.all(np.isfinite(got[2].rewards[3:]))
+        assert np.all(np.isfinite(got[1].rewards))
+
+    @pytest.mark.parametrize("steps", [1, 64, 130])
+    def test_one_policy_forward_per_tick_and_one_value_pass_per_chunk(self, monkeypatch,
+                                                                       steps):
+        pols, vfs = self.population(3, 2, 2, seed=0)
+        learners = self.learners(pols, vfs, lambda i: ToyEnv(), seed=0)
+        real, calls = _Mlp.forward, []
+
+        def counting(mlp, layers, x):
+            calls.append((mlp.sizes[-1], x.shape))
+            return real(mlp, layers, x)
+
+        monkeypatch.setattr(_Mlp, "forward", counting)
+        collect_rollout(learners, steps, GAMMA)
+        chunks = [min(_VALUE_CHUNK, steps + 1 - lo) for lo in range(0, steps + 1, _VALUE_CHUNK)]
+        assert calls == [(2, (3, 1, 2))] * steps + [(1, (3, c, 1, 2)) for c in chunks]
 
     @staticmethod
     def views(m, obs_dim, act_dim, seed):

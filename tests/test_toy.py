@@ -85,6 +85,34 @@ def test_step_matches_the_reference_step():
         assert env.reward_at(pos) == oracles.toy_reward(pos, env.config)
 
 
+def test_reward_max_matches_the_numpy_formula():
+    """The float max over the goal products against numpy's array max, bit for
+    bit: a NaN product anywhere gives NaN (whose sign and payload are not
+    compared), and 0.0 and -0.0 are told apart.  Negative, signed-zero and
+    infinite goal rewards, far points and non-finite points make every case
+    occur."""
+    def same(a, b):
+        return (np.isnan(a) and np.isnan(b)) or (a == b and np.signbit(a) == np.signbit(b))
+
+    goals = ((0.6, 0.6), (-0.6, -0.6), (0.0, 0.9))
+    special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5.0, -0.6]
+    rng = np.random.default_rng(7)
+    points = np.concatenate([rng.uniform(-1.5, 1.5, (300, 2)), np.array(goals),
+                             [(x, y) for x in special for y in special]])
+    seen = set()
+    for goal_rewards in [(1.0, 0.7), (0.7, 1.0, 0.7), (-1.0, -0.5), (0.0, -0.0), (-0.0, 0.0),
+                         (-0.5, 0.0, -0.0), (0.5, np.inf, -2.0), (-np.inf, -0.0, 0.0)]:
+        env = ToyEnv(ToyConfig(goals=goals[:len(goal_rewards)], goal_rewards=goal_rewards))
+        with np.errstate(invalid="ignore"):
+            for pos in points:
+                got, want = env.reward_at(pos), oracles.toy_reward(pos, env.config)
+                assert same(got, want), (goal_rewards, pos, got, want)
+                seen.add("nan" if np.isnan(got) else "inf" if np.isinf(got)
+                         else "-0" if got == 0.0 and np.signbit(got)
+                         else "+0" if got == 0.0 else "-" if got < 0.0 else "+")
+    assert seen == {"nan", "inf", "-0", "+0", "-", "+"}
+
+
 def test_position_clamped_to_unit_box():
     env = ToyEnv(ToyConfig(spawn_jitter=0.0))
     env.reset(np.random.default_rng(0))

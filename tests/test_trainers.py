@@ -114,6 +114,23 @@ class TestConfigValidation:
         ("pdo", {"ppo": PPOConfig(minibatches=1.5)}),
         ("pdo", {"deterministic_kernel": "no"}),
         ("pdo", {"deterministic_kernel": 1}),
+        # real-valued fields must hold numbers, and hidden positive integer sizes
+        ("pdo", {"scale": "0.1"}),
+        ("pdo", {"beta": "0.5"}),
+        ("pdo", {"total_steps": None}),
+        ("pdo", {"exploit_period": "inf"}),
+        ("pdo", {"aux_lr": True}),
+        ("dvd", {"grad_clip": "1"}),
+        ("pdo", {"ppo": PPOConfig(gamma="0.9")}),
+        ("pdo", {"ppo": PPOConfig(lam="0.95")}),
+        ("pdo", {"ppo": PPOConfig(lr="3e-4")}),
+        ("pdo", {"ppo": PPOConfig(clip="0.2")}),
+        ("pdo", {"ppo": PPOConfig(value_coef="0.5")}),
+        ("pdo", {"hidden": (8.7,)}),
+        ("pdo", {"hidden": (16, 0)}),
+        ("pdo", {"hidden": (-3,)}),
+        ("pdo", {"hidden": (True,)}),
+        ("pdo", {"hidden": 16}),
     ])
     def test_values_run_training_cannot_use(self, trainer, bad, tmp_path):
         cfg = small_config(trainer=trainer, **bad)
@@ -130,6 +147,13 @@ class TestConfigValidation:
     def test_numpy_integer_counts_are_accepted(self):
         validate_config(small_config(population=np.int64(3), seed=np.int64(5),
                                      iterations=None, deterministic_kernel=True))
+
+    def test_numeric_types_are_accepted(self):
+        # integers and numpy scalars are numbers; an empty hidden is a linear net
+        validate_config(small_config(scale=1, total_steps=np.float64(3e6), grad_clip=np.int64(2),
+                                     exploit_period=float("inf"), hidden=[np.int64(8), 4],
+                                     ppo=PPOConfig(gamma=1, lam=np.float32(0.5))))
+        validate_config(small_config(hidden=()))
 
     def test_unknown_metric(self):
         # both envs have continuous actions, so training always uses the W2 kernel
