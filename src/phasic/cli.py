@@ -114,10 +114,9 @@ def resolve_config(raw: dict, *, seeds_override=None, scale_override=None,
     for key in _CONFIG_FIELDS:
         if key in raw:
             fields[key] = raw[key]
-    if "lambda_arms" in fields:
-        fields["lambda_arms"] = tuple(float(v) for v in fields["lambda_arms"])
-    if isinstance(fields.get("hidden"), list):  # validate_config checks the sizes
-        fields["hidden"] = tuple(fields["hidden"])
+    for key in ("hidden", "lambda_arms"):  # validate_config checks the values
+        if isinstance(fields.get(key), list):
+            fields[key] = tuple(fields[key])
 
     ppo_raw = raw.get("ppo", {})
     if not isinstance(ppo_raw, dict):
@@ -150,7 +149,8 @@ def resolve_config(raw: dict, *, seeds_override=None, scale_override=None,
     except TypeError as exc:
         raise CliError(f"bad config value: {exc}")
     validate_config(config)
-    return config, seeds
+    # arms spell as floats in config.json whether the file gave 0 or 0.0
+    return dataclasses.replace(config, lambda_arms=tuple(map(float, config.lambda_arms))), seeds
 
 
 def _aggregate_summaries(summaries: list) -> dict:

@@ -145,8 +145,7 @@ def kernel_backward(fwd: KernelForward, upstream: np.ndarray) -> list:
     ``upstream[i, j]`` is dJ/dK[i, j] for the full matrix; the constant
     diagonal contributes nothing.  Returns one flat gradient per policy.
     """
-    states = fwd.batch.states
-    n = states.shape[0]
+    n = fwd.batch.states.shape[0]
     sym = upstream + upstream.T
     if fwd.metric == "jsd":
         # d entry_ij / d p_i(s) = -(1 / (n ln 2)) * 0.5 * ln(p_i(s) / mid_ij(s))
@@ -156,8 +155,7 @@ def kernel_backward(fwd: KernelForward, upstream: np.ndarray) -> list:
         # mid_ii = p_i, so the diagonal is log(1e-300 / 0) wherever p_i(s) = 0; skip it
         off = ~np.eye(fwd.m, dtype=bool)[:, :, None, None]
         dp = _ordered_sum(np.where(off, coeff[:, :, None, None] * logs, 0.0), axis=1)
-        return [pi.backward_probs(states, d, cache=c)
-                for pi, d, c in zip(fwd.policies, dp, fwd.caches)]
+        return [pi.backward_probs(c, d) for pi, c, d in zip(fwd.policies, fwd.caches, dp)]
     # dK/d sq = -K / (2 * scale) for each symmetric entry
     w = -sym * fwd.entries / (2.0 * fwd.scale)
     dmu = _ordered_sum((w * (2.0 / n))[:, :, None, None] * fwd.diffs, axis=1)
@@ -167,5 +165,5 @@ def kernel_backward(fwd: KernelForward, upstream: np.ndarray) -> list:
         s = fwd.stds
         dls = _ordered_sum((w * 2.0)[:, :, None] * (s[:, None] - s[None, :]) * s[:, None],
                            axis=1)
-    return [pi.backward_gaussian(states, dm, dl, cache=c)
-            for pi, dm, dl, c in zip(fwd.policies, dmu, dls, fwd.caches)]
+    return [pi.backward_gaussian(c, dm, dl)
+            for pi, c, dm, dl in zip(fwd.policies, fwd.caches, dmu, dls)]

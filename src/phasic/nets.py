@@ -4,7 +4,10 @@ Parameters live in a single flat float64 vector so population snapshots,
 archive copies, and gradient updates are plain array operations.  A policy
 maps observations to either a diagonal Gaussian (state-independent learnable
 log-std) or a categorical over discrete actions.  The reverse-mode passes are
-written out explicitly and are exact for the forward computation.
+written out explicitly and are exact for the forward computation.  Each
+backward takes the cache its forward returned under ``with_cache=True`` (the
+layer inputs, and for ``probs_batch`` the probabilities too) and never runs
+the forward again.
 """
 
 from __future__ import annotations
@@ -219,48 +222,37 @@ class Policy(_Net):
 
     # -- reverse mode -----------------------------------------------------
 
-    def backward_gaussian(self, states: np.ndarray, d_mu: np.ndarray,
-                          d_log_std: np.ndarray | None = None, cache=None) -> np.ndarray:
+    def backward_gaussian(self, cache, d_mu: np.ndarray, d_log_std: np.ndarray) -> np.ndarray:
         """Flat parameter gradient from upstream gradients on (mean, log_std).
 
-        ``cache`` is the layer-input list of a ``gaussian_batch(states,
-        with_cache=True)`` call on these states; without it the forward runs
-        again.
+        ``cache`` is the layer-input list that ``gaussian_batch(...,
+        with_cache=True)`` returned with the means.
         """
         log_std = self._log_std
         if log_std is None:
             raise ValueError("backward_gaussian on a discrete policy")
-        if cache is None:
-            _, cache = self._forward(states)
         g_net = self._mlp.backward(self._layers, cache, np.asarray(d_mu, dtype=np.float64))
-        g_ls = np.zeros_like(log_std)
-        if d_log_std is not None:
-            # gradient is blocked where the clamp is active
-            mask = (log_std > LOG_STD_MIN) & (log_std < LOG_STD_MAX)
-            g_ls = np.asarray(d_log_std, dtype=np.float64) * mask
-        return np.concatenate([g_net, g_ls])
+        # gradient is blocked where the clamp is active
+        mask = (log_std > LOG_STD_MIN) & (log_std < LOG_STD_MAX)
+        return np.concatenate([g_net, np.asarray(d_log_std, dtype=np.float64) * mask])
 
-    def backward_logits(self, states: np.ndarray, d_logits: np.ndarray) -> np.ndarray:
-        _, cache = self._forward(states)
-        return self._mlp.backward(self._layers, cache, np.asarray(d_logits, dtype=np.float64))
+    def backward_logits(self, inputs, d_logits: np.ndarray) -> np.ndarray:
+        """Flat parameter gradient from an upstream gradient on the logits;
+        ``inputs`` are the layer inputs of the forward."""
+        return self._mlp.backward(self._layers, inputs, np.asarray(d_logits, dtype=np.float64))
 
-    def backward_probs(self, states: np.ndarray, d_probs: np.ndarray,
-                       cache=None) -> np.ndarray:
+    def backward_probs(self, cache, d_probs: np.ndarray) -> np.ndarray:
         """Upstream on softmax probabilities, routed through the softmax Jacobian.
 
-        ``cache`` is what ``probs_batch(states, with_cache=True)`` returned
-        with the probabilities; without it the forward and softmax run again.
+        ``cache`` is the (layer inputs, probabilities) pair that
+        ``probs_batch(..., with_cache=True)`` returned.
         """
         if self.action_space.kind != "discrete":
             raise ValueError("backward_probs on a continuous policy")
-        if cache is None:
-            logits, inputs = self._forward(states)
-            p = _softmax(logits)
-        else:
-            inputs, p = cache
+        inputs, p = cache
         d_probs = np.asarray(d_probs, dtype=np.float64)
         inner = np.sum(d_probs * p, axis=1, keepdims=True)
-        return self._mlp.backward(self._layers, inputs, p * (d_probs - inner))
+        return self.backward_logits(inputs, p * (d_probs - inner))
 
 
 class ValueFunction(_Net):
@@ -282,10 +274,9 @@ class ValueFunction(_Net):
         out, _ = self._forward(np.asarray(obs, dtype=np.float64)[None])
         return float(out[0, 0])
 
-    def backward(self, states: np.ndarray, d_value: np.ndarray, cache=None) -> np.ndarray:
-        """Flat parameter gradient; ``cache`` as in ``Policy.backward_gaussian``."""
-        if cache is None:
-            _, cache = self._forward(states)
+    def backward(self, cache, d_value: np.ndarray) -> np.ndarray:
+        """Flat parameter gradient; ``cache`` is the layer-input list that
+        ``value_batch(..., with_cache=True)`` returned."""
         return self._mlp.backward(self._layers, cache,
                                   np.asarray(d_value, dtype=np.float64)[:, None])
 
@@ -297,7 +288,9 @@ class NormalizedPolicy:
     What a learner is evaluated as and what the archive stores: each
     snapshot's own normalization constants travel with its parameters.  The
     view keeps read-only copies of ``obs_mean`` and of ``obs_std`` floored at
-    1e-8, so the caller may go on updating the arrays it passed in.
+    1e-8, so the caller may go on updating the arrays it passed in.  A
+    forward's cache starts with the whitened, clamped batch, so the reverse
+    passes hand that cache to the policy's as it is.
     """
 
     policy: Policy
@@ -331,18 +324,11 @@ class NormalizedPolicy:
     def probs_batch(self, states, with_cache: bool = False):
         return self.policy.probs_batch(self._tx(states), with_cache=with_cache)
 
-    # a cache's first layer input is the whitened batch, so with one the
-    # reverse passes skip the whitening
+    def backward_gaussian(self, cache, d_mu, d_log_std):
+        return self.policy.backward_gaussian(cache, d_mu, d_log_std)
 
-    def backward_gaussian(self, states, d_mu, d_log_std=None, cache=None):
-        if cache is None:
-            states = self._tx(states)
-        return self.policy.backward_gaussian(states, d_mu, d_log_std, cache=cache)
-
-    def backward_probs(self, states, d_probs, cache=None):
-        if cache is None:
-            states = self._tx(states)
-        return self.policy.backward_probs(states, d_probs, cache=cache)
+    def backward_probs(self, cache, d_probs):
+        return self.policy.backward_probs(cache, d_probs)
 
 
 def stacked_forward(nets):

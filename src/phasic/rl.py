@@ -41,15 +41,11 @@ class RunningStat:
         self.m2 = np.zeros(shape)
 
     @property
-    def var(self) -> np.ndarray:
-        # fewer than two samples carry no scale information; report unit variance
+    def std(self) -> np.ndarray:
+        # fewer than two samples carry no scale information; report unit scale
         if self.count < 2:
             return np.ones_like(self.mean)
-        return np.maximum(self.m2 / self.count, 0.0)
-
-    @property
-    def std(self) -> np.ndarray:
-        return np.sqrt(self.var)
+        return np.sqrt(np.maximum(self.m2 / self.count, 0.0))
 
     def state_dict(self) -> dict:
         return {"count": self.count, "mean": self.mean.copy(), "m2": self.m2.copy()}
@@ -293,12 +289,8 @@ def _scale_rewards(stat: RunningStat, ret: float, gamma: float, rewards, dones) 
     return scaled, ret
 
 
-def gae(buffer: RolloutBuffer, gamma: float, lam: float, normalize: bool = False):
-    """Generalized advantage estimation; returns (advantages, value targets).
-
-    Advantages are raw unless ``normalize`` is set, which standardizes them
-    over the buffer; the value targets always use the raw advantages.
-    """
+def gae(buffer: RolloutBuffer, gamma: float, lam: float):
+    """Generalized advantage estimation; returns (raw advantages, value targets)."""
     rewards, values, dones = buffer.rewards, buffer.values, buffer.dones
     n = len(rewards)
     adv = np.zeros(n)
@@ -310,10 +302,7 @@ def gae(buffer: RolloutBuffer, gamma: float, lam: float, normalize: bool = False
         next_adv = delta + gamma * lam * nonterminal * next_adv
         adv[t] = next_adv
         next_value = values[t]
-    returns = adv + values
-    if normalize:
-        adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-    return adv, returns
+    return adv, adv + values
 
 
 @dataclass(frozen=True)
@@ -344,7 +333,8 @@ def ppo_update(policy, value_fn, buffer: RolloutBuffer, config: PPOConfig,
     Returns (policy, value_fn, stats); a non-finite loss aborts the update and
     the original parameters are returned with ``stats.nan_event`` set.
     """
-    adv, returns = gae(buffer, config.gamma, config.lam, normalize=True)
+    adv, returns = gae(buffer, config.gamma, config.lam)
+    adv = (adv - adv.mean()) / (adv.std() + 1e-8)  # the targets keep the raw advantages
     n = len(buffer)
     start_policy, start_value = policy, value_fn
     stats = UpdateStats()
@@ -375,12 +365,12 @@ def ppo_update(policy, value_fn, buffer: RolloutBuffer, config: PPOConfig,
             entropy = float(np.sum(ls + 0.5 * (1.0 + _LOG_2PI)))
             dmu = dlogp[:, None] * (z / std)
             dls = (dlogp[:, None] * (z * z - 1.0)).sum(axis=0)
-            grad = policy.backward_gaussian(x, dmu, dls, cache=cache)
+            grad = policy.backward_gaussian(cache, dmu, dls)
 
             v, v_cache = value_fn.value_batch(x, with_cache=True)
             v_loss = 0.5 * float(np.mean((v - returns[idx]) ** 2))
             dv = config.value_coef * (v - returns[idx]) / k
-            v_grad = value_fn.backward(x, dv, cache=v_cache)
+            v_grad = value_fn.backward(v_cache, dv)
 
             if not (np.isfinite(pi_loss) and np.isfinite(v_loss)
                     and np.all(np.isfinite(grad)) and np.all(np.isfinite(v_grad))):

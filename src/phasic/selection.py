@@ -89,15 +89,15 @@ def policy_embedding(policy, probe_states: np.ndarray) -> np.ndarray:
     return mu.ravel()
 
 
-def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
-            iters: int = 50, restarts: int = 10):
-    """Plain Lloyd's algorithm with seeded restarts; returns labels of the best run."""
+def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
+    """Plain Lloyd's algorithm (50 iterations at most) with 10 seeded restarts;
+    returns labels of the best run."""
     n = points.shape[0]
     best_labels, best_inertia = None, np.inf
-    for _ in range(restarts):
+    for _ in range(10):
         centers = points[rng.choice(n, size=k, replace=False)].copy()
         labels = np.zeros(n, dtype=int)
-        for _ in range(iters):
+        for _ in range(50):
             d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
             new_labels = d2.argmin(axis=1)
             for j in range(k):

@@ -111,6 +111,10 @@ def validate_config(config: TrainerConfig) -> None:
             isinstance(h, numbers.Integral) and not isinstance(h, bool) and h >= 1
             for h in config.hidden):
         raise ValueError(f"hidden must be a list of positive integers, got {config.hidden!r}")
+    if not isinstance(config.lambda_arms, (tuple, list)) or not all(
+            isinstance(lam, numbers.Real) and not isinstance(lam, bool)
+            for lam in config.lambda_arms):
+        raise ValueError(f"lambda_arms must be a list of numbers, got {config.lambda_arms!r}")
     if not isinstance(config.deterministic_kernel, bool):
         raise ValueError(f"deterministic_kernel must be true or false, "
                          f"got {config.deterministic_kernel!r}")

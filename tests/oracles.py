@@ -316,6 +316,7 @@ def kernel_forward(policies, batch, metric="w2", deterministic=False, norm_scale
 
 
 def kernel_backward(fwd, upstream):
+    """Each policy's reverse pass takes a cache from a forward of its own."""
     m = len(fwd.policies)
     states = fwd.batch.states
     n = states.shape[0]
@@ -329,7 +330,8 @@ def kernel_backward(fwd, upstream):
                 coeff = -(upstream[i, j] + upstream[j, i]) / (n * LN2)
                 p, q = fwd.probs[i], fwd.probs[j]
                 dp += coeff * 0.5 * np.log(np.maximum(p, 1e-300) / (0.5 * (p + q)))
-            grads.append(fwd.policies[i].backward_probs(states, dp))
+            pi = fwd.policies[i]
+            grads.append(pi.backward_probs(pi.probs_batch(states, with_cache=True)[1], dp))
         return grads
     sigmas = [np.exp(ls) for ls in fwd.log_stds]
     for i in range(m):
@@ -342,7 +344,9 @@ def kernel_backward(fwd, upstream):
             dmu += w * (2.0 / n) * (fwd.mus[i] - fwd.mus[j])
             if not fwd.deterministic:
                 dls += w * 2.0 * (sigmas[i] - sigmas[j]) * sigmas[i]
-        grads.append(fwd.policies[i].backward_gaussian(states, dmu, dls))
+        pi = fwd.policies[i]
+        grads.append(pi.backward_gaussian(pi.gaussian_batch(states, with_cache=True)[2],
+                                          dmu, dls))
     return grads
 
 

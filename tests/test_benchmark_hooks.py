@@ -12,12 +12,15 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from factories import random_discrete_policy
 import phasic.detops
 import phasic.trainers
 from phasic.archive import FitnessQueue, GridArchive
-from phasic.nets import Policy, ValueFunction
+from phasic.kernels import StateBatch
+from phasic.nets import NormalizedPolicy, Policy, ValueFunction
 from phasic.trainers import TrainerConfig, make_env, run_training
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -101,6 +104,30 @@ def test_engine_calls_run_through_the_hooks(tracing, tmp_path):
     assert table.durations("archive.grid_insert").size == offers
     assert table.durations("archive.queue_insert").size == offers
     assert tracer.counts["archive.inserts"] == 2 * offers
+
+
+@pytest.mark.parametrize("view", [False, True])
+def test_traced_ascent_spans_each_network_call_once(tracing, view):
+    """A JSD ascent records one forward span per policy and kernel forward and
+    one backward span per policy and step: ``backward_probs`` runs through
+    ``backward_logits`` without a second ``nets.backward`` span."""
+    rng = np.random.default_rng(5)
+    pols = [random_discrete_policy(rng) for _ in range(3)]
+    if view:
+        pols = [NormalizedPolicy(p, rng.standard_normal(2), rng.uniform(0.5, 2.0, 2))
+                for p in pols]
+    tracer, steps = tracing.Tracer(), 2
+    with tracing.instrumented(tracing.EnvMeter(tracer)):
+        phasic.trainers.diversity_ascent(pols, StateBatch(rng.standard_normal((6, 2))),
+                                         steps=steps, metric="jsd",
+                                         rng=np.random.default_rng(6))
+    table = tracer.table()
+    assert table.durations("kernels.jsd_forward").size == steps + 1
+    assert table.durations("nets.policy_forward_batch").size == 3 * (steps + 1)
+    assert table.children_of("kernels.jsd_forward", "nets.policy_forward_batch") == 3 * (steps + 1)
+    assert table.durations("kernels.jsd_backward").size == steps
+    assert table.durations("nets.backward").size == 3 * steps
+    assert table.children_of("kernels.jsd_backward", "nets.backward") == 3 * steps
 
 
 @pytest.mark.parametrize("name", list(BENCHMARK_DIGESTS))

@@ -36,6 +36,11 @@ class TestResolveConfig:
         assert config.lambda_arms == (0.0, 0.5)
         assert seeds == [0]
 
+    def test_integer_arms_resolve_as_floats(self):
+        config, _ = resolve_config({"lambda_arms": [0, 0.5]})
+        assert config.lambda_arms == (0.0, 0.5)
+        assert all(type(lam) is float for lam in config.lambda_arms)
+
     def test_env_specific_defaults(self):
         toy, _ = resolve_config({"env": "toy"})
         assert toy.eval_every == 10
@@ -180,7 +185,8 @@ class TestValidateCommand:
     @pytest.mark.parametrize("bad", [{"scale": "0.1"}, {"beta": "0.5"},
                                      {"ppo": {"gamma": "0.9"}}, {"hidden": [8.7]},
                                      {"hidden": [0]}, {"hidden": [-3]}, {"hidden": [True]},
-                                     {"hidden": 8}])
+                                     {"hidden": 8}, {"lambda_arms": [True, "0.5"]},
+                                     {"lambda_arms": 0.5}])
     def test_wrong_type_or_size_is_one_config_error(self, tmp_path, capsys, bad):
         """Both commands exit 1 with one JSON config error, not a traceback, and
         the run writes nothing."""

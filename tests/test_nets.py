@@ -12,6 +12,15 @@ from phasic.nets import (OBS_CLIP, ActionSpace, NormalizedPolicy, Policy, ValueF
 from phasic.optim import Adam
 
 
+def _cache(net, states):
+    """What a ``with_cache=True`` forward of ``net`` on ``states`` hands its backward."""
+    if isinstance(net, ValueFunction):
+        return net.value_batch(states, with_cache=True)[1]
+    if net.action_space.kind == "continuous":
+        return net.gaussian_batch(states, with_cache=True)[2]
+    return net.probs_batch(states, with_cache=True)[1]
+
+
 class TestForward:
     def test_zero_final_layer_gives_zero_mean(self):
         rng = np.random.default_rng(0)
@@ -69,14 +78,14 @@ class TestBackward:
         rng = np.random.default_rng(4)
         pol = random_gaussian_policy(rng)
         states = rng.standard_normal((5, 2))
-        g = pol.backward_gaussian(states, np.zeros((5, 2)), np.zeros(2))
+        g = pol.backward_gaussian(_cache(pol, states), np.zeros((5, 2)), np.zeros(2))
         assert np.array_equal(g, np.zeros(pol.n_params))
 
     def test_single_linear_layer_gradient_is_outer_product(self):
         pol = linear_gaussian_policy([[0.3, -0.2]], [0.1], [0.0])
         states = np.array([[1.0, 2.0]])
         upstream = np.array([[2.0]])
-        g = pol.backward_gaussian(states, upstream)
+        g = pol.backward_gaussian(_cache(pol, states), upstream, np.zeros(1))
         # layout: W (1x2), b (1), log_std (1)
         assert np.allclose(g[:2], [2.0, 4.0], atol=1e-15)
         assert np.isclose(g[2], 2.0)
@@ -90,7 +99,7 @@ class TestBackward:
             states = rng.standard_normal((int(rng.integers(1, 5)), 2))
             dmu = rng.standard_normal((states.shape[0], 2))
             dls = rng.standard_normal(2)
-            g = pol.backward_gaussian(states, dmu, dls)
+            g = pol.backward_gaussian(_cache(pol, states), dmu, dls)
 
             def scalar(p):
                 mu, ls = pol.with_params(p).gaussian_batch(states)
@@ -105,7 +114,7 @@ class TestBackward:
             pol = random_discrete_policy(rng)
             states = rng.standard_normal((3, 2))
             dp = rng.standard_normal((3, 3))
-            g = pol.backward_probs(states, dp)
+            g = pol.backward_probs(_cache(pol, states), dp)
 
             def scalar(p):
                 return float(np.sum(pol.with_params(p).probs_batch(states) * dp))
@@ -114,7 +123,7 @@ class TestBackward:
 
     def test_log_std_clamp_blocks_gradient(self):
         pol = linear_gaussian_policy([[1.0]], [0.0], [5.0])  # clamped at 2
-        g = pol.backward_gaussian(np.zeros((1, 1)), np.zeros((1, 1)), np.ones(1))
+        g = pol.backward_gaussian(_cache(pol, np.zeros((1, 1))), np.zeros((1, 1)), np.ones(1))
         assert g[-1] == 0.0
 
     def test_value_function_finite_differences(self):
@@ -123,7 +132,7 @@ class TestBackward:
             vf = ValueFunction.init(3, rng, hidden=(4,))
             states = rng.standard_normal((4, 3))
             dv = rng.standard_normal(4)
-            g = vf.backward(states, dv)
+            g = vf.backward(_cache(vf, states), dv)
 
             def scalar(p):
                 return float(np.sum(vf.with_params(p).value_batch(states) * dv))
@@ -171,29 +180,27 @@ class TestForwardBackwardMatchReference:
             x = states[:rows]
             dim = pol.action_space.dim
             up = rng.standard_normal((rows, dim))
+            # each backward takes the cache of a forward whose outputs are
+            # the plain forward's, and gives the reference's gradient
             if pol.action_space.kind == "continuous":
                 d_ls = rng.standard_normal(dim)
-                want = oracles.backward_gaussian(pol, x, up, d_ls)
-                assert np.array_equal(pol.backward_gaussian(x, up, d_ls), want)
                 mu, ls, cache = pol.gaussian_batch(x, with_cache=True)
                 assert np.array_equal(mu, pol.gaussian_batch(x)[0])
-                assert np.array_equal(pol.backward_gaussian(x, up, d_ls, cache=cache), want)
-                assert np.array_equal(pol.backward_gaussian(x, up),
+                assert np.array_equal(pol.backward_gaussian(cache, up, d_ls),
+                                      oracles.backward_gaussian(pol, x, up, d_ls))
+                assert np.array_equal(pol.backward_gaussian(cache, up, np.zeros(dim)),
                                       oracles.backward_gaussian(pol, x, up))
             else:
-                assert np.array_equal(pol.backward_logits(x, up),
-                                      oracles.backward_logits(pol, x, up))
-                want = oracles.backward_probs(pol, x, up)
-                assert np.array_equal(pol.backward_probs(x, up), want)
                 p, cache = pol.probs_batch(x, with_cache=True)
                 assert np.array_equal(p, pol.probs_batch(x))
-                assert np.array_equal(pol.backward_probs(x, up, cache=cache), want)
+                assert np.array_equal(pol.backward_logits(cache[0], up),
+                                      oracles.backward_logits(pol, x, up))
+                assert np.array_equal(pol.backward_probs(cache, up),
+                                      oracles.backward_probs(pol, x, up))
             dv = rng.standard_normal(rows)
-            want = oracles.value_backward(vf, x, dv)
-            assert np.array_equal(vf.backward(x, dv), want)
             v, cache = vf.value_batch(x, with_cache=True)
             assert np.array_equal(v, vf.value_batch(x))
-            assert np.array_equal(vf.backward(x, dv, cache=cache), want)
+            assert np.array_equal(vf.backward(cache, dv), oracles.value_backward(vf, x, dv))
 
     @pytest.mark.parametrize("obs_dim,act_dim", [(2, 2), (22, 4)])
     @pytest.mark.parametrize("m", [1, 3, 5])
@@ -231,7 +238,7 @@ class TestForwardBackwardMatchReference:
         _, ls = pol.gaussian_batch(x)
         assert np.array_equal(ls, [-20.0, 0.5, 2.0])
         up = np.ones((2, 3))
-        assert np.array_equal(pol.backward_gaussian(x, up, np.ones(3)),
+        assert np.array_equal(pol.backward_gaussian(_cache(pol, x), up, np.ones(3)),
                               oracles.backward_gaussian(pol, x, up, np.ones(3)))
 
 
@@ -337,7 +344,7 @@ class TestNormalizedPolicy:
         wrapped = NormalizedPolicy(pol, rng.standard_normal(2), rng.uniform(0.5, 2.0, 2))
         states = rng.standard_normal((4, 2))
         dmu = rng.standard_normal((4, 2))
-        g = wrapped.backward_gaussian(states, dmu)
+        g = wrapped.backward_gaussian(_cache(wrapped, states), dmu, np.zeros(2))
 
         def scalar(p):
             mu, _ = wrapped.with_params(p).gaussian_batch(states)
@@ -346,30 +353,31 @@ class TestNormalizedPolicy:
         assert grad_close(g, central_diff_grad(scalar, wrapped.params))
 
     @pytest.mark.parametrize("kind", ["continuous", "discrete"])
-    def test_cached_reverse_pass_equals_uncached(self, kind):
-        # with a cache the view does not whiten again: the cache's first
-        # layer input is the whitened, clamped batch
+    def test_reverse_pass_is_the_policy_s_on_the_whitened_batch(self, kind):
+        # a view's cache starts with the whitened, clamped batch, and its
+        # backward is the raw policy's on that batch
         rng = np.random.default_rng(14)
         make = random_gaussian_policy if kind == "continuous" else random_discrete_policy
         pol = make(rng)
         # the small first std clamps some whitened rows
         wrapped = NormalizedPolicy(pol, rng.standard_normal(2), np.array([0.05, 1.5]))
         states = rng.uniform(-3.0, 3.0, (9, 2))
+        white = whiten(states, wrapped.obs_mean, wrapped.obs_std)
         up = rng.standard_normal((9, pol.action_space.dim))
+        cache = _cache(wrapped, states)
         if kind == "continuous":
             d_ls = rng.standard_normal(pol.action_space.dim)
-            mu, _, cache = wrapped.gaussian_batch(states, with_cache=True)
-            assert np.array_equal(mu, wrapped.gaussian_batch(states)[0])
-            assert np.array_equal(wrapped.backward_gaussian(states, up, d_ls, cache=cache),
-                                  wrapped.backward_gaussian(states, up, d_ls))
+            assert np.array_equal(wrapped.gaussian_batch(states, with_cache=True)[0],
+                                  wrapped.gaussian_batch(states)[0])
+            assert np.array_equal(wrapped.backward_gaussian(cache, up, d_ls),
+                                  pol.backward_gaussian(_cache(pol, white), up, d_ls))
             inputs = cache
         else:
-            p, cache = wrapped.probs_batch(states, with_cache=True)
-            assert np.array_equal(p, wrapped.probs_batch(states))
-            assert np.array_equal(wrapped.backward_probs(states, up, cache=cache),
-                                  wrapped.backward_probs(states, up))
+            assert np.array_equal(cache[1], wrapped.probs_batch(states))
+            assert np.array_equal(wrapped.backward_probs(cache, up),
+                                  pol.backward_probs(_cache(pol, white), up))
             inputs = cache[0]
-        assert np.array_equal(inputs[0], whiten(states, wrapped.obs_mean, wrapped.obs_std))
+        assert np.array_equal(inputs[0], white)
         assert np.any(np.abs(inputs[0]) == OBS_CLIP)
 
 

@@ -88,7 +88,7 @@ class TestRunningStat:
         stat = RunningStat((3,))
         add_rows(stat, x)
         assert stat.mean == pytest.approx(x.mean(axis=0), abs=1e-12)
-        assert stat.var == pytest.approx(x.var(axis=0), abs=1e-12)
+        assert stat.std == pytest.approx(x.std(axis=0), abs=1e-12)
 
     def test_incremental_matches_offline(self):
         rng = np.random.default_rng(1)
@@ -98,13 +98,13 @@ class TestRunningStat:
             add_rows(stat, x[lo:lo + 17])
         assert stat.count == 300
         assert stat.mean == pytest.approx(x.mean(axis=0), abs=1e-10)
-        assert stat.var == pytest.approx(x.var(axis=0), rel=1e-10)
+        assert stat.std == pytest.approx(x.std(axis=0), rel=1e-10)
 
     def test_few_samples_report_unit_variance(self):
         stat = RunningStat(())
-        assert stat.var == pytest.approx(1.0)
+        assert stat.std == 1.0
         add_rows(stat, [4.2])
-        assert stat.var == pytest.approx(1.0)
+        assert stat.std == 1.0
         assert stat.mean == pytest.approx(4.2)
 
     def test_state_round_trip(self):
@@ -335,16 +335,6 @@ class TestGae:
             for t in range(12)])
         assert adv == pytest.approx(expected, abs=1e-10)
 
-    def test_normalize_flag(self):
-        rng = np.random.default_rng(6)
-        buf = RolloutBuffer(
-            obs=np.zeros((30, 1)), raw_obs=np.zeros((30, 1)),
-            actions=np.zeros((30, 1)), log_probs=np.zeros(30),
-            rewards=rng.normal(size=30), values=rng.normal(size=30),
-            dones=np.zeros(30, dtype=bool), bootstrap_value=0.0)
-        adv, _ = gae(buf, 0.99, 0.95, normalize=True)
-        assert adv.mean() == pytest.approx(0.0, abs=1e-9)
-        assert adv.std() == pytest.approx(1.0, rel=1e-6)
 
 
 class TestCollectRollout:
@@ -701,6 +691,33 @@ class TestPpoUpdate:
         assert stats.nan_event
         assert new_policy is policy
         assert new_value is value_fn
+
+    def test_one_forward_per_network_and_minibatch(self, monkeypatch):
+        # each backward takes the layer inputs its minibatch forward kept:
+        # per minibatch, policy forward and backward, then value forward and
+        # backward, and no forward inside a backward
+        rng = np.random.default_rng(24)
+        policy, value_fn = make_learner(rng)
+        buf = self.random_buffer(rng, policy, value_fn, ToyEnv(), steps=40)
+        real_forward, real_backward, calls = _Mlp.forward, _Mlp.backward, []
+
+        def forward(self, layers, x):
+            calls.append(("forward", self.sizes[-1], len(x)))
+            return real_forward(self, layers, x)
+
+        def backward(self, layers, inputs, dout):
+            calls.append(("backward", self.sizes[-1], len(dout)))
+            return real_backward(self, layers, inputs, dout)
+
+        monkeypatch.setattr(_Mlp, "forward", forward)
+        monkeypatch.setattr(_Mlp, "backward", backward)
+        cfg = PPOConfig(epochs=3, minibatches=4)
+        ppo_update(policy, value_fn, buf, cfg, Adam(policy.n_params),
+                   Adam(value_fn.params.size), rng)
+        # 40 rows in 4 minibatches of 10; the policy has 2 outputs, the value 1
+        minibatch = [("forward", 2, 10), ("backward", 2, 10),
+                     ("forward", 1, 10), ("backward", 1, 10)]
+        assert calls == minibatch * (cfg.epochs * cfg.minibatches)
 
     def test_value_regression_reduces_error(self):
         rng = np.random.default_rng(19)

@@ -131,6 +131,11 @@ class TestConfigValidation:
         ("pdo", {"hidden": (-3,)}),
         ("pdo", {"hidden": (True,)}),
         ("pdo", {"hidden": 16}),
+        # lambda_arms must be a list of real numbers
+        ("dvd", {"lambda_arms": (True, 0.5)}),
+        ("dvd", {"lambda_arms": ("0.5",)}),
+        ("dvd", {"lambda_arms": 0.5}),
+        ("dvd", {"lambda_arms": None}),
     ])
     def test_values_run_training_cannot_use(self, trainer, bad, tmp_path):
         cfg = small_config(trainer=trainer, **bad)
