@@ -8,6 +8,7 @@ deduplicating exact parameter clones.  Both containers store the
 ``NormalizedPolicy`` view a candidate was evaluated through (immutable
 parameters plus the normalizer copies the view owns) and a copy of its
 descriptor, so callers keep training without disturbing archived snapshots.
+Both answer the same queries through one base class, ranked by ``rank``.
 """
 
 from __future__ import annotations
@@ -43,6 +44,11 @@ def _entry(policy, fitness, bd, order, source, iteration, payload) -> ArchiveEnt
         source=source, iteration=iteration, order=order, payload=payload)
 
 
+def rank(entries) -> list:
+    """Entries by fitness, best first; the older entry (lower order) wins ties."""
+    return sorted(entries, key=lambda e: (-e.fitness, e.order))
+
+
 def _top(ranked: list, m: int) -> list:
     """The first m of ``ranked``, padded by repeating the best entry."""
     if m < 1:
@@ -67,20 +73,45 @@ def bd_to_cell(bd: np.ndarray, cells_per_dim: int = 10) -> tuple:
     return tuple(int(i) for i in idx)
 
 
-class GridArchive:
-    """Elite-per-cell archive over a [0,1]^2 descriptor grid."""
+class _Archive:
+    """The queries both containers answer alike, over one dict of entries whose
+    keys sort into the order ``sample_uniform`` draws over."""
+
+    def __init__(self):
+        self._store: dict = {}
+        self._counter = 0
+
+    def __len__(self) -> int:
+        return len(self._store)
+
+    def best(self) -> ArchiveEntry | None:
+        return rank(self._store.values())[0] if self._store else None
+
+    def max_fitness(self) -> float:
+        return self.best().fitness if self._store else float("nan")
+
+    def top(self, m: int) -> list:
+        """Best m entries by ``rank``, padded by repeating the best one;
+        empty archive -> ValueError."""
+        return _top(rank(self._store.values()), m)
+
+    def sample_uniform(self, rng: np.random.Generator) -> ArchiveEntry:
+        if not self._store:
+            raise ValueError("cannot sample from an empty archive")
+        keys = sorted(self._store)
+        return self._store[keys[rng.integers(len(keys))]]
+
+
+class GridArchive(_Archive):
+    """Elite-per-cell archive over a [0,1]^2 descriptor grid, keyed by cell."""
 
     dims = 2  # both environments describe an episode by two numbers
 
     def __init__(self, cells_per_dim: int = 10):
         if cells_per_dim < 1:
             raise ValueError("cells_per_dim must be positive")
+        super().__init__()
         self.cells_per_dim = cells_per_dim
-        self._cells: dict[tuple, ArchiveEntry] = {}
-        self._counter = 0
-
-    def __len__(self) -> int:
-        return len(self._cells)
 
     @property
     def total_cells(self) -> int:
@@ -101,52 +132,31 @@ class GridArchive:
         if not np.isfinite(fitness) or not np.all(np.isfinite(bd)):
             return False
         cell = self.cell_of(bd)
-        incumbent = self._cells.get(cell)
+        incumbent = self._store.get(cell)
         if incumbent is not None and fitness <= incumbent.fitness:
             return False
-        self._cells[cell] = _entry(policy, fitness, bd, self._counter, source, iteration,
+        self._store[cell] = _entry(policy, fitness, bd, self._counter, source, iteration,
                                    payload)
         self._counter += 1
         return True
 
     def entries(self) -> list:
-        return list(self._cells.values())
+        """Entries in the order their cells were first filled."""
+        return list(self._store.values())
 
     def cells(self) -> dict:
-        return dict(self._cells)
-
-    def best(self) -> ArchiveEntry | None:
-        if not self._cells:
-            return None
-        return max(self._cells.values(), key=lambda e: (e.fitness, -e.order))
-
-    def max_fitness(self) -> float:
-        return self.best().fitness if self._cells else float("nan")
-
-    def sample_uniform(self, rng: np.random.Generator) -> ArchiveEntry:
-        if not self._cells:
-            raise ValueError("cannot sample from an empty archive")
-        keys = sorted(self._cells.keys())
-        return self._cells[keys[rng.integers(len(keys))]]
-
-    def top(self, m: int) -> list:
-        """Best m entries by fitness (older entry wins ties).
-
-        If fewer than m distinct entries exist, the best one is repeated to
-        pad the list to length m; empty archive -> ValueError.
-        """
-        return _top(sorted(self._cells.values(), key=lambda e: (-e.fitness, e.order)), m)
+        return dict(self._store)
 
     def heatmap(self) -> np.ndarray:
         """Dense fitness grid (NaN for empty cells)."""
         grid = np.full((self.cells_per_dim, self.cells_per_dim), np.nan)
-        for (i, j), entry in self._cells.items():
+        for (i, j), entry in self._store.items():
             grid[i, j] = entry.fitness
         return grid
 
 
-class FitnessQueue:
-    """Top-k policies by fitness, behavior-agnostic.
+class FitnessQueue(_Archive):
+    """Top-k policies by fitness, behavior-agnostic, keyed by (order, digest).
 
     At capacity a strictly better candidate evicts the worst element; among
     equal-fitness elements the older one is evicted first.  Exact parameter
@@ -156,13 +166,8 @@ class FitnessQueue:
     def __init__(self, capacity: int = 10):
         if capacity < 1:
             raise ValueError("capacity must be positive")
+        super().__init__()
         self.capacity = capacity
-        self._items: list[ArchiveEntry] = []
-        self._digests: set[str] = set()
-        self._counter = 0
-
-    def __len__(self) -> int:
-        return len(self._items)
 
     @staticmethod
     def _digest(policy: NormalizedPolicy) -> str:
@@ -179,39 +184,20 @@ class FitnessQueue:
             return False
         entry = _entry(policy, fitness, bd, self._counter, source, iteration, payload)
         digest = self._digest(policy)
-        if digest in self._digests:
+        if any(held == digest for _, held in self._store):
             return False
-        self._counter += 1
-        if len(self._items) >= self.capacity:
+        self._counter += 1  # a refused offer at capacity still takes a number
+        if len(self._store) >= self.capacity:
             # evict the worst; among equals the oldest goes first
-            worst = min(self._items, key=lambda e: (e.fitness, e.order))
-            if fitness <= worst.fitness:
+            worst = min(self._store, key=lambda key: (self._store[key].fitness, key[0]))
+            if fitness <= self._store[worst].fitness:
                 return False
-            self._items.remove(worst)
-            self._digests.discard(self._digest(worst.policy))
-        self._items.append(entry)
-        self._digests.add(digest)
+            del self._store[worst]
+        self._store[entry.order, digest] = entry
         return True
 
     def entries(self) -> list:
-        return sorted(self._items, key=lambda e: (-e.fitness, e.order))
-
-    def best(self) -> ArchiveEntry | None:
-        items = self.entries()
-        return items[0] if items else None
-
-    def max_fitness(self) -> float:
-        best = self.best()
-        return best.fitness if best is not None else float("nan")
-
-    def sample_uniform(self, rng: np.random.Generator) -> ArchiveEntry:
-        if not self._items:
-            raise ValueError("cannot sample from an empty queue")
-        ordered = sorted(self._items, key=lambda e: e.order)
-        return ordered[rng.integers(len(ordered))]
-
-    def top(self, m: int) -> list:
-        return _top(self.entries(), m)
+        return rank(self._store.values())
 
 
 def qd_metrics(archive: GridArchive, fitness_offset: float = 0.0) -> dict:
@@ -244,6 +230,8 @@ def save_archive(archive: GridArchive, directory) -> None:
     ``obs_mean``/``obs_std`` extras are the normalizer its policy ran with."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    for stale in directory.glob("cell_*.npz"):  # an earlier run's blobs
+        stale.unlink()
     manifest = {"dims": archive.dims, "cells_per_dim": archive.cells_per_dim,
                 "counter": archive._counter, "cells": []}
     for cell, entry in sorted(archive.cells().items()):

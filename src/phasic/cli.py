@@ -28,9 +28,7 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from .report import ReportError, generate_report
+from .report import CURVE_METRICS, ReportError, band, generate_report
 from .rl import PPOConfig
 from .trainers import TrainerConfig, run_training, validate_config
 
@@ -46,9 +44,6 @@ _ENV_DEFAULTS = {
     "toy": {"eval_every": 10},
     "dogfight": {"eval_every": 25, "deterministic_kernel": True},
 }
-
-_AGGREGATE_METRICS = ("coverage", "qd_score", "max_fitness", "min_fitness")
-
 
 class CliError(ValueError):
     """A user-facing configuration or invocation problem."""
@@ -104,6 +99,10 @@ def resolve_config(raw: dict, *, seeds_override=None, scale_override=None,
     unknown = sorted(set(raw) - _CONFIG_FIELDS - _SPEC_KEYS)
     if unknown:
         raise CliError(f"unknown config keys: {', '.join(unknown)}")
+    if "env" in raw and "env_name" in raw:
+        raise CliError("give 'env' or 'env_name', not both")
+    if not isinstance(raw.get("out", ""), str):
+        raise CliError(f"config key 'out' must be a directory path, got {raw['out']!r}")
     if "env" in raw:
         raw["env_name"] = raw.pop("env")
 
@@ -148,20 +147,16 @@ def resolve_config(raw: dict, *, seeds_override=None, scale_override=None,
         config = TrainerConfig(seed=seeds[0], **fields)
     except TypeError as exc:
         raise CliError(f"bad config value: {exc}")
-    validate_config(config)
+    for seed in seeds:
+        validate_config(dataclasses.replace(config, seed=seed))
     # arms spell as floats in config.json whether the file gave 0 or 0.0
     return dataclasses.replace(config, lambda_arms=tuple(map(float, config.lambda_arms))), seeds
 
 
 def _aggregate_summaries(summaries: list) -> dict:
     """Mean and sample std of the final archive metrics across seeds."""
-    agg = {}
-    for key in _AGGREGATE_METRICS:
-        vals = np.array([s["qd"][key] for s in summaries], dtype=float)
-        mean = float(vals.mean())
-        std = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
-        agg[key] = {"mean": mean, "std": std}
-    return agg
+    return {key: {k: float(v) for k, v in band([s["qd"][key] for s in summaries]).items()}
+            for key in CURVE_METRICS}
 
 
 def cmd_run(args) -> int:

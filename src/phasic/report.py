@@ -71,6 +71,15 @@ def extract_curves(records, run_name: str = "run"):
     return np.array(iters), {m: np.array(v) for m, v in series.items()}
 
 
+def band(stack) -> dict:
+    """Mean and sample std over the first axis (one entry per seed); a single
+    seed has a zero-width band."""
+    stack = np.asarray(stack, dtype=float)
+    mean = stack.mean(axis=0)
+    std = stack.std(axis=0, ddof=1) if stack.shape[0] > 1 else np.zeros_like(mean)
+    return {"mean": mean, "std": std}
+
+
 def aggregate_curves(run_dirs):
     """Mean and sample std of each curve metric across seeds.
 
@@ -90,13 +99,7 @@ def aggregate_curves(run_dirs):
                 f"run {rd} evaluates on a different iteration grid")
     out = {"iterations": grids[0]}
     for m in CURVE_METRICS:
-        stack = np.stack([series[m] for series in per_run])
-        mean = stack.mean(axis=0)
-        if stack.shape[0] > 1:
-            std = stack.std(axis=0, ddof=1)
-        else:
-            std = np.zeros_like(mean)
-        out[m] = {"mean": mean, "std": std}
+        out[m] = band(np.stack([series[m] for series in per_run]))
     return out
 
 

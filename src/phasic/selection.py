@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .archive import _top, rank
+
 
 @dataclass
 class BanditState:
@@ -129,12 +131,9 @@ def clustering_selection(entries: list, m: int, probe_states: np.ndarray,
         raise ValueError("m must be positive")
     if not entries:
         raise ValueError("cannot select from no entries")
-    ranked = sorted(entries, key=lambda e: (-e.fitness, e.order))
+    ranked = rank(entries)
     if len(entries) <= m:
-        out = list(ranked)
-        while len(out) < m:
-            out.append(ranked[0])
-        return out
+        return _top(ranked, m)
     # embeddings compare raw nets, not their normalized views, on shared probes
     points = np.stack([policy_embedding(e.policy.policy, probe_states) for e in entries])
     distinct = np.unique(points, axis=0).shape[0]
@@ -143,9 +142,6 @@ def clustering_selection(entries: list, m: int, probe_states: np.ndarray,
     for _ in range(5):
         labels = _kmeans(points, m, rng)
         if np.unique(labels).size == m:
-            picked = []
-            for j in range(m):
-                members = [e for e, lab in zip(entries, labels) if lab == j]
-                picked.append(max(members, key=lambda e: (e.fitness, -e.order)))
-            return sorted(picked, key=lambda e: (-e.fitness, e.order))
+            clusters = [[e for e, lab in zip(entries, labels) if lab == j] for j in range(m)]
+            return rank(rank(members)[0] for members in clusters)
     return ranked[:m]

@@ -129,7 +129,7 @@ def validate_config(config: TrainerConfig) -> None:
         raise ValueError("beta must lie in (0, 1)")
     if not (config.scale > 0 and config.total_steps > 0):  # NaN fails too
         raise ValueError("scale and total_steps must be positive")
-    if config.exploit_period <= 0:
+    if not config.exploit_period > 0:  # NaN fails too
         raise ValueError("exploit_period must be positive (inf disables)")
     if config.rollout_steps < 1 or config.eval_every < 1 or config.eval_episodes < 1:
         raise ValueError("rollout_steps, eval_every, eval_episodes must be >= 1")
@@ -152,6 +152,20 @@ def validate_config(config: TrainerConfig) -> None:
         raise ValueError("ppo.value_coef must be >= 0")
     if not (config.aux_lr > 0 and config.grad_clip > 0):  # NaN fails too
         raise ValueError("aux_lr and grad_clip must be positive")
+    if config.seed < 0:  # SeedSequence refuses it only once the run has begun
+        raise ValueError(f"seed must be >= 0, got {config.seed}")
+    _n_iterations(config)  # refuses a step budget with no finite iteration count
+
+
+def _n_iterations(config: TrainerConfig) -> int:
+    """The run's iteration count: ``iterations``, else enough rollouts to
+    spend ``total_steps * scale`` env steps per learner."""
+    if config.iterations is not None:
+        return config.iterations
+    budget = config.total_steps * config.scale
+    if not math.isfinite(budget):
+        raise ValueError(f"total_steps * scale must be finite without iterations, got {budget}")
+    return max(1, math.ceil(budget / config.rollout_steps))
 
 
 def make_env(name: str):
@@ -276,7 +290,7 @@ class RunState:
             bandit_rng=np.random.default_rng(seqs[m + 2]),
             aux_eval_env=factory(),
             last_snapshot=[snapshot_payload(l) for l in learners],
-            next_exploit=config.exploit_period * config.scale,  # inf or nan: never
+            next_exploit=config.exploit_period * config.scale,  # inf: never
             qd_offset=proto.qd_offset)
         if config.trainer in _JOINT:
             _select_arm(state)
@@ -300,8 +314,7 @@ def run_training(config: TrainerConfig, out_dir=None, env_factory=None) -> RunSt
     """
     validate_config(config)
     started = time.perf_counter()
-    n_iters = config.iterations or max(
-        1, math.ceil(config.total_steps * config.scale / config.rollout_steps))
+    n_iters = _n_iterations(config)
     state = RunState.create(config, env_factory or (lambda: make_env(config.env_name)))
     records = state.records
     metrics_fh = None
@@ -416,8 +429,13 @@ def _exploit(state: RunState, probe_pool, cum_steps: int) -> dict | None:
         entry = source.sample_uniform(rng)
     restore_payload(worst, entry.payload)
     worst.fitness = entry.fitness
-    while state.next_exploit <= cum_steps:
-        state.next_exploit += config.exploit_period * config.scale
+    state.last_snapshot[worst.id] = entry.payload  # NaN recovery keeps the exploit
+    period = config.exploit_period * config.scale
+    state.next_exploit += period
+    if state.next_exploit <= cum_steps:  # periods were missed: skip to the first one past
+        skip = period * ((cum_steps - state.next_exploit) // period + 1)  # inf if it overflows
+        past = math.nextafter(cum_steps, math.inf)
+        state.next_exploit = min(max(state.next_exploit + skip, past), past + period)
     return {"target": worst.id, "source_order": entry.order,
             "source_fitness": entry.fitness}
 

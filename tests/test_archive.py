@@ -277,6 +277,18 @@ class TestPersistence:
         assert extra["obs_std"].tobytes() == entry.policy.obs_std.tobytes()
         assert extra["obs_std"].tolist() == [1e-8, 2.0]
 
+    def test_rerun_leaves_only_the_manifest_s_blobs(self, tmp_path):
+        large, small = GridArchive(cells_per_dim=3), GridArchive(cells_per_dim=3)
+        for i, bd in enumerate([[0.1, 0.1], [0.5, 0.1], [0.9, 0.5], [0.1, 0.9], [0.5, 0.5]]):
+            assert large.add(tiny_policy(i), float(i), bd)
+        assert small.add(tiny_policy(9), 1.0, [0.9, 0.9])
+        for arch in (large, small):
+            save_archive(arch, tmp_path / "a")
+            manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+            assert len(manifest["cells"]) == len(arch)
+            assert sorted(p.name for p in (tmp_path / "a").glob("*.npz")) == sorted(
+                item["file"] for item in manifest["cells"])
+
     def test_heatmap_csv_matches_grid(self, tmp_path):
         arch = GridArchive()
         arch.add(tiny_policy(), 2.5, [0.35, 0.72])
@@ -284,3 +296,27 @@ class TestPersistence:
         grid = np.loadtxt(tmp_path / "a" / "heatmap.csv", delimiter=",")
         assert grid.shape == (10, 10)
         assert grid[3, 7] == 2.5
+
+
+def test_both_containers_answer_the_same_queries_alike():
+    """Offers both containers accept leave them ranking, padding and reporting
+    alike; each draws uniformly over its own order (sorted cells, insertion)."""
+    grid, queue = GridArchive(), FitnessQueue(capacity=8)
+    fits = [2.0, 5.0, 3.0, 5.0, -1.0, 3.0, 0.5, 4.0]
+    bds = [[0.95, 0.1], [0.1, 0.9], [0.5, 0.5], [0.05, 0.05],
+           [0.75, 0.35], [0.35, 0.75], [0.55, 0.15], [0.15, 0.55]]
+    for i, (f, bd) in enumerate(zip(fits, bds)):
+        offer = (tiny_policy(i), f, bd)
+        assert grid.add(*offer, source=i) and queue.add(*offer, source=i)
+    assert len(grid) == len(queue) == 8
+    assert grid.best() is not None and grid.best().source == queue.best().source == 1
+    assert grid.max_fitness() == queue.max_fitness() == 5.0
+    for m in (1, 3, 8, 11):
+        assert [e.source for e in grid.top(m)] == [e.source for e in queue.top(m)]
+    assert [e.source for e in queue.top(11)] == [1, 3, 7, 2, 5, 0, 6, 4, 1, 1, 1]
+    draws = {}
+    for store in (grid, queue):
+        rng = np.random.default_rng(11)
+        draws[type(store).__name__] = [store.sample_uniform(rng).source for _ in range(12)]
+    assert draws == {"GridArchive": [7, 7, 4, 5, 6, 6, 2, 3, 5, 7, 5, 0],
+                     "FitnessQueue": [1, 1, 6, 3, 4, 4, 5, 0, 3, 1, 3, 7]}

@@ -186,7 +186,8 @@ class TestValidateCommand:
                                      {"ppo": {"gamma": "0.9"}}, {"hidden": [8.7]},
                                      {"hidden": [0]}, {"hidden": [-3]}, {"hidden": [True]},
                                      {"hidden": 8}, {"lambda_arms": [True, "0.5"]},
-                                     {"lambda_arms": 0.5}])
+                                     {"lambda_arms": 0.5}, {"total_steps": float("inf")},
+                                     {"scale": 1e308, "total_steps": 1e308}, {"seed": -1}])
     def test_wrong_type_or_size_is_one_config_error(self, tmp_path, capsys, bad):
         """Both commands exit 1 with one JSON config error, not a traceback, and
         the run writes nothing."""
@@ -201,6 +202,29 @@ class TestValidateCommand:
             error = json.loads(err)["error"]
             assert error["type"] == "config"
             assert next(iter(bad)) in error["message"]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("bad, flags, kind, key", [
+        ({"seeds": [0, -1]}, [], "config", "seed"),
+        ({}, ["--seeds", "-1"], "config", "seed"),
+        ({"out": 5}, [], "usage", "out"),
+        ({"out": None}, [], "usage", "out"),
+        ({"env": "dogfight", "env_name": "toy"}, [], "usage", "env")])
+    def test_config_the_run_cannot_use_is_one_error(self, tmp_path, capsys, bad, flags, kind,
+                                                    key):
+        """Validate refuses what the run would fail on, with one JSON error
+        naming the key, and the run writes nothing."""
+        cfg = _cfg_file(tmp_path, bad)
+        out_dir = tmp_path / "exp"
+        for argv in (["validate", "--config", cfg],
+                     ["run", "--config", cfg, "--out", str(out_dir)]):
+            rc, out, err = _run_main(capsys, argv + flags)
+            assert rc == (1 if kind == "config" else 2)
+            assert out == ""
+            assert len(err.splitlines()) == 1
+            error = json.loads(err)["error"]
+            assert error["type"] == kind
+            assert key in error["message"]
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("ppo", [{"minibatches": 0}, {"epochs": -1}])

@@ -1,11 +1,15 @@
-"""README's standalone diversity snippet runs as written and climbs."""
+"""README's examples hold: the diversity snippet climbs, and the config
+example and the flags it lists are ones the CLI takes."""
 
+import argparse
+import json
 import re
 from pathlib import Path
 
 import numpy as np
 
 import phasic
+from phasic.cli import build_parser, resolve_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -31,3 +35,17 @@ def test_standalone_diversity_snippet_climbs(monkeypatch):
     for _, trace in traces:
         assert len(trace) == 21
         assert np.all(np.diff(trace) >= 0.0)
+
+
+def test_config_example_resolves():
+    block, = re.findall(r"```json\n(.*?)```", README.read_text(), flags=re.S)
+    config, seeds = resolve_config(json.loads(block))
+    assert (config.trainer, config.env_name, seeds) == ("pdo", "toy", [0, 1, 2, 3, 4])
+
+
+def test_flags_line_names_options_of_run():
+    line = README.read_text().split("\nFlags:", 1)[1].split("\n\n", 1)[0]
+    flags = set(re.findall(r"`(--[a-z-]+)", line))
+    sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {opt for action in sub.choices["run"]._actions for opt in action.option_strings}
+    assert flags and flags <= options

@@ -15,8 +15,9 @@ from phasic.optim import Adam
 from phasic.rl import (Learner, PPOConfig, RunningStat, collect_rollout, ppo_update,
                        restore_payload, snapshot_payload)
 from phasic.toy import ToyEnv
+from phasic import trainers
 from phasic.trainers import (RunState, TrainerConfig, dvd_update, make_env, run_training,
-                             validate_config, _auxiliary_phase, _exploit)
+                             validate_config, _auxiliary_phase, _exploit, _reward_phase)
 
 GAMMA = PPOConfig().gamma
 
@@ -136,6 +137,12 @@ class TestConfigValidation:
         ("dvd", {"lambda_arms": ("0.5",)}),
         ("dvd", {"lambda_arms": 0.5}),
         ("dvd", {"lambda_arms": None}),
+        # a NaN period never comes due; the step budget must give a finite
+        # iteration count; SeedSequence refuses a negative seed
+        ("pdo", {"exploit_period": float("nan")}),
+        ("pdo", {"total_steps": float("inf"), "iterations": None}),
+        ("pdo", {"scale": 1e308, "total_steps": 1e308, "iterations": None}),
+        ("pdo", {"seed": -1}),
     ])
     def test_values_run_training_cannot_use(self, trainer, bad, tmp_path):
         cfg = small_config(trainer=trainer, **bad)
@@ -393,6 +400,37 @@ class TestExploitation:
         assert np.array_equal(target.ret_stat.m2, payload["ret_stat"]["m2"])
         assert target.ret == payload["ret"]
         assert target.obs is None and target.pending_return == 0.0
+
+    @pytest.mark.parametrize("period", [1e-6, 1e-310])
+    def test_tiny_period_exploits_once_per_cycle(self, period):
+        # 8e8 due points of 2e-8 steps pass in each 16-step cycle, or more than
+        # a float can count at 2e-312; either way one exploit per cycle
+        res = run_training(small_config(trainer="pbt", exploit_period=period, scale=0.02,
+                                        rollout_steps=16, iterations=2))
+        assert res.summary["exploit_events"] == 2
+        assert 32 < res.next_exploit <= 32 + 2e-8
+
+    def test_nan_recovery_keeps_the_exploited_payload(self, monkeypatch):
+        """A NaN update right after an exploit restores the archived payload,
+        not the snapshot of the learner the exploit replaced."""
+        state = RunState.create(small_config(population=2), ToyEnv)
+        donor = fresh_learner(seed=1, hidden=(16,))
+        payload = snapshot_payload(donor)
+        assert state.archive.add(donor.view(), 5.0, [0.5, 0.5], payload=payload)
+        state.learners[0].fitness, state.learners[1].fitness = 4.0, -1.0
+        assert _exploit(state, np.zeros((4, 2)), 200)["target"] == 1
+        real = trainers.dvd_update
+
+        def nan_on_target(*args):
+            stats = real(*args)
+            stats[1].nan_event = True
+            return stats
+
+        monkeypatch.setattr(trainers, "dvd_update", nan_on_target)
+        records, _ = _reward_phase(state)
+        assert records[1]["nan_event"]
+        assert np.array_equal(state.learners[1].policy.params, payload["policy_params"])
+        assert np.array_equal(state.learners[1].value_fn.params, payload["value_params"])
 
     def test_restore_payload_round_trip(self):
         learner = fresh_learner(seed=4)
