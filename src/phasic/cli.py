@@ -72,10 +72,18 @@ def _parse_seeds(text: str) -> list:
     return seeds
 
 
+def _path_flag(text: str) -> str:
+    """A path flag's value; an empty one would resolve to the working directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("expects a path, got ''")
+    return text
+
+
 def load_config_file(path) -> dict:
     path = Path(path)
     if not path.is_file():
-        raise CliError(f"config file {path} does not exist")
+        what = "is not a regular file" if path.exists() else "does not exist"
+        raise CliError(f"config file {path} {what}")
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -101,8 +109,9 @@ def resolve_config(raw: dict, *, seeds_override=None, scale_override=None,
         raise CliError(f"unknown config keys: {', '.join(unknown)}")
     if "env" in raw and "env_name" in raw:
         raise CliError("give 'env' or 'env_name', not both")
-    if not isinstance(raw.get("out", ""), str):
-        raise CliError(f"config key 'out' must be a directory path, got {raw['out']!r}")
+    out = raw.get("out", "runs")
+    if not isinstance(out, str) or not out:
+        raise CliError(f"config key 'out' must be a directory path, got {out!r}")
     if "env" in raw:
         raw["env_name"] = raw.pop("env")
 
@@ -160,13 +169,13 @@ def _aggregate_summaries(summaries: list) -> dict:
 
 
 def cmd_run(args) -> int:
-    raw = load_config_file(args.config) if args.config else {}
-    seeds_override = _parse_seeds(args.seeds) if args.seeds else None
+    raw = load_config_file(args.config) if args.config is not None else {}
+    seeds_override = _parse_seeds(args.seeds) if args.seeds is not None else None
     config, seeds = resolve_config(
         raw, seeds_override=seeds_override, scale_override=args.scale,
         deterministic=args.deterministic)
 
-    out_root = Path(args.out) if args.out else Path(raw.get("out", "runs"))
+    out_root = Path(args.out if args.out is not None else raw.get("out", "runs"))
     out_root.mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
@@ -213,7 +222,7 @@ def _expand_run_dirs(paths: list) -> list:
 
 def cmd_report(args) -> int:
     run_dirs = _expand_run_dirs(args.runs)
-    out_dir = Path(args.out) if args.out else Path(args.runs[0]) / "report"
+    out_dir = Path(args.out) if args.out is not None else Path(args.runs[0]) / "report"
     written = generate_report(run_dirs, out_dir)
     sys.stdout.write(json.dumps(
         {"report": written, "runs": [str(r) for r in run_dirs]},
@@ -222,8 +231,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    raw = load_config_file(args.config) if args.config else {}
-    seeds_override = _parse_seeds(args.seeds) if args.seeds else None
+    raw = load_config_file(args.config) if args.config is not None else {}
+    seeds_override = _parse_seeds(args.seeds) if args.seeds is not None else None
     config, seeds = resolve_config(
         raw, seeds_override=seeds_override, scale_override=args.scale,
         deterministic=args.deterministic)
@@ -240,7 +249,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", metavar="PATH",
+        p.add_argument("--config", type=_path_flag, metavar="PATH",
                        help="JSON configuration file")
         p.add_argument("--seeds", metavar="LIST",
                        help="comma-separated seeds, overrides the config")
@@ -251,14 +260,14 @@ def build_parser() -> _Parser:
 
     p_run = sub.add_parser("run", help="train over one or more seeds")
     common(p_run)
-    p_run.add_argument("--out", metavar="DIR",
+    p_run.add_argument("--out", type=_path_flag, metavar="DIR",
                        help="experiment directory (default: runs)")
     p_run.set_defaults(func=cmd_run)
 
     p_rep = sub.add_parser("report", help="render curves and heatmaps")
     p_rep.add_argument("runs", nargs="+", metavar="RUN",
                        help="run directories or an experiment root")
-    p_rep.add_argument("--out", metavar="DIR",
+    p_rep.add_argument("--out", type=_path_flag, metavar="DIR",
                        help="report directory (default: RUN/report)")
     p_rep.set_defaults(func=cmd_report)
 

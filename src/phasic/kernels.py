@@ -83,11 +83,15 @@ def _offdiag_std(sq: np.ndarray) -> float:
 
 
 def _ordered_sum(x: np.ndarray, axis: int) -> np.ndarray:
-    """Sum along ``axis`` one element after another, as a running total would.
+    """Sum along ``axis`` one element after another: a running total.
 
     ``np.sum`` adds pairwise along a contiguous axis, which rounds differently.
     """
-    return np.cumsum(x, axis=axis).take(-1, axis=axis)
+    terms = np.moveaxis(x, axis, 0)
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total += term
+    return total
 
 
 def kernel_forward(policies, batch: StateBatch, metric: str = "w2",

@@ -77,18 +77,24 @@ class _Mlp:
         return flat
 
     def forward(self, layers, x: np.ndarray):
-        """Returns (output (N, out), each layer's input for backward)."""
+        """Returns (output (N, out), each layer's input for backward).
+
+        Each layer allocates one array, its matmul's result, and adds the
+        bias and applies tanh to it in place; ``x`` is never written.
+        """
         last = len(layers) - 1
         inputs = []
         h = x
         for layer, (_, wt, b) in enumerate(layers):
             inputs.append(h)
-            h = h @ wt + b
+            h = h @ wt
+            h += b
             if layer < last:
-                h = np.tanh(h)
+                np.tanh(h, out=h)
         return h, inputs
 
     def backward(self, layers, inputs, dout: np.ndarray) -> np.ndarray:
+        """Flat parameter gradient; writes neither ``dout`` nor ``inputs``."""
         grad = np.zeros(self.n_params)
         gviews = self.unpack(grad)
         dz = dout
@@ -97,7 +103,10 @@ class _Mlp:
             gviews[2 * layer][...] = dz.T @ a
             gviews[2 * layer + 1][...] = dz.sum(axis=0)
             if layer > 0:  # a = tanh(z) of the layer below, so tanh'(z) = 1 - a^2
-                dz = (dz @ layers[layer][0]) * (1.0 - a * a)
+                d = np.multiply(a, a)
+                np.subtract(1.0, d, out=d)
+                dz = dz @ layers[layer][0]
+                dz *= d
         return grad
 
 

@@ -350,6 +350,11 @@ def kernel_backward(fwd, upstream):
     return grads
 
 
+def cumsum_total(x: np.ndarray, axis: int) -> np.ndarray:
+    """A running total along ``axis``: the last slice of a full ``np.cumsum``."""
+    return np.cumsum(x, axis=axis).take(-1, axis=axis)
+
+
 # -- reference MLP passes ------------------------------------------------------
 #
 # Every pass re-slices the flat vector with np.prod, where the production

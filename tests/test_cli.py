@@ -356,6 +356,46 @@ class TestReportCommand:
         assert before == after
 
 
+class TestFlagValues:
+    """An empty flag value is a usage error naming its flag, never "not given"."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["run", "--seeds", "", "--out", "o1"], "--seeds"),
+        (["run", "--config", "", "--out", "o1"], "--config"),
+        (["run", "--out", ""], "--out"),
+        (["validate", "--seeds", ""], "--seeds"),
+        (["validate", "--config", ""], "--config"),
+        (["report", "r", "--out", ""], "--out"),
+    ])
+    def test_empty_value_is_one_usage_error(self, tmp_path, capsys, monkeypatch, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        rc, out, err = _run_main(capsys, argv)
+        assert rc == 2 and out == "" and err.count("\n") == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "usage" and flag in error["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_out_in_the_config_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = _cfg_file(tmp_path, dict(_FAST, out=""))
+        rc, out, err = _run_main(capsys, ["run", "--config", cfg])
+        assert rc == 2 and out == ""
+        assert "'out'" in json.loads(err)["error"]["message"]
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("target,what", [("devnull", "is not a regular file"),
+                                             ("directory", "is not a regular file"),
+                                             ("absent", "does not exist")])
+    def test_config_path_that_is_not_a_file(self, tmp_path, capsys, target, what):
+        path = {"devnull": os.devnull, "directory": str(tmp_path),
+                "absent": str(tmp_path / "absent.json")}[target]
+        rc, _, err = _run_main(capsys, ["validate", "--config", path])
+        assert rc == 2
+        error = json.loads(err)["error"]
+        assert error["type"] == "usage"
+        assert error["message"] == f"config file {path} {what}"
+
+
 def _child_env() -> dict:
     """The environment with this checkout's src/ first on the import path."""
     src = str(Path(__file__).resolve().parents[1] / "src")

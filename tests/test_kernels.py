@@ -8,7 +8,7 @@ from oracles import (LN2, DiagGaussian, DiscreteDist, central_diff_grad, f_js,
                      grad_close, jsd, kernel_invariant_violations,
                      mc_w2_diag_gaussian, w2_squared_diag, w2_squared_full)
 
-from phasic.kernels import StateBatch, kernel_backward, kernel_forward
+from phasic.kernels import StateBatch, _ordered_sum, kernel_backward, kernel_forward
 from phasic.nets import NormalizedPolicy
 
 
@@ -340,3 +340,44 @@ class TestLoopReference:
         for g, g_ref in zip(kernel_backward(fwd, upstream),
                             oracles.kernel_backward(ref, upstream)):
             assert np.array_equal(g, g_ref)
+
+
+class TestOrderedSum:
+    """``_ordered_sum`` is a running total: the bits of the last slice of a
+    full ``np.cumsum``, which pairwise ``np.sum`` need not give."""
+
+    @staticmethod
+    def _assert_same_bits(x, axis):
+        x.setflags(write=False)  # the sum never writes its terms
+        got, ref = _ordered_sum(x, axis), oracles.cumsum_total(x, axis)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
+        return got
+
+    def test_kernel_axes(self):
+        """Axis 1 of (M, M, N, A) and (M, M, A) reverse-pass terms for M = 2..5,
+        and the JSD forward's last axis of N = 64 probes."""
+        pairwise_differs = False
+        for m in range(2, 6):
+            rng = np.random.default_rng(m)
+            for shape in ((m, m, 17, 3), (m, m, 4)):
+                self._assert_same_bits(rng.standard_normal(shape), axis=1)
+            # magnitudes 1e-8..1e8 so the summation order shows in the bits
+            x = rng.standard_normal((m, m, 64)) * 10.0 ** rng.uniform(-8, 8, (m, m, 64))
+            got = self._assert_same_bits(x, axis=-1)
+            pairwise_differs |= not np.array_equal(got, np.sum(x, axis=-1))
+        assert pairwise_differs
+
+    def test_signed_zero_inf_and_nan_terms(self):
+        x = np.zeros((3, 3, 5))
+        x[:, :, 0] = -0.0
+        x[0, 1] = -0.0  # every term -0.0: the total stays -0.0
+        x[0, 2, 3] = np.inf
+        x[1, 0, 1], x[1, 0, 4] = np.inf, -np.inf  # inf - inf is nan
+        x[1, 2, 2] = np.nan
+        x[2, 0, 0] = -np.inf
+        with np.errstate(invalid="ignore"):
+            got = self._assert_same_bits(x, axis=-1)
+            self._assert_same_bits(np.moveaxis(x, -1, 1).copy(), axis=1)
+        assert np.signbit(got[0, 1]) and got[0, 2] == np.inf and got[2, 0] == -np.inf
+        assert np.isnan(got[1, 0]) and np.isnan(got[1, 2])

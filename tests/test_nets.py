@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from factories import linear_gaussian_policy, random_discrete_policy, random_gau
 import oracles
 from oracles import central_diff_grad, grad_close
 
+from phasic.kernels import StateBatch, kernel_backward, kernel_forward
 from phasic.nets import (OBS_CLIP, ActionSpace, NormalizedPolicy, Policy, ValueFunction,
                          load_policy, save_policy, stacked_forward, whiten)
 from phasic.optim import Adam
@@ -274,6 +276,113 @@ class TestCachedViews:
         before = new.value(np.ones(2))
         raw[:] = 0.0
         assert new.value(np.ones(2)) == before
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+class TestPassesWriteOnlyWhatTheyMade:
+    """The passes work in place only on arrays they allocated themselves: the
+    input, the upstream gradient and every cached layer input are left as
+    they were (made read-only here, so a write raises)."""
+
+    def test_network_passes(self):
+        rng = np.random.default_rng(16)
+        for pol, vf, states in _oracle_cases():
+            dim = pol.action_space.dim
+            x, other, d_out, d_ls, d_v = _read_only(
+                states.copy(), rng.standard_normal(states.shape),
+                rng.standard_normal((len(states), dim)), rng.standard_normal(dim),
+                rng.standard_normal(len(states)))
+            for net, dout in ((pol, d_out), (vf, d_v[:, None])):
+                _, inputs = net._mlp.forward(net._layers, x)
+                net._mlp.backward(net._layers, _read_only(*inputs), dout)
+            # each backward on the cache its public forward returned
+            if pol.action_space.kind == "continuous":
+                cache = pol.gaussian_batch(x, with_cache=True)[2]
+                kept = _read_only(*cache)
+                pol.backward_gaussian(cache, d_out, d_ls)
+                again = lambda: pol.gaussian_batch(other, with_cache=True)
+            else:
+                cache = pol.probs_batch(x, with_cache=True)[1]
+                kept = _read_only(*cache[0], cache[1])
+                pol.backward_logits(cache[0], d_out)
+                pol.backward_probs(cache, d_out)
+                again = lambda: pol.probs_batch(other, with_cache=True)
+            v_cache = vf.value_batch(x, with_cache=True)[1]
+            kept += _read_only(*v_cache)
+            vf.backward(v_cache, d_v)
+            # a second forward on other states leaves the first one's cache as it was
+            before = [a.tobytes() for a in kept]
+            again()
+            vf.value_batch(other, with_cache=True)
+            assert [a.tobytes() for a in kept] == before
+
+    @pytest.mark.parametrize("shape", [(3, 5, 22), (3, 7, 1, 22)])
+    def test_stacked_forward(self, shape):
+        rng = np.random.default_rng(17)
+        nets = [random_gaussian_policy(rng, 22, 4, hidden=(64, 64)) for _ in range(3)]
+        vfs = [ValueFunction.init(22, rng, hidden=(64, 64)) for _ in range(3)]
+        (x,) = _read_only(rng.standard_normal(shape))
+        assert stacked_forward(nets)(x).shape == shape[:-1] + (4,)
+        assert stacked_forward(vfs)(x).shape == shape[:-1] + (1,)
+
+    @pytest.mark.parametrize("metric", ["w2", "jsd"])
+    def test_kernel_reverse_pass(self, metric):
+        rng = np.random.default_rng(18)
+        make = random_gaussian_policy if metric == "w2" else random_discrete_policy
+        pols = [make(rng, hidden=(6, 4)) for _ in range(3)]
+        batch = StateBatch(rng.standard_normal((9, 2)))
+        _read_only(batch.states)
+        fwd = kernel_forward(pols, batch, metric)
+        for cache in fwd.caches:
+            if metric == "w2":
+                _read_only(*cache)
+            else:
+                _read_only(*cache[0], cache[1])
+        for a in (fwd.entries, fwd.stds, fwd.diffs, fwd.probs, fwd.mids):
+            if a is not None:
+                _read_only(a)
+        kernel_backward(fwd, *_read_only(rng.standard_normal((3, 3))))
+
+
+class TestTransientAllocation:
+    """What a pass allocates and frees again, measured with tracemalloc for one
+    dogfight-shaped policy (22 -> 64 -> 64 -> 4) at N = 256 probe states,
+    where one (256, 64) float64 activation is 131 072 bytes."""
+
+    ACTIVATION_BYTES = 256 * 64 * 8
+
+    @staticmethod
+    def _transient_peak(f):
+        """Peak traced memory during ``f`` above what is left once it returns."""
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            kept = f()  # held while the traced memory is read
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            if started:
+                tracemalloc.stop()
+        return peak - current
+
+    def test_forward_and_backward(self):
+        rng = np.random.default_rng(19)
+        pol = Policy.init(22, ActionSpace("continuous", 4), rng, hidden=(64, 64))
+        x = rng.standard_normal((256, 22))
+        d_mu, d_ls = rng.standard_normal((256, 4)), rng.standard_normal(4)
+        cache = pol.gaussian_batch(x, with_cache=True)[2]
+        forward = self._transient_peak(lambda: pol.gaussian_batch(x, with_cache=True))
+        backward = self._transient_peak(lambda: pol.backward_gaussian(cache, d_mu, d_ls))
+        # each layer keeps its matmul's result and adds bias and tanh in place
+        assert forward < self.ACTIVATION_BYTES
+        # the reverse pass holds dz, dz @ W and tanh' of one layer at a time
+        assert backward < 3.5 * self.ACTIVATION_BYTES
 
 
 class TestImmutabilityAndSerialization:
