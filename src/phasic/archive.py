@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
@@ -156,11 +155,12 @@ class GridArchive(_Archive):
 
 
 class FitnessQueue(_Archive):
-    """Top-k policies by fitness, behavior-agnostic, keyed by (order, digest).
+    """Top-k policies by fitness, behavior-agnostic, keyed by insertion order.
 
     At capacity a strictly better candidate evicts the worst element; among
-    equal-fitness elements the older one is evicted first.  Exact parameter
-    duplicates (same topology and bytes) are rejected outright.
+    equal-fitness elements the older one is evicted first.  A candidate whose
+    raw net matches a held one's (same topology and parameter bytes) is
+    rejected outright, whatever its normalizer.
     """
 
     def __init__(self, capacity: int = 10):
@@ -169,31 +169,24 @@ class FitnessQueue(_Archive):
         super().__init__()
         self.capacity = capacity
 
-    @staticmethod
-    def _digest(policy: NormalizedPolicy) -> str:
-        """Hash of the raw net: its topology and parameters."""
-        h = sha256()
-        h.update(json.dumps(policy.policy.topology, sort_keys=True).encode())
-        h.update(np.ascontiguousarray(policy.params).tobytes())
-        return h.hexdigest()
-
     def add(self, policy: NormalizedPolicy, fitness: float, bd=None, *, source: int = -1,
             iteration: int = -1, payload: dict | None = None) -> bool:
         fitness = float(fitness)
         if not np.isfinite(fitness):
             return False
         entry = _entry(policy, fitness, bd, self._counter, source, iteration, payload)
-        digest = self._digest(policy)
-        if any(held == digest for _, held in self._store):
+        net, raw = policy.policy, policy.params.tobytes()
+        held = (e.policy.policy for e in self._store.values())
+        if any(h.topology == net.topology and h.params.tobytes() == raw for h in held):
             return False
         self._counter += 1  # a refused offer at capacity still takes a number
         if len(self._store) >= self.capacity:
             # evict the worst; among equals the oldest goes first
-            worst = min(self._store, key=lambda key: (self._store[key].fitness, key[0]))
+            worst = min(self._store, key=lambda order: (self._store[order].fitness, order))
             if fitness <= self._store[worst].fitness:
                 return False
             del self._store[worst]
-        self._store[entry.order, digest] = entry
+        self._store[entry.order] = entry
         return True
 
     def entries(self) -> list:

@@ -23,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .trainers import make_env
+
 CURVE_METRICS = ("max_fitness", "min_fitness", "coverage", "qd_score")
 
 # heatmap color ramp endpoints (RGB) and the fill used for empty cells
@@ -32,7 +34,7 @@ _NULL_FILL = "#e0e0e0"
 
 
 class ReportError(ValueError):
-    """A run directory is missing the artifacts a report needs."""
+    """A run directory is missing or garbles an artifact a report needs."""
 
 
 def _fmt(v: float) -> str:
@@ -47,11 +49,17 @@ def read_metrics(run_dir) -> list:
     if not path.is_file():
         raise ReportError(f"run {run_dir} has no metrics.jsonl")
     records = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+    with open(path, errors="replace") as fh:  # undecodable bytes fail as JSON below
+        for n, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except ValueError:
+                rec = None
+            if not isinstance(rec, dict):
+                raise ReportError(f"run {run_dir}: metrics.jsonl line {n} is not a JSON object")
+            records.append(rec)
     if not records:
         raise ReportError(f"run {run_dir} has an empty metrics.jsonl")
     return records
@@ -59,16 +67,19 @@ def read_metrics(run_dir) -> list:
 
 def extract_curves(records, run_name: str = "run"):
     """Pull (iterations, {metric: values}) from evaluation-cycle records."""
-    iters, series = [], {m: [] for m in CURVE_METRICS}
-    for rec in records:
+    iters, rows = [], []
+    for n, rec in enumerate(records, 1):
         if rec.get("type") != "iteration" or rec.get("archive") is None:
             continue
-        iters.append(int(rec["iteration"]))
-        for m in CURVE_METRICS:
-            series[m].append(float(rec["archive"][m]))
+        try:
+            rows.append([float(rec["archive"][m]) for m in CURVE_METRICS])
+            iters.append(int(rec["iteration"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ReportError(f"run {run_name}: metrics.jsonl record {n} lacks a numeric "
+                              f"iteration or archive metric: {exc!r}")
     if not iters:
         raise ReportError(f"run {run_name} logged no archive metrics")
-    return np.array(iters), {m: np.array(v) for m, v in series.items()}
+    return np.array(iters), dict(zip(CURVE_METRICS, np.array(rows).T))
 
 
 def band(stack) -> dict:
@@ -88,18 +99,14 @@ def aggregate_curves(run_dirs):
     """
     if not run_dirs:
         raise ReportError("no run directories to aggregate")
-    grids, per_run = [], []
-    for rd in run_dirs:
-        iters, series = extract_curves(read_metrics(rd), run_name=str(rd))
-        grids.append(iters)
-        per_run.append(series)
-    for rd, grid in zip(run_dirs, grids):
-        if not np.array_equal(grid, grids[0]):
-            raise ReportError(
-                f"run {rd} evaluates on a different iteration grid")
-    out = {"iterations": grids[0]}
+    per_run = [extract_curves(read_metrics(rd), run_name=str(rd)) for rd in run_dirs]
+    grid = per_run[0][0]
+    for rd, (iters, _) in zip(run_dirs, per_run):
+        if not np.array_equal(iters, grid):
+            raise ReportError(f"run {rd} evaluates on a different iteration grid")
+    out = {"iterations": grid}
     for m in CURVE_METRICS:
-        out[m] = band(np.stack([series[m] for series in per_run]))
+        out[m] = band(np.stack([series[m] for _, series in per_run]))
     return out
 
 
@@ -122,17 +129,9 @@ def write_curves_csv(path, agg) -> None:
 
 
 def _finite_runs(mask):
-    """Group a boolean mask into contiguous runs of True indices."""
-    runs, start = [], None
-    for i, ok in enumerate(mask):
-        if ok and start is None:
-            start = i
-        elif not ok and start is not None:
-            runs.append((start, i))
-            start = None
-    if start is not None:
-        runs.append((start, len(mask)))
-    return runs
+    """Group a boolean mask into contiguous (start, stop) runs of True indices."""
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], np.asarray(mask, dtype=int), [0]])))
+    return list(zip(edges[::2], edges[1::2]))
 
 
 def _lerp_color(t: float) -> str:
@@ -270,11 +269,10 @@ def render_heatmap_svg(path, grid, vmin: float, vmax: float) -> None:
         'font-family="monospace" text-anchor="middle" fill="#333333" '
         f'transform="rotate(-90 14 {m_top + n1 * cell / 2})">'
         'descriptor 1</text>')
-    for label, x, anchor in (("0", m_left, "middle"),
-                             ("1", m_left + n0 * cell, "middle")):
+    for label, x in (("0", m_left), ("1", m_left + n0 * cell)):
         body.append(
             f'<text x="{x}" y="{height - 20}" font-size="10" '
-            f'font-family="monospace" text-anchor="{anchor}" '
+            f'font-family="monospace" text-anchor="middle" '
             f'fill="#333333">{label}</text>')
     # legend: vertical ramp with the two anchor values
     lx = m_left + n0 * cell + 26
@@ -302,50 +300,55 @@ def render_heatmap_svg(path, grid, vmin: float, vmax: float) -> None:
 
 def _run_offset(run_dir: Path) -> float:
     """Fitness floor for the run's environment (anchors the heatmap scale)."""
-    cfg_path = run_dir / "config.json"
-    if not cfg_path.is_file():
-        raise ReportError(f"run {run_dir} has no config.json")
-    with open(cfg_path) as fh:
-        cfg = json.load(fh)
-    from .trainers import make_env  # deferred: avoids import cycles at startup
-
-    return float(make_env(cfg["env_name"]).qd_offset)
+    try:
+        cfg = json.loads((run_dir / "config.json").read_text())
+        return float(make_env(cfg["env_name"]).qd_offset)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ReportError(f"run {run_dir}: config.json is unreadable or names no known "
+                          f"env_name: {exc!r}")
 
 
 def load_heatmap(run_dir) -> np.ndarray:
     run_dir = Path(run_dir)
-    path = run_dir / "archive" / "heatmap.csv"
-    if not path.is_file():
-        raise ReportError(f"run {run_dir} has no archive/heatmap.csv")
-    grid = np.loadtxt(path, delimiter=",", ndmin=2)
-    return grid
+    try:
+        return np.loadtxt(run_dir / "archive" / "heatmap.csv", delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ReportError(f"run {run_dir}: archive/heatmap.csv is missing or not a numeric "
+                          f"grid: {exc!r}")
+
+
+def _check_distinct(run_dirs) -> None:
+    """Refuse one run given twice, by path or by name: it would count a seed
+    twice or overwrite another run's heatmap."""
+    seen = {}
+    for rd in run_dirs:
+        for key, why in ((rd.resolve(), "are one directory"),
+                         (rd.name, f"share the name {rd.name!r}")):
+            if key in seen:
+                raise ReportError(f"runs {seen[key]} and {rd} {why}")
+            seen[key] = rd
 
 
 def generate_report(run_dirs, out_dir) -> dict:
     """Render curves + per-run heatmaps for one experiment.
 
-    Returns the mapping of artifact names to written paths.  Raises
-    ``ReportError`` naming the offending run when any artifact is missing.
+    Returns the mapping of artifact names to written paths.  Every run is read
+    and checked before anything is written, so a ``ReportError`` naming the
+    offending run and file leaves ``out_dir`` as it was.
     """
     run_dirs = [Path(rd) for rd in run_dirs]
     if not run_dirs:
         raise ReportError("no run directories given")
+    _check_distinct(run_dirs)
+    agg = aggregate_curves(run_dirs)
+    heatmaps = [(rd.name, load_heatmap(rd), _run_offset(rd)) for rd in run_dirs]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    agg = aggregate_curves(run_dirs)
-    written = {}
-    csv_path = out_dir / "curves.csv"
-    write_curves_csv(csv_path, agg)
-    written["curves_csv"] = str(csv_path)
-    svg_path = out_dir / "curves.svg"
-    render_curves_svg(svg_path, agg)
-    written["curves_svg"] = str(svg_path)
-    for rd in run_dirs:
-        grid = load_heatmap(rd)
-        vmin = _run_offset(rd)
+    written = {"curves_csv": out_dir / "curves.csv", "curves_svg": out_dir / "curves.svg"}
+    write_curves_csv(written["curves_csv"], agg)
+    render_curves_svg(written["curves_svg"], agg)
+    for name, grid, vmin in heatmaps:
         finite = grid[np.isfinite(grid)]
-        vmax = float(finite.max()) if finite.size else vmin
-        heat_path = out_dir / f"heatmap_{rd.name}.svg"
-        render_heatmap_svg(heat_path, grid, vmin, vmax)
-        written[f"heatmap_{rd.name}"] = str(heat_path)
-    return written
+        written[f"heatmap_{name}"] = path = out_dir / f"heatmap_{name}.svg"
+        render_heatmap_svg(path, grid, vmin, float(finite.max()) if finite.size else vmin)
+    return {name: str(path) for name, path in written.items()}

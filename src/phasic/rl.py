@@ -108,8 +108,9 @@ class Learner:
 
     ``obs_stat`` holds the running statistics that whiten observations;
     ``ret_stat`` those of the discounted return ``ret`` by whose std learning
-    rewards are scaled.  ``obs`` and ``pending_return`` continue an unfinished
-    training episode from one rollout into the next (see ``collect_rollout``).
+    rewards are scaled.  The learner holds its train env: it, ``obs`` and
+    ``pending_return`` continue an unfinished training episode from one rollout
+    into the next (see ``collect_rollout``); evaluation runs on the run's envs.
     """
 
     id: int
@@ -120,7 +121,6 @@ class Learner:
     obs_stat: RunningStat
     rng: np.random.Generator
     train_env: object
-    eval_env: object
     ret_stat: RunningStat = field(default_factory=RunningStat)
     ret: float = 0.0
     obs: np.ndarray | None = None     # mid-episode continuation point

@@ -244,7 +244,9 @@ def _sample_probes(pool: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
 @dataclass
 class RunState:
     """All of a run's mutable state: the phase functions advance it in place,
-    and ``run_training`` returns it with every record and the summary."""
+    and ``run_training`` returns it with every record and the summary.  It holds
+    the M evaluation envs: the live population runs on them, auxiliary candidate
+    k on ``eval_envs[k]``; every evaluation resets its env before stepping it."""
 
     config: TrainerConfig
     learners: list
@@ -254,7 +256,7 @@ class RunState:
     exploit_rng: np.random.Generator
     aux_rng: np.random.Generator
     bandit_rng: np.random.Generator
-    aux_eval_env: object
+    eval_envs: list                 # one evaluation env per population slot
     last_snapshot: list             # per-learner payloads for NaN recovery
     next_exploit: float             # cumulative env steps at which exploitation is due
     qd_offset: float                # the env's fitness floor for QD-score
@@ -266,10 +268,11 @@ class RunState:
 
     @classmethod
     def create(cls, config: TrainerConfig, factory) -> "RunState":
-        """Seed every stream in a fixed order: learners, exploit, aux, bandit."""
+        """Build 2M envs; seed every stream in a fixed order: learners, exploit, aux, bandit."""
         m = config.population
         seqs = np.random.SeedSequence(config.seed).spawn(m + 3)
-        proto = factory()
+        eval_envs = [factory() for _ in range(m)]
+        proto = eval_envs[0]
         learners = []
         for i in range(m):
             rng = np.random.default_rng(seqs[i])
@@ -279,7 +282,7 @@ class RunState:
                 id=i, policy=policy, value_fn=value_fn,
                 policy_opt=Adam(policy.n_params, lr=config.ppo.lr),
                 value_opt=Adam(value_fn.params.size, lr=config.ppo.lr),
-                obs_stat=RunningStat((proto.obs_dim,)), rng=rng, train_env=factory(), eval_env=factory()))
+                obs_stat=RunningStat((proto.obs_dim,)), rng=rng, train_env=factory()))
         state = cls(
             config=config, learners=learners,
             archive=GridArchive(cells_per_dim=config.cells_per_dim),
@@ -288,7 +291,7 @@ class RunState:
             exploit_rng=np.random.default_rng(seqs[m]),
             aux_rng=np.random.default_rng(seqs[m + 1]),
             bandit_rng=np.random.default_rng(seqs[m + 2]),
-            aux_eval_env=factory(),
+            eval_envs=eval_envs,
             last_snapshot=[snapshot_payload(l) for l in learners],
             next_exploit=config.exploit_period * config.scale,  # inf: never
             qd_offset=proto.qd_offset)
@@ -397,8 +400,8 @@ def _evaluate_and_offer(state: RunState, it: int) -> list:
     evaluated through to both archives."""
     learners = state.learners
     views = [l.view() for l in learners]
-    results = evaluate(views, [l.eval_env for l in learners],
-                       [l.rng for l in learners], episodes=state.config.eval_episodes)
+    results = evaluate(views, state.eval_envs, [l.rng for l in learners],
+                       episodes=state.config.eval_episodes)
     evals = []
     for learner, view, res in zip(learners, views, results):
         learner.fitness = res.fitness
@@ -463,9 +466,9 @@ def _auxiliary_phase(state: RunState, probe_pool, it: int) -> dict | None:
         steps=config.diversity_iters, beta=config.beta, lr=config.aux_lr,
         grad_clip=config.grad_clip, deterministic=config.deterministic_kernel, rng=rng)
     offers = []
-    for entry, cand in zip(entries, out):
-        # candidates share one env and ``rng``, so each is evaluated alone, in order
-        res, = evaluate([cand], [state.aux_eval_env], [rng], episodes=config.eval_episodes)
+    for entry, cand, env in zip(entries, out, state.eval_envs, strict=True):
+        # candidates share ``rng``, so each is evaluated alone, in order
+        res, = evaluate([cand], [env], [rng], episodes=config.eval_episodes)
         payload = dict(entry.payload, policy_params=cand.params.copy())
         ok_grid, ok_queue = _offer(state.archive, state.queue, cand, res.fitness, res.bd,
                                    source=entry.source, iteration=it, payload=payload)

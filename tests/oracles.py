@@ -7,7 +7,8 @@ over an explicit coupling.  ``DiagGaussian`` and ``DiscreteDist`` are reference
 distributions, and the closed-form distances are written per pair of them.
 The reference kernel passes, network passes, running statistics, per-learner
 reward phase, dogfight kinematics and toy step below are the plain forms of the
-production hot path, which must match them bit for bit.
+production hot path, which must match them bit for bit; ``finite_runs`` is the
+plain loop behind the report's grouping of finite curve points.
 """
 
 import math
@@ -706,3 +707,17 @@ def evaluate(policy, env, rng, episodes=10) -> EvalResult:
             bds.append(np.asarray(bd, dtype=np.float64))
     return EvalResult(fitness=float(np.mean(totals)),
                       bd=np.mean(np.stack(bds), axis=0) if bds else None)
+
+
+def finite_runs(mask) -> list:
+    """Contiguous (start, stop) runs of True indices, by one scan of the mask."""
+    runs, start = [], None
+    for i, ok in enumerate(mask):
+        if ok and start is None:
+            start = i
+        elif not ok and start is not None:
+            runs.append((start, i))
+            start = None
+    if start is not None:
+        runs.append((start, len(mask)))
+    return runs

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from phasic.archive import FitnessQueue, GridArchive, bd_to_cell, qd_metrics, save_archive
-from phasic.nets import NormalizedPolicy, load_policy
+from phasic.nets import NormalizedPolicy, Policy, load_policy
 
 from factories import random_gaussian_policy, view
 
@@ -222,6 +222,25 @@ class TestFitnessQueue:
         q.add(pol, 1.0)
         bumped = pol.with_params(pol.params + 1e-9)
         assert q.add(bumped, 1.0)
+        assert len(q) == 2
+
+    def test_same_net_under_another_normalizer_is_a_duplicate(self):
+        q = FitnessQueue(capacity=5)
+        pol = tiny_policy(0)
+        assert q.add(pol, 1.0)
+        renormalized = NormalizedPolicy(pol.policy, np.full(2, 0.5), np.full(2, 3.0))
+        assert not q.add(renormalized, 2.0)
+        assert len(q) == 1
+
+    def test_equal_bytes_under_different_topologies_are_distinct(self):
+        # both nets hold 12 zeros: 3*2+2 + 2*1+1 + 1 log-std against 2*2+2 + 2*2+2
+        q = FitnessQueue(capacity=5)
+        nets = [Policy({"obs_dim": 3, "hidden": (2,),
+                        "action_space": {"kind": "continuous", "dim": 1}}, np.zeros(12)),
+                Policy({"obs_dim": 2, "hidden": (2,),
+                        "action_space": {"kind": "discrete", "dim": 2}}, np.zeros(12))]
+        for net in nets:
+            assert q.add(view(net), 1.0)
         assert len(q) == 2
 
     def test_top_pads_with_best(self):

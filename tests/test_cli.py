@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -354,6 +355,77 @@ class TestReportCommand:
         _run_main(capsys, ["report", str(out_dir), "--out", str(rep)])
         after = {p.name: p.read_bytes() for p in rep.iterdir()}
         assert before == after
+
+
+@pytest.fixture(scope="module")
+def experiment(tmp_path_factory):
+    """A two-seed pbt experiment that tests copy before they break it."""
+    root = tmp_path_factory.mktemp("experiment")
+    cfg = _cfg_file(root, dict(_FAST, trainer="pbt"))
+    assert main(["run", "--config", cfg, "--seeds", "0,1", "--out", str(root / "exp")]) == 0
+    return root / "exp"
+
+
+def _break_last_eval_record(run):
+    lines = (run / "metrics.jsonl").read_text().splitlines()
+    rec = json.loads(lines[-1])
+    del rec["archive"]["coverage"]
+    (run / "metrics.jsonl").write_text("\n".join(lines[:-1] + [json.dumps(rec)]) + "\n")
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-40])
+
+
+def _append(path, text):
+    with open(path, "a") as fh:
+        fh.write(text)
+
+
+class TestReportRefusals:
+    """A run the report cannot use is one report error naming the run and its
+    file; nothing is written."""
+
+    def _refused(self, capsys, argv, out):
+        rc, stdout, err = _run_main(capsys, ["report", *argv, "--out", str(out)])
+        assert rc == 1 and stdout == "" and err.count("\n") == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "report"
+        assert not out.exists()
+        return error["message"]
+
+    @pytest.mark.parametrize("name,damage", [
+        ("metrics.jsonl", lambda run: _truncate(run / "metrics.jsonl")),
+        ("metrics.jsonl", lambda run: _append(run / "metrics.jsonl", "[1, 2]\n")),
+        ("metrics.jsonl", lambda run: (run / "metrics.jsonl").write_bytes(b"\xff\xfe\n")),
+        ("metrics.jsonl", _break_last_eval_record),
+        ("config.json", lambda run: (run / "config.json").write_text("{}")),
+        ("config.json", lambda run: (run / "config.json").write_text('{"env_name": "pong"}')),
+        ("archive/heatmap.csv",
+         lambda run: (run / "archive" / "heatmap.csv").write_text("not,a,grid\n")),
+    ], ids=["truncated-metrics", "metrics-line-not-an-object", "undecodable-metrics",
+            "eval-record-lacks-a-metric", "config-without-env", "unknown-env",
+            "malformed-heatmap"])
+    def test_damaged_run(self, tmp_path, capsys, experiment, name, damage):
+        shutil.copytree(experiment, tmp_path / "exp")
+        run = tmp_path / "exp" / "seed_1"
+        damage(run)
+        message = self._refused(capsys, [str(tmp_path / "exp")], tmp_path / "rep")
+        assert str(run) in message and name in message
+
+    def test_two_runs_of_one_name(self, tmp_path, capsys, experiment):
+        for side in "ab":
+            shutil.copytree(experiment, tmp_path / side)
+        a, b = str(tmp_path / "a" / "seed_0"), str(tmp_path / "b" / "seed_0")
+        message = self._refused(capsys, [a, b], tmp_path / "rep")
+        assert a in message and b in message
+
+    @pytest.mark.parametrize("second", ["exp/seed_0", "exp"])
+    def test_one_run_given_twice(self, tmp_path, capsys, experiment, second):
+        shutil.copytree(experiment, tmp_path / "exp")
+        run = str(tmp_path / "exp" / "seed_0")
+        message = self._refused(capsys, [run, str(tmp_path / second)], tmp_path / "rep")
+        assert message.count(run) == 2
 
 
 class TestFlagValues:

@@ -6,11 +6,13 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from phasic.report import (CURVE_METRICS, ReportError, aggregate_curves,
+from phasic.report import (CURVE_METRICS, ReportError, _finite_runs, aggregate_curves,
                            extract_curves, generate_report, load_heatmap,
                            read_metrics, render_curves_svg,
                            render_heatmap_svg, write_curves_csv)
 from phasic.trainers import TrainerConfig, run_training
+
+import oracles
 
 
 def _write_synthetic_run(run_dir, iterations, series, env_name="toy"):
@@ -140,6 +142,14 @@ class TestSvg:
         path = tmp_path / "nan.svg"
         render_curves_svg(path, agg)
         ET.fromstring(path.read_text())  # still well-formed
+
+    def test_finite_runs_match_the_loop(self):
+        rng = np.random.default_rng(3)
+        for n in range(10):
+            for _ in range(50):
+                mask = rng.random(n) < 0.5
+                assert [(int(a), int(b)) for a, b in _finite_runs(mask)] == \
+                    oracles.finite_runs(mask)
 
     def test_heatmap_nan_cells_use_null_color(self, tmp_path):
         grid = np.full((4, 4), np.nan)

@@ -29,7 +29,7 @@ def learner_of(policy, value_fn, env, rng):
     """A learner with fresh optimizers and statistics that trains in ``env``."""
     return Learner(id=0, policy=policy, value_fn=value_fn, policy_opt=Adam(policy.n_params),
                    value_opt=Adam(value_fn.params.size), obs_stat=RunningStat((env.obs_dim,)),
-                   rng=rng, train_env=env, eval_env=None)
+                   rng=rng, train_env=env)
 
 
 def rollout(learner, steps, gamma=GAMMA):
@@ -260,8 +260,7 @@ class TestNormalizer:
                 return states[:, :1], np.zeros(1)
 
         learner = Learner(id=0, policy=Recorder(), value_fn=None, policy_opt=None,
-                          value_opt=None, obs_stat=stat, rng=None, train_env=None,
-                          eval_env=None)
+                          value_opt=None, obs_stat=stat, rng=None, train_env=None)
         learner.view().gaussian_batch(x)
         assert np.array_equal(seen[0], oracles.normalize(stat, x), equal_nan=True)
 

@@ -38,7 +38,7 @@ def fresh_learner(seed=0, obs_dim=2, act_dim=2, hidden=(8,), learner_id=0):
     return Learner(
         id=learner_id, policy=policy, value_fn=value_fn,
         policy_opt=Adam(policy.n_params), value_opt=Adam(value_fn.params.size),
-        obs_stat=RunningStat((obs_dim,)), rng=rng, train_env=ToyEnv(), eval_env=ToyEnv())
+        obs_stat=RunningStat((obs_dim,)), rng=rng, train_env=ToyEnv())
 
 
 class TestConfigValidation:
@@ -286,6 +286,42 @@ class TestAuxiliaryPhase:
         info = _auxiliary_phase(state, probe_pool, 0)
         assert info["offered"] == 3
         assert info["det_end"] > info["det_start"]
+
+
+class TestEvaluationEnvs:
+    def test_a_run_builds_a_train_and_an_eval_env_per_learner(self):
+        built = []
+
+        def factory():
+            built.append(ToyEnv())
+            return built[-1]
+
+        state = RunState.create(small_config(), factory)
+        assert len(built) == 2 * 3
+        envs = [l.train_env for l in state.learners] + state.eval_envs
+        assert sorted(map(id, envs)) == sorted(map(id, built))
+
+    @pytest.mark.parametrize("trainer", ["pdo", "edo-cs"])
+    def test_live_and_aux_evaluation_share_the_eval_envs(self, monkeypatch, trainer):
+        calls = []
+        evaluate = trainers.evaluate
+
+        def record_eval(policies, envs, rngs, **kwargs):
+            calls.append(list(envs))
+            return evaluate(policies, envs, rngs, **kwargs)
+
+        monkeypatch.setattr(trainers, "evaluate", record_eval)
+        state = run_training(small_config(trainer=trainer, diversity_iters=2))
+        k = None
+        for envs in calls:
+            if len(envs) == 3:  # the live population, then its cycle's candidates
+                assert all(a is b for a, b in zip(envs, state.eval_envs))
+                assert k in (None, 3)
+                k = 0
+            else:  # auxiliary candidate k
+                assert envs[0] is state.eval_envs[k]
+                k += 1
+        assert sum(len(envs) == 1 for envs in calls) >= 3
 
 
 def test_every_offer_was_evaluated_through_its_frozen_normalizer(monkeypatch):
