@@ -130,21 +130,23 @@ def wrap_angle(a: float) -> float:
 
 def integrate(state: AircraftState, action: np.ndarray, cfg: DogfightConfig) -> AircraftState:
     """Advance one aircraft by dt under a clamped 4-channel control."""
-    # np.clip's bits on floats, NaN included: max(nan, lo) and min(nan, hi)
-    # both return the NaN
+    # np.clip's bits on floats without a builtin call: for lo <= hi,
+    # `lo if x < lo else (hi if x > hi else x)` equals min(max(x, lo), hi) for
+    # every x, +-inf clamped and NaN passed through (both comparisons are false)
     throttle, elevator, roll_cmd, rudder = np.asarray(action, dtype=np.float64).tolist()
-    throttle = min(max(throttle, -1.0), 1.0)
-    elevator = min(max(elevator, -1.0), 1.0)
-    roll_cmd = min(max(roll_cmd, -1.0), 1.0)
-    rudder = min(max(rudder, -1.0), 1.0)
-    speed = min(max(state.speed + throttle * cfg.accel_max * cfg.dt, cfg.v_min), cfg.v_max)
+    throttle = -1.0 if throttle < -1.0 else (1.0 if throttle > 1.0 else throttle)
+    elevator = -1.0 if elevator < -1.0 else (1.0 if elevator > 1.0 else elevator)
+    roll_cmd = -1.0 if roll_cmd < -1.0 else (1.0 if roll_cmd > 1.0 else roll_cmd)
+    rudder = -1.0 if rudder < -1.0 else (1.0 if rudder > 1.0 else rudder)
+    speed = state.speed + throttle * cfg.accel_max * cfg.dt
+    speed = cfg.v_min if speed < cfg.v_min else (cfg.v_max if speed > cfg.v_max else speed)
     roll = wrap_angle(state.roll + roll_cmd * cfg.roll_rate * cfg.dt)
-    pitch = min(max(state.pitch + elevator * cfg.pitch_rate * cfg.dt, -cfg.pitch_limit),
-                cfg.pitch_limit)
+    pitch, limit = state.pitch + elevator * cfg.pitch_rate * cfg.dt, cfg.pitch_limit
+    pitch = -limit if pitch < -limit else (limit if pitch > limit else pitch)
     # bank-to-turn: rolling tilts the lift vector and drags the heading around;
     # the coupling is clamped so near-knife-edge bank stays finite
-    bank_turn = min(max((GRAVITY / speed) * math.tan(roll), -cfg.turn_rate_max),
-                    cfg.turn_rate_max)
+    bank_turn, cap = (GRAVITY / speed) * math.tan(roll), cfg.turn_rate_max
+    bank_turn = -cap if bank_turn < -cap else (cap if bank_turn > cap else bank_turn)
     heading = wrap_angle(state.heading + (rudder * cfg.yaw_rate + bank_turn) * cfg.dt)
     forward = _nose(heading, pitch)
     fx, fy, fz = forward
@@ -170,22 +172,46 @@ class Geometry:
                              az_err=az_err, elev_err=elev_err)
 
 
-def relative_geometry(attacker: AircraftState, target: AircraftState) -> Geometry:
-    los = target.pos - attacker.pos
+def pair_geometry(red: AircraftState, blue: AircraftState) -> tuple:
+    """(red->blue, blue->red) geometries of one engagement from one line of sight.
+
+    Blue's line of sight, unit vector and dot products are red's negated, and
+    IEEE negation and round-to-nearest (fused multiply-add included) are
+    symmetric under sign, so blue's distance and cosines are the values its
+    own computation gives; only an exactly zero cosine may carry the other
+    sign of zero, which acos and the lock test do not see.  Blue's bearing
+    takes its own coordinate differences: where a - b is +0.0, -(b - a) is
+    -0.0, and atan2 turns that sign into +pi or -pi.
+    """
+    los = blue.pos - red.pos
     # the two dot products stay BLAS ddot on ndarrays: a float sum of the
     # three products rounds differently for about a fifth of all vectors
     dist = math.sqrt(los.dot(los))  # np.linalg.norm's own computation
     if dist < 1e-9:
-        return Geometry(0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+        coincident = Geometry(0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+        return coincident, coincident
     u = los / dist
-    cos_ata = min(max(float(attacker.forward.dot(u)), -1.0), 1.0)
-    # aspect: target tail axis (-forward) vs LOS target->attacker (-u);
-    # the two sign flips cancel
-    cos_aspect = min(max(float(target.forward.dot(u)), -1.0), 1.0)
-    lx, ly, lz = los.tolist()
-    return Geometry(distance=dist, ata=math.acos(cos_ata), aspect=math.acos(cos_aspect),
-                    cos_ata=cos_ata, az_err=wrap_angle(math.atan2(lx, ly) - attacker.heading),
-                    elev_err=math.atan2(lz, math.hypot(lx, ly)) - attacker.pitch)
+    cos_ata = float(red.forward.dot(u))
+    cos_ata = -1.0 if cos_ata < -1.0 else (1.0 if cos_ata > 1.0 else cos_ata)
+    # red's aspect: blue's tail axis (-forward) vs LOS blue->red (-u); the two
+    # sign flips cancel.  Blue's nose on its own LOS (-u) is the negation.
+    cos_aspect = float(blue.forward.dot(u))
+    cos_aspect = -1.0 if cos_aspect < -1.0 else (1.0 if cos_aspect > 1.0 else cos_aspect)
+    rx, ry, rz = red.pos.tolist()
+    bx, by, bz = blue.pos.tolist()
+    lx, ly, lz = bx - rx, by - ry, bz - rz
+    level = math.hypot(lx, ly)  # hypot reads only magnitudes
+    return (Geometry(dist, math.acos(cos_ata), math.acos(cos_aspect), cos_ata,
+                     wrap_angle(math.atan2(lx, ly) - red.heading),
+                     math.atan2(lz, level) - red.pitch),
+            Geometry(dist, math.acos(-cos_aspect), math.acos(-cos_ata), -cos_aspect,
+                     wrap_angle(math.atan2(rx - bx, ry - by) - blue.heading),
+                     math.atan2(rz - bz, level) - blue.pitch))
+
+
+def relative_geometry(attacker: AircraftState, target: AircraftState) -> Geometry:
+    """The attacker->target view of ``pair_geometry``."""
+    return pair_geometry(attacker, target)[0]
 
 
 def lock_check(attacker: AircraftState, target: AircraftState,
@@ -228,8 +254,7 @@ def step(state: DogfightState, action_red: np.ndarray, action_blue: np.ndarray,
     red = integrate(state.red, action_red, cfg)
     blue = integrate(state.blue, action_blue, cfg)
     n_step = status.step + 1
-    red_geom = relative_geometry(red, blue)
-    blue_geom = relative_geometry(blue, red)
+    red_geom, blue_geom = pair_geometry(red, blue)
     red_locks = _locks(red_geom, cfg)
     blue_locks = _locks(blue_geom, cfg)
     lock_a = status.lock_steps_agent + int(red_locks)
@@ -313,7 +338,7 @@ def observe(own: AircraftState, other: AircraftState, geom: Geometry,
     """
     x, y, z = own.pos.tolist()
     ox, oy, oz = other.pos.tolist()
-    dist = max(geom.distance, 1e-9)
+    dist = 1e-9 if geom.distance < 1e-9 else geom.distance
     return np.array([
         own.speed / cfg.v_max,
         math.sin(own.heading), math.cos(own.heading),
@@ -365,8 +390,7 @@ class DogfightEnv:
             heading=wrap_angle(math.pi + cfg.heading_jitter * rng.uniform(-1, 1)),
             pitch=0.0, roll=0.0)
         self._state = DogfightState(red=red, blue=blue, status=EpisodeStatus())
-        self._prev_geom = relative_geometry(red, blue)
-        self._blue_geom = relative_geometry(blue, red)
+        self._prev_geom, self._blue_geom = pair_geometry(red, blue)
         return observe(red, blue, self._prev_geom, self._state.status, 0, 0, cfg)
 
     def step(self, action: np.ndarray):

@@ -309,12 +309,27 @@ def _run_offset(run_dir: Path) -> float:
 
 
 def load_heatmap(run_dir) -> np.ndarray:
-    run_dir = Path(run_dir)
+    """The run's archive fitness grid, refused unless it is the
+    (cells_per_dim, cells_per_dim) grid its archive manifest names."""
+    archive = Path(run_dir) / "archive"
     try:
-        return np.loadtxt(run_dir / "archive" / "heatmap.csv", delimiter=",", ndmin=2)
+        cells = json.loads((archive / "manifest.json").read_text())["cells_per_dim"]
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ReportError(f"run {run_dir}: archive/manifest.json is unreadable or names no "
+                          f"cells_per_dim: {exc!r}")
+    try:
+        lines = (archive / "heatmap.csv").read_text().splitlines()
+        # without comments a line loadtxt skips is a blank one; a file of
+        # those alone is refused here, where loadtxt would warn and return []
+        grid = (np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+                if any(line.strip() for line in lines) else np.empty((0, 0)))
     except (OSError, ValueError) as exc:
         raise ReportError(f"run {run_dir}: archive/heatmap.csv is missing or not a numeric "
                           f"grid: {exc!r}")
+    if grid.shape != (cells, cells):
+        raise ReportError(f"run {run_dir}: archive/heatmap.csv holds a {grid.shape} grid, "
+                          f"not the ({cells}, {cells}) of archive/manifest.json")
+    return grid
 
 
 def _check_distinct(run_dirs) -> None:

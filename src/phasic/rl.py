@@ -264,7 +264,7 @@ def _scale_rewards(stat: RunningStat, ret: float, gamma: float, rewards, dones) 
     Runs on Python floats the operations of a one-row ``StackedStats.add``
     and ``std`` in their order, so its bits are theirs: the square as
     ``d * d``, the empty statistic taking the row as it is, unit variance
-    under two samples, and ``max(v, 0.0)`` keeping a NaN ``v`` as
+    under two samples, and the floors as comparisons that keep a NaN as
     ``np.maximum`` does.  Advances ``stat``; returns (the scaled rewards, the
     return carried on).
     """
@@ -281,8 +281,9 @@ def _scale_rewards(stat: RunningStat, ret: float, gamma: float, rewards, dones) 
             mean = mean + delta * (1.0 / total)
             m2 = m2 + d * d + delta * delta * (count / total)
         count += 1.0
-        std = math.sqrt(max(m2 / count, 0.0)) if count >= 2.0 else 1.0
-        scaled.append(reward / max(std, 1e-8))
+        var = m2 / count if count >= 2.0 else 1.0
+        std = math.sqrt(0.0 if var < 0.0 else var)
+        scaled.append(reward / (1e-8 if std < 1e-8 else std))
         if done:
             ret = 0.0
     stat.count, stat.mean, stat.m2 = count, np.array(mean), np.array(m2)

@@ -78,13 +78,16 @@ class ToyEnv:
     def step(self, action: np.ndarray):
         if self._done:
             raise RuntimeError("step() on a finished episode; call reset()")
-        # np.clip's bits on floats, NaN included: max(nan, lo) and min(nan, hi)
-        # both return the NaN
+        # np.clip's bits on floats without a builtin call: for lo <= hi,
+        # `lo if x < lo else (hi if x > hi else x)` equals min(max(x, lo), hi)
+        # for every x, +-inf clamped and NaN passed through
         ax, ay = np.asarray(action, dtype=np.float64).tolist()
         x, y = self._pos.tolist()
         step = self.config.step_size
-        x = min(max(x + step * min(max(ax, -1.0), 1.0), -1.0), 1.0)
-        y = min(max(y + step * min(max(ay, -1.0), 1.0), -1.0), 1.0)
+        x += step * (-1.0 if ax < -1.0 else (1.0 if ax > 1.0 else ax))
+        y += step * (-1.0 if ay < -1.0 else (1.0 if ay > 1.0 else ay))
+        x = -1.0 if x < -1.0 else (1.0 if x > 1.0 else x)
+        y = -1.0 if y < -1.0 else (1.0 if y > 1.0 else y)
         # a fresh array each step that the env never writes into, so the
         # observation and the info share it
         pos = self._pos = np.array([x, y])

@@ -377,6 +377,10 @@ def _truncate(path):
     path.write_bytes(path.read_bytes()[:-40])
 
 
+def _drop_last_line(path):
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+
+
 def _append(path, text):
     with open(path, "a") as fh:
         fh.write(text)
@@ -403,9 +407,11 @@ class TestReportRefusals:
         ("config.json", lambda run: (run / "config.json").write_text('{"env_name": "pong"}')),
         ("archive/heatmap.csv",
          lambda run: (run / "archive" / "heatmap.csv").write_text("not,a,grid\n")),
+        ("archive/heatmap.csv", lambda run: (run / "archive" / "heatmap.csv").write_text("")),
+        ("archive/heatmap.csv", lambda run: _drop_last_line(run / "archive" / "heatmap.csv")),
     ], ids=["truncated-metrics", "metrics-line-not-an-object", "undecodable-metrics",
             "eval-record-lacks-a-metric", "config-without-env", "unknown-env",
-            "malformed-heatmap"])
+            "malformed-heatmap", "empty-heatmap", "heatmap-not-the-manifest-shape"])
     def test_damaged_run(self, tmp_path, capsys, experiment, name, damage):
         shutil.copytree(experiment, tmp_path / "exp")
         run = tmp_path / "exp" / "seed_1"

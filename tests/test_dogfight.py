@@ -1,6 +1,7 @@
 """Dogfight kinematics, lock geometry, expert rules, termination, replays."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from phasic.dogfight import (GRAVITY, AircraftState, DogfightConfig, DogfightEnv
                              DogfightState, EpisodeStatus, Geometry,
                              behavior_descriptor, dense_reward, expert_policy,
                              integrate, lock_check, observe, out_of_bounds,
-                             relative_geometry, step, wrap_angle)
+                             pair_geometry, relative_geometry, step, wrap_angle)
 
 import oracles
 from factories import StreamDigest
@@ -533,6 +534,36 @@ class TestMatchesReferenceKinematics:
         pairs.append((near, craft(near.pos + [0.0, 1.0, 0.0], heading=near.heading)))
         for att, tgt in pairs:
             assert relative_geometry(att, tgt) == oracles.relative_geometry(att, tgt)
+
+    def test_pair_geometry(self):
+        """Both views from one line of sight equal each side's own geometry,
+        field by field with NaN equal to NaN."""
+        rng = np.random.default_rng(27)
+        pairs = [(random_craft(rng), random_craft(rng)) for _ in range(500)]
+        same = random_craft(rng)
+        pairs.append((same, same))
+        near = random_craft(rng)
+        for offset in ([0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.6, 0.0, 0.8]):
+            pairs.append((near, craft(near.pos + offset, heading=2.9)))
+        # a shared x puts blue's bearing on atan2(+-0.0, -1.0) = +-pi, whose
+        # sign only blue's own differences give: +0.0 here, -0.0 when red's
+        # x is -0.0 and blue's +0.0; at heading 2.9, wrap_angle(pi - 2.9) and
+        # wrap_angle(-pi - 2.9) differ in the last bit
+        pairs.append((craft([0.0, 0.0, 5000.0]), craft([0.0, 1.0, 5000.0], heading=2.9)))
+        pairs.append((craft([-0.0, 0.0, 5000.0]), craft([0.0, 1.0, 5000.0], heading=2.9)))
+        for bad in (np.nan, np.inf, -np.inf):
+            for axis in range(3):
+                pos = near.pos.copy()
+                pos[axis] = bad
+                pairs += [(near, craft(pos)), (craft(pos), near)]
+            pairs.append((craft([bad] * 3), craft([bad] * 3)))
+        with np.errstate(invalid="ignore"):  # inf - inf and inf / inf
+            for red, blue in pairs:
+                got = pair_geometry(red, blue)
+                want = (oracles.relative_geometry(red, blue),
+                        oracles.relative_geometry(blue, red))
+                for g, w in zip(got, want):
+                    assert np.array_equal(astuple(g), astuple(w), equal_nan=True)
 
 
 class TestStepEquivalence:

@@ -31,6 +31,7 @@ def _write_synthetic_run(run_dir, iterations, series, env_name="toy"):
     grid = np.full((10, 10), np.nan)
     grid[2, 3] = float(series["max_fitness"][-1])
     np.savetxt(arch / "heatmap.csv", grid, delimiter=",", fmt="%.17g")
+    (arch / "manifest.json").write_text(json.dumps({"cells_per_dim": 10}))
 
 
 def _series(rng):
