@@ -33,19 +33,22 @@ class NotPositiveDefinite(Exception):
 def cholesky(a) -> np.ndarray:
     """Lower-triangular Cholesky factor of a symmetric positive-definite matrix.
 
-    Raises NotPositiveDefinite as soon as a pivot drops to PIVOT_TOL or below,
-    signalling that the caller must re-apply the surrogate blend.
+    Raises ValueError on a non-finite or asymmetric matrix, and
+    NotPositiveDefinite as soon as a pivot drops to PIVOT_TOL or below (or is
+    NaN), signalling that the caller must re-apply the surrogate blend.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("expected a finite matrix")
     if np.max(np.abs(a - a.T)) > 1e-8:
         raise ValueError("expected a symmetric matrix")
     n = a.shape[0]
     low = np.zeros((n, n))
     for j in range(n):
         pivot = a[j, j] - float(low[j, :j] @ low[j, :j])
-        if pivot <= PIVOT_TOL:
+        if not pivot > PIVOT_TOL:  # a NaN pivot fails too
             raise NotPositiveDefinite(f"pivot {pivot:.3e} at column {j}")
         low[j, j] = math.sqrt(pivot)
         if j + 1 < n:
@@ -135,7 +138,7 @@ def diversity_ascent(policies, batch: StateBatch, steps: int, metric: str = "w2"
         grads = kernel_backward(fwd, upstream)
         del fwd  # its layer caches go before the next forward builds its own
         for i, g in enumerate(grads):
-            norm = float(np.linalg.norm(g))
+            norm = math.sqrt(float(g.dot(g)))  # np.linalg.norm's bits for a 1-D vector
             if grad_clip > 0 and norm > grad_clip:
                 g = g * (grad_clip / norm)
             policies[i] = policies[i].with_params(policies[i].params + lr * g)

@@ -12,6 +12,12 @@ respect to policy parameters come from a hand-written reverse pass that
 mirrors the forward computation exactly.  The forward keeps each network's
 layer inputs for the reverse pass to reuse, so a forward and its reverse
 pass run each network once.
+
+Sums over a short action or category axis (fewer than 8 terms) run as a
+running total of the axis' slices plus 0.0, which gives ``np.sum``'s bits
+without numpy's per-row reduce; the reverse passes add each partner j's
+contribution into a running total one j at a time, so no (M, M, N, ·)
+product is built.
 """
 
 from __future__ import annotations
@@ -25,6 +31,9 @@ LN2 = math.log(2.0)
 
 # population std below this is treated as zero and normalization is skipped
 NORM_STD_FLOOR = 1e-12
+
+# numpy's np.sum adds an axis of this many terms or more pairwise
+PAIRWISE_MIN = 8
 
 # the action-space kind each population metric compares
 METRIC_KINDS = {"w2": "continuous", "jsd": "discrete"}
@@ -85,12 +94,48 @@ def _offdiag_std(sq: np.ndarray) -> float:
 def _ordered_sum(x: np.ndarray, axis: int) -> np.ndarray:
     """Sum along ``axis`` one element after another: a running total.
 
-    ``np.sum`` adds pairwise along a contiguous axis, which rounds differently.
+    From ``PAIRWISE_MIN`` terms on, ``np.sum`` adds pairwise along a
+    contiguous axis, which rounds differently.  An axis shorter than that is
+    added slice after slice (a copy of the first, then ``+=`` of each later
+    one); a longer one is the last slice of one ``np.add.accumulate``, the
+    same additions in the same order without a call per term.
     """
+    if x.shape[axis] >= PAIRWISE_MIN:
+        return np.add.accumulate(x, axis=axis).take(-1, axis=axis)
     terms = np.moveaxis(x, axis, 0)
     total = terms[0].copy()
     for term in terms[1:]:
         total += term
+    return total
+
+
+def last_axis_sum(x: np.ndarray) -> np.ndarray:
+    """``np.sum(x, axis=-1)``, bit for bit, for action- and category-axis sums.
+
+    Below ``PAIRWISE_MIN`` terms numpy adds one after another, starting from
+    -0.0, and adds that total to its +0.0 identity.  A running total plus 0.0
+    gives those bits (the 0.0 turns an all -0.0 total into +0.0) at a
+    fraction of the cost of numpy's reduce over a short axis.  From
+    ``PAIRWISE_MIN`` terms on this is ``np.sum`` itself.
+    """
+    if x.shape[-1] >= PAIRWISE_MIN:
+        return np.sum(x, axis=-1)
+    total = _ordered_sum(x, -1)
+    total += 0.0
+    return total
+
+
+def _sum_of_squares(x: np.ndarray) -> np.ndarray:
+    """``last_axis_sum(x ** 2)``, bit for bit, without a squared copy of ``x``.
+
+    A short axis is squared one slice at a time inside the running total.
+    """
+    if x.shape[-1] >= PAIRWISE_MIN:
+        return last_axis_sum(x ** 2)
+    total = x[..., 0] ** 2
+    for k in range(1, x.shape[-1]):
+        total += x[..., k] ** 2
+    total += 0.0
     return total
 
 
@@ -100,13 +145,16 @@ def kernel_forward(policies, batch: StateBatch, metric: str = "w2",
 
     W2 path: per-pair mean squared distance over states, variance-normalized
     across the population (std treated as constant; ``norm_scale`` pins it
-    explicitly, e.g. to freeze the objective during ascent), then mapped by
-    exp(-d^2/2).  JSD path: state-averaged 1 - JSD/ln2 per pair.
+    explicitly, e.g. to freeze the objective during ascent, and must be
+    positive and finite), then mapped by exp(-d^2/2).  JSD path:
+    state-averaged 1 - JSD/ln2 per pair.
     """
     m = len(policies)
     if m < 2:
         raise ValueError("population kernel needs at least 2 policies")
     _check_metric(policies, metric)
+    if norm_scale is not None and not 0.0 < norm_scale < math.inf:
+        raise ValueError(f"norm_scale must be positive and finite, got {norm_scale!r}")
     states = batch.states
     n = states.shape[0]
     if metric == "jsd":
@@ -116,7 +164,7 @@ def kernel_forward(policies, batch: StateBatch, metric: str = "w2",
         # kl[i, j, s] = KL(p_i(s) || mid_ij(s)), with 0 * log 0 = 0
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = probs[:, None] * (np.log(probs)[:, None] - np.log(mids))
-        kl = np.sum(np.where(probs[:, None] > 0, terms, 0.0), axis=-1)
+        kl = last_axis_sum(np.where(probs[:, None] > 0, terms, 0.0))
         # clip round-off: JSD lies in [0, ln 2] and the similarity in [0, 1]
         div = np.minimum(np.maximum(0.5 * kl + 0.5 * kl.transpose(1, 0, 2), 0.0), LN2)
         sim = np.minimum(np.maximum(1.0 - div / LN2, 0.0), 1.0)
@@ -128,9 +176,9 @@ def kernel_forward(policies, batch: StateBatch, metric: str = "w2",
     mus = np.stack([o[0] for o in outs])            # (M, N, A)
     stds = np.exp(np.stack([o[1] for o in outs]))   # (M, A)
     diffs = mus[:, None] - mus[None, :]
-    sq = np.mean(np.sum(diffs ** 2, axis=-1), axis=-1)
+    sq = np.mean(_sum_of_squares(diffs), axis=-1)
     if not deterministic:
-        sq = sq + np.sum((stds[:, None] - stds[None, :]) ** 2, axis=-1)
+        sq = sq + last_axis_sum((stds[:, None] - stds[None, :]) ** 2)
     if norm_scale is None:
         scale = _offdiag_std(sq)
         if scale < NORM_STD_FLOOR:
@@ -154,15 +202,24 @@ def kernel_backward(fwd: KernelForward, upstream: np.ndarray) -> list:
     if fwd.metric == "jsd":
         # d entry_ij / d p_i(s) = -(1 / (n ln 2)) * 0.5 * ln(p_i(s) / mid_ij(s))
         coeff = -sym / (n * LN2) * 0.5
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.log(np.maximum(fwd.probs, 1e-300)[:, None] / fwd.mids)
-        # mid_ii = p_i, so the diagonal is log(1e-300 / 0) wherever p_i(s) = 0; skip it
-        off = ~np.eye(fwd.m, dtype=bool)[:, :, None, None]
-        dp = _ordered_sum(np.where(off, coeff[:, :, None, None] * logs, 0.0), axis=1)
+        floored = np.maximum(fwd.probs, 1e-300)
+        for j in range(fwd.m):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                term = np.log(floored / fwd.mids[:, j])
+            np.multiply(coeff[:, j, None, None], term, out=term)
+            # mid_jj = p_j, so row j is log(1e-300 / 0) wherever p_j(s) = 0; skip it
+            term[j] = 0.0
+            if j == 0:
+                dp = term
+            else:
+                dp += term
         return [pi.backward_probs(c, d) for pi, c, d in zip(fwd.policies, fwd.caches, dp)]
     # dK/d sq = -K / (2 * scale) for each symmetric entry
     w = -sym * fwd.entries / (2.0 * fwd.scale)
-    dmu = _ordered_sum((w * (2.0 / n))[:, :, None, None] * fwd.diffs, axis=1)
+    coeff = w * (2.0 / n)
+    dmu = coeff[:, 0, None, None] * fwd.diffs[:, 0]
+    for j in range(1, fwd.m):
+        dmu += coeff[:, j, None, None] * fwd.diffs[:, j]
     if fwd.deterministic:
         dls = np.zeros_like(fwd.stds)
     else:

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import last_axis_sum
+
 BLOB_VERSION = 1
 # bounds on a Gaussian policy's log-std, so its exponentials stay finite
 LOG_STD_MIN = -20.0
@@ -94,14 +96,18 @@ class _Mlp:
         return h, inputs
 
     def backward(self, layers, inputs, dout: np.ndarray) -> np.ndarray:
-        """Flat parameter gradient; writes neither ``dout`` nor ``inputs``."""
-        grad = np.zeros(self.n_params)
+        """Flat parameter gradient; writes neither ``dout`` nor ``inputs``.
+
+        Each weight and bias gradient is written straight into its view of
+        the flat vector, which the views tile, so it starts uninitialized.
+        """
+        grad = np.empty(self.n_params)
         gviews = self.unpack(grad)
         dz = dout
         for layer in range(len(layers) - 1, -1, -1):
             a = inputs[layer]
-            gviews[2 * layer][...] = dz.T @ a
-            gviews[2 * layer + 1][...] = dz.sum(axis=0)
+            np.matmul(dz.T, a, out=gviews[2 * layer])
+            np.add.reduce(dz, axis=0, out=gviews[2 * layer + 1])
             if layer > 0:  # a = tanh(z) of the layer below, so tanh'(z) = 1 - a^2
                 d = np.multiply(a, a)
                 np.subtract(1.0, d, out=d)
@@ -180,7 +186,8 @@ class Policy(_Net):
         super()._set_params(params, self.action_space.dim if continuous else 0)
         if continuous:
             self._log_std = self.params[self._mlp.n_params:]
-            self._clamped_log_std = np.clip(self._log_std, LOG_STD_MIN, LOG_STD_MAX)
+            self._clamped_log_std = np.minimum(np.maximum(self._log_std, LOG_STD_MIN),
+                                               LOG_STD_MAX)
             self._clamped_log_std.setflags(write=False)
         else:
             self._log_std = self._clamped_log_std = None
@@ -260,7 +267,7 @@ class Policy(_Net):
             raise ValueError("backward_probs on a continuous policy")
         inputs, p = cache
         d_probs = np.asarray(d_probs, dtype=np.float64)
-        inner = np.sum(d_probs * p, axis=1, keepdims=True)
+        inner = last_axis_sum(d_probs * p)[:, None]
         return self.backward_logits(inputs, p * (d_probs - inner))
 
 
@@ -380,7 +387,7 @@ def whiten(states: np.ndarray, mean, std) -> np.ndarray:
 def _softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / last_axis_sum(e)[:, None]
 
 
 # -- serialization --------------------------------------------------------

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kernels import last_axis_sum
 from .nets import NormalizedPolicy, Policy, ValueFunction, stacked_forward, whiten
 from .optim import Adam
 
@@ -237,7 +238,7 @@ def collect_rollout(learners, steps: int, gamma: float) -> list:
     obs_n[:, steps] = whiten(obs, obs_stats.mean, np.maximum(obs_stats.std(), 1e-8))
 
     z = (acts - means) / std[:, None]
-    logps = np.sum(-0.5 * z * z - log_std[:, None] - 0.5 * _LOG_2PI, axis=2)
+    logps = last_axis_sum(-0.5 * z * z - log_std[:, None] - 0.5 * _LOG_2PI)
     value_of = stacked_forward([l.value_fn for l in learners])
     vals = np.empty((m, steps + 1))
     for lo in range(0, steps + 1, _VALUE_CHUNK):
@@ -353,7 +354,7 @@ def ppo_update(policy, value_fn, buffer: RolloutBuffer, config: PPOConfig,
             mu, ls, cache = policy.gaussian_batch(x, with_cache=True)
             std = np.exp(ls)
             z = (buffer.actions[idx] - mu) / std
-            logp = np.sum(-0.5 * z * z - ls - 0.5 * _LOG_2PI, axis=1)
+            logp = last_axis_sum(-0.5 * z * z - ls - 0.5 * _LOG_2PI)
 
             ratio = np.exp(logp - old_logp)
             unclipped = ratio * adv_mb

@@ -68,6 +68,30 @@ class TestCholesky:
         with pytest.raises(ValueError):
             cholesky(np.array([[1.0, 0.2], [0.4, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN passes the symmetry and pivot comparisons, so it is refused up front
+        with pytest.raises(ValueError, match="finite"):
+            cholesky(np.array([[1.0, bad], [bad, 1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            cholesky(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+    def test_nan_pivot_fails(self):
+        """A finite matrix whose last row overflows to (inf, -inf) and then
+        inf - inf = NaN: the NaN pivot fails the pivot test instead of
+        giving a NaN factor."""
+        a = np.array([[1e-11, 1e-6, 1e-6, 1e308],
+                      [1e-6, 1.0, 0.5, 0.0],
+                      [1e-6, 0.5, 1.0, 0.0],
+                      [1e308, 0.0, 0.0, 1.0]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotPositiveDefinite):
+            cholesky(a)
+
+    def test_non_finite_kernel_does_not_factor(self):
+        k = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            _factor_with_backoff(k, 0.99)
+
     def test_reconstruction_random(self):
         rng = np.random.default_rng(1)
         for _ in range(100):

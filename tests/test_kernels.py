@@ -8,7 +8,8 @@ from oracles import (LN2, DiagGaussian, DiscreteDist, central_diff_grad, f_js,
                      grad_close, jsd, kernel_invariant_violations,
                      mc_w2_diag_gaussian, w2_squared_diag, w2_squared_full)
 
-from phasic.kernels import StateBatch, _ordered_sum, kernel_backward, kernel_forward
+from phasic.kernels import (StateBatch, _ordered_sum, _sum_of_squares, kernel_backward,
+                            kernel_forward, last_axis_sum)
 from phasic.nets import NormalizedPolicy
 
 
@@ -290,6 +291,16 @@ class TestKernelMatrix:
         k2 = kernel_forward(pols, batch, norm_scale=k1.scale)
         assert np.array_equal(k1.entries, k2.entries)
 
+    @pytest.mark.parametrize("scale", [0.0, -0.0, -1e-6, -1.0, np.nan, np.inf])
+    def test_norm_scale_must_be_positive_and_finite(self, scale):
+        """0 divides by zero, a negative scale gives entries above 1 (-1e-6
+        gave 145.5), NaN a NaN kernel and inf an all-ones one."""
+        rng = np.random.default_rng(8)
+        pols = [random_gaussian_policy(rng) for _ in range(3)]
+        batch = StateBatch(rng.standard_normal((5, 2)))
+        with pytest.raises(ValueError, match="norm_scale"):
+            kernel_forward(pols, batch, norm_scale=scale)
+
 
 class TestLoopReference:
     """The all-pairs passes give the bits of the pair-by-pair, state-by-state
@@ -381,3 +392,33 @@ class TestOrderedSum:
             self._assert_same_bits(np.moveaxis(x, -1, 1).copy(), axis=1)
         assert np.signbit(got[0, 1]) and got[0, 2] == np.inf and got[2, 0] == -np.inf
         assert np.isnan(got[1, 0]) and np.isnan(got[1, 2])
+
+
+class TestLastAxisSum:
+    """``last_axis_sum`` and ``_sum_of_squares`` give the bytes of ``np.sum``
+    over the last axis, below numpy's 8-term pairwise cutoff and above it."""
+
+    SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300, -1e-300,
+                        5e-324, -5e-324, 2.2e-308, 1.0, -3.5])
+
+    def _inputs(self, length):
+        rng = np.random.default_rng(length)
+        x = rng.choice(self.SPECIAL, size=(6, 50, length))
+        x[0, :5] = -0.0  # all -0.0 rows: the running total is -0.0, np.sum's +0.0
+        x[1, 0, 0], x[1, 0, -1] = np.inf, -np.inf  # inf - inf where there are two terms
+        x[2] = rng.standard_normal((50, length)) * 10.0 ** rng.uniform(-300, 300, (50, length))
+        return x
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 6, 7, 8, 9, 17])
+    def test_bytes_of_np_sum(self, length):
+        x = self._inputs(length)
+        x.setflags(write=False)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, ref = last_axis_sum(x), np.sum(x, axis=-1)
+            squares, squares_ref = _sum_of_squares(x), np.sum(x ** 2, axis=-1)
+        for a, b in ((got, ref), (squares, squares_ref)):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+        if length < 8:
+            assert not np.signbit(got[0, :5]).any()  # the + 0.0 made the -0.0 totals +0.0
+            assert np.isnan(got[1, 0]) or length == 1
