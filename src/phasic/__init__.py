@@ -17,7 +17,7 @@ The package splits into five layers:
 from .archive import (ArchiveEntry, FitnessQueue, GridArchive, bd_to_cell, qd_metrics,
                       save_archive)
 from .detops import (NotPositiveDefinite, cholesky, det_via_cholesky,
-                     diversity_ascent, spd_inverse, surrogate_det_bound)
+                     diversity_ascent, spd_inverse)
 from .dogfight import DogfightConfig, DogfightEnv
 from .kernels import StateBatch, kernel_backward, kernel_forward
 from .nets import (ActionSpace, NormalizedPolicy, Policy, ValueFunction,
@@ -44,5 +44,5 @@ __all__ = [
     "gae", "generate_report", "kernel_backward", "kernel_forward",
     "load_policy", "ppo_update", "qd_metrics",
     "run_training", "save_archive", "save_policy", "spd_inverse",
-    "surrogate_det_bound", "thompson_select", "ucb_select", "validate_config",
+    "thompson_select", "ucb_select", "validate_config",
 ]

@@ -61,19 +61,6 @@ def det_via_cholesky(low: np.ndarray) -> float:
     return float(np.prod(np.diag(low)) ** 2)
 
 
-def surrogate_det_bound(m: int, beta: float) -> float:
-    """Lower bound (1-beta+m*beta)*(1-beta)^(m-1) on det of the surrogate blend.
-
-    Holds for every PSD unit-diagonal kernel; attained when all policies are
-    identical (all-ones kernel).
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0,1), got {beta}")
-    return (1.0 - beta + m * beta) * (1.0 - beta) ** (m - 1)
-
-
 def spd_inverse(low: np.ndarray) -> np.ndarray:
     """Inverse of A = L L^T via two triangular solves (forward, then back)."""
     n = low.shape[0]

@@ -131,6 +131,8 @@ def validate_config(config: TrainerConfig) -> None:
         raise ValueError("scale and total_steps must be positive")
     if not config.exploit_period > 0:  # NaN fails too
         raise ValueError("exploit_period must be positive (inf disables)")
+    if not config.exploit_period * config.scale > 0:  # each factor can pass and still underflow
+        raise ValueError("exploit_period * scale must be positive, not 0.0")
     if config.rollout_steps < 1 or config.eval_every < 1 or config.eval_episodes < 1:
         raise ValueError("rollout_steps, eval_every, eval_episodes must be >= 1")
     if config.probe_states < 1:

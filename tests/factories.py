@@ -1,9 +1,5 @@
-"""Small policy/network factories, the production ascent chain and a
-bit-exact stream digest, shared across test modules."""
-
-import hashlib
-import math
-import struct
+"""Small policy/network factories and the production ascent chain, shared
+across test modules."""
 
 import numpy as np
 
@@ -70,38 +66,3 @@ def log_det_chain(policies, batch, metric="w2", beta=0.99, norm_scale=None):
     factor, beta_used = _factor_with_backoff(fwd.entries, beta)
     grads = kernel_backward(fwd, beta_used * spd_inverse(factor))
     return fwd, det_via_cholesky(factor), beta_used, grads
-
-
-class StreamDigest:
-    """sha256 over a stream of env outputs, bit for bit.
-
-    Arrays hash their dtype, shape and bytes, floats their IEEE-754 bits and
-    ints, bools, strings and None their value.  Every NaN hashes as one
-    canonical NaN: the bits a NaN carries beyond being NaN (sign and payload)
-    are left to the platform's arithmetic, so only where NaNs sit is pinned.
-    """
-
-    def __init__(self):
-        self._hash = hashlib.sha256()
-
-    def add(self, *values) -> None:
-        for value in values:
-            self._hash.update(self._encode(value))
-
-    @staticmethod
-    def _encode(value) -> bytes:
-        if isinstance(value, np.ndarray):
-            if value.dtype.kind == "f":
-                value = np.where(np.isnan(value), np.nan, value)
-            return b"a" + value.dtype.str.encode() + repr(value.shape).encode() + value.tobytes()
-        if isinstance(value, (bool, np.bool_)):
-            return b"T" if value else b"F"
-        if isinstance(value, (int, np.integer)):
-            return b"i%d;" % int(value)
-        if isinstance(value, (float, np.floating)):
-            value = float(value)
-            return b"f" + struct.pack("<d", math.nan if math.isnan(value) else value)
-        return b"r" + repr(value).encode() + b";"
-
-    def hexdigest(self) -> str:
-        return self._hash.hexdigest()

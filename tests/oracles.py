@@ -5,6 +5,7 @@ is a recursive cofactor expansion, gradients come from central finite
 differences, and the optimal-transport oracle estimates W2^2 by Monte-Carlo
 over an explicit coupling.  ``DiagGaussian`` and ``DiscreteDist`` are reference
 distributions, and the closed-form distances are written per pair of them.
+``surrogate_det_bound`` is the closed-form floor of the blended determinant.
 The reference kernel passes, network passes, running statistics, per-learner
 reward phase, dogfight kinematics and toy step below are the plain forms of the
 production hot path, which must match them bit for bit; ``finite_runs`` is the
@@ -91,6 +92,20 @@ def random_psd_unit_diag(m: int, rng: np.random.Generator, rank: int | None = No
     k = np.clip(0.5 * (k + k.T), 0.0, 1.0)
     np.fill_diagonal(k, 1.0)
     return k
+
+
+def surrogate_det_bound(m: int, beta: float) -> float:
+    """Lower bound (1-beta+m*beta)*(1-beta)^(m-1) on det of the surrogate blend
+    beta*K + (1-beta)*I.
+
+    Holds for every PSD unit-diagonal kernel; attained when all policies are
+    identical (all-ones kernel).
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if not 0.0 < beta < 1.0:
+        raise ValueError(f"beta must lie in (0,1), got {beta}")
+    return (1.0 - beta + m * beta) * (1.0 - beta) ** (m - 1)
 
 
 def kernel_invariant_violations(k: np.ndarray) -> list:

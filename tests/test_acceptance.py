@@ -22,10 +22,11 @@ from factories import (clustered_gaussian_policies, log_det_chain,
                        random_discrete_policy)
 from oracles import (LN2, DiagGaussian, DiscreteDist, central_diff_grad,
                      cofactor_det, f_js, grad_close, jsd, mc_w2_diag_gaussian,
-                     random_psd_unit_diag, w2_squared_diag, w2_squared_full)
+                     random_psd_unit_diag, surrogate_det_bound, w2_squared_diag,
+                     w2_squared_full)
 
 from phasic.detops import (_factor_with_backoff, cholesky, det_via_cholesky,
-                           diversity_ascent, spd_inverse, surrogate_det_bound)
+                           diversity_ascent, spd_inverse)
 from phasic.dogfight import DogfightEnv
 from phasic.kernels import StateBatch, kernel_forward
 from phasic.nets import Policy

@@ -1,20 +1,16 @@
-"""The benchmark's tracing hooks and workloads still fit the engine they time.
+"""The benchmark's tracing hooks still fit the engine they time.
 
 ``perfbench/tracing.py`` swaps module attributes and class methods of the
 program for timing wrappers.  These tests load that file as it is and check
 that every swap finds its target, that the training engine routes its work
 through the swapped names, and that leaving the context restores them all.
-They also load ``perfbench/workloads.py`` as it is and run one round of each
-workload at seed 0, whose behaviour digest must match the reference table.
+Each workload's seed-0 round is a pin of ``pins.json`` (see ``pins.py``).
 """
-
-import importlib.util
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pins
 from factories import random_discrete_policy
 import phasic.detops
 import phasic.trainers
@@ -23,45 +19,12 @@ from phasic.kernels import StateBatch
 from phasic.nets import NormalizedPolicy, Policy, ValueFunction
 from phasic.trainers import TrainerConfig, make_env, run_training
 
-_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-_TRACING = _PERFBENCH / "tracing.py"
 OWNERS = (phasic.trainers, phasic.detops, GridArchive, FitnessQueue, Policy, ValueFunction)
-
-
-# the seed-0 behaviour digest of one round of each workload, as in the
-# reference table of perfbench/README.md
-BENCHMARK_DIGESTS = {
-    "toy-pdo": "b8df74ba0928a310cc4cb7c6bcea3273499d1bc36c536ff8668732bdaa6ac6e8",
-    "dogfight-pdo": "eeb66693114c5924d3cd2379a9d32c076b02343593f0dd8bbafd5ca3bcec1fc8",
-    "ascent": "3246ba69cf94360f63b361910d4e4e8dea06621503e55bea34020e9a4ba15aad",
-}
-
-
-def _load(name, path):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # dataclasses look their module up by name
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    return _load("perfbench_tracing", _TRACING)
-
-
-@pytest.fixture(scope="module")
-def workloads(tracing):
-    # workloads.py imports its sibling module by the name ``tracing``
-    saved = sys.modules.get("tracing")
-    sys.modules["tracing"] = tracing
-    try:
-        return _load("perfbench_workloads", _PERFBENCH / "workloads.py")
-    finally:
-        if saved is None:
-            del sys.modules["tracing"]
-        else:
-            sys.modules["tracing"] = saved
+    return pins.perfbench("tracing")
 
 
 def _swapped(before):
@@ -128,13 +91,3 @@ def test_traced_ascent_spans_each_network_call_once(tracing, view):
     assert table.durations("kernels.jsd_backward").size == steps
     assert table.durations("nets.backward").size == 3 * steps
     assert table.children_of("kernels.jsd_backward", "nets.backward") == 3 * steps
-
-
-@pytest.mark.parametrize("name", list(BENCHMARK_DIGESTS))
-def test_workload_round_keeps_its_seed_zero_digest(workloads, name):
-    assert BENCHMARK_DIGESTS[name] in (_PERFBENCH / "README.md").read_text()
-    workload = workloads.WORKLOADS[name]
-    result = workload.run_round(workload.setup(0), tracer=None)
-    assert result.errors == []
-    assert result.failed == 0
-    assert result.digest == BENCHMARK_DIGESTS[name]

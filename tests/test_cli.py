@@ -210,7 +210,9 @@ class TestValidateCommand:
         ({}, ["--seeds", "-1"], "config", "seed"),
         ({"out": 5}, [], "usage", "out"),
         ({"out": None}, [], "usage", "out"),
-        ({"env": "dogfight", "env_name": "toy"}, [], "usage", "env")])
+        ({"env": "dogfight", "env_name": "toy"}, [], "usage", "env"),
+        ({"exploit_period": 1e-200, "scale": 1e-200, "iterations": 2}, [], "config",
+         "exploit_period")])
     def test_config_the_run_cannot_use_is_one_error(self, tmp_path, capsys, bad, flags, kind,
                                                     key):
         """Validate refuses what the run would fail on, with one JSON error

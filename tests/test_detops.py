@@ -5,11 +5,10 @@ from factories import (clustered_gaussian_policies, linear_gaussian_policy,
                        log_det_chain, random_discrete_policy,
                        random_gaussian_policy)
 from oracles import (central_diff_grad, cofactor_det, grad_close,
-                     random_psd_unit_diag)
+                     random_psd_unit_diag, surrogate_det_bound)
 
 from phasic.detops import (NotPositiveDefinite, _factor_with_backoff, cholesky,
-                           det_via_cholesky, diversity_ascent, spd_inverse,
-                           surrogate_det_bound)
+                           det_via_cholesky, diversity_ascent, spd_inverse)
 from phasic.kernels import StateBatch, kernel_backward, kernel_forward
 from phasic.nets import NormalizedPolicy, _Mlp
 
