@@ -275,9 +275,9 @@ def provenance() -> dict:
             "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
 
 
-def load(path: Path = PINS) -> dict:
+def load() -> dict:
     """``{"recorded_with": provenance, "pins": {name: sha256}}``."""
-    return json.loads(path.read_text())
+    return json.loads(PINS.read_text())
 
 
 def mismatch(name: str, recorded, digest: str, recorded_with: dict) -> str:
