@@ -74,6 +74,11 @@ class DogfightConfig:
     expert_noise: float = 0.1
     expert_deadband: float = math.radians(2.0)
 
+    def __post_init__(self):
+        for name in ("max_steps", "lock_limit"):  # the observation divides by both
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+
 
 # The per-step records below are frozen dataclasses whose __init__ fills the
 # instance dict in one update: the generated frozen __init__ pays one
@@ -322,11 +327,13 @@ def dense_reward(prev: Geometry, cur: Geometry, locked: bool,
 
 
 def behavior_descriptor(episode_actions: np.ndarray) -> np.ndarray:
-    """Mean elevator and roll commands mapped from [-1,1] into [0,1]."""
+    """Mean elevator and roll commands, clamped to [-1,1] as ``integrate`` flies
+    them, mapped into [0,1]: a saturated policy's descriptor stays on the grid."""
     actions = np.asarray(episode_actions, dtype=np.float64)
     if actions.ndim != 2 or actions.shape[0] == 0 or actions.shape[1] != 4:
         raise ValueError("expected a non-empty (T, 4) action log")
-    return (actions[:, [1, 2]].mean(axis=0) + 1.0) / 2.0
+    flown = np.minimum(np.maximum(actions[:, [1, 2]], -1.0), 1.0)
+    return (flown.mean(axis=0) + 1.0) / 2.0
 
 
 def observe(own: AircraftState, other: AircraftState, geom: Geometry,
@@ -394,6 +401,10 @@ class DogfightEnv:
         return observe(red, blue, self._prev_geom, self._state.status, 0, 0, cfg)
 
     def step(self, action: np.ndarray):
+        """Returns (obs, sparse + dense reward, done, info).  ``info`` holds only
+        what the step alone knows: ``sparse_reward``, ``dense_reward``, ``red_locks``
+        and ``blue_locks``.  Read the engagement it leaves (positions, nose
+        vectors, step count, terminal reason) from ``state``."""
         if self._state is None or self._state.status.terminal is not None:
             raise RuntimeError("step() on a finished episode; call reset()")
         cfg = self.config
@@ -407,21 +418,9 @@ class DogfightEnv:
         status = next_state.status
         obs = observe(next_state.red, next_state.blue, geom, status,
                       status.lock_steps_agent, status.lock_steps_opponent, cfg)
-        info = {
-            "sparse_reward": sparse,
-            "dense_reward": shaping,
-            "red_locks": flags["red_locks"],
-            "blue_locks": flags["blue_locks"],
-            "terminal": status.terminal,
-            "step": status.step,
-            "distance": geom.distance,
-            "red_pos": next_state.red.pos.copy(),
-            "red_forward": next_state.red.forward.copy(),
-            "blue_pos": next_state.blue.pos.copy(),
-            "blue_forward": next_state.blue.forward.copy(),
-        }
-        done = status.terminal is not None
-        return obs, sparse + shaping, done, info
+        info = {"sparse_reward": sparse, "dense_reward": shaping,
+                "red_locks": flags["red_locks"], "blue_locks": flags["blue_locks"]}
+        return obs, sparse + shaping, status.terminal is not None, info
 
     def episode_bd(self, actions: np.ndarray, last_info: dict) -> np.ndarray:
         return behavior_descriptor(actions)

@@ -23,8 +23,10 @@ BLOB_VERSION = 1
 # bounds on a Gaussian policy's log-std, so its exponentials stay finite
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
-# the clamp on whitened observations, for live learners and frozen views alike
+# the clamp on whitened observations, and the floor on the std they are
+# divided by, for live learners and frozen views alike
 OBS_CLIP = 10.0
+OBS_STD_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -304,9 +306,9 @@ class NormalizedPolicy:
     What a learner is evaluated as and what the archive stores: each
     snapshot's own normalization constants travel with its parameters.  The
     view keeps read-only copies of ``obs_mean`` and of ``obs_std`` floored at
-    1e-8, so the caller may go on updating the arrays it passed in.  A
-    forward's cache starts with the whitened, clamped batch, so the reverse
-    passes hand that cache to the policy's as it is.
+    ``OBS_STD_FLOOR``, so the caller may go on updating the arrays it passed
+    in.  A forward's cache starts with the whitened, clamped batch, so the
+    reverse passes hand that cache to the policy's as it is.
     """
 
     policy: Policy
@@ -315,7 +317,7 @@ class NormalizedPolicy:
 
     def __post_init__(self):
         mean = np.array(self.obs_mean, dtype=np.float64)
-        std = np.maximum(np.asarray(self.obs_std, dtype=np.float64), 1e-8)
+        std = np.maximum(np.asarray(self.obs_std, dtype=np.float64), OBS_STD_FLOOR)
         for name, value in (("obs_mean", mean), ("obs_std", std)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .trainers import make_env
+from .trainers import ENVS
 
 CURVE_METRICS = ("max_fitness", "min_fitness", "coverage", "qd_score")
 
@@ -302,7 +302,7 @@ def _run_offset(run_dir: Path) -> float:
     """Fitness floor for the run's environment (anchors the heatmap scale)."""
     try:
         cfg = json.loads((run_dir / "config.json").read_text())
-        return float(make_env(cfg["env_name"]).qd_offset)
+        return float(ENVS[cfg["env_name"]].qd_offset)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ReportError(f"run {run_dir}: config.json is unreadable or names no known "
                           f"env_name: {exc!r}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import last_axis_sum
-from .nets import NormalizedPolicy, Policy, ValueFunction, stacked_forward, whiten
+from .nets import OBS_STD_FLOOR, NormalizedPolicy, Policy, ValueFunction, stacked_forward, whiten
 from .optim import Adam
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -219,7 +219,7 @@ def collect_rollout(learners, steps: int, gamma: float) -> list:
     for t in range(steps):
         raw[:, t] = obs
         obs_stats.add(obs)
-        x = obs_n[:, t] = whiten(obs, obs_stats.mean, np.maximum(obs_stats.std(), 1e-8))
+        x = obs_n[:, t] = whiten(obs, obs_stats.mean, np.maximum(obs_stats.std(), OBS_STD_FLOOR))
         mu = means[:, t] = policy_mean(x[:, None])[:, 0]  # each learner's one-row batch
         for i, rng in enumerate(rngs):
             rng.standard_normal(out=noise[i])
@@ -235,7 +235,7 @@ def collect_rollout(learners, steps: int, gamma: float) -> list:
                 next_obs[i] = env.reset(rngs[i])
         obs = next_obs
     obs_stats.write([l.obs_stat for l in learners])
-    obs_n[:, steps] = whiten(obs, obs_stats.mean, np.maximum(obs_stats.std(), 1e-8))
+    obs_n[:, steps] = whiten(obs, obs_stats.mean, np.maximum(obs_stats.std(), OBS_STD_FLOOR))
 
     z = (acts - means) / std[:, None]
     logps = last_axis_sum(-0.5 * z * z - log_std[:, None] - 0.5 * _LOG_2PI)

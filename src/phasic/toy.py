@@ -27,6 +27,8 @@ class ToyConfig:
     def __post_init__(self):
         if len(self.goals) < 2 or len(self.goals) != len(self.goal_rewards):
             raise ValueError("need >= 2 goals with matching rewards")
+        if not self.bump_scale > 0:  # the reward divides by it; NaN fails too
+            raise ValueError(f"bump_scale must be positive, got {self.bump_scale!r}")
 
 
 class ToyEnv:

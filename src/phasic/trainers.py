@@ -47,7 +47,8 @@ from .selection import (BanditState, bandit_update, clustering_selection,
 from .toy import ToyEnv
 
 TRAINERS = ("pdo", "pbt", "dvd", "dse-ucb", "edo-cs", "ppo-single")
-ENVS = ("toy", "dogfight")
+ENVS = {"toy": ToyEnv, "dogfight": DogfightEnv}
+ARCHIVES = ("grid", "queue")
 
 # trainers that pick the diversity coefficient λ by bandit; the rest keep λ = 0
 _JOINT = ("dvd", "dse-ucb")
@@ -90,9 +91,9 @@ class TrainerConfig:
 def validate_config(config: TrainerConfig) -> None:
     if config.trainer not in TRAINERS:
         raise ValueError(f"unknown trainer {config.trainer!r}; choose from {TRAINERS}")
-    if config.env_name not in ENVS:
-        raise ValueError(f"unknown env {config.env_name!r}; choose from {ENVS}")
-    if config.archive not in ("grid", "queue"):
+    if config.env_name not in tuple(ENVS):  # a tuple: an unhashable name is unknown too
+        raise ValueError(f"unknown env {config.env_name!r}; choose from {tuple(ENVS)}")
+    if config.archive not in ARCHIVES:
         raise ValueError("archive must be 'grid' or 'queue'")
     counts = [(name, getattr(config, name)) for name in _COUNTS]
     counts += [(f"ppo.{name}", getattr(config.ppo, name)) for name in ("epochs", "minibatches")]
@@ -171,11 +172,9 @@ def _n_iterations(config: TrainerConfig) -> int:
 
 
 def make_env(name: str):
-    if name == "toy":
-        return ToyEnv()
-    if name == "dogfight":
-        return DogfightEnv()
-    raise ValueError(f"unknown env {name!r}")
+    if name not in ENVS:
+        raise ValueError(f"unknown env {name!r}")
+    return ENVS[name]()
 
 
 def _offer(archive, queue, view, fitness, bd, **meta) -> tuple:
@@ -390,10 +389,7 @@ def _reward_phase(state: RunState) -> tuple:
         records.append({
             "id": learner.id,
             "train_return_mean": float(np.mean(returns)) if returns else None,
-            "episodes": len(returns),
-            "pi_loss": stats.pi_loss, "v_loss": stats.v_loss,
-            "entropy": stats.entropy, "approx_kl": stats.approx_kl,
-            "clip_frac": stats.clip_frac, "nan_event": stats.nan_event})
+            "episodes": len(returns), **asdict(stats)})
     return records, probe_pool
 
 

@@ -50,7 +50,7 @@ if __name__ == "__main__":
 
 import numpy as np  # noqa: E402
 
-from phasic.dogfight import GRAVITY, DogfightConfig, DogfightEnv  # noqa: E402
+from phasic.dogfight import GRAVITY, DogfightConfig, DogfightEnv, relative_geometry  # noqa: E402
 from phasic.toy import ToyEnv  # noqa: E402
 from phasic.trainers import TrainerConfig, run_training  # noqa: E402
 
@@ -190,18 +190,18 @@ def dogfight_trajectory_digest(name: str) -> str:
         if t % 31 == 0:
             action[t % 4] = np.inf if t % 62 else -np.inf
         obs, reward, done, info = env.step(action)
+        red, blue, status = env.state.red, env.state.blue, env.state.status
         digest.add(obs, reward, done, info["sparse_reward"], info["dense_reward"],
-                   info["red_locks"], info["blue_locks"], info["terminal"],
-                   info["step"], info["distance"], info["red_pos"],
-                   info["red_forward"], info["blue_pos"], info["blue_forward"])
-        red = env.state.red
+                   info["red_locks"], info["blue_locks"], status.terminal,
+                   status.step, relative_geometry(red, blue).distance, red.pos,
+                   red.forward, blue.pos, blue.forward)
         limits["v_min"] += red.speed == cfg.v_min
         limits["v_max"] += red.speed == cfg.v_max
         limits["pitch"] += abs(red.pitch) == cfg.pitch_limit
         limits["bank"] += abs(GRAVITY / red.speed * math.tan(red.roll)) > cfg.turn_rate_max
         locks += info["red_locks"] + info["blue_locks"]
         if done:
-            ends.add(info["terminal"].split(":")[0])
+            ends.add(status.terminal.split(":")[0])
             digest.add(env.reset(rng))
     assert all(count > 0 for count in limits.values()), limits
     if name == "close":

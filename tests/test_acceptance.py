@@ -306,7 +306,7 @@ def _play_episode(seed: int):
     env = DogfightEnv()
     env.reset(np.random.default_rng(10_000 + seed))
     act_rng = np.random.default_rng(50_000 + seed)
-    obs_log, rew_log, infos = [], [], []
+    obs_log, rew_log, infos, states = [], [], [], []
     done = False
     while not done:
         action = act_rng.uniform(-1.0, 1.0, 4)
@@ -314,7 +314,8 @@ def _play_episode(seed: int):
         obs_log.append(obs)
         rew_log.append(reward)
         infos.append(info)
-    return np.asarray(obs_log), np.asarray(rew_log), infos
+        states.append(env.state)  # each step makes a new immutable state
+    return np.asarray(obs_log), np.asarray(rew_log), infos, states
 
 
 def test_criterion_7_flight_env_contract(capfd):
@@ -323,30 +324,29 @@ def test_criterion_7_flight_env_contract(capfd):
     problems = []
     lengths = []
     for ep in range(100):
-        obs_a, rew_a, infos = _play_episode(ep)
+        obs_a, rew_a, infos, states = _play_episode(ep)
         lengths.append(len(infos))
-        last = infos[-1]
+        last, terminal = infos[-1], states[-1].status.terminal
         if len(infos) > 3000:
             problems.append(f"ep{ep}: length {len(infos)}")
-        if last["terminal"] not in _TERMINALS:
-            problems.append(f"ep{ep}: terminal {last['terminal']!r}")
-        if last["terminal"] == "out_of_bounds:red":
+        if terminal not in _TERMINALS:
+            problems.append(f"ep{ep}: terminal {terminal!r}")
+        if terminal == "out_of_bounds:red":
             # the -1000 exit penalty is additive on top of the lock terms
             expected = -1000.0 + float(last["red_locks"]) - float(last["blue_locks"])
             if last["sparse_reward"] != expected:
                 problems.append(f"ep{ep}: OOB reward {last['sparse_reward']}")
-        for t, info in enumerate(infos):
-            if info["red_locks"] != _independent_lock(
-                    info["red_pos"], info["red_forward"], info["blue_pos"]):
+        for t, (info, state) in enumerate(zip(infos, states)):
+            red, blue = state.red, state.blue
+            if info["red_locks"] != _independent_lock(red.pos, red.forward, blue.pos):
                 problems.append(f"ep{ep} t{t}: red lock flag mismatch")
                 break
-            if info["blue_locks"] != _independent_lock(
-                    info["blue_pos"], info["blue_forward"], info["red_pos"]):
+            if info["blue_locks"] != _independent_lock(blue.pos, blue.forward, red.pos):
                 problems.append(f"ep{ep} t{t}: blue lock flag mismatch")
                 break
-        obs_b, rew_b, infos_b = _play_episode(ep)
+        obs_b, rew_b, _, states_b = _play_episode(ep)
         if not (np.array_equal(obs_a, obs_b) and np.array_equal(rew_a, rew_b)
-                and infos_b[-1]["terminal"] == last["terminal"]):
+                and states_b[-1].status.terminal == terminal):
             problems.append(f"ep{ep}: replay diverged")
     elapsed = time.monotonic() - started
     ok = not problems

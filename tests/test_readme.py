@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 
 import phasic
-from phasic.cli import build_parser, resolve_config
+from phasic import trainers
+from phasic.cli import _ENV_DEFAULTS, build_parser, resolve_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -49,3 +50,16 @@ def test_flags_line_names_options_of_run():
     sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     options = {opt for action in sub.choices["run"]._actions for opt in action.option_strings}
     assert flags and flags <= options
+
+
+def _readme_set(key: str) -> set:
+    """The backticked names of the README's ``key ∈ {…}`` set."""
+    members, = re.findall(rf"`{key}` ∈ \{{(.*?)\}}", README.read_text(), flags=re.S)
+    return set(re.findall(r"`([^`]+)`", members))
+
+
+def test_value_sets_match_the_tables():
+    assert _readme_set("trainer") == set(trainers.TRAINERS)
+    assert _readme_set("env") == set(trainers.ENVS)
+    assert _readme_set("archive") == set(trainers.ARCHIVES)
+    assert set(_ENV_DEFAULTS) <= set(trainers.ENVS)

@@ -7,15 +7,17 @@ import numpy as np
 import pytest
 
 from phasic.archive import GridArchive
+from phasic.dogfight import DogfightConfig, DogfightEnv
 from phasic.kernels import StateBatch, kernel_forward
 from phasic.nets import NormalizedPolicy, Policy, ValueFunction
 from phasic.optim import Adam
 from phasic.rl import (Learner, PPOConfig, RunningStat, collect_rollout, ppo_update,
                        restore_payload, snapshot_payload)
-from phasic.toy import ToyEnv
+from phasic.toy import ToyConfig, ToyEnv
 from phasic import trainers
 from phasic.trainers import (RunState, TrainerConfig, dvd_update, make_env, run_training,
-                             validate_config, _auxiliary_phase, _exploit, _reward_phase)
+                             validate_config, _auxiliary_phase, _evaluate_and_offer, _exploit,
+                             _reward_phase)
 
 GAMMA = PPOConfig().gamma
 
@@ -612,6 +614,28 @@ class TestMakeEnv:
         assert make_env("dogfight").obs_dim == 22
         with pytest.raises(ValueError):
             make_env("pong")
+
+    @pytest.mark.parametrize("config, field", [
+        (lambda: ToyConfig(bump_scale=0.0), "bump_scale"),
+        (lambda: DogfightConfig(max_steps=0), "max_steps"),
+        (lambda: DogfightConfig(lock_limit=0), "lock_limit")])
+    def test_env_configs_refuse_a_zero_their_step_divides_by(self, config, field):
+        with pytest.raises(ValueError, match=field):
+            config()
+
+
+def test_saturated_dogfight_policy_is_offered():
+    """A policy whose elevator mean sits far past 1 is flown at 1: its
+    descriptor lands on the grid's edge, and the offer goes through."""
+    cfg = small_config(env_name="dogfight", population=2, eval_episodes=1)
+    state = RunState.create(cfg, lambda: DogfightEnv(DogfightConfig(max_steps=200)))
+    learner = state.learners[0]
+    params = learner.policy.params.copy()
+    params[-7] = 3.0  # the elevator's output bias: four log-stds follow four biases
+    learner.policy = learner.policy.with_params(params)
+    evals = _evaluate_and_offer(state, 0)
+    assert evals[0]["bd"][0] == 1.0
+    assert {e.source for e in state.archive.entries()} == {0, 1}
 
 
 def test_queue_archive_mediates_exploit_and_aux():
