@@ -115,10 +115,9 @@ def resolve_config(raw: dict, *, seeds_override=None, scale_override=None,
     if "env" in raw:
         raw["env_name"] = raw.pop("env")
 
-    fields = {}
     env_name = raw.get("env_name", TrainerConfig.env_name)
-    for key, value in _ENV_DEFAULTS.get(env_name, {}).items():
-        fields[key] = value
+    # a name that is not a string cannot key the defaults; validate_config refuses it
+    fields = dict(_ENV_DEFAULTS.get(env_name, {})) if isinstance(env_name, str) else {}
     for key in _CONFIG_FIELDS:
         if key in raw:
             fields[key] = raw[key]

@@ -27,7 +27,8 @@ target's tail, and uniform [-0.1, 0.1] noise on inactive channels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,31 +76,23 @@ class DogfightConfig:
     expert_deadband: float = math.radians(2.0)
 
     def __post_init__(self):
-        for name in ("max_steps", "lock_limit"):  # the observation divides by both
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        # integrate, observe and dense_reward divide by each; `not x > floor` refuses NaN
+        for name, floor in (("v_min", 0.0), ("half_width", 0.0), ("dist_scale", 0.0),
+                            ("alt_max", self.alt_min)):
+            if not getattr(self, name) > floor:
+                raise ValueError(f"{name} must be > {floor}, got {getattr(self, name)!r}")
+        for name, floor in (("max_steps", 1), ("lock_limit", 1), ("v_max", self.v_min)):
+            if not getattr(self, name) >= floor:
+                raise ValueError(f"{name} must be >= {floor}, got {getattr(self, name)!r}")
 
 
-# The per-step records below are frozen dataclasses whose __init__ fills the
-# instance dict in one update: the generated frozen __init__ pays one
-# object.__setattr__ per field, a sizeable share of a step.
-
-@dataclass(frozen=True, init=False)
-class AircraftState:
-    pos: np.ndarray          # (x, y, z) meters
+class AircraftState(NamedTuple):
+    pos: np.ndarray          # (x, y, z) meters, float64
     speed: float             # m/s, within [v_min, v_max]
     heading: float           # rad, 0 = +y, clockwise toward +x
     pitch: float             # rad, positive up
     roll: float              # rad, positive right wing down
-    # unit nose vector, built from heading and pitch when not given (so a
-    # dataclasses.replace that turns the craft must pass forward=None)
-    forward: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __init__(self, pos, speed, heading, pitch, roll, forward=None):
-        if forward is None:
-            forward = np.array(_nose(heading, pitch))
-        self.__dict__.update(pos=np.asarray(pos, dtype=np.float64), speed=speed,
-                             heading=heading, pitch=pitch, roll=roll, forward=forward)
+    forward: np.ndarray      # unit nose vector, _nose(heading, pitch)
 
 
 def _nose(heading: float, pitch: float) -> tuple:
@@ -107,26 +100,17 @@ def _nose(heading: float, pitch: float) -> tuple:
     return math.sin(heading) * cp, math.cos(heading) * cp, math.sin(pitch)
 
 
-@dataclass(frozen=True, init=False)
-class EpisodeStatus:
+class EpisodeStatus(NamedTuple):
     step: int = 0
     lock_steps_agent: int = 0      # red locking blue
     lock_steps_opponent: int = 0   # blue locking red
     terminal: str | None = None    # max_steps | out_of_bounds:who | lock_win:who
 
-    def __init__(self, step=0, lock_steps_agent=0, lock_steps_opponent=0, terminal=None):
-        self.__dict__.update(step=step, lock_steps_agent=lock_steps_agent,
-                             lock_steps_opponent=lock_steps_opponent, terminal=terminal)
 
-
-@dataclass(frozen=True, init=False)
-class DogfightState:
+class DogfightState(NamedTuple):
     red: AircraftState
     blue: AircraftState
     status: EpisodeStatus
-
-    def __init__(self, red, blue, status):
-        self.__dict__.update(red=red, blue=blue, status=status)
 
 
 def wrap_angle(a: float) -> float:
@@ -161,8 +145,7 @@ def integrate(state: AircraftState, action: np.ndarray, cfg: DogfightConfig) -> 
     return AircraftState(pos, speed, heading, pitch, roll, np.array(forward))
 
 
-@dataclass(frozen=True, init=False)
-class Geometry:
+class Geometry(NamedTuple):
     """Relative geometry from an attacker toward a target."""
 
     distance: float
@@ -171,10 +154,6 @@ class Geometry:
     cos_ata: float
     az_err: float     # signed horizontal steering error (positive = target right)
     elev_err: float   # signed vertical steering error (positive = target above)
-
-    def __init__(self, distance, ata, aspect, cos_ata, az_err, elev_err):
-        self.__dict__.update(distance=distance, ata=ata, aspect=aspect, cos_ata=cos_ata,
-                             az_err=az_err, elev_err=elev_err)
 
 
 def pair_geometry(red: AircraftState, blue: AircraftState) -> tuple:
@@ -243,7 +222,7 @@ def out_of_bounds(state: AircraftState, cfg: DogfightConfig) -> bool:
 
 
 def step(state: DogfightState, action_red: np.ndarray, action_blue: np.ndarray,
-         cfg: DogfightConfig | None = None):
+         cfg: DogfightConfig):
     """Pure transition: integrate both sides, score locks, settle termination.
 
     Returns (next_state, sparse_reward_red, info) where info carries the lock
@@ -252,7 +231,6 @@ def step(state: DogfightState, action_red: np.ndarray, action_blue: np.ndarray,
     exits the arena.  An opponent exit ends the episode with no extra reward.
     Termination priority: red out, blue out, lock win, step cap.
     """
-    cfg = cfg or DogfightConfig()
     status = state.status
     if status.terminal is not None:
         raise ValueError("step() on a terminated engagement")
@@ -277,16 +255,13 @@ def step(state: DogfightState, action_red: np.ndarray, action_blue: np.ndarray,
         terminal = "lock_win:blue"
     elif n_step >= cfg.max_steps:
         terminal = "max_steps"
-    next_state = DogfightState(
-        red=red, blue=blue,
-        status=EpisodeStatus(step=n_step, lock_steps_agent=lock_a,
-                             lock_steps_opponent=lock_o, terminal=terminal))
+    next_state = DogfightState(red, blue, EpisodeStatus(n_step, lock_a, lock_o, terminal))
     return next_state, float(reward), {"red_locks": red_locks, "blue_locks": blue_locks,
                                        "red_geometry": red_geom, "blue_geometry": blue_geom}
 
 
 def expert_policy(geom: Geometry, rng: np.random.Generator,
-                  cfg: DogfightConfig | None = None) -> np.ndarray:
+                  cfg: DogfightConfig) -> np.ndarray:
     """Scripted pursuer: bang-bang steering toward the target.
 
     Elevator and rudder push 0.9 against the respective pointing error unless
@@ -295,15 +270,11 @@ def expert_policy(geom: Geometry, rng: np.random.Generator,
     full +0.9.  Whatever channel is not actively steering draws uniform
     [-0.1, 0.1] noise.
     """
-    cfg = cfg or DogfightConfig()
     mag, noise = cfg.expert_magnitude, cfg.expert_noise
     # Generator.uniform(-noise, noise)'s own formula and bits, without its
     # per-call cost
     low, span = -noise, noise - -noise
-    if geom.aspect < cfg.brake_aspect and geom.distance < cfg.brake_range:
-        throttle = -mag
-    else:
-        throttle = mag
+    throttle = -mag if geom.aspect < cfg.brake_aspect and geom.distance < cfg.brake_range else mag
     if abs(geom.elev_err) > cfg.expert_deadband:
         elevator = math.copysign(mag, geom.elev_err)
     else:
@@ -317,9 +288,8 @@ def expert_policy(geom: Geometry, rng: np.random.Generator,
 
 
 def dense_reward(prev: Geometry, cur: Geometry, locked: bool,
-                 cfg: DogfightConfig | None = None) -> float:
+                 cfg: DogfightConfig) -> float:
     """Learning-only shaping: pointing improvement + closure - lock pressure."""
-    cfg = cfg or DogfightConfig()
     pointing = cfg.k_point * (cur.cos_ata - prev.cos_ata)
     closure = cfg.k_close * (prev.distance - cur.distance) / cfg.dist_scale
     pressure = cfg.k_locked * (1.0 if locked else 0.0)
@@ -386,16 +356,13 @@ class DogfightEnv:
         cfg = self.config
         self._rng = rng
         half = cfg.spawn_distance / 2.0
-        red = AircraftState(
-            pos=np.array([0.0, -half, cfg.spawn_alt]) + cfg.pos_jitter * rng.uniform(-1, 1, 3),
-            speed=cfg.spawn_speed,
-            heading=wrap_angle(0.0 + cfg.heading_jitter * rng.uniform(-1, 1)),
-            pitch=0.0, roll=0.0)
-        blue = AircraftState(
-            pos=np.array([0.0, half, cfg.spawn_alt]) + cfg.pos_jitter * rng.uniform(-1, 1, 3),
-            speed=cfg.spawn_speed,
-            heading=wrap_angle(math.pi + cfg.heading_jitter * rng.uniform(-1, 1)),
-            pitch=0.0, roll=0.0)
+        crafts = []
+        for y, heading in ((-half, 0.0), (half, math.pi)):  # red, then blue
+            pos = np.array([0.0, y, cfg.spawn_alt]) + cfg.pos_jitter * rng.uniform(-1, 1, 3)
+            heading = wrap_angle(heading + cfg.heading_jitter * rng.uniform(-1, 1))
+            crafts.append(AircraftState(pos, cfg.spawn_speed, heading, 0.0, 0.0,
+                                        np.array(_nose(heading, 0.0))))
+        red, blue = crafts
         self._state = DogfightState(red=red, blue=blue, status=EpisodeStatus())
         self._prev_geom, self._blue_geom = pair_geometry(red, blue)
         return observe(red, blue, self._prev_geom, self._state.status, 0, 0, cfg)

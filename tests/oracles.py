@@ -552,8 +552,8 @@ class ArrayRewardScaler:
 # -- reference dogfight kinematics -------------------------------------------------
 
 def integrate(state, action, cfg):
-    """dogfight.integrate with np.clip on scalars and the nose vector left to
-    the state to build."""
+    """dogfight.integrate with np.clip on scalars and the nose vector from
+    ``nose``."""
     action = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
     throttle, elevator, roll_cmd, rudder = action
     speed = float(np.clip(state.speed + throttle * cfg.accel_max * cfg.dt,
@@ -566,7 +566,7 @@ def integrate(state, action, cfg):
     heading = wrap_angle(state.heading + (rudder * cfg.yaw_rate + bank_turn) * cfg.dt)
     forward = nose(heading, pitch)
     return AircraftState(pos=state.pos + speed * forward * cfg.dt, speed=speed,
-                         heading=heading, pitch=pitch, roll=roll)
+                         heading=heading, pitch=pitch, roll=roll, forward=forward)
 
 
 def nose(heading: float, pitch: float) -> np.ndarray:

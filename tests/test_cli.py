@@ -212,7 +212,9 @@ class TestValidateCommand:
         ({"out": None}, [], "usage", "out"),
         ({"env": "dogfight", "env_name": "toy"}, [], "usage", "env"),
         ({"exploit_period": 1e-200, "scale": 1e-200, "iterations": 2}, [], "config",
-         "exploit_period")])
+         "exploit_period"),
+        ({"env": ["toy"]}, [], "config", "env"),
+        ({"env": {"name": "toy"}}, [], "config", "env")])
     def test_config_the_run_cannot_use_is_one_error(self, tmp_path, capsys, bad, flags, kind,
                                                     key):
         """Validate refuses what the run would fail on, with one JSON error

@@ -1,7 +1,6 @@
 """Dogfight kinematics, lock geometry, expert rules, termination, replays."""
 
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -19,7 +18,8 @@ CFG = DogfightConfig()
 
 def craft(pos, speed=150.0, heading=0.0, pitch=0.0, roll=0.0):
     return AircraftState(pos=np.asarray(pos, dtype=np.float64), speed=speed,
-                         heading=heading, pitch=pitch, roll=roll)
+                         heading=heading, pitch=pitch, roll=roll,
+                         forward=oracles.nose(heading, pitch))
 
 
 def angle_checker_lock(att_pos, att_fwd, tgt_pos, cone_deg=10.0, max_range=1000.0):
@@ -159,7 +159,7 @@ class TestLock:
                         pitch=rng.uniform(-1.0, 1.0))
             tgt = craft(att.pos + rng.uniform(-1200, 1200, 3))
             got = lock_check(att, tgt)
-            want = angle_checker_lock(att.pos, nose_formula(att.heading, att.pitch), tgt.pos)
+            want = angle_checker_lock(att.pos, oracles.nose(att.heading, att.pitch), tgt.pos)
             assert got == want
 
 
@@ -476,23 +476,34 @@ def random_craft(rng):
                  roll=float(rng.uniform(-math.pi, math.pi)))
 
 
-def nose_formula(heading, pitch):
-    """The unit nose vector written out from heading and pitch."""
-    return np.array([math.sin(heading) * math.cos(pitch),
-                     math.cos(heading) * math.cos(pitch), math.sin(pitch)])
-
-
 class TestNoseVector:
-    """Each state carries its nose vector, equal to the heading-pitch formula."""
+    """Each state the env builds carries its nose vector, equal to the
+    heading-pitch formula."""
 
     def test_stored_forward_equals_the_formula(self):
         rng = np.random.default_rng(27)
         for _ in range(200):
-            hand_built = random_craft(rng)
-            flown = integrate(hand_built, rng.uniform(-1.5, 1.5, 4), CFG)
-            for state in (hand_built, flown):
-                want = nose_formula(state.heading, state.pitch)
-                assert np.array_equal(state.forward, want)
+            flown = integrate(random_craft(rng), rng.uniform(-1.5, 1.5, 4), CFG)
+            assert np.array_equal(flown.forward, oracles.nose(flown.heading, flown.pitch))
+
+    def test_spawned_forward_equals_the_formula(self):
+        env = DogfightEnv(CFG)
+        for seed in range(20):
+            env.reset(np.random.default_rng(seed))
+            for plane in (env.state.red, env.state.blue):
+                assert plane.pos.dtype == np.float64
+                assert np.array_equal(plane.forward,
+                                      oracles.nose(plane.heading, plane.pitch))
+
+
+def test_records_refuse_assignment():
+    red, blue = craft([0, 0, 5000]), craft([0, 500, 5000], heading=math.pi)
+    geom = relative_geometry(red, blue)
+    status = EpisodeStatus()
+    for record, name in ((red, "pos"), (geom, "distance"), (status, "step"),
+                         (DogfightState(red, blue, status), "status")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
 
 
 class TestMatchesReferenceKinematics:
@@ -560,7 +571,7 @@ class TestMatchesReferenceKinematics:
                 want = (oracles.relative_geometry(red, blue),
                         oracles.relative_geometry(blue, red))
                 for g, w in zip(got, want):
-                    assert np.array_equal(astuple(g), astuple(w), equal_nan=True)
+                    assert np.array_equal(g, w, equal_nan=True)
 
 
 class TestStepEquivalence:

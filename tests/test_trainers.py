@@ -618,7 +618,17 @@ class TestMakeEnv:
     @pytest.mark.parametrize("config, field", [
         (lambda: ToyConfig(bump_scale=0.0), "bump_scale"),
         (lambda: DogfightConfig(max_steps=0), "max_steps"),
-        (lambda: DogfightConfig(lock_limit=0), "lock_limit")])
+        (lambda: DogfightConfig(lock_limit=0), "lock_limit"),
+        (lambda: DogfightConfig(v_min=0.0), "v_min"),
+        (lambda: DogfightConfig(v_min=float("nan")), "v_min"),
+        (lambda: DogfightConfig(v_max=0.0), "v_max"),
+        (lambda: DogfightConfig(v_max=float("nan")), "v_max"),
+        (lambda: DogfightConfig(half_width=0.0), "half_width"),
+        (lambda: DogfightConfig(half_width=float("nan")), "half_width"),
+        (lambda: DogfightConfig(dist_scale=0.0), "dist_scale"),
+        (lambda: DogfightConfig(dist_scale=float("nan")), "dist_scale"),
+        (lambda: DogfightConfig(alt_max=100.0), "alt_max"),
+        (lambda: DogfightConfig(alt_min=float("nan")), "alt_max")])
     def test_env_configs_refuse_a_zero_their_step_divides_by(self, config, field):
         with pytest.raises(ValueError, match=field):
             config()
