@@ -151,10 +151,7 @@ def resolve_config(raw: dict, *, seeds_override=None, scale_override=None,
     if deterministic:
         fields["deterministic_kernel"] = True
 
-    try:
-        config = TrainerConfig(seed=seeds[0], **fields)
-    except TypeError as exc:
-        raise CliError(f"bad config value: {exc}")
+    config = TrainerConfig(seed=seeds[0], **fields)  # unknown keys are refused above
     for seed in seeds:
         validate_config(dataclasses.replace(config, seed=seed))
     # arms spell as floats in config.json whether the file gave 0 or 0.0
@@ -167,13 +164,16 @@ def _aggregate_summaries(summaries: list) -> dict:
             for key in CURVE_METRICS}
 
 
-def cmd_run(args) -> int:
+def _resolve_args(args):
+    """The --config file and the config and seeds it resolves to under the flags."""
     raw = load_config_file(args.config) if args.config is not None else {}
     seeds_override = _parse_seeds(args.seeds) if args.seeds is not None else None
-    config, seeds = resolve_config(
-        raw, seeds_override=seeds_override, scale_override=args.scale,
-        deterministic=args.deterministic)
+    return raw, *resolve_config(raw, seeds_override=seeds_override, scale_override=args.scale,
+                                deterministic=args.deterministic)
 
+
+def cmd_run(args) -> int:
+    raw, config, seeds = _resolve_args(args)
     out_root = Path(args.out if args.out is not None else raw.get("out", "runs"))
     out_root.mkdir(parents=True, exist_ok=True)
 
@@ -230,11 +230,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    raw = load_config_file(args.config) if args.config is not None else {}
-    seeds_override = _parse_seeds(args.seeds) if args.seeds is not None else None
-    config, seeds = resolve_config(
-        raw, seeds_override=seeds_override, scale_override=args.scale,
-        deterministic=args.deterministic)
+    _, config, seeds = _resolve_args(args)
     resolved = dataclasses.asdict(config)
     resolved["seeds"] = seeds
     sys.stdout.write(json.dumps({"ok": True, "config": resolved},

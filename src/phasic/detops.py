@@ -100,12 +100,15 @@ def diversity_ascent(policies, batch: StateBatch, steps: int, metric: str = "w2"
     ascent.  The W2 normalization constant is frozen at its initial value so
     the objective is fixed during the climb; ascent maximizes log det for
     conditioning, while the recorded trace holds det itself (length steps+1,
-    including the start).
+    including the start).  Each policy's gradient is scaled down to norm
+    ``grad_clip`` when longer; ``math.inf`` never clips.
 
     Returns (ascended policies, det trace).
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0,1), got {beta}")
+    if not grad_clip > 0:  # NaN fails too
+        raise ValueError(f"grad_clip must be > 0, got {grad_clip!r}")
     policies = list(policies)
     for i in range(len(policies)):
         for j in range(i):
@@ -126,7 +129,7 @@ def diversity_ascent(policies, batch: StateBatch, steps: int, metric: str = "w2"
         del fwd  # its layer caches go before the next forward builds its own
         for i, g in enumerate(grads):
             norm = math.sqrt(float(g.dot(g)))  # np.linalg.norm's bits for a 1-D vector
-            if grad_clip > 0 and norm > grad_clip:
+            if norm > grad_clip:
                 g = g * (grad_clip / norm)
             policies[i] = policies[i].with_params(policies[i].params + lr * g)
         fwd = kernel_forward(policies, batch, metric, deterministic, norm_scale=scale)

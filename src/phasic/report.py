@@ -5,7 +5,8 @@ handed.  No timestamps, no randomness, fixed number formatting — rendering
 the same runs twice produces byte-identical CSV and SVG output, so reports
 can be checked into version control or diffed across machines.
 
-A report covers one experiment (one or more seeds of the same configuration):
+A report covers one experiment: one or more seeds of the same configuration,
+whose ``config.json`` files differ in ``seed`` alone.
 
 * ``curves.csv`` / ``curves.svg``  — max fitness, min fitness, coverage and
   QD-score per evaluation cycle, aggregated across seeds as mean with a
@@ -298,14 +299,26 @@ def render_heatmap_svg(path, grid, vmin: float, vmax: float) -> None:
 # -- report orchestration ------------------------------------------------------
 
 
-def _run_offset(run_dir: Path) -> float:
-    """Fitness floor for the run's environment (anchors the heatmap scale)."""
+def _run_config(run_dir: Path) -> tuple:
+    """The run's config.json and its environment's fitness floor, which
+    anchors the heatmap scale."""
     try:
         cfg = json.loads((run_dir / "config.json").read_text())
-        return float(ENVS[cfg["env_name"]].qd_offset)
+        return cfg, float(ENVS[cfg["env_name"]].qd_offset)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ReportError(f"run {run_dir}: config.json is unreadable or names no known "
                           f"env_name: {exc!r}")
+
+
+def _check_one_configuration(run_dirs, configs) -> None:
+    """Refuse runs whose config.json differ in any key but ``seed``: a band
+    averages the seeds of one configuration, never two trainers."""
+    first, base = run_dirs[0], configs[0]
+    for rd, cfg in zip(run_dirs[1:], configs[1:]):
+        for key in sorted((base.keys() | cfg.keys()) - {"seed"}):
+            if key not in base or key not in cfg or base[key] != cfg[key]:
+                raise ReportError(f"runs {first} and {rd} are of different configurations: "
+                                  f"config.json key {key!r} differs")
 
 
 def load_heatmap(run_dir) -> np.ndarray:
@@ -355,8 +368,10 @@ def generate_report(run_dirs, out_dir) -> dict:
     if not run_dirs:
         raise ReportError("no run directories given")
     _check_distinct(run_dirs)
+    configs, offsets = zip(*(_run_config(rd) for rd in run_dirs))
+    _check_one_configuration(run_dirs, configs)
     agg = aggregate_curves(run_dirs)
-    heatmaps = [(rd.name, load_heatmap(rd), _run_offset(rd)) for rd in run_dirs]
+    heatmaps = [(rd.name, load_heatmap(rd), vmin) for rd, vmin in zip(run_dirs, offsets)]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = {"curves_csv": out_dir / "curves.csv", "curves_svg": out_dir / "curves.svg"}

@@ -30,6 +30,7 @@ import math
 import numbers
 import time
 from dataclasses import asdict, dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -54,11 +55,19 @@ ARCHIVES = ("grid", "queue")
 _JOINT = ("dvd", "dse-ucb")
 # trainers that exploit the archive into the worst live learner
 _EXPLOITING = ("pdo", "pbt", "edo-cs")
-# config fields that count something, so must hold integers
-_COUNTS = ("population", "iterations", "rollout_steps", "eval_every", "eval_episodes",
-           "diversity_iters", "probe_states", "cells_per_dim", "queue_capacity", "seed")
-# config fields that hold real numbers, checked as such before any comparison
-_REALS = ("total_steps", "exploit_period", "scale", "beta", "aux_lr", "grad_clip")
+# count fields and the least value each may hold; a count is an integer, not a
+# bool, and iterations may also be None.  A negative seed is refused here, since
+# SeedSequence refuses it only once the run has begun
+_COUNTS = {"population": 1, "iterations": 1, "rollout_steps": 1, "eval_every": 1,
+           "eval_episodes": 1, "diversity_iters": 0, "probe_states": 1, "cells_per_dim": 1,
+           "queue_capacity": 1, "seed": 0, "ppo.epochs": 1, "ppo.minibatches": 1}
+# real fields and the interval each must lie in; a real is a number, not a bool
+_REALS = {"total_steps": "> 0", "exploit_period": "> 0", "scale": "> 0", "beta": "in (0, 1)",
+          "aux_lr": "> 0", "grad_clip": "> 0", "ppo.clip": "> 0", "ppo.lr": "> 0",
+          "ppo.gamma": "in [0, 1]", "ppo.lam": "in [0, 1]", "ppo.value_coef": ">= 0"}
+# each interval as it reads, and its predicate; NaN fails every one
+_INTERVALS = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0,
+              "in (0, 1)": lambda v: 0 < v < 1, "in [0, 1]": lambda v: 0 <= v <= 1}
 
 
 @dataclass(frozen=True)
@@ -88,75 +97,46 @@ class TrainerConfig:
     queue_capacity: int = 10
 
 
+def _is_count(value, least) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+
+
+def _is_real(value, interval: str) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and _INTERVALS[interval](value))
+
+
 def validate_config(config: TrainerConfig) -> None:
-    if config.trainer not in TRAINERS:
-        raise ValueError(f"unknown trainer {config.trainer!r}; choose from {TRAINERS}")
-    if config.env_name not in tuple(ENVS):  # a tuple: an unhashable name is unknown too
-        raise ValueError(f"unknown env {config.env_name!r}; choose from {tuple(ENVS)}")
-    if config.archive not in ARCHIVES:
-        raise ValueError("archive must be 'grid' or 'queue'")
-    counts = [(name, getattr(config, name)) for name in _COUNTS]
-    counts += [(f"ppo.{name}", getattr(config.ppo, name)) for name in ("epochs", "minibatches")]
-    for name, value in counts:
-        if name == "iterations" and value is None:
-            continue
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    reals = [(name, getattr(config, name)) for name in _REALS]
-    reals += [(f"ppo.{name}", getattr(config.ppo, name))
-              for name in ("clip", "lr", "gamma", "lam", "value_coef")]
-    for name, value in reals:
-        if not isinstance(value, numbers.Real) or isinstance(value, bool):
-            raise ValueError(f"{name} must be a number, got {value!r}")
-    if not isinstance(config.hidden, (tuple, list)) or not all(
-            isinstance(h, numbers.Integral) and not isinstance(h, bool) and h >= 1
-            for h in config.hidden):
-        raise ValueError(f"hidden must be a list of positive integers, got {config.hidden!r}")
-    if not isinstance(config.lambda_arms, (tuple, list)) or not all(
-            isinstance(lam, numbers.Real) and not isinstance(lam, bool)
-            for lam in config.lambda_arms):
-        raise ValueError(f"lambda_arms must be a list of numbers, got {config.lambda_arms!r}")
+    """Refuse a config the run cannot use, naming the field and its value."""
+    for name, choices in (("trainer", TRAINERS), ("env_name", tuple(ENVS)),
+                          ("archive", ARCHIVES)):  # tuples: an unhashable name is unknown too
+        if getattr(config, name) not in choices:
+            raise ValueError(f"unknown {name} {getattr(config, name)!r}; choose from {choices}")
+    for name, least in _COUNTS.items():
+        value = attrgetter(name)(config)
+        if not (_is_count(value, least) or name == "iterations" and value is None):
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    for name, interval in _REALS.items():
+        value = attrgetter(name)(config)
+        if not _is_real(value, interval):
+            raise ValueError(f"{name} must be a number {interval}, got {value!r}")
+    if not (isinstance(config.hidden, (tuple, list))
+            and all(_is_count(h, 1) for h in config.hidden)):
+        raise ValueError(f"hidden must be a list of integers >= 1, got {config.hidden!r}")
+    arms = config.lambda_arms
+    if not (isinstance(arms, (tuple, list)) and arms
+            and all(_is_real(lam, "in [0, 1]") for lam in arms)):
+        raise ValueError(f"lambda_arms must be a non-empty list of numbers in [0, 1], "
+                         f"got {arms!r}")
     if not isinstance(config.deterministic_kernel, bool):
         raise ValueError(f"deterministic_kernel must be true or false, "
                          f"got {config.deterministic_kernel!r}")
-    if config.trainer == "ppo-single":
-        if config.population != 1:
-            raise ValueError("ppo-single runs exactly one learner")
-    elif config.population < 2:
-        raise ValueError("population trainers need at least 2 learners")
-    if config.diversity_iters < 0:
-        raise ValueError("diversity_iters must be >= 0")
-    if not 0.0 < config.beta < 1.0:
-        raise ValueError("beta must lie in (0, 1)")
-    if not (config.scale > 0 and config.total_steps > 0):  # NaN fails too
-        raise ValueError("scale and total_steps must be positive")
-    if not config.exploit_period > 0:  # NaN fails too
-        raise ValueError("exploit_period must be positive (inf disables)")
+    need = "exactly 1 learner" if config.trainer == "ppo-single" else "at least 2 learners"
+    if (config.population == 1) != (config.trainer == "ppo-single"):
+        raise ValueError(f"{config.trainer} runs {need}, got population {config.population!r}")
     if not config.exploit_period * config.scale > 0:  # each factor can pass and still underflow
-        raise ValueError("exploit_period * scale must be positive, not 0.0")
-    if config.rollout_steps < 1 or config.eval_every < 1 or config.eval_episodes < 1:
-        raise ValueError("rollout_steps, eval_every, eval_episodes must be >= 1")
-    if config.probe_states < 1:
-        raise ValueError("probe_states must be >= 1")
-    if not config.lambda_arms or not all(0.0 <= lam <= 1.0 for lam in config.lambda_arms):
-        raise ValueError("lambda_arms must hold at least one value, each in [0, 1]")
-    if config.cells_per_dim < 1 or config.queue_capacity < 1:
-        raise ValueError("cells_per_dim and queue_capacity must be >= 1")
-    if config.iterations is not None and config.iterations < 1:
-        raise ValueError("iterations must be >= 1 when given")
-    ppo = config.ppo
-    if ppo.epochs < 1 or ppo.minibatches < 1:
-        raise ValueError("ppo.epochs and ppo.minibatches must be >= 1")
-    if not (0.0 <= ppo.gamma <= 1.0 and 0.0 <= ppo.lam <= 1.0):  # NaN fails each check
-        raise ValueError("ppo.gamma and ppo.lam must lie in [0, 1]")
-    if not (ppo.lr > 0 and ppo.clip > 0):
-        raise ValueError("ppo.lr and ppo.clip must be positive")
-    if not ppo.value_coef >= 0:
-        raise ValueError("ppo.value_coef must be >= 0")
-    if not (config.aux_lr > 0 and config.grad_clip > 0):  # NaN fails too
-        raise ValueError("aux_lr and grad_clip must be positive")
-    if config.seed < 0:  # SeedSequence refuses it only once the run has begun
-        raise ValueError(f"seed must be >= 0, got {config.seed}")
+        raise ValueError(f"exploit_period * scale must be > 0, "
+                         f"got {config.exploit_period!r} * {config.scale!r}")
     _n_iterations(config)  # refuses a step budget with no finite iteration count
 
 
@@ -167,7 +147,8 @@ def _n_iterations(config: TrainerConfig) -> int:
         return config.iterations
     budget = config.total_steps * config.scale
     if not math.isfinite(budget):
-        raise ValueError(f"total_steps * scale must be finite without iterations, got {budget}")
+        raise ValueError(f"total_steps * scale must be finite without iterations, "
+                         f"got {config.total_steps!r} * {config.scale!r}")
     return max(1, math.ceil(budget / config.rollout_steps))
 
 

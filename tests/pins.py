@@ -40,6 +40,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PINS = Path(__file__).with_name("pins.json")
 PERFBENCH = ROOT / "perfbench"
 README = PERFBENCH / "README.md"
+# the warnings that fail a recipe, as they fail a tier-1 test (pyproject.toml)
+ERROR_WARNINGS = (RuntimeWarning, UserWarning, DeprecationWarning, FutureWarning)
 
 if __name__ == "__main__":
     # one BLAS and OpenMP thread before numpy loads, as conftest.py pins the suite
@@ -320,9 +322,8 @@ def main() -> int:
     if not __debug__:
         print("the recipes check their coverage with assert; run without -O", file=sys.stderr)
         return 1
-    # as tier-1 does (pyproject.toml), a warning fails a recipe
-    warnings.simplefilter("error", RuntimeWarning)
-    warnings.simplefilter("error", UserWarning)
+    for category in ERROR_WARNINGS:
+        warnings.simplefilter("error", category)
     recorded = load()["pins"]
     digests, failed = {}, []
     for name, recipe in RECIPES.items():

@@ -214,7 +214,8 @@ class TestValidateCommand:
         ({"exploit_period": 1e-200, "scale": 1e-200, "iterations": 2}, [], "config",
          "exploit_period"),
         ({"env": ["toy"]}, [], "config", "env"),
-        ({"env": {"name": "toy"}}, [], "config", "env")])
+        ({"env": {"name": "toy"}}, [], "config", "env"),
+        ({"eval_every": 0}, [], "config", "eval_every must be an integer >= 1, got 0")])
     def test_config_the_run_cannot_use_is_one_error(self, tmp_path, capsys, bad, flags, kind,
                                                     key):
         """Validate refuses what the run would fail on, with one JSON error

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,15 @@ class TestSurrogate:
                 diversity_ascent(pols, batch, steps=0, beta=beta, rng=np.random.default_rng(0))
             with pytest.raises(ValueError):
                 surrogate_det_bound(2, beta)
+
+    @pytest.mark.parametrize("grad_clip", [0.0, -1.0, math.nan])
+    def test_grad_clip_not_positive(self, grad_clip):
+        rng = np.random.default_rng(0)
+        pols = [random_gaussian_policy(rng) for _ in range(2)]
+        batch = StateBatch(rng.standard_normal((3, 2)))
+        with pytest.raises(ValueError, match="grad_clip"):
+            diversity_ascent(pols, batch, steps=0, grad_clip=grad_clip,
+                             rng=np.random.default_rng(0))
 
 
 class TestCholesky:
@@ -353,7 +364,7 @@ class TestDiversityAscent:
         batch = StateBatch(rng.standard_normal((5, 2)))
         _, _, _, grads = log_det_chain(pols, batch, metric, beta=0.99)
         out, _ = diversity_ascent(pols, batch, steps=1, metric=metric, beta=0.99,
-                                  lr=1e-3, grad_clip=0.0, rng=np.random.default_rng(30))
+                                  lr=1e-3, grad_clip=math.inf, rng=np.random.default_rng(30))
         for p, pol, g in zip(out, pols, grads):
             assert np.array_equal(p.params, pol.params + 1e-3 * g)
 

@@ -2,6 +2,7 @@
 rewrites only what moved (``pins.py`` holds the recipes and the step)."""
 
 import json
+import re
 
 import pytest
 
@@ -65,3 +66,9 @@ def test_repin_refuses_a_cell_not_quoted_once(tmp_path, quotes):
     with pytest.raises(ValueError, match=f"quoted {quotes} times"):
         pins.write(digests, TABLE["pins"], pins_path=pins_path, readme=readme)
     assert not pins_path.exists() and readme.read_text() == text
+
+
+def test_repin_errors_on_the_warnings_tier_1_errors_on():
+    # pyproject.toml read as text: tomllib needs Python 3.11
+    text = (pins.ROOT / "pyproject.toml").read_text()
+    assert {c.__name__ for c in pins.ERROR_WARNINGS} == set(re.findall(r"error::(\w+)", text))

@@ -15,7 +15,7 @@ from phasic.trainers import TrainerConfig, run_training
 import oracles
 
 
-def _write_synthetic_run(run_dir, iterations, series, env_name="toy"):
+def _write_synthetic_run(run_dir, iterations, series, env_name="toy", **config):
     """Hand-written metrics.jsonl + minimal config/archive artifacts."""
     run_dir.mkdir(parents=True, exist_ok=True)
     with open(run_dir / "metrics.jsonl", "w") as fh:
@@ -25,7 +25,7 @@ def _write_synthetic_run(run_dir, iterations, series, env_name="toy"):
             rec["archive"]["filled_cells"] = 1
             rec["archive"]["total_cells"] = 100
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    (run_dir / "config.json").write_text(json.dumps({"env_name": env_name}))
+    (run_dir / "config.json").write_text(json.dumps({"env_name": env_name, **config}))
     arch = run_dir / "archive"
     arch.mkdir(exist_ok=True)
     grid = np.full((10, 10), np.nan)
@@ -227,6 +227,19 @@ class TestGenerateReport:
         (rd / "archive" / "heatmap.csv").unlink()
         with pytest.raises(ReportError, match="seed_0"):
             generate_report([rd], tmp_path / "report")
+
+    def test_runs_of_different_configurations_are_refused(self, tmp_path):
+        rng = np.random.default_rng(9)
+        runs = [tmp_path / name for name in ("pdo_0", "pdo_1", "pbt_2")]
+        for seed, rd in enumerate(runs):
+            _write_synthetic_run(rd, np.arange(3), _series(rng), seed=seed,
+                                 trainer=rd.name[:3], population=3)
+        generate_report(runs[:2], tmp_path / "seeds")  # runs that differ in seed alone
+        with pytest.raises(ReportError) as info:
+            generate_report(runs, tmp_path / "report")
+        message = str(info.value)
+        assert str(runs[0]) in message and str(runs[2]) in message and "'trainer'" in message
+        assert not (tmp_path / "report").exists()
 
     def test_real_run_report(self, tmp_path):
         cfg = TrainerConfig(env_name="toy", trainer="pbt", population=2,

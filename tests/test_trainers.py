@@ -41,7 +41,43 @@ def fresh_learner(seed=0, obs_dim=2, act_dim=2, hidden=(8,), learner_id=0):
         obs_stat=RunningStat((obs_dim,)), rng=rng, train_env=ToyEnv())
 
 
+# the fields validate_config checks outside its two tables, one check each
+EXPLICIT = ("trainer", "env_name", "archive", "hidden", "lambda_arms", "deterministic_kernel")
+# one value each field's rule refuses; a ppo.* field sits on the nested PPOConfig
+REFUSED = [
+    ("population", 0), ("population", 2.0), ("iterations", 0), ("iterations", True),
+    ("rollout_steps", 0), ("rollout_steps", "96"), ("eval_every", 0), ("eval_episodes", 0),
+    ("diversity_iters", -1), ("probe_states", 0), ("cells_per_dim", 0), ("queue_capacity", 0),
+    ("seed", -1), ("seed", 5.0), ("ppo.epochs", 0), ("ppo.minibatches", 1.5),
+    ("total_steps", 0.0), ("total_steps", None), ("exploit_period", float("nan")),
+    ("exploit_period", -1.0), ("scale", -1.0), ("scale", True), ("beta", 1.0), ("beta", 0.0),
+    ("aux_lr", 0.0), ("grad_clip", float("nan")), ("grad_clip", "1"), ("ppo.clip", 0.0),
+    ("ppo.lr", -1e-3), ("ppo.gamma", 1.5), ("ppo.lam", float("nan")), ("ppo.value_coef", -0.5),
+    ("trainer", "sac"), ("env_name", "atari"), ("archive", "ring"), ("hidden", (16, 0)),
+    ("lambda_arms", (0.0, 1.5)), ("lambda_arms", ()), ("deterministic_kernel", 1)]
+
+
+def _config_fields() -> list:
+    return ([f.name for f in dataclasses.fields(TrainerConfig) if f.name != "ppo"]
+            + [f"ppo.{f.name}" for f in dataclasses.fields(PPOConfig)])
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize("name, value", REFUSED)
+    def test_refusal_names_the_field_and_its_value(self, name, value):
+        if name.startswith("ppo."):
+            cfg = small_config(ppo=PPOConfig(**{name[4:]: value}))
+        else:
+            cfg = small_config(**{name: value})
+        with pytest.raises(ValueError) as info:
+            validate_config(cfg)
+        assert name in str(info.value) and repr(value) in str(info.value)
+
+    def test_each_field_has_exactly_one_rule(self):
+        rules = [*trainers._COUNTS, *trainers._REALS, *EXPLICIT]
+        assert sorted(rules) == sorted(_config_fields())
+        assert {name for name, _ in REFUSED} == set(_config_fields())
+
     def test_unknown_trainer(self):
         with pytest.raises(ValueError):
             validate_config(small_config(trainer="sac"))
@@ -51,11 +87,11 @@ class TestConfigValidation:
             validate_config(small_config(env_name="atari"))
 
     def test_population_floor(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="got population 1"):
             validate_config(small_config(population=1))
 
     def test_ppo_single_needs_one_learner(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="got population 3"):
             validate_config(small_config(trainer="ppo-single", population=3))
         validate_config(small_config(trainer="ppo-single", population=1))
 
