@@ -13,10 +13,12 @@ All subcommands exit 0 on success.  Every failure path prints a single
 machine-readable JSON object to stderr ({"error": {"type", "message"}})
 and exits nonzero.
 
-Configuration files are JSON.  Every field is optional; anything missing
-falls back first to per-environment command-line defaults (evaluation
-cadence, kernel determinism) and then to the trainer defaults.  Flags
-override file values: --seeds, --scale, --out, --deterministic.
+Configuration files are JSON and hold what a run's own config.json holds:
+the TrainerConfig fields, with ``ppo`` an object and ``seed`` one integer.
+Every field is optional; a missing one falls back first to a per-environment
+default (evaluation cadence, kernel determinism) and then to the trainer
+default.  Flags pick only which seeds run (--seeds replaces the file's
+``seed``) and where a run writes (--out).
 """
 
 from __future__ import annotations
@@ -32,10 +34,8 @@ from .report import CURVE_METRICS, ReportError, band, generate_report
 from .rl import PPOConfig
 from .trainers import TrainerConfig, run_training, validate_config
 
-# fields a config file may set directly on the trainer configuration
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(TrainerConfig)} - {"ppo", "seed"}
-# run-level keys handled outside TrainerConfig
-_SPEC_KEYS = {"env", "seed", "seeds", "ppo", "out"}
+# the keys a config file may hold: the fields of a run's config.json
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(TrainerConfig)}
 
 # knobs whose defaults differ per environment when the file doesn't set them:
 # the toy task evaluates cheaply, the flight task amortizes evaluation over
@@ -85,47 +85,36 @@ def load_config_file(path) -> dict:
         what = "is not a regular file" if path.exists() else "does not exist"
         raise CliError(f"config file {path} {what}")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # JSON is UTF-8 whatever the locale
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CliError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise CliError(f"config file {path} must hold a JSON object")
     return raw
 
 
-def resolve_config(raw: dict, *, seeds_override=None, scale_override=None,
-                   deterministic=False):
-    """Turn a raw config dict plus flag overrides into (TrainerConfig, seeds).
+def resolve_config(raw: dict, *, seeds=None):
+    """Turn a config dict, keyed as a run's config.json, into (TrainerConfig, seeds).
 
-    The returned configuration carries the first seed; per-seed copies are
-    minted by the run command.  A ``seed`` key, as in a run's own config.json,
-    means ``seeds: [seed]``.  Unknown keys are rejected by name so typos
-    surface instead of silently falling back to defaults.
+    ``seeds`` (the --seeds flag) replaces the file's one ``seed``.  The
+    returned configuration carries the first seed; per-seed copies are minted
+    by the run command.  Unknown keys are rejected by name so typos surface
+    instead of silently falling back to defaults.
     """
-    raw = dict(raw)
-    unknown = sorted(set(raw) - _CONFIG_FIELDS - _SPEC_KEYS)
+    unknown = sorted(set(raw) - _CONFIG_FIELDS)
     if unknown:
         raise CliError(f"unknown config keys: {', '.join(unknown)}")
-    if "env" in raw and "env_name" in raw:
-        raise CliError("give 'env' or 'env_name', not both")
-    out = raw.get("out", "runs")
-    if not isinstance(out, str) or not out:
-        raise CliError(f"config key 'out' must be a directory path, got {out!r}")
-    if "env" in raw:
-        raw["env_name"] = raw.pop("env")
 
     env_name = raw.get("env_name", TrainerConfig.env_name)
     # a name that is not a string cannot key the defaults; validate_config refuses it
     fields = dict(_ENV_DEFAULTS.get(env_name, {})) if isinstance(env_name, str) else {}
-    for key in _CONFIG_FIELDS:
-        if key in raw:
-            fields[key] = raw[key]
+    fields.update(raw)
     for key in ("hidden", "lambda_arms"):  # validate_config checks the values
         if isinstance(fields.get(key), list):
             fields[key] = tuple(fields[key])
 
-    ppo_raw = raw.get("ppo", {})
+    ppo_raw = fields.get("ppo", {})
     if not isinstance(ppo_raw, dict):
         raise CliError("config key 'ppo' must be a JSON object")
     ppo_fields = {f.name for f in dataclasses.fields(PPOConfig)}
@@ -134,28 +123,15 @@ def resolve_config(raw: dict, *, seeds_override=None, scale_override=None,
         raise CliError(f"unknown ppo config keys: {', '.join(bad)}")
     fields["ppo"] = PPOConfig(**ppo_raw)
 
-    if "seed" in raw and "seeds" in raw:
-        raise CliError("give 'seed' or 'seeds', not both")
-    seeds = [raw["seed"]] if "seed" in raw else raw.get("seeds", [0])
-    if seeds_override is not None:
-        seeds = seeds_override
-    if not isinstance(seeds, (list, tuple)) or not seeds or \
-            not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds):
-        raise CliError("seeds must be a non-empty list of integers")
-    seeds = [int(s) for s in seeds]
-    if len(set(seeds)) != len(seeds):
-        raise CliError("seeds must be distinct")
-
-    if scale_override is not None:
-        fields["scale"] = scale_override
-    if deterministic:
-        fields["deterministic_kernel"] = True
-
-    config = TrainerConfig(seed=seeds[0], **fields)  # unknown keys are refused above
-    for seed in seeds:
+    config = TrainerConfig(**fields)  # unknown keys are refused above
+    seeds = [config.seed] if seeds is None else list(seeds)
+    for seed in seeds:  # validated first: a seed that is not an integer cannot be hashed
         validate_config(dataclasses.replace(config, seed=seed))
+    if not seeds or len(set(seeds)) != len(seeds):
+        raise CliError(f"seeds must be a non-empty list of distinct integers, got {seeds!r}")
     # arms spell as floats in config.json whether the file gave 0 or 0.0
-    return dataclasses.replace(config, lambda_arms=tuple(map(float, config.lambda_arms))), seeds
+    return dataclasses.replace(config, seed=seeds[0],
+                               lambda_arms=tuple(map(float, config.lambda_arms))), seeds
 
 
 def _aggregate_summaries(summaries: list) -> dict:
@@ -165,16 +141,14 @@ def _aggregate_summaries(summaries: list) -> dict:
 
 
 def _resolve_args(args):
-    """The --config file and the config and seeds it resolves to under the flags."""
+    """The config and seeds that the --config file and --seeds resolve to."""
     raw = load_config_file(args.config) if args.config is not None else {}
-    seeds_override = _parse_seeds(args.seeds) if args.seeds is not None else None
-    return raw, *resolve_config(raw, seeds_override=seeds_override, scale_override=args.scale,
-                                deterministic=args.deterministic)
+    return resolve_config(raw, seeds=_parse_seeds(args.seeds) if args.seeds is not None else None)
 
 
 def cmd_run(args) -> int:
-    raw, config, seeds = _resolve_args(args)
-    out_root = Path(args.out if args.out is not None else raw.get("out", "runs"))
+    config, seeds = _resolve_args(args)
+    out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
@@ -230,10 +204,9 @@ def cmd_report(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    _, config, seeds = _resolve_args(args)
-    resolved = dataclasses.asdict(config)
-    resolved["seeds"] = seeds
-    sys.stdout.write(json.dumps({"ok": True, "config": resolved},
+    config, seeds = _resolve_args(args)
+    # the config object is itself a config file that resolves to the same run
+    sys.stdout.write(json.dumps({"ok": True, "config": dataclasses.asdict(config), "seeds": seeds},
                                 indent=2, sort_keys=True) + "\n")
     return 0
 
@@ -247,15 +220,11 @@ def build_parser() -> _Parser:
         p.add_argument("--config", type=_path_flag, metavar="PATH",
                        help="JSON configuration file")
         p.add_argument("--seeds", metavar="LIST",
-                       help="comma-separated seeds, overrides the config")
-        p.add_argument("--scale", type=float, metavar="F",
-                       help="budget multiplier applied to step counts")
-        p.add_argument("--deterministic", action="store_true",
-                       help="use the deterministic (mean-only) policy kernel")
+                       help="comma-separated seeds, replacing the config's seed")
 
     p_run = sub.add_parser("run", help="train over one or more seeds")
     common(p_run)
-    p_run.add_argument("--out", type=_path_flag, metavar="DIR",
+    p_run.add_argument("--out", type=_path_flag, default="runs", metavar="DIR",
                        help="experiment directory (default: runs)")
     p_run.set_defaults(func=cmd_run)
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 from operator import attrgetter
@@ -103,6 +104,7 @@ def _is_count(value, least) -> bool:
 
 def _is_real(value, interval: str) -> bool:
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and not (isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max)
             and _INTERVALS[interval](value))
 
 

@@ -1,7 +1,10 @@
 """Command-line interface: config resolution, runs, reports, error JSON."""
 
+import argparse
+import dataclasses
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phasic.cli import main, resolve_config, CliError
+from phasic.cli import build_parser, main, resolve_config, CliError
+from phasic.trainers import TrainerConfig
 
 
 def _cfg_file(tmp_path, payload, name="cfg.json"):
@@ -23,6 +27,13 @@ def _run_main(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def _options(command: str) -> set:
+    """The long options a subcommand takes, --help aside."""
+    sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {opt for action in sub.choices[command]._actions for opt in action.option_strings
+            if opt.startswith("--")} - {"--help"}
 
 
 class TestResolveConfig:
@@ -43,30 +54,38 @@ class TestResolveConfig:
         assert all(type(lam) is float for lam in config.lambda_arms)
 
     def test_env_specific_defaults(self):
-        toy, _ = resolve_config({"env": "toy"})
+        toy, _ = resolve_config({"env_name": "toy"})
         assert toy.eval_every == 10
         assert toy.deterministic_kernel is False
-        dog, _ = resolve_config({"env": "dogfight"})
+        dog, _ = resolve_config({"env_name": "dogfight"})
         assert dog.eval_every == 25
         assert dog.deterministic_kernel is True
 
     def test_file_beats_env_default(self):
-        cfg, _ = resolve_config({"env": "dogfight", "eval_every": 7,
+        cfg, _ = resolve_config({"env_name": "dogfight", "eval_every": 7,
                                  "deterministic_kernel": False})
         assert cfg.eval_every == 7
         assert cfg.deterministic_kernel is False
 
-    def test_flags_beat_file(self):
-        cfg, seeds = resolve_config({"scale": 0.5, "seeds": [3]},
-                                    seeds_override=[1, 2],
-                                    scale_override=0.25, deterministic=True)
-        assert cfg.scale == 0.25
-        assert seeds == [1, 2]
-        assert cfg.deterministic_kernel is True
-
     def test_unknown_keys_rejected_by_name(self):
         with pytest.raises(CliError, match="explotation_period"):
             resolve_config({"explotation_period": 3})
+
+    def test_keys_are_the_trainer_config_fields(self):
+        """Every field is a key, and a file of them all beats every default."""
+        names = {f.name for f in dataclasses.fields(TrainerConfig)}
+        full = json.loads(json.dumps(dataclasses.asdict(TrainerConfig(env_name="dogfight"))))
+        assert set(full) == names
+        config, seeds = resolve_config(full)
+        assert config == TrainerConfig(env_name="dogfight") and seeds == [0]
+        with pytest.raises(CliError, match="^unknown config keys: bogus$"):
+            resolve_config({**full, "bogus": 1})
+
+    @pytest.mark.parametrize("key, value", [("env", "toy"), ("seeds", [0, 1]), ("out", "runs")],
+                             ids=["env", "seeds", "out"])
+    def test_other_spellings_are_unknown_keys(self, key, value):
+        with pytest.raises(CliError, match=f"^unknown config keys: {key}$"):
+            resolve_config({key: value})
 
     def test_unknown_ppo_keys_rejected(self):
         with pytest.raises(CliError, match="learning_rate"):
@@ -77,21 +96,22 @@ class TestResolveConfig:
 
     def test_bad_seeds_rejected(self):
         with pytest.raises(CliError):
-            resolve_config({"seeds": []})
+            resolve_config({}, seeds=[])
         with pytest.raises(CliError):
-            resolve_config({"seeds": [1, 1]})
-        with pytest.raises(CliError):
-            resolve_config({"seeds": "0,1"})
+            resolve_config({}, seeds=[1, 1])
+        with pytest.raises(ValueError, match="seed must be an integer >= 0, got '0'"):
+            resolve_config({}, seeds=["0"])
 
     def test_seed_key_is_one_seed(self):
         cfg, seeds = resolve_config({"seed": 3})
         assert seeds == [3] and cfg.seed == 3
-        _, seeds = resolve_config({"seed": 3}, seeds_override=[4, 5])
-        assert seeds == [4, 5]
-        with pytest.raises(CliError, match="not both"):
-            resolve_config({"seed": 3, "seeds": [3]})
-        with pytest.raises(CliError):
-            resolve_config({"seed": "3"})
+        cfg, seeds = resolve_config({"seed": 3}, seeds=[4, 5])
+        assert seeds == [4, 5] and cfg.seed == 4
+        # checked as a seed before the seeds are checked for repeats, which hashes them
+        for bad in ("3", [1], True):
+            message = f"seed must be an integer >= 0, got {bad!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                resolve_config({"seed": bad})
 
     def test_ppo_fields_applied(self):
         cfg, _ = resolve_config({"ppo": {"lr": 1e-3, "epochs": 2}})
@@ -102,14 +122,29 @@ class TestResolveConfig:
 
 class TestValidateCommand:
     def test_good_config(self, tmp_path, capsys):
-        cfg = _cfg_file(tmp_path, {"trainer": "pbt", "env": "toy",
-                                   "seeds": [0, 1]})
-        rc, out, err = _run_main(capsys, ["validate", "--config", cfg])
+        cfg = _cfg_file(tmp_path, {"trainer": "pbt", "env_name": "toy"})
+        rc, out, err = _run_main(capsys, ["validate", "--config", cfg, "--seeds", "0,1"])
         assert rc == 0
         payload = json.loads(out)
         assert payload["ok"] is True
         assert payload["config"]["trainer"] == "pbt"
-        assert payload["config"]["seeds"] == [0, 1]
+        assert payload["seeds"] == [0, 1]
+
+    @pytest.mark.parametrize("flags", [[], ["--seeds", "4,2"]])
+    def test_printed_config_is_a_config_file(self, tmp_path, capsys, flags):
+        """validate's config, saved as a file, validates to the same output."""
+        cfg = _cfg_file(tmp_path, {"env_name": "dogfight", "seed": 7, "exploit_period": 1e400,
+                                   "lambda_arms": [0, 1], "ppo": {"lr": 1e-3}})
+        rc, first, _ = _run_main(capsys, ["validate", "--config", cfg, *flags])
+        assert rc == 0
+        assert json.loads(first)["seeds"] == ([4, 2] if flags else [7])
+        again = _cfg_file(tmp_path, json.loads(first)["config"], "again.json")
+        rc, second, _ = _run_main(capsys, ["validate", "--config", again, *flags])
+        assert rc == 0 and second == first
+
+    def test_flags_pick_only_seeds_and_output(self):
+        assert _options("run") == {"--config", "--seeds", "--out"}
+        assert _options("validate") == {"--config", "--seeds"}
 
     def test_unknown_trainer_is_machine_readable(self, tmp_path, capsys):
         cfg = _cfg_file(tmp_path, {"trainer": "sarsa"})
@@ -119,7 +154,7 @@ class TestValidateCommand:
         assert "sarsa" in payload["error"]["message"]
 
     def test_metric_that_does_not_fit_the_env(self, tmp_path, capsys):
-        cfg = _cfg_file(tmp_path, {"env": "toy", "metric": "jsd"})
+        cfg = _cfg_file(tmp_path, {"env_name": "toy", "metric": "jsd"})
         rc, out, err = _run_main(capsys, ["validate", "--config", cfg])
         assert rc != 0
         assert out == ""
@@ -133,7 +168,7 @@ class TestValidateCommand:
     def test_unknown_metric(self, tmp_path, capsys):
         # training always uses the W2 kernel, so a config may not name one
         for metric in ("jsd", "w2"):
-            cfg = _cfg_file(tmp_path, {"env": "toy", "metric": metric})
+            cfg = _cfg_file(tmp_path, {"env_name": "toy", "metric": metric})
             rc, out, err = _run_main(capsys, ["validate", "--config", cfg])
             assert rc != 0
             assert out == ""
@@ -160,16 +195,6 @@ class TestValidateCommand:
         assert rc != 0
         assert json.loads(err)["error"]["type"] == "usage"
 
-    def test_deterministic_flag(self, capsys):
-        rc, out, _ = _run_main(capsys, ["validate", "--deterministic"])
-        assert rc == 0
-        assert json.loads(out)["config"]["deterministic_kernel"] is True
-
-    def test_scale_flag(self, capsys):
-        rc, out, _ = _run_main(capsys, ["validate", "--scale", "0.125"])
-        assert rc == 0
-        assert json.loads(out)["config"]["scale"] == 0.125
-
     @pytest.mark.parametrize("bad", [{"trainer": "dvd", "lambda_arms": [0.0, 2.0]},
                                      {"cells_per_dim": 0}, {"queue_capacity": 0},
                                      {"aux_lr": -0.001}, {"grad_clip": -1},
@@ -188,7 +213,8 @@ class TestValidateCommand:
                                      {"hidden": [0]}, {"hidden": [-3]}, {"hidden": [True]},
                                      {"hidden": 8}, {"lambda_arms": [True, "0.5"]},
                                      {"lambda_arms": 0.5}, {"total_steps": float("inf")},
-                                     {"scale": 1e308, "total_steps": 1e308}, {"seed": -1}])
+                                     {"scale": 1e308, "total_steps": 1e308}, {"seed": -1},
+                                     {"seed": [1]}, {"scale": 10**400}])
     def test_wrong_type_or_size_is_one_config_error(self, tmp_path, capsys, bad):
         """Both commands exit 1 with one JSON config error, not a traceback, and
         the run writes nothing."""
@@ -206,16 +232,17 @@ class TestValidateCommand:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("bad, flags, kind, key", [
-        ({"seeds": [0, -1]}, [], "config", "seed"),
+        ({}, ["--seeds", "0,-1"], "config", "seed"),
         ({}, ["--seeds", "-1"], "config", "seed"),
-        ({"out": 5}, [], "usage", "out"),
+        ({"out": "runs"}, [], "usage", "out"),
         ({"out": None}, [], "usage", "out"),
-        ({"env": "dogfight", "env_name": "toy"}, [], "usage", "env"),
+        ({"env": "dogfight"}, [], "usage", "env"),
         ({"exploit_period": 1e-200, "scale": 1e-200, "iterations": 2}, [], "config",
          "exploit_period"),
-        ({"env": ["toy"]}, [], "config", "env"),
-        ({"env": {"name": "toy"}}, [], "config", "env"),
-        ({"eval_every": 0}, [], "config", "eval_every must be an integer >= 1, got 0")])
+        ({"env_name": ["toy"]}, [], "config", "env_name"),
+        ({"env_name": {"name": "toy"}}, [], "config", "env_name"),
+        ({"eval_every": 0}, [], "config", "eval_every must be an integer >= 1, got 0"),
+        ({"seeds": [0, 1]}, [], "usage", "seeds")])
     def test_config_the_run_cannot_use_is_one_error(self, tmp_path, capsys, bad, flags, kind,
                                                     key):
         """Validate refuses what the run would fail on, with one JSON error
@@ -252,7 +279,7 @@ class TestValidateCommand:
         assert json.loads(out)["config"]["archive"] == "grid"
 
 
-_FAST = {"env": "toy", "population": 2, "iterations": 2, "rollout_steps": 32,
+_FAST = {"env_name": "toy", "population": 2, "iterations": 2, "rollout_steps": 32,
          "eval_episodes": 2, "eval_every": 1, "probe_states": 8,
          "hidden": [8], "diversity_iters": 1}
 
@@ -463,8 +490,18 @@ class TestFlagValues:
         cfg = _cfg_file(tmp_path, dict(_FAST, out=""))
         rc, out, err = _run_main(capsys, ["run", "--config", cfg])
         assert rc == 2 and out == ""
-        assert "'out'" in json.loads(err)["error"]["message"]
+        assert json.loads(err)["error"]["message"] == "unknown config keys: out"
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"{"], ids=["undecodable", "invalid"])
+    def test_config_file_that_is_not_json(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        rc, out, err = _run_main(capsys, ["validate", "--config", str(path)])
+        assert rc == 2 and out == "" and err.count("\n") == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "usage"
+        assert error["message"].startswith(f"config file {path} is not valid JSON: ")
 
     @pytest.mark.parametrize("target,what", [("devnull", "is not a regular file"),
                                              ("directory", "is not a regular file"),

@@ -41,7 +41,7 @@ def test_standalone_diversity_snippet_climbs(monkeypatch):
 def test_config_example_resolves():
     block, = re.findall(r"```json\n(.*?)```", README.read_text(), flags=re.S)
     config, seeds = resolve_config(json.loads(block))
-    assert (config.trainer, config.env_name, seeds) == ("pdo", "toy", [0, 1, 2, 3, 4])
+    assert (config.trainer, config.env_name, seeds) == ("pdo", "toy", [0])
 
 
 def test_flags_line_names_options_of_run():
@@ -49,7 +49,7 @@ def test_flags_line_names_options_of_run():
     flags = set(re.findall(r"`(--[a-z-]+)", line))
     sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     options = {opt for action in sub.choices["run"]._actions for opt in action.option_strings}
-    assert flags and flags <= options
+    assert flags == options - {"-h", "--help"}
 
 
 def _readme_set(key: str) -> set:
@@ -60,6 +60,6 @@ def _readme_set(key: str) -> set:
 
 def test_value_sets_match_the_tables():
     assert _readme_set("trainer") == set(trainers.TRAINERS)
-    assert _readme_set("env") == set(trainers.ENVS)
+    assert _readme_set("env_name") == set(trainers.ENVS)
     assert _readme_set("archive") == set(trainers.ARCHIVES)
     assert set(_ENV_DEFAULTS) <= set(trainers.ENVS)

@@ -43,6 +43,8 @@ def fresh_learner(seed=0, obs_dim=2, act_dim=2, hidden=(8,), learner_id=0):
 
 # the fields validate_config checks outside its two tables, one check each
 EXPLICIT = ("trainer", "env_name", "archive", "hidden", "lambda_arms", "deterministic_kernel")
+# an integer no float can hold
+HUGE = 10**400
 # one value each field's rule refuses; a ppo.* field sits on the nested PPOConfig
 REFUSED = [
     ("population", 0), ("population", 2.0), ("iterations", 0), ("iterations", True),
@@ -54,7 +56,8 @@ REFUSED = [
     ("aux_lr", 0.0), ("grad_clip", float("nan")), ("grad_clip", "1"), ("ppo.clip", 0.0),
     ("ppo.lr", -1e-3), ("ppo.gamma", 1.5), ("ppo.lam", float("nan")), ("ppo.value_coef", -0.5),
     ("trainer", "sac"), ("env_name", "atari"), ("archive", "ring"), ("hidden", (16, 0)),
-    ("lambda_arms", (0.0, 1.5)), ("lambda_arms", ()), ("deterministic_kernel", 1)]
+    ("lambda_arms", (0.0, 1.5)), ("lambda_arms", ()), ("deterministic_kernel", 1),
+    ("scale", HUGE), ("exploit_period", HUGE), ("total_steps", HUGE)]
 
 
 def _config_fields() -> list:
@@ -63,7 +66,8 @@ def _config_fields() -> list:
 
 
 class TestConfigValidation:
-    @pytest.mark.parametrize("name, value", REFUSED)
+    @pytest.mark.parametrize("name, value", REFUSED,
+                             ids=lambda v: "10**400" if v == HUGE else None)
     def test_refusal_names_the_field_and_its_value(self, name, value):
         if name.startswith("ppo."):
             cfg = small_config(ppo=PPOConfig(**{name[4:]: value}))
