@@ -87,7 +87,7 @@ def load_config_file(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:  # JSON is UTF-8 whatever the locale
             raw = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise CliError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise CliError(f"config file {path} must hold a JSON object")

@@ -56,7 +56,7 @@ def read_metrics(run_dir) -> list:
                 continue
             try:
                 rec = json.loads(line)
-            except ValueError:
+            except (ValueError, RecursionError):
                 rec = None
             if not isinstance(rec, dict):
                 raise ReportError(f"run {run_dir}: metrics.jsonl line {n} is not a JSON object")
@@ -305,7 +305,7 @@ def _run_config(run_dir: Path) -> tuple:
     try:
         cfg = json.loads((run_dir / "config.json").read_text())
         return cfg, float(ENVS[cfg["env_name"]].qd_offset)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ReportError(f"run {run_dir}: config.json is unreadable or names no known "
                           f"env_name: {exc!r}")
 
@@ -327,7 +327,7 @@ def load_heatmap(run_dir) -> np.ndarray:
     archive = Path(run_dir) / "archive"
     try:
         cells = json.loads((archive / "manifest.json").read_text())["cells_per_dim"]
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ReportError(f"run {run_dir}: archive/manifest.json is unreadable or names no "
                           f"cells_per_dim: {exc!r}")
     try:

@@ -52,14 +52,6 @@ class ToyEnv:
         self._done = False
         return self._pos.copy()
 
-    @property
-    def position(self) -> np.ndarray:
-        return self._pos.copy()
-
-    def reward_at(self, pos: np.ndarray) -> float:
-        x, y = np.asarray(pos, dtype=np.float64).tolist()
-        return self._reward(x, y)
-
     def _reward(self, x: float, y: float) -> float:
         # squared goal distances on floats as d*d, numpy's square (Python's d**2
         # can round differently); the bump stays one np.exp over the goals,

@@ -57,15 +57,15 @@ _JOINT = ("dvd", "dse-ucb")
 # trainers that exploit the archive into the worst live learner
 _EXPLOITING = ("pdo", "pbt", "edo-cs")
 # count fields and the least value each may hold; a count is an integer, not a
-# bool, and iterations may also be None.  A negative seed is refused here, since
-# SeedSequence refuses it only once the run has begun
+# bool.  A negative seed is refused here, since SeedSequence refuses it only once
+# the run has begun
 _COUNTS = {"population": 1, "iterations": 1, "rollout_steps": 1, "eval_every": 1,
            "eval_episodes": 1, "diversity_iters": 0, "probe_states": 1, "cells_per_dim": 1,
            "queue_capacity": 1, "seed": 0, "ppo.epochs": 1, "ppo.minibatches": 1}
 # real fields and the interval each must lie in; a real is a number, not a bool
-_REALS = {"total_steps": "> 0", "exploit_period": "> 0", "scale": "> 0", "beta": "in (0, 1)",
-          "aux_lr": "> 0", "grad_clip": "> 0", "ppo.clip": "> 0", "ppo.lr": "> 0",
-          "ppo.gamma": "in [0, 1]", "ppo.lam": "in [0, 1]", "ppo.value_coef": ">= 0"}
+_REALS = {"exploit_period": "> 0", "beta": "in (0, 1)", "aux_lr": "> 0", "grad_clip": "> 0",
+          "ppo.clip": "> 0", "ppo.lr": "> 0", "ppo.gamma": "in [0, 1]", "ppo.lam": "in [0, 1]",
+          "ppo.value_coef": ">= 0"}
 # each interval as it reads, and its predicate; NaN fails every one
 _INTERVALS = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0,
               "in (0, 1)": lambda v: 0 < v < 1, "in [0, 1]": lambda v: 0 <= v <= 1}
@@ -77,10 +77,10 @@ class TrainerConfig:
     trainer: str = "pdo"
     archive: str = "grid"           # container mediating exploit/auxiliary sourcing
     population: int = 5
-    total_steps: float = 3e6        # per-learner env steps at full budget
-    exploit_period: float = 6e5     # env steps between exploitations (inf disables)
-    scale: float = 1.0 / 50.0       # desk-scale factor on both step budgets
-    iterations: int | None = None   # overrides the derived iteration count
+    # the paper's budget at 1/50 desk scale: 3e6 / 50 env steps per learner in
+    # 512-step rollouts, and 6e5 / 50 env steps between exploitations
+    iterations: int = 118           # rollouts per learner: the run's length
+    exploit_period: float = 12000.0  # env steps between exploitations (inf disables)
     rollout_steps: int = 512
     eval_episodes: int = 10
     eval_every: int = 1             # iterations between evaluation cycles
@@ -116,7 +116,7 @@ def validate_config(config: TrainerConfig) -> None:
             raise ValueError(f"unknown {name} {getattr(config, name)!r}; choose from {choices}")
     for name, least in _COUNTS.items():
         value = attrgetter(name)(config)
-        if not (_is_count(value, least) or name == "iterations" and value is None):
+        if not _is_count(value, least):
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     for name, interval in _REALS.items():
         value = attrgetter(name)(config)
@@ -136,22 +136,6 @@ def validate_config(config: TrainerConfig) -> None:
     need = "exactly 1 learner" if config.trainer == "ppo-single" else "at least 2 learners"
     if (config.population == 1) != (config.trainer == "ppo-single"):
         raise ValueError(f"{config.trainer} runs {need}, got population {config.population!r}")
-    if not config.exploit_period * config.scale > 0:  # each factor can pass and still underflow
-        raise ValueError(f"exploit_period * scale must be > 0, "
-                         f"got {config.exploit_period!r} * {config.scale!r}")
-    _n_iterations(config)  # refuses a step budget with no finite iteration count
-
-
-def _n_iterations(config: TrainerConfig) -> int:
-    """The run's iteration count: ``iterations``, else enough rollouts to
-    spend ``total_steps * scale`` env steps per learner."""
-    if config.iterations is not None:
-        return config.iterations
-    budget = config.total_steps * config.scale
-    if not math.isfinite(budget):
-        raise ValueError(f"total_steps * scale must be finite without iterations, "
-                         f"got {config.total_steps!r} * {config.scale!r}")
-    return max(1, math.ceil(budget / config.rollout_steps))
 
 
 def make_env(name: str):
@@ -277,7 +261,7 @@ class RunState:
             bandit_rng=np.random.default_rng(seqs[m + 2]),
             eval_envs=eval_envs,
             last_snapshot=[snapshot_payload(l) for l in learners],
-            next_exploit=config.exploit_period * config.scale,  # inf: never
+            next_exploit=config.exploit_period,  # inf: never
             qd_offset=proto.qd_offset)
         if config.trainer in _JOINT:
             _select_arm(state)
@@ -301,7 +285,6 @@ def run_training(config: TrainerConfig, out_dir=None, env_factory=None) -> RunSt
     """
     validate_config(config)
     started = time.perf_counter()
-    n_iters = _n_iterations(config)
     state = RunState.create(config, env_factory or (lambda: make_env(config.env_name)))
     records = state.records
     metrics_fh = None
@@ -313,13 +296,13 @@ def run_training(config: TrainerConfig, out_dir=None, env_factory=None) -> RunSt
         metrics_fh = open(out_dir / "metrics.jsonl", "w")
 
     try:
-        for it in range(n_iters):
+        for it in range(config.iterations):
             learner_records, probe_pool = _reward_phase(state)
             record = {"type": "iteration", "iteration": it,
                       "env_steps": (it + 1) * config.rollout_steps,
                       "learners": learner_records, "eval": None, "archive": None,
                       "exploit": None, "aux": None, "bandit": None}
-            if (it + 1) % config.eval_every == 0 or it == n_iters - 1:
+            if (it + 1) % config.eval_every == 0 or it == config.iterations - 1:
                 record["eval"] = _evaluate_and_offer(state, it)
                 record["exploit"] = _exploit(state, probe_pool, record["env_steps"])
                 record["aux"] = _auxiliary_phase(state, probe_pool, it)
@@ -337,7 +320,8 @@ def run_training(config: TrainerConfig, out_dir=None, env_factory=None) -> RunSt
 
     state.summary = summary = {
         "trainer": config.trainer, "env": config.env_name, "seed": config.seed,
-        "iterations": n_iters, "env_steps_per_learner": n_iters * config.rollout_steps,
+        "iterations": config.iterations,
+        "env_steps_per_learner": config.iterations * config.rollout_steps,
         "qd": qd_metrics(state.archive, fitness_offset=state.qd_offset),
         "queue_best": state.queue.best().fitness if len(state.queue) else None,
         "nan_events": sum(l["nan_event"] for r in records for l in r["learners"]),
@@ -414,7 +398,7 @@ def _exploit(state: RunState, probe_pool, cum_steps: int) -> dict | None:
     restore_payload(worst, entry.payload)
     worst.fitness = entry.fitness
     state.last_snapshot[worst.id] = entry.payload  # NaN recovery keeps the exploit
-    period = config.exploit_period * config.scale
+    period = config.exploit_period
     state.next_exploit += period
     if state.next_exploit <= cum_steps:  # periods were missed: skip to the first one past
         skip = period * ((cum_steps - state.next_exploit) // period + 1)  # inf if it overflows

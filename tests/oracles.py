@@ -621,7 +621,7 @@ def toy_step(pos, action, cfg):
 
 
 def toy_reward(pos, cfg):
-    """ToyEnv.reward_at on arrays: squared distances to every goal at once."""
+    """ToyEnv's reward at ``pos`` on arrays: squared distances to every goal at once."""
     d2 = ((np.asarray(cfg.goals, dtype=np.float64) - pos) ** 2).sum(axis=1)
     rewards = np.asarray(cfg.goal_rewards, dtype=np.float64)
     return float((rewards * np.exp(-d2 / cfg.bump_scale)).max())

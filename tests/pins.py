@@ -124,7 +124,7 @@ def run_digest(case: str) -> str:
                         population=1 if trainer == "ppo-single" else 3,
                         iterations=3, rollout_steps=128, eval_episodes=2,
                         diversity_iters=3, probe_states=32, hidden=(16,),
-                        exploit_period=200.0, scale=1.0, seed=5)
+                        exploit_period=200.0, seed=5)
     factory = None
     if env_name == "dogfight":
         cfg = dataclasses.replace(cfg, iterations=2, eval_episodes=1,

@@ -200,7 +200,7 @@ def test_criterion_4_ablation_identity(session_dir, capfd):
     cfg = TrainerConfig(env_name="toy", trainer="pdo", population=3,
                         iterations=12, rollout_steps=64, eval_episodes=2,
                         eval_every=2, diversity_iters=0, probe_states=32,
-                        hidden=(8,), exploit_period=1500.0, scale=1.0, seed=7)
+                        hidden=(8,), exploit_period=1500.0, seed=7)
     dir_a = session_dir / "ablation_pdo_d0"
     dir_b = session_dir / "ablation_pbt"
     run_training(cfg, out_dir=dir_a)
@@ -223,7 +223,7 @@ def test_criterion_6_desk_scale_trend(session_dir, capfd):
     for trainer in ("pdo", "pbt"):
         for seed in range(5):
             cfg = TrainerConfig(env_name="toy", trainer=trainer, population=3,
-                                scale=1.0 / 50.0, eval_every=10, seed=seed)
+                                eval_every=10, seed=seed)
             run_dir = session_dir / f"trend_{trainer}_seed{seed}"
             result = run_training(cfg, out_dir=run_dir)
             _SESSION_RUNS.append(run_dir)
@@ -259,7 +259,7 @@ def test_criterion_5_archive_gating(session_dir, capfd):
             population=1 if trainer == "ppo-single" else 3,
             iterations=6, rollout_steps=64, eval_episodes=2, eval_every=2,
             diversity_iters=3, probe_states=32, hidden=(8,),
-            exploit_period=800.0, scale=1.0, seed=19)
+            exploit_period=800.0, seed=19)
         run_dir = session_dir / f"gating_{trainer}"
         run_training(cfg, out_dir=run_dir)
         _SESSION_RUNS.append(run_dir)

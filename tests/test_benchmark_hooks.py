@@ -48,8 +48,7 @@ def test_instrumented_restores_every_patched_attribute(tracing):
 def test_engine_calls_run_through_the_hooks(tracing, tmp_path):
     cfg = TrainerConfig(env_name="toy", trainer="pdo", population=2, iterations=2,
                         rollout_steps=32, eval_episodes=1, diversity_iters=2,
-                        probe_states=16, hidden=(8,), exploit_period=32.0,
-                        scale=1.0, seed=3)
+                        probe_states=16, hidden=(8,), exploit_period=32.0, seed=3)
     tracer = tracing.Tracer()
     meter = tracing.EnvMeter(tracer)
     with tracing.instrumented(meter):

@@ -17,6 +17,11 @@ from phasic.cli import build_parser, main, resolve_config, CliError
 from phasic.trainers import TrainerConfig
 
 
+# JSON nested deeper than the parser recurses
+_DEEP = "[" * 100_000 + "]" * 100_000
+_DEEP_CONFIG = ('{"ppo": ' + _DEEP + "}").encode()
+
+
 def _cfg_file(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -208,13 +213,13 @@ class TestValidateCommand:
         assert out == ""
         assert json.loads(err)["error"]["type"] == "config"
 
-    @pytest.mark.parametrize("bad", [{"scale": "0.1"}, {"beta": "0.5"},
+    @pytest.mark.parametrize("bad", [{"exploit_period": "0.1"}, {"beta": "0.5"},
                                      {"ppo": {"gamma": "0.9"}}, {"hidden": [8.7]},
                                      {"hidden": [0]}, {"hidden": [-3]}, {"hidden": [True]},
                                      {"hidden": 8}, {"lambda_arms": [True, "0.5"]},
-                                     {"lambda_arms": 0.5}, {"total_steps": float("inf")},
-                                     {"scale": 1e308, "total_steps": 1e308}, {"seed": -1},
-                                     {"seed": [1]}, {"scale": 10**400}])
+                                     {"lambda_arms": 0.5}, {"iterations": float("inf")},
+                                     {"iterations": None}, {"seed": -1},
+                                     {"seed": [1]}, {"exploit_period": 10**400}])
     def test_wrong_type_or_size_is_one_config_error(self, tmp_path, capsys, bad):
         """Both commands exit 1 with one JSON config error, not a traceback, and
         the run writes nothing."""
@@ -237,12 +242,14 @@ class TestValidateCommand:
         ({"out": "runs"}, [], "usage", "out"),
         ({"out": None}, [], "usage", "out"),
         ({"env": "dogfight"}, [], "usage", "env"),
-        ({"exploit_period": 1e-200, "scale": 1e-200, "iterations": 2}, [], "config",
-         "exploit_period"),
+        ({"exploit_period": 0.0, "iterations": 2}, [], "config", "exploit_period"),
         ({"env_name": ["toy"]}, [], "config", "env_name"),
         ({"env_name": {"name": "toy"}}, [], "config", "env_name"),
         ({"eval_every": 0}, [], "config", "eval_every must be an integer >= 1, got 0"),
-        ({"seeds": [0, 1]}, [], "usage", "seeds")])
+        ({"seeds": [0, 1]}, [], "usage", "seeds"),
+        # the run length is iterations alone: the step budget and its scale are gone
+        ({"total_steps": 3e6, "iterations": 2}, [], "usage", "total_steps"),
+        ({"scale": 0.02}, [], "usage", "scale")])
     def test_config_the_run_cannot_use_is_one_error(self, tmp_path, capsys, bad, flags, kind,
                                                     key):
         """Validate refuses what the run would fail on, with one JSON error
@@ -435,14 +442,19 @@ class TestReportRefusals:
         ("metrics.jsonl", lambda run: _append(run / "metrics.jsonl", "[1, 2]\n")),
         ("metrics.jsonl", lambda run: (run / "metrics.jsonl").write_bytes(b"\xff\xfe\n")),
         ("metrics.jsonl", _break_last_eval_record),
+        ("metrics.jsonl", lambda run: _append(run / "metrics.jsonl", _DEEP + "\n")),
         ("config.json", lambda run: (run / "config.json").write_text("{}")),
         ("config.json", lambda run: (run / "config.json").write_text('{"env_name": "pong"}')),
+        ("config.json", lambda run: (run / "config.json").write_text(_DEEP)),
+        ("archive/manifest.json",
+         lambda run: (run / "archive" / "manifest.json").write_text(_DEEP)),
         ("archive/heatmap.csv",
          lambda run: (run / "archive" / "heatmap.csv").write_text("not,a,grid\n")),
         ("archive/heatmap.csv", lambda run: (run / "archive" / "heatmap.csv").write_text("")),
         ("archive/heatmap.csv", lambda run: _drop_last_line(run / "archive" / "heatmap.csv")),
     ], ids=["truncated-metrics", "metrics-line-not-an-object", "undecodable-metrics",
-            "eval-record-lacks-a-metric", "config-without-env", "unknown-env",
+            "eval-record-lacks-a-metric", "metrics-line-nested-too-deep", "config-without-env",
+            "unknown-env", "config-nested-too-deep", "manifest-nested-too-deep",
             "malformed-heatmap", "empty-heatmap", "heatmap-not-the-manifest-shape"])
     def test_damaged_run(self, tmp_path, capsys, experiment, name, damage):
         shutil.copytree(experiment, tmp_path / "exp")
@@ -493,7 +505,8 @@ class TestFlagValues:
         assert json.loads(err)["error"]["message"] == "unknown config keys: out"
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
-    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"{"], ids=["undecodable", "invalid"])
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"{", _DEEP_CONFIG],
+                             ids=["undecodable", "invalid", "nested-too-deep"])
     def test_config_file_that_is_not_json(self, tmp_path, capsys, content):
         path = tmp_path / "cfg.json"
         path.write_bytes(content)

@@ -371,11 +371,11 @@ class TestCollectRollout:
         assert len(buf.episode_returns) == 2
         starts = [buf.raw_obs[0], buf.raw_obs[50]]
         for got, start in zip(buf.episode_returns, starts):
-            assert got == pytest.approx(50 * env.reward_at(start), rel=1e-5)
+            assert got == pytest.approx(50 * oracles.toy_reward(start, env.config), rel=1e-5)
         # mid-episode cut: bootstrap from the live state, continuation obs kept
         assert learner.obs is not None
-        assert learner.pending_return == pytest.approx(25 * env.reward_at(buf.raw_obs[100]),
-                                                       rel=1e-5)
+        assert learner.pending_return == pytest.approx(
+            25 * oracles.toy_reward(buf.raw_obs[100], env.config), rel=1e-5)
         assert buf.bootstrap_value == pytest.approx(
             value_fn.value(oracles.normalize(learner.obs_stat, learner.obs)))
 
@@ -738,7 +738,8 @@ class TestEvaluate:
         view = NormalizedPolicy(policy, np.zeros(2), np.ones(2))
         res, = evaluate([view], [env], [np.random.default_rng(20)], episodes=3)
         # deterministic mean action is 0 from the origin: parked at spawn
-        assert res.fitness == pytest.approx(40 * env.env.reward_at(np.zeros(2)), rel=1e-12)
+        assert res.fitness == pytest.approx(40 * oracles.toy_reward(np.zeros(2), env.env.config),
+                                            rel=1e-12)
         assert len(env.episode_returns) == 3
         assert res.bd == pytest.approx([0.5, 0.5], abs=1e-12)
 

@@ -1,5 +1,7 @@
 """Closed-form checks for the two-goal navigation environment."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,45 +10,49 @@ from phasic.toy import ToyConfig, ToyEnv
 import oracles
 
 
+def step_to(point, config=ToyConfig()):
+    """The observation and reward of one step from the origin by ``point``: with
+    a unit step the env lands on ``point`` itself when it lies in the arena."""
+    env = ToyEnv(dataclasses.replace(config, spawn_jitter=0.0, step_size=1.0))
+    env.reset(np.random.default_rng(0))
+    obs, reward, _, _ = env.step(np.asarray(point, dtype=np.float64))
+    return obs, reward
+
+
 def test_reward_peaks_at_goals():
-    env = ToyEnv()
-    cfg = env.config
-    assert env.reward_at(np.array(cfg.goals[0])) == pytest.approx(1.0, abs=1e-12)
-    assert env.reward_at(np.array(cfg.goals[1])) == pytest.approx(0.7, abs=1e-12)
+    goals = ToyConfig().goals
+    assert step_to(goals[0])[1] == pytest.approx(1.0, abs=1e-12)
+    assert step_to(goals[1])[1] == pytest.approx(0.7, abs=1e-12)
 
 
 def test_reward_hand_value_off_goal():
     # 0.1 right of the main goal: d^2 = 0.01, bump scale 0.02 -> e^{-0.5}
-    env = ToyEnv()
     expected = 1.0 * np.exp(-0.01 / 0.02)
-    assert env.reward_at(np.array([0.7, 0.6])) == pytest.approx(expected, rel=1e-12)
+    assert step_to([0.7, 0.6])[1] == pytest.approx(expected, rel=1e-12)
 
 
 def test_reward_is_max_over_goals():
     # midpoint between the goals is equidistant; the taller bump wins
-    env = ToyEnv()
     d2 = 2 * 0.6 ** 2
     expected = 1.0 * np.exp(-d2 / 0.02)
-    assert env.reward_at(np.zeros(2)) == pytest.approx(expected, rel=1e-12)
+    assert step_to(np.zeros(2))[1] == pytest.approx(expected, rel=1e-12)
 
 
 def test_step_moves_by_clipped_action():
     env = ToyEnv()
-    env.reset(np.random.default_rng(0))
-    start = env.position.copy()
+    start = env.reset(np.random.default_rng(0))
     _, _, _, info = env.step(np.array([5.0, -0.5]))
     moved = info["position"] - start
     assert moved == pytest.approx([0.05, -0.025], abs=1e-12)
     # both clamps give np.clip's bits, at the walls and for non-finite actions
     rng = np.random.default_rng(5)
-    done, walls = False, 0
+    pos, done, walls = info["position"], False, 0
     for action in wall_and_nonfinite_actions(rng):
-        if done or not np.all(np.isfinite(env.position)):
-            env.reset(rng)
-        pos = env.position
-        _, _, done, info = env.step(action)
+        if done or not np.all(np.isfinite(pos)):
+            pos = env.reset(rng)
         expected = np.clip(pos + env.config.step_size * np.clip(action, -1.0, 1.0), -1.0, 1.0)
-        assert np.array_equal(info["position"], expected, equal_nan=True)
+        pos, _, done, info = env.step(action)
+        assert np.array_equal(pos, expected, equal_nan=True)
         walls += int(np.any(np.abs(expected) == 1.0))
     assert walls > 50
 
@@ -66,45 +72,45 @@ def test_step_matches_the_reference_step():
     (sign and payload) are left to the platform's arithmetic."""
     env = ToyEnv()
     rng = np.random.default_rng(6)
-    env.reset(rng)
+    pos = env.reset(rng)
     done, nans = False, 0
     for action in wall_and_nonfinite_actions(rng):
-        if done or not np.all(np.isfinite(env.position)):
-            env.reset(rng)
-        want_pos, want_reward = oracles.toy_step(env.position, action, env.config)
+        if done or not np.all(np.isfinite(pos)):
+            pos = env.reset(rng)
+        want_pos, want_reward = oracles.toy_step(pos, action, env.config)
         pos, reward, done, info = env.step(action)
         assert np.array_equal(pos, want_pos, equal_nan=True)
         assert reward == want_reward or (np.isnan(reward) and np.isnan(want_reward))
         assert info["sparse_reward"] is reward and info["position"] is pos
-        assert env.reward_at(pos) == reward or np.isnan(reward)
         nans += int(np.isnan(reward))
     assert nans > 0
-    probes = rng.uniform(-1.0, 1.0, (500, 2))
-    for pos in np.concatenate([probes, np.array(env.config.goals)]):
-        assert env.reward_at(pos) == oracles.toy_reward(pos, env.config)
 
 
 def test_reward_max_matches_the_numpy_formula():
-    """The float max over the goal products against numpy's array max, bit for
-    bit: a NaN product anywhere gives NaN (whose sign and payload are not
-    compared), and 0.0 and -0.0 are told apart.  Negative, signed-zero and
-    infinite goal rewards, far points and non-finite points make every case
+    """The env's float max over the goal products against numpy's array max,
+    bit for bit: a NaN product anywhere gives NaN (whose sign and payload are
+    not compared), and 0.0 and -0.0 are told apart.  Negative, signed-zero and
+    infinite goal rewards, a goal beyond the bump's reach (its product is 0,
+    or NaN for an infinite reward), walls and NaN points make every case
     occur."""
     def same(a, b):
         return (np.isnan(a) and np.isnan(b)) or (a == b and np.signbit(a) == np.signbit(b))
 
-    goals = ((0.6, 0.6), (-0.6, -0.6), (0.0, 0.9))
+    # exp(-d^2 / 0.02) underflows to 0 beyond d = 3.86: at (0, 5), for every arena point
+    goals = ((0.6, 0.6), (-0.6, -0.6), (0.0, 5.0))
     special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5.0, -0.6]
     rng = np.random.default_rng(7)
     points = np.concatenate([rng.uniform(-1.5, 1.5, (300, 2)), np.array(goals),
                              [(x, y) for x in special for y in special]])
     seen = set()
     for goal_rewards in [(1.0, 0.7), (0.7, 1.0, 0.7), (-1.0, -0.5), (0.0, -0.0), (-0.0, 0.0),
-                         (-0.5, 0.0, -0.0), (0.5, np.inf, -2.0), (-np.inf, -0.0, 0.0)]:
-        env = ToyEnv(ToyConfig(goals=goals[:len(goal_rewards)], goal_rewards=goal_rewards))
+                         (-0.5, 0.0, -0.0), (0.5, np.inf, -2.0), (-np.inf, -0.0, 0.0),
+                         (1.0, 0.7, np.inf)]:
+        config = ToyConfig(goals=goals[:len(goal_rewards)], goal_rewards=goal_rewards)
         with np.errstate(invalid="ignore"):
-            for pos in points:
-                got, want = env.reward_at(pos), oracles.toy_reward(pos, env.config)
+            for point in points:
+                pos, got = step_to(point, config)
+                want = oracles.toy_reward(pos, config)
                 assert same(got, want), (goal_rewards, pos, got, want)
                 seen.add("nan" if np.isnan(got) else "inf" if np.isinf(got)
                          else "-0" if got == 0.0 and np.signbit(got)
@@ -140,8 +146,7 @@ def test_episode_length_and_done():
 
 def test_zero_actions_give_constant_reward_stream():
     env = ToyEnv()
-    env.reset(np.random.default_rng(7))
-    r0 = env.reward_at(env.position)
+    r0 = oracles.toy_reward(env.reset(np.random.default_rng(7)), env.config)
     total = 0.0
     done = False
     while not done:
@@ -173,11 +178,11 @@ def test_behavior_descriptor_maps_final_position():
 
 def test_scripted_walk_reaches_main_goal():
     env = ToyEnv(ToyConfig(spawn_jitter=0.0))
-    env.reset(np.random.default_rng(0))
+    pos = env.reset(np.random.default_rng(0))
     done = False
     while not done:
-        delta = np.array([0.6, 0.6]) - env.position
-        _, _, done, info = env.step(np.sign(delta) * (np.abs(delta) > 1e-9))
-    assert info["position"] == pytest.approx([0.6, 0.6], abs=1e-9)
+        delta = np.array([0.6, 0.6]) - pos
+        pos, reward, done, _ = env.step(np.sign(delta) * (np.abs(delta) > 1e-9))
+    assert pos == pytest.approx([0.6, 0.6], abs=1e-9)
     # parked on the goal for the tail of the episode
-    assert env.reward_at(info["position"]) == pytest.approx(1.0, abs=1e-9)
+    assert reward == pytest.approx(1.0, abs=1e-9)
