@@ -254,6 +254,8 @@ def main(argv=None) -> int:
         return _fail("config", str(exc))
     except OSError as exc:
         return _fail("io", str(exc))
+    except MemoryError as exc:
+        return _fail("memory", str(exc) or "out of memory")
 
 
 if __name__ == "__main__":

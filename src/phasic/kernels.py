@@ -1,17 +1,16 @@
 """The population similarity kernel and its reverse pass.
 
 Similarity between two stochastic policies is estimated on a batch of probe
-states: for each state the distance between the two action distributions is
-computed (Jensen-Shannon divergence for discrete actions, squared
-2-Wasserstein for diagonal Gaussians) and mapped into [0, 1].  Stacking all
-pairwise similarities gives a symmetric positive-semidefinite matrix with
-unit diagonal whose determinant scores the diversity of the population.
+states, as one chain of distance, scale and map.  ``_w2`` gives diagonal
+Gaussians their state-mean squared 2-Wasserstein distance, divided by its
+off-diagonal std and mapped by exp(-d / 2); ``_jsd`` gives categoricals their
+Jensen-Shannon divergence per state, and the state-mean of 1 - JSD/ln2 is
+the similarity.  With a unit diagonal the result is symmetric and positive
+semidefinite, and its determinant scores the diversity of the population.
 
-Both passes are array operations over all pairs at once; gradients with
-respect to policy parameters come from a hand-written reverse pass that
-mirrors the forward computation exactly.  The forward keeps each network's
-layer inputs for the reverse pass to reuse, so a forward and its reverse
-pass run each network once.
+Each metric's function returns its distance with a hand-written reverse
+pass over all pairs at once, which reuses the layer inputs the forward kept:
+a forward and its reverse pass run each network once.
 
 Sums over a short action or category axis (fewer than 8 terms) run as a
 running total of the axis' slices plus 0.0, which gives ``np.sum``'s bits
@@ -23,6 +22,7 @@ product is built.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,27 +56,14 @@ class StateBatch:
 
 @dataclass
 class KernelForward:
-    """Cached forward pass of a population kernel build (for reverse mode).
+    """One kernel build.  ``reverse`` maps a gradient on ``dist`` to one flat
+    gradient per policy from the layer inputs it kept, running no forward."""
 
-    ``caches`` holds each policy's layer inputs (a discrete one's also its
-    probabilities), so ``kernel_backward`` runs no network forward again.
-    """
-
-    policies: list
-    batch: StateBatch
     metric: str
-    deterministic: bool
-    entries: np.ndarray                # (M, M) kernel values
-    scale: float                       # W2 normalization constant actually applied
-    stds: np.ndarray | None = None     # W2: (M, A) action stds
-    diffs: np.ndarray | None = None    # W2: (M, M, N, A) means[i] - means[j]
-    probs: np.ndarray | None = None    # JSD: (M, N, K) categoricals
-    mids: np.ndarray | None = None     # JSD: (M, M, N, K) midpoints (p_i + p_j) / 2
-    caches: list | None = None         # per policy: the cache its backward_* takes
-
-    @property
-    def m(self) -> int:
-        return len(self.policies)
+    entries: np.ndarray  # (M, M) kernel values
+    scale: float         # the scale the distances were divided by
+    dist: np.ndarray     # W2: (M, M) state-mean squared W2; JSD: (M, M, N) JSD per state
+    reverse: Callable[[np.ndarray], list]
 
 
 def _check_metric(policies, metric: str) -> None:
@@ -86,9 +73,11 @@ def _check_metric(policies, metric: str) -> None:
         raise ValueError(f"{metric} metric requires {METRIC_KINDS[metric]} action spaces")
 
 
-def _offdiag_std(sq: np.ndarray) -> float:
+def _w2_scale(sq: np.ndarray) -> float:
+    """The off-diagonal std of the squared distances, or 1.0 below ``NORM_STD_FLOOR``."""
     iu = np.triu_indices(sq.shape[0], k=1)
-    return float(np.std(np.concatenate([sq[iu], sq[(iu[1], iu[0])]])))
+    std = float(np.std(np.concatenate([sq[iu], sq[(iu[1], iu[0])]])))
+    return 1.0 if std < NORM_STD_FLOOR else std
 
 
 def _ordered_sum(x: np.ndarray, axis: int) -> np.ndarray:
@@ -139,39 +128,9 @@ def _sum_of_squares(x: np.ndarray) -> np.ndarray:
     return total
 
 
-def kernel_forward(policies, batch: StateBatch, metric: str = "w2",
-                   deterministic: bool = False, norm_scale: float | None = None) -> KernelForward:
-    """Forward pass: pairwise similarities of the whole population.
-
-    W2 path: per-pair mean squared distance over states, variance-normalized
-    across the population (std treated as constant; ``norm_scale`` pins it
-    explicitly, e.g. to freeze the objective during ascent, and must be
-    positive and finite), then mapped by exp(-d^2/2).  JSD path:
-    state-averaged 1 - JSD/ln2 per pair.
-    """
-    m = len(policies)
-    if m < 2:
-        raise ValueError("population kernel needs at least 2 policies")
-    _check_metric(policies, metric)
-    if norm_scale is not None and not 0.0 < norm_scale < math.inf:
-        raise ValueError(f"norm_scale must be positive and finite, got {norm_scale!r}")
-    states = batch.states
-    n = states.shape[0]
-    if metric == "jsd":
-        outs = [pi.probs_batch(states, with_cache=True) for pi in policies]
-        probs = np.stack([o[0] for o in outs])  # (M, N, K)
-        mids = 0.5 * (probs[:, None] + probs[None, :])
-        # kl[i, j, s] = KL(p_i(s) || mid_ij(s)), with 0 * log 0 = 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = probs[:, None] * (np.log(probs)[:, None] - np.log(mids))
-        kl = last_axis_sum(np.where(probs[:, None] > 0, terms, 0.0))
-        # clip round-off: JSD lies in [0, ln 2] and the similarity in [0, 1]
-        div = np.minimum(np.maximum(0.5 * kl + 0.5 * kl.transpose(1, 0, 2), 0.0), LN2)
-        sim = np.minimum(np.maximum(1.0 - div / LN2, 0.0), 1.0)
-        k = _ordered_sum(sim, axis=-1) / n
-        np.fill_diagonal(k, 1.0)
-        return KernelForward(list(policies), batch, metric, deterministic, k, 1.0,
-                             probs=probs, mids=mids, caches=[o[1] for o in outs])
+def _w2(policies, states: np.ndarray, deterministic: bool):
+    """State-mean squared W2 of each pair of diagonal Gaussians, (M, M), and its
+    reverse pass.  ``deterministic`` compares the means alone."""
     outs = [pi.gaussian_batch(states, with_cache=True) for pi in policies]
     mus = np.stack([o[0] for o in outs])            # (M, N, A)
     stds = np.exp(np.stack([o[1] for o in outs]))   # (M, A)
@@ -179,52 +138,90 @@ def kernel_forward(policies, batch: StateBatch, metric: str = "w2",
     sq = np.mean(_sum_of_squares(diffs), axis=-1)
     if not deterministic:
         sq = sq + last_axis_sum((stds[:, None] - stds[None, :]) ** 2)
-    if norm_scale is None:
-        scale = _offdiag_std(sq)
-        if scale < NORM_STD_FLOOR:
-            scale = 1.0
-    else:
-        scale = float(norm_scale)
-    k = np.exp(-0.5 * (sq / scale))
-    np.fill_diagonal(k, 1.0)
-    return KernelForward(list(policies), batch, metric, deterministic, k, scale,
-                         stds=stds, diffs=diffs, caches=[o[2] for o in outs])
+    caches = [o[2] for o in outs]
+
+    def reverse(d_sq):
+        coeff = d_sq * (2.0 / states.shape[0])
+        dmu = coeff[:, 0, None, None] * diffs[:, 0]
+        for j in range(1, len(caches)):
+            dmu += coeff[:, j, None, None] * diffs[:, j]
+        if deterministic:
+            dls = np.zeros_like(stds)
+        else:
+            dls = _ordered_sum((d_sq * 2.0)[:, :, None] * (stds[:, None] - stds[None, :])
+                               * stds[:, None], axis=1)
+        return [pi.backward_gaussian(c, dm, dl)
+                for pi, c, dm, dl in zip(policies, caches, dmu, dls)]
+    return sq, reverse
 
 
-def kernel_backward(fwd: KernelForward, upstream: np.ndarray) -> list:
-    """Map an upstream gradient on kernel entries to per-policy parameter gradients.
+def _jsd(policies, states: np.ndarray):
+    """JSD of each pair of categoricals on each state, (M, M, N), and its reverse pass."""
+    outs = [pi.probs_batch(states, with_cache=True) for pi in policies]
+    probs = np.stack([o[0] for o in outs])  # (M, N, K)
+    mids = 0.5 * (probs[:, None] + probs[None, :])
+    # kl[i, j, s] = KL(p_i(s) || mid_ij(s)), with 0 * log 0 = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = probs[:, None] * (np.log(probs)[:, None] - np.log(mids))
+    kl = last_axis_sum(np.where(probs[:, None] > 0, terms, 0.0))
+    # clip round-off: JSD lies in [0, ln 2]
+    div = np.minimum(np.maximum(0.5 * kl + 0.5 * kl.transpose(1, 0, 2), 0.0), LN2)
 
-    ``upstream[i, j]`` is dJ/dK[i, j] for the full matrix; the constant
-    diagonal contributes nothing.  Returns one flat gradient per policy.
-    """
-    n = fwd.batch.states.shape[0]
-    sym = upstream + upstream.T
-    if fwd.metric == "jsd":
-        # d entry_ij / d p_i(s) = -(1 / (n ln 2)) * 0.5 * ln(p_i(s) / mid_ij(s))
-        coeff = -sym / (n * LN2) * 0.5
-        floored = np.maximum(fwd.probs, 1e-300)
-        for j in range(fwd.m):
+    def reverse(d_div):
+        # d div_ij(s) / d p_i(s) = 0.5 * ln(p_i(s) / mid_ij(s))
+        coeff = d_div * 0.5
+        floored = np.maximum(probs, 1e-300)
+        for j in range(len(outs)):
             with np.errstate(divide="ignore", invalid="ignore"):
-                term = np.log(floored / fwd.mids[:, j])
-            np.multiply(coeff[:, j, None, None], term, out=term)
+                term = np.log(floored / mids[:, j])
+            np.multiply(coeff[:, j, :, None], term, out=term)
             # mid_jj = p_j, so row j is log(1e-300 / 0) wherever p_j(s) = 0; skip it
             term[j] = 0.0
             if j == 0:
                 dp = term
             else:
                 dp += term
-        return [pi.backward_probs(c, d) for pi, c, d in zip(fwd.policies, fwd.caches, dp)]
-    # dK/d sq = -K / (2 * scale) for each symmetric entry
-    w = -sym * fwd.entries / (2.0 * fwd.scale)
-    coeff = w * (2.0 / n)
-    dmu = coeff[:, 0, None, None] * fwd.diffs[:, 0]
-    for j in range(1, fwd.m):
-        dmu += coeff[:, j, None, None] * fwd.diffs[:, j]
-    if fwd.deterministic:
-        dls = np.zeros_like(fwd.stds)
+        return [pi.backward_probs(o[1], d) for pi, o, d in zip(policies, outs, dp)]
+    return div, reverse
+
+
+def kernel_forward(policies, batch: StateBatch, metric: str = "w2",
+                   deterministic: bool = False, norm_scale: float | None = None) -> KernelForward:
+    """Pairwise similarities of the whole population: distance, scale, map, unit diagonal.
+
+    The W2 scale is ``_w2_scale`` of the distances unless ``norm_scale``
+    (positive and finite) pins it, e.g. to freeze the objective during
+    ascent.  The JSD scale is 1.
+    """
+    if len(policies) < 2:
+        raise ValueError("population kernel needs at least 2 policies")
+    _check_metric(policies, metric)
+    if norm_scale is not None and not 0.0 < norm_scale < math.inf:
+        raise ValueError(f"norm_scale must be positive and finite, got {norm_scale!r}")
+    policies = list(policies)
+    if metric == "jsd":
+        dist, reverse = _jsd(policies, batch.states)
+        scale = 1.0
+        # clip round-off: the similarity lies in [0, 1]
+        sim = np.minimum(np.maximum(1.0 - dist / LN2, 0.0), 1.0)
+        k = _ordered_sum(sim, axis=-1) / dist.shape[-1]
     else:
-        s = fwd.stds
-        dls = _ordered_sum((w * 2.0)[:, :, None] * (s[:, None] - s[None, :]) * s[:, None],
-                           axis=1)
-    return [pi.backward_gaussian(c, dm, dl)
-            for pi, c, dm, dl in zip(fwd.policies, fwd.caches, dmu, dls)]
+        dist, reverse = _w2(policies, batch.states, deterministic)
+        scale = _w2_scale(dist) if norm_scale is None else float(norm_scale)
+        k = np.exp(-0.5 * (dist / scale))
+    np.fill_diagonal(k, 1.0)
+    return KernelForward(metric, k, scale, dist, reverse)
+
+
+def kernel_backward(fwd: KernelForward, upstream: np.ndarray) -> list:
+    """Map an upstream gradient on kernel entries to per-policy parameter gradients.
+
+    ``upstream[i, j]`` is dJ/dK[i, j] for the full matrix; the constant diagonal
+    contributes nothing.  The map's derivative takes it onto the distance.
+    """
+    sym = upstream + upstream.T
+    if fwd.metric == "jsd":
+        # d entry_ij / d div_ij(s) = -1 / (n ln 2), the same on every state
+        return fwd.reverse(-sym[:, :, None] / (fwd.dist.shape[-1] * LN2))
+    # d entry_ij / d sq_ij = -K_ij / (2 * scale)
+    return fwd.reverse(-sym * fwd.entries / (2.0 * fwd.scale))

@@ -381,36 +381,42 @@ def test_criterion_8_kernel_closed_forms(capfd):
         d = jsd(p, q)
         ok_jsd = ok_jsd and 0.0 <= d <= LN2 + 1e-12
 
-    # the training kernel's distances are the closed forms, state by state:
-    # W2 squared distances, read back from the entries through the kernel's
-    # map exp(-d^2 / (2 scale)), are the state-mean of w2_squared_diag and
-    # JSD entries the state-mean of f_js(jsd)
+    # the training kernel's distances are the closed forms: W2 the state-mean
+    # of w2_squared_diag per pair, JSD the jsd of each pair on each probe
+    # state; its entries are those distances through the map, exp(-d / (2
+    # scale)) for W2 and the state-mean of f_js for JSD
+    def rel(got, want):
+        return float(np.max(np.abs(got - want) / np.abs(want)))
+
     worst_path = 0.0
     for case in range(20):
         prng = np.random.default_rng(880 + case)
         n_pols = 2 + case % 4
         batch = StateBatch(prng.uniform(-1.0, 1.0, (16, 2)))
+        off = ~np.eye(n_pols, dtype=bool)
         if case % 3 == 2:
             pols = [random_discrete_policy(prng) for _ in range(n_pols)]
-            got = kernel_forward(pols, batch, "jsd").entries
+            fwd = kernel_forward(pols, batch, "jsd")
             probs = [pi.probs_batch(batch.states) for pi in pols]
-            want = np.array([[np.mean([f_js(jsd(DiscreteDist(pi), DiscreteDist(pj)))
-                                       for pi, pj in zip(probs[i], probs[j])])
+            want = np.array([[[jsd(DiscreteDist(pi), DiscreteDist(pj))
+                               for pi, pj in zip(probs[i], probs[j])]
                               for j in range(n_pols)] for i in range(n_pols)])
+            want_entries = np.array([[np.mean([f_js(d) for d in row]) for row in rows]
+                                     for rows in want])
         else:
             mean_only = case % 3 == 1
             pols = clustered_gaussian_policies(prng, n_pols, spread=0.3)
             fwd = kernel_forward(pols, batch, "w2", mean_only)
-            got = -2.0 * fwd.scale * np.log(fwd.entries)
             outs = [pi.gaussian_batch(batch.states) for pi in pols]
             want = np.array([[np.mean([w2_squared_diag(DiagGaussian(mi, outs[i][1]),
                                                        DiagGaussian(mj, outs[j][1]),
                                                        mean_only)
                                        for mi, mj in zip(outs[i][0], outs[j][0])])
                               for j in range(n_pols)] for i in range(n_pols)])
-        off = ~np.eye(n_pols, dtype=bool)
-        worst_path = max(worst_path,
-                         float(np.max(np.abs(got[off] - want[off]) / np.abs(want[off]))))
+            want_entries = np.exp(-0.5 * (want / fwd.scale))
+        assert fwd.dist.shape == want.shape
+        worst_path = max(worst_path, rel(fwd.dist[off], want[off]),
+                         rel(fwd.entries[off], want_entries[off]))
     ok_path = worst_path <= 1e-12
 
     _report(8, "closed-form W2 matches Monte-Carlo transport, JSD stays "

@@ -353,6 +353,17 @@ class TestRunCommand:
         agg = json.loads(out)
         assert all(v["std"] == 0.0 for v in agg["qd"].values())
 
+    def test_more_memory_than_exists_is_one_error(self, tmp_path, capsys):
+        # 10**16 steps ask for about 284 PiB, beyond any address space, so
+        # the rollout buffer's allocation fails at once
+        cfg = _cfg_file(tmp_path, {"rollout_steps": 10**16, "iterations": 1, "population": 2})
+        rc, _, err = _run_main(capsys, ["run", "--config", cfg, "--out", str(tmp_path / "x")])
+        assert rc == 1
+        # the run's progress line, then the error
+        progress, error = err.splitlines()
+        assert progress.startswith("running pdo on toy seed=0")
+        assert json.loads(error)["error"]["type"] == "memory"
+
 
 class TestReportCommand:
     def _make_experiment(self, tmp_path, capsys):

@@ -330,23 +330,20 @@ class TestPassesWriteOnlyWhatTheyMade:
         assert stacked_forward(nets)(x).shape == shape[:-1] + (4,)
         assert stacked_forward(vfs)(x).shape == shape[:-1] + (1,)
 
-    @pytest.mark.parametrize("metric", ["w2", "jsd"])
-    def test_kernel_reverse_pass(self, metric):
+    @pytest.mark.parametrize("metric, mean_only", [("w2", False), ("w2", True), ("jsd", False)],
+                             ids=["w2", "w2-mean-only", "jsd"])
+    def test_kernel_reverse_pass(self, metric, mean_only):
+        # what the forward kept lives inside its reverse pass, so a write into
+        # it shows as a second reverse pass that differs from the first
         rng = np.random.default_rng(18)
         make = random_gaussian_policy if metric == "w2" else random_discrete_policy
         pols = [make(rng, hidden=(6, 4)) for _ in range(3)]
         batch = StateBatch(rng.standard_normal((9, 2)))
         _read_only(batch.states)
-        fwd = kernel_forward(pols, batch, metric)
-        for cache in fwd.caches:
-            if metric == "w2":
-                _read_only(*cache)
-            else:
-                _read_only(*cache[0], cache[1])
-        for a in (fwd.entries, fwd.stds, fwd.diffs, fwd.probs, fwd.mids):
-            if a is not None:
-                _read_only(a)
-        kernel_backward(fwd, *_read_only(rng.standard_normal((3, 3))))
+        fwd = kernel_forward(pols, batch, metric, mean_only)
+        upstream, _, _ = _read_only(rng.standard_normal((3, 3)), fwd.entries, fwd.dist)
+        first = [g.tobytes() for g in kernel_backward(fwd, upstream)]
+        assert [g.tobytes() for g in kernel_backward(fwd, upstream)] == first
 
 
 class TestTransientAllocation:
