@@ -113,38 +113,6 @@ class DogfightState(NamedTuple):
     status: EpisodeStatus
 
 
-def wrap_angle(a: float) -> float:
-    return (a + math.pi) % (2.0 * math.pi) - math.pi
-
-
-def integrate(state: AircraftState, action: np.ndarray, cfg: DogfightConfig) -> AircraftState:
-    """Advance one aircraft by dt under a clamped 4-channel control."""
-    # np.clip's bits on floats without a builtin call: for lo <= hi,
-    # `lo if x < lo else (hi if x > hi else x)` equals min(max(x, lo), hi) for
-    # every x, +-inf clamped and NaN passed through (both comparisons are false)
-    throttle, elevator, roll_cmd, rudder = np.asarray(action, dtype=np.float64).tolist()
-    throttle = -1.0 if throttle < -1.0 else (1.0 if throttle > 1.0 else throttle)
-    elevator = -1.0 if elevator < -1.0 else (1.0 if elevator > 1.0 else elevator)
-    roll_cmd = -1.0 if roll_cmd < -1.0 else (1.0 if roll_cmd > 1.0 else roll_cmd)
-    rudder = -1.0 if rudder < -1.0 else (1.0 if rudder > 1.0 else rudder)
-    speed = state.speed + throttle * cfg.accel_max * cfg.dt
-    speed = cfg.v_min if speed < cfg.v_min else (cfg.v_max if speed > cfg.v_max else speed)
-    roll = wrap_angle(state.roll + roll_cmd * cfg.roll_rate * cfg.dt)
-    pitch, limit = state.pitch + elevator * cfg.pitch_rate * cfg.dt, cfg.pitch_limit
-    pitch = -limit if pitch < -limit else (limit if pitch > limit else pitch)
-    # bank-to-turn: rolling tilts the lift vector and drags the heading around;
-    # the coupling is clamped so near-knife-edge bank stays finite
-    bank_turn, cap = (GRAVITY / speed) * math.tan(roll), cfg.turn_rate_max
-    bank_turn = -cap if bank_turn < -cap else (cap if bank_turn > cap else bank_turn)
-    heading = wrap_angle(state.heading + (rudder * cfg.yaw_rate + bank_turn) * cfg.dt)
-    forward = _nose(heading, pitch)
-    fx, fy, fz = forward
-    x, y, z = state.pos.tolist()
-    dt = cfg.dt
-    pos = np.array([x + speed * fx * dt, y + speed * fy * dt, z + speed * fz * dt])
-    return AircraftState(pos, speed, heading, pitch, roll, np.array(forward))
-
-
 class Geometry(NamedTuple):
     """Relative geometry from an attacker toward a target."""
 
@@ -154,6 +122,202 @@ class Geometry(NamedTuple):
     cos_ata: float
     az_err: float     # signed horizontal steering error (positive = target right)
     elev_err: float   # signed vertical steering error (positive = target above)
+
+
+def wrap_angle(a: float) -> float:
+    return (a + math.pi) % (2.0 * math.pi) - math.pi
+
+
+# -- the transition core ---------------------------------------------------------
+#
+# The core carries an aircraft as a craft: the floats (x, y, z, speed, heading,
+# pitch, roll, fx, fy, fz) of its AircraftState, (fx, fy, fz) being the nose
+# vector.  It builds ndarrays only for the operands of BLAS ddot (see _sight) and
+# for the observation.  The public functions further down convert records to
+# crafts and back around it, and DogfightEnv builds records only when its
+# ``state`` is read.  wrap_angle is inlined as ``(a + _PI) % _TAU - _PI``.
+
+_PI = math.pi
+_TAU = 2.0 * math.pi
+_COINCIDENT = (0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+
+
+def _craft(state: AircraftState) -> tuple:
+    return (*state.pos.tolist(), state.speed, state.heading, state.pitch, state.roll,
+            *state.forward.tolist())
+
+
+def _aircraft(craft: tuple) -> AircraftState:
+    x, y, z, speed, heading, pitch, roll, fx, fy, fz = craft
+    return AircraftState(np.array((x, y, z)), speed, heading, pitch, roll,
+                         np.array((fx, fy, fz)))
+
+
+def _commands(action) -> list:
+    return np.asarray(action, dtype=np.float64).tolist()
+
+
+def _fly(craft: tuple, action, cfg: DogfightConfig) -> tuple:
+    """``integrate`` on a craft and four command floats."""
+    # np.clip's bits on floats without a builtin call: for lo <= hi,
+    # `lo if x < lo else (hi if x > hi else x)` equals min(max(x, lo), hi) for
+    # every x, +-inf clamped and NaN passed through (both comparisons are false)
+    throttle, elevator, roll_cmd, rudder = action
+    throttle = -1.0 if throttle < -1.0 else (1.0 if throttle > 1.0 else throttle)
+    elevator = -1.0 if elevator < -1.0 else (1.0 if elevator > 1.0 else elevator)
+    roll_cmd = -1.0 if roll_cmd < -1.0 else (1.0 if roll_cmd > 1.0 else roll_cmd)
+    rudder = -1.0 if rudder < -1.0 else (1.0 if rudder > 1.0 else rudder)
+    x, y, z, speed, heading, pitch, roll, _, _, _ = craft
+    dt = cfg.dt
+    speed = speed + throttle * cfg.accel_max * dt
+    speed = cfg.v_min if speed < cfg.v_min else (cfg.v_max if speed > cfg.v_max else speed)
+    roll = (roll + roll_cmd * cfg.roll_rate * dt + _PI) % _TAU - _PI
+    pitch, limit = pitch + elevator * cfg.pitch_rate * dt, cfg.pitch_limit
+    pitch = -limit if pitch < -limit else (limit if pitch > limit else pitch)
+    # bank-to-turn: rolling tilts the lift vector and drags the heading around;
+    # the coupling is clamped so near-knife-edge bank stays finite
+    bank_turn, cap = (GRAVITY / speed) * math.tan(roll), cfg.turn_rate_max
+    bank_turn = -cap if bank_turn < -cap else (cap if bank_turn > cap else bank_turn)
+    heading = (heading + (rudder * cfg.yaw_rate + bank_turn) * dt + _PI) % _TAU - _PI
+    fx, fy, fz = _nose(heading, pitch)
+    return (x + speed * fx * dt, y + speed * fy * dt, z + speed * fz * dt,
+            speed, heading, pitch, roll, fx, fy, fz)
+
+
+def _sight(red: tuple, blue: tuple) -> tuple:
+    """``pair_geometry`` on crafts: the distance, then red's five other Geometry
+    fields, then blue's."""
+    rx, ry, rz, _, red_heading, red_pitch, _, rfx, rfy, rfz = red
+    bx, by, bz, _, blue_heading, blue_pitch, _, bfx, bfy, bfz = blue
+    lx, ly, lz = bx - rx, by - ry, bz - rz
+    # the three products stay BLAS ddot on ndarrays: a float sum of the three
+    # products rounds differently for about a fifth of all vectors
+    los = np.array((lx, ly, lz))
+    dist = math.sqrt(los.dot(los))  # np.linalg.norm's own computation
+    if dist < 1e-9:
+        return _COINCIDENT
+    u = np.array((lx / dist, ly / dist, lz / dist))  # los / dist, element by element
+    cos_ata = float(np.array((rfx, rfy, rfz)).dot(u))
+    cos_ata = -1.0 if cos_ata < -1.0 else (1.0 if cos_ata > 1.0 else cos_ata)
+    # red's aspect: blue's tail axis (-forward) vs LOS blue->red (-u); the two
+    # sign flips cancel.  Blue's nose on its own LOS (-u) is the negation.
+    cos_aspect = float(np.array((bfx, bfy, bfz)).dot(u))
+    cos_aspect = -1.0 if cos_aspect < -1.0 else (1.0 if cos_aspect > 1.0 else cos_aspect)
+    level = math.hypot(lx, ly)  # hypot reads only magnitudes
+    return (dist,
+            math.acos(cos_ata), math.acos(cos_aspect), cos_ata,
+            (math.atan2(lx, ly) - red_heading + _PI) % _TAU - _PI,
+            math.atan2(lz, level) - red_pitch,
+            math.acos(-cos_aspect), math.acos(-cos_ata), -cos_aspect,
+            (math.atan2(rx - bx, ry - by) - blue_heading + _PI) % _TAU - _PI,
+            math.atan2(rz - bz, level) - blue_pitch)
+
+
+def _locks(sight: tuple, cfg: DogfightConfig) -> tuple:
+    """(red locks blue, blue locks red) on a ``_sight``."""
+    if sight[0] >= cfg.lock_range:
+        return False, False
+    floor = math.cos(cfg.lock_cone) - 1e-12
+    return sight[3] >= floor, sight[8] >= floor
+
+
+def _outside(craft: tuple, cfg: DogfightConfig) -> bool:
+    x, y, z = craft[0], craft[1], craft[2]
+    return (abs(x) > cfg.half_width or abs(y) > cfg.half_width
+            or z < cfg.alt_min or z > cfg.alt_max)
+
+
+def _transition(red: tuple, blue: tuple, status: tuple, action_red, action_blue,
+                cfg: DogfightConfig) -> tuple:
+    """``step`` on crafts, an EpisodeStatus tuple and command floats: returns
+    (red, blue, sight, red_locks, blue_locks, sparse_reward, status)."""
+    n_step, lock_a, lock_o, terminal = status
+    if terminal is not None:
+        raise ValueError("step() on a terminated engagement")
+    red, blue = _fly(red, action_red, cfg), _fly(blue, action_blue, cfg)
+    sight = _sight(red, blue)
+    red_locks, blue_locks = _locks(sight, cfg)
+    lock_a += red_locks
+    lock_o += blue_locks
+    reward = cfg.lock_reward * red_locks + cfg.locked_penalty * blue_locks
+    n_step += 1
+    if _outside(red, cfg):
+        reward += cfg.oob_penalty
+        terminal = "out_of_bounds:red"
+    elif _outside(blue, cfg):
+        terminal = "out_of_bounds:blue"
+    elif lock_a > cfg.lock_limit:
+        terminal = "lock_win:red"
+    elif lock_o > cfg.lock_limit:
+        terminal = "lock_win:blue"
+    elif n_step >= cfg.max_steps:
+        terminal = "max_steps"
+    return (red, blue, sight, red_locks, blue_locks, float(reward),
+            (n_step, lock_a, lock_o, terminal))
+
+
+def _expert(distance: float, aspect: float, az_err: float, elev_err: float,
+            rng: np.random.Generator, cfg: DogfightConfig) -> tuple:
+    """``expert_policy`` on a geometry's floats: four command floats."""
+    mag, noise, band = cfg.expert_magnitude, cfg.expert_noise, cfg.expert_deadband
+    # Generator.uniform(-noise, noise)'s own formula and bits, without its
+    # per-call cost
+    low, span = -noise, noise - -noise
+    throttle = -mag if aspect < cfg.brake_aspect and distance < cfg.brake_range else mag
+    if abs(elev_err) > band:
+        elevator = math.copysign(mag, elev_err)
+    else:
+        elevator = low + span * rng.random()
+    roll = low + span * rng.random()
+    if abs(az_err) > band:
+        rudder = math.copysign(mag, az_err)
+    else:
+        rudder = low + span * rng.random()
+    return throttle, elevator, roll, rudder
+
+
+def _shaping(prev_cos: float, prev_dist: float, cos_ata: float, distance: float,
+             locked: bool, cfg: DogfightConfig) -> float:
+    """``dense_reward`` on the two geometries' nose cosines and distances."""
+    pointing = cfg.k_point * (cos_ata - prev_cos)
+    closure = cfg.k_close * (prev_dist - distance) / cfg.dist_scale
+    pressure = cfg.k_locked * (1.0 if locked else 0.0)
+    return pointing + closure - pressure
+
+
+def _observe(own: tuple, other: tuple, distance: float, ata: float, aspect: float,
+             own_locks: int, other_locks: int, n_step: int,
+             cfg: DogfightConfig) -> np.ndarray:
+    """``observe`` on crafts and a geometry's floats."""
+    x, y, z, speed, heading, pitch, roll, _, _, _ = own
+    ox, oy, oz, other_speed, _, _, _, ofx, ofy, ofz = other
+    half_width, alt_min, alt_max = cfg.half_width, cfg.alt_min, cfg.alt_max
+    dist = 1e-9 if distance < 1e-9 else distance
+    return np.array((
+        speed / cfg.v_max,
+        math.sin(heading), math.cos(heading),
+        pitch / (0.5 * _PI),
+        math.sin(roll), math.cos(roll),
+        x / half_width,
+        y / half_width,
+        (2.0 * z - (alt_min + alt_max)) / (alt_max - alt_min),
+        (ox - x) / dist, (oy - y) / dist, (oz - z) / dist,
+        distance / cfg.dist_scale,
+        other_speed / cfg.v_max,
+        ofx, ofy, ofz,
+        ata / _PI,
+        aspect / _PI,
+        own_locks / cfg.lock_limit,
+        other_locks / cfg.lock_limit,
+        n_step / cfg.max_steps,
+    ))
+
+
+# -- the public functions: records in, records out, through the core ---------------
+
+def integrate(state: AircraftState, action: np.ndarray, cfg: DogfightConfig) -> AircraftState:
+    """Advance one aircraft by dt under a clamped 4-channel control."""
+    return _aircraft(_fly(_craft(state), _commands(action), cfg))
 
 
 def pair_geometry(red: AircraftState, blue: AircraftState) -> tuple:
@@ -167,30 +331,8 @@ def pair_geometry(red: AircraftState, blue: AircraftState) -> tuple:
     takes its own coordinate differences: where a - b is +0.0, -(b - a) is
     -0.0, and atan2 turns that sign into +pi or -pi.
     """
-    los = blue.pos - red.pos
-    # the two dot products stay BLAS ddot on ndarrays: a float sum of the
-    # three products rounds differently for about a fifth of all vectors
-    dist = math.sqrt(los.dot(los))  # np.linalg.norm's own computation
-    if dist < 1e-9:
-        coincident = Geometry(0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
-        return coincident, coincident
-    u = los / dist
-    cos_ata = float(red.forward.dot(u))
-    cos_ata = -1.0 if cos_ata < -1.0 else (1.0 if cos_ata > 1.0 else cos_ata)
-    # red's aspect: blue's tail axis (-forward) vs LOS blue->red (-u); the two
-    # sign flips cancel.  Blue's nose on its own LOS (-u) is the negation.
-    cos_aspect = float(blue.forward.dot(u))
-    cos_aspect = -1.0 if cos_aspect < -1.0 else (1.0 if cos_aspect > 1.0 else cos_aspect)
-    rx, ry, rz = red.pos.tolist()
-    bx, by, bz = blue.pos.tolist()
-    lx, ly, lz = bx - rx, by - ry, bz - rz
-    level = math.hypot(lx, ly)  # hypot reads only magnitudes
-    return (Geometry(dist, math.acos(cos_ata), math.acos(cos_aspect), cos_ata,
-                     wrap_angle(math.atan2(lx, ly) - red.heading),
-                     math.atan2(lz, level) - red.pitch),
-            Geometry(dist, math.acos(-cos_aspect), math.acos(-cos_ata), -cos_aspect,
-                     wrap_angle(math.atan2(rx - bx, ry - by) - blue.heading),
-                     math.atan2(rz - bz, level) - blue.pitch))
+    sight = _sight(_craft(red), _craft(blue))
+    return Geometry(*sight[:6]), Geometry(sight[0], *sight[6:])
 
 
 def relative_geometry(attacker: AircraftState, target: AircraftState) -> Geometry:
@@ -205,20 +347,11 @@ def lock_check(attacker: AircraftState, target: AircraftState,
     The angle test compares cosines with a 1e-12 slack so a pose constructed
     at exactly the boundary angle counts as locked.
     """
-    return _locks(relative_geometry(attacker, target), cfg or DogfightConfig())
-
-
-def _locks(geom: Geometry, cfg: DogfightConfig) -> bool:
-    """lock_check's test on an already computed attacker->target geometry."""
-    if geom.distance >= cfg.lock_range:
-        return False
-    return geom.cos_ata >= math.cos(cfg.lock_cone) - 1e-12
+    return _locks(_sight(_craft(attacker), _craft(target)), cfg or DogfightConfig())[0]
 
 
 def out_of_bounds(state: AircraftState, cfg: DogfightConfig) -> bool:
-    x, y, z = state.pos.tolist()
-    return (abs(x) > cfg.half_width or abs(y) > cfg.half_width
-            or z < cfg.alt_min or z > cfg.alt_max)
+    return _outside(state.pos.tolist(), cfg)
 
 
 def step(state: DogfightState, action_red: np.ndarray, action_blue: np.ndarray,
@@ -231,33 +364,13 @@ def step(state: DogfightState, action_red: np.ndarray, action_blue: np.ndarray,
     exits the arena.  An opponent exit ends the episode with no extra reward.
     Termination priority: red out, blue out, lock win, step cap.
     """
-    status = state.status
-    if status.terminal is not None:
-        raise ValueError("step() on a terminated engagement")
-    red = integrate(state.red, action_red, cfg)
-    blue = integrate(state.blue, action_blue, cfg)
-    n_step = status.step + 1
-    red_geom, blue_geom = pair_geometry(red, blue)
-    red_locks = _locks(red_geom, cfg)
-    blue_locks = _locks(blue_geom, cfg)
-    lock_a = status.lock_steps_agent + int(red_locks)
-    lock_o = status.lock_steps_opponent + int(blue_locks)
-    reward = cfg.lock_reward * int(red_locks) + cfg.locked_penalty * int(blue_locks)
-    terminal = None
-    if out_of_bounds(red, cfg):
-        reward += cfg.oob_penalty
-        terminal = "out_of_bounds:red"
-    elif out_of_bounds(blue, cfg):
-        terminal = "out_of_bounds:blue"
-    elif lock_a > cfg.lock_limit:
-        terminal = "lock_win:red"
-    elif lock_o > cfg.lock_limit:
-        terminal = "lock_win:blue"
-    elif n_step >= cfg.max_steps:
-        terminal = "max_steps"
-    next_state = DogfightState(red, blue, EpisodeStatus(n_step, lock_a, lock_o, terminal))
-    return next_state, float(reward), {"red_locks": red_locks, "blue_locks": blue_locks,
-                                       "red_geometry": red_geom, "blue_geometry": blue_geom}
+    red, blue, sight, red_locks, blue_locks, reward, status = _transition(
+        _craft(state.red), _craft(state.blue), state.status,
+        _commands(action_red), _commands(action_blue), cfg)
+    next_state = DogfightState(_aircraft(red), _aircraft(blue), EpisodeStatus(*status))
+    return next_state, reward, {"red_locks": red_locks, "blue_locks": blue_locks,
+                                "red_geometry": Geometry(*sight[:6]),
+                                "blue_geometry": Geometry(sight[0], *sight[6:])}
 
 
 def expert_policy(geom: Geometry, rng: np.random.Generator,
@@ -270,30 +383,13 @@ def expert_policy(geom: Geometry, rng: np.random.Generator,
     full +0.9.  Whatever channel is not actively steering draws uniform
     [-0.1, 0.1] noise.
     """
-    mag, noise = cfg.expert_magnitude, cfg.expert_noise
-    # Generator.uniform(-noise, noise)'s own formula and bits, without its
-    # per-call cost
-    low, span = -noise, noise - -noise
-    throttle = -mag if geom.aspect < cfg.brake_aspect and geom.distance < cfg.brake_range else mag
-    if abs(geom.elev_err) > cfg.expert_deadband:
-        elevator = math.copysign(mag, geom.elev_err)
-    else:
-        elevator = low + span * rng.random()
-    roll = low + span * rng.random()
-    if abs(geom.az_err) > cfg.expert_deadband:
-        rudder = math.copysign(mag, geom.az_err)
-    else:
-        rudder = low + span * rng.random()
-    return np.array([throttle, elevator, roll, rudder])
+    return np.array(_expert(geom.distance, geom.aspect, geom.az_err, geom.elev_err, rng, cfg))
 
 
 def dense_reward(prev: Geometry, cur: Geometry, locked: bool,
                  cfg: DogfightConfig) -> float:
     """Learning-only shaping: pointing improvement + closure - lock pressure."""
-    pointing = cfg.k_point * (cur.cos_ata - prev.cos_ata)
-    closure = cfg.k_close * (prev.distance - cur.distance) / cfg.dist_scale
-    pressure = cfg.k_locked * (1.0 if locked else 0.0)
-    return pointing + closure - pressure
+    return _shaping(prev.cos_ata, prev.distance, cur.cos_ata, cur.distance, locked, cfg)
 
 
 def behavior_descriptor(episode_actions: np.ndarray) -> np.ndarray:
@@ -313,31 +409,16 @@ def observe(own: AircraftState, other: AircraftState, geom: Geometry,
 
     ``geom`` is ``relative_geometry(own, other)``, which every caller has at hand.
     """
-    x, y, z = own.pos.tolist()
-    ox, oy, oz = other.pos.tolist()
-    dist = 1e-9 if geom.distance < 1e-9 else geom.distance
-    return np.array([
-        own.speed / cfg.v_max,
-        math.sin(own.heading), math.cos(own.heading),
-        own.pitch / (0.5 * math.pi),
-        math.sin(own.roll), math.cos(own.roll),
-        x / cfg.half_width,
-        y / cfg.half_width,
-        (2.0 * z - (cfg.alt_min + cfg.alt_max)) / (cfg.alt_max - cfg.alt_min),
-        (ox - x) / dist, (oy - y) / dist, (oz - z) / dist,
-        geom.distance / cfg.dist_scale,
-        other.speed / cfg.v_max,
-        *other.forward.tolist(),
-        geom.ata / math.pi,
-        geom.aspect / math.pi,
-        own_locks / cfg.lock_limit,
-        other_locks / cfg.lock_limit,
-        status.step / cfg.max_steps,
-    ])
+    return _observe(_craft(own), _craft(other), geom.distance, geom.ata, geom.aspect,
+                    own_locks, other_locks, status.step, cfg)
 
 
 class DogfightEnv:
-    """Learner-facing wrapper: red is the agent, blue runs the scripted expert."""
+    """Learner-facing wrapper: red is the agent, blue runs the scripted expert.
+
+    Between steps it holds both crafts, the episode status as a tuple and
+    the last ``_sight``, whose red view feeds the shaping and whose blue view
+    feeds the next expert action."""
 
     qd_offset = -2000.0  # fitness floor used by QD-score reporting
 
@@ -345,10 +426,8 @@ class DogfightEnv:
         self.config = config or DogfightConfig()
         self.obs_dim = 22
         self.action_space = ActionSpace("continuous", 4)
-        self._state: DogfightState | None = None
         self._rng: np.random.Generator | None = None
-        self._prev_geom: Geometry | None = None   # red->blue, feeds the shaping
-        self._blue_geom: Geometry | None = None   # blue->red, feeds the expert
+        self._red = self._blue = self._sight = self._status = None
 
     # -- episode control ----------------------------------------------------
 
@@ -360,39 +439,40 @@ class DogfightEnv:
         for y, heading in ((-half, 0.0), (half, math.pi)):  # red, then blue
             pos = np.array([0.0, y, cfg.spawn_alt]) + cfg.pos_jitter * rng.uniform(-1, 1, 3)
             heading = wrap_angle(heading + cfg.heading_jitter * rng.uniform(-1, 1))
-            crafts.append(AircraftState(pos, cfg.spawn_speed, heading, 0.0, 0.0,
-                                        np.array(_nose(heading, 0.0))))
-        red, blue = crafts
-        self._state = DogfightState(red=red, blue=blue, status=EpisodeStatus())
-        self._prev_geom, self._blue_geom = pair_geometry(red, blue)
-        return observe(red, blue, self._prev_geom, self._state.status, 0, 0, cfg)
+            crafts.append((*pos.tolist(), cfg.spawn_speed, heading, 0.0, 0.0,
+                           *_nose(heading, 0.0)))
+        red, blue = self._red, self._blue = crafts
+        self._status = EpisodeStatus()
+        sight = self._sight = _sight(red, blue)
+        return _observe(red, blue, sight[0], sight[1], sight[2], 0, 0, 0, cfg)
 
     def step(self, action: np.ndarray):
         """Returns (obs, sparse + dense reward, done, info).  ``info`` holds only
         what the step alone knows: ``sparse_reward``, ``dense_reward``, ``red_locks``
         and ``blue_locks``.  Read the engagement it leaves (positions, nose
         vectors, step count, terminal reason) from ``state``."""
-        if self._state is None or self._state.status.terminal is not None:
+        if self._status is None or self._status[3] is not None:
             raise RuntimeError("step() on a finished episode; call reset()")
         cfg = self.config
-        state = self._state
-        action_blue = expert_policy(self._blue_geom, self._rng, cfg)
-        next_state, sparse, flags = step(state, action, action_blue, cfg)
-        geom, self._blue_geom = flags["red_geometry"], flags["blue_geometry"]
-        shaping = dense_reward(self._prev_geom, geom, flags["blue_locks"], cfg)
-        self._prev_geom = geom
-        self._state = next_state
-        status = next_state.status
-        obs = observe(next_state.red, next_state.blue, geom, status,
-                      status.lock_steps_agent, status.lock_steps_opponent, cfg)
+        prev = self._sight
+        action_blue = _expert(prev[0], prev[7], prev[9], prev[10], self._rng, cfg)
+        red, blue, sight, red_locks, blue_locks, sparse, status = _transition(
+            self._red, self._blue, self._status, _commands(action), action_blue, cfg)
+        shaping = _shaping(prev[3], prev[0], sight[3], sight[0], blue_locks, cfg)
+        self._red, self._blue, self._sight, self._status = red, blue, sight, status
+        n_step, lock_a, lock_o, terminal = status
+        obs = _observe(red, blue, sight[0], sight[1], sight[2], lock_a, lock_o, n_step, cfg)
         info = {"sparse_reward": sparse, "dense_reward": shaping,
-                "red_locks": flags["red_locks"], "blue_locks": flags["blue_locks"]}
-        return obs, sparse + shaping, status.terminal is not None, info
+                "red_locks": red_locks, "blue_locks": blue_locks}
+        return obs, sparse + shaping, terminal is not None, info
 
     def episode_bd(self, actions: np.ndarray, last_info: dict) -> np.ndarray:
         return behavior_descriptor(actions)
 
     @property
-    def state(self) -> DogfightState:
-        return self._state
-
+    def state(self) -> DogfightState | None:
+        """The engagement as records, built on each read from what the steps carry."""
+        if self._status is None:
+            return None
+        return DogfightState(_aircraft(self._red), _aircraft(self._blue),
+                             EpisodeStatus(*self._status))

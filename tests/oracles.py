@@ -8,8 +8,10 @@ distributions, and the closed-form distances are written per pair of them.
 ``surrogate_det_bound`` is the closed-form floor of the blended determinant.
 The reference kernel passes, network passes, running statistics, per-learner
 reward phase, dogfight kinematics and toy step below are the plain forms of the
-production hot path, which must match them bit for bit; ``finite_runs`` is the
-plain loop behind the report's grouping of finite curve points.
+production hot path, which must match them bit for bit; the PPO losses are the
+objectives whose central differences the update's gradients must match;
+``finite_runs`` is the plain loop behind the report's grouping of finite curve
+points.
 """
 
 import math
@@ -722,6 +724,26 @@ def evaluate(policy, env, rng, episodes=10) -> EvalResult:
             bds.append(np.asarray(bd, dtype=np.float64))
     return EvalResult(fitness=float(np.mean(totals)),
                       bd=np.mean(np.stack(bds), axis=0) if bds else None)
+
+
+# -- reference PPO losses ------------------------------------------------------------
+
+def ppo_policy_loss(policy, obs, actions, adv, old_logp, clip: float) -> float:
+    """The clipped surrogate a PPO minibatch descends, row by row from the
+    Gaussian log-density: minus the mean of min(r A, clip(r, 1 - clip, 1 + clip) A)
+    with r = exp(log pi(a | s) - old log-prob)."""
+    mean, log_std = gaussian_batch(policy, obs)
+    total = 0.0
+    for mu, action, a, old in zip(mean, actions, adv, old_logp):
+        ratio = math.exp(DiagGaussian(mu, log_std).log_prob(action) - old)
+        total += min(ratio * a, min(max(ratio, 1.0 - clip), 1.0 + clip) * a)
+    return -total / len(adv)
+
+
+def ppo_value_loss(value_fn, obs, returns, value_coef: float) -> float:
+    """``value_coef`` times half the mean squared error of the values."""
+    errors = value_batch(value_fn, obs) - np.asarray(returns, dtype=np.float64)
+    return value_coef * 0.5 * sum(e * e for e in errors.tolist()) / len(errors)
 
 
 def finite_runs(mask) -> list:

@@ -19,8 +19,13 @@ moved digest cells of ``perfbench/README.md``.  ``git diff`` is the preview
 and ``git checkout`` the undo.  If any recipe fails its own checks, or a moved
 benchmark digest is not quoted exactly once in that README, it writes nothing
 and exits 1.
+
+``python tests/pins.py --out PATH`` writes the recomputed table to PATH instead
+and touches neither ``pins.json`` nor the README.  Two trees' tables under one
+``OPENBLAS_CORETYPE`` then diff a bit-exact claim on a second BLAS kernel.
 """
 
+import argparse
 import dataclasses
 import functools
 import hashlib
@@ -262,10 +267,12 @@ RECIPES = {
 # -- the table -----------------------------------------------------------------
 
 def provenance() -> dict:
-    """The build the pins are computed on.  The dogfight's distance and cosine
-    products are BLAS ``ddot`` calls, whose summation order another BLAS build
-    may not share, so a dogfight pin (and a benchmark pin that runs the
-    dogfight) can move with the build alone."""
+    """The build the pins are computed on.  The network matmuls and the
+    dogfight's distance and cosine ``ddot`` products sum in the order of the
+    BLAS kernel in use, which the build and the CPU pick when the library
+    loads (``OPENBLAS_CORETYPE`` overrides it).  Every pin but the toy
+    trajectory can so move with the BLAS build alone, or with the runtime
+    kernel, which this record does not name."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         build = f"{blas['name']} {blas['version']}"
@@ -289,8 +296,13 @@ def mismatch(name: str, recorded, digest: str, recorded_with: dict) -> str:
              f"  recorded with: {recorded_with}",
              f"  running on:    {running}"]
     if running != recorded_with:
-        lines.append("  the build differs from the recorded one: dogfight digests sum BLAS "
-                     "ddot products, whose order can move with the BLAS build alone")
+        lines.append("  the build differs from the recorded one: the network matmuls and the "
+                     "dogfight's ddot products sum in an order that can move with the BLAS "
+                     "build alone")
+    else:
+        lines.append("  the build matches; the BLAS kernel picked at runtime is not recorded, "
+                     "and a different one (see OPENBLAS_CORETYPE) sums the network matmuls "
+                     "and the dogfight's ddot products in another order")
     lines.append("  a change that moves behaviour on purpose re-pins with: python3 tests/pins.py")
     return "\n".join(lines)
 
@@ -306,19 +318,30 @@ def rewrite_cells(text: str, moves: dict) -> str:
     return text
 
 
-def write(digests: dict, recorded: dict, pins_path: Path = PINS,
-          readme: Path = README) -> None:
+def write(digests: dict, recorded: dict, pins_path: Path | None = None,
+          readme: Path | None = None) -> None:
     """Record ``digests`` with this build's provenance, and carry each moved
-    benchmark digest into ``readme``.  Writes nothing if a cell is refused."""
+    benchmark digest into ``readme``.  Writes nothing if a cell is refused.
+    The paths default to ``PINS`` and ``README`` as they are at the call."""
+    pins_path, readme = pins_path or PINS, readme or README
     moves = {recorded.get(name): digest for name, digest in digests.items()
              if name.startswith("benchmark-") and recorded.get(name) != digest}
     text = rewrite_cells(readme.read_text(), moves)
-    table = {"recorded_with": provenance(), "pins": digests}
-    pins_path.write_text(json.dumps(table, indent=2) + "\n")
+    write_table(digests, pins_path)
     readme.write_text(text)
 
 
-def main() -> int:
+def write_table(digests: dict, path: Path) -> None:
+    """``digests`` with this build's provenance, as ``pins.json`` holds them."""
+    table = {"recorded_with": provenance(), "pins": digests}
+    path.write_text(json.dumps(table, indent=2) + "\n")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Recompute every behaviour pin.")
+    parser.add_argument("--out", type=Path, help="write the recomputed table here and leave "
+                        "pins.json and perfbench/README.md as they are")
+    args = parser.parse_args(argv)
     if not __debug__:
         print("the recipes check their coverage with assert; run without -O", file=sys.stderr)
         return 1
@@ -341,6 +364,10 @@ def main() -> int:
         print(f"{len(failed)} recipe(s) failed their own checks; wrote nothing",
               file=sys.stderr)
         return 1
+    if args.out is not None:
+        write_table(digests, args.out)
+        print(f"wrote {len(digests)} pins to {args.out}")
+        return 0
     try:
         write(digests, recorded)
     except ValueError as exc:

@@ -12,6 +12,7 @@ from phasic.dogfight import (AircraftState, DogfightConfig, DogfightEnv,
                              pair_geometry, relative_geometry, step, wrap_angle)
 
 import oracles
+import pins
 
 CFG = DogfightConfig()
 
@@ -624,3 +625,50 @@ class TestStepEquivalence:
                 resets += 1
         # the run must exercise both lock flags and the episode boundary
         assert red_locks > 0 and blue_locks > 0 and resets > 0
+
+
+def assert_same_state(got, want):
+    """Two engagements field by field, the aircraft vectors as float64 ndarrays."""
+    for a, b in ((got.red, want.red), (got.blue, want.blue)):
+        for vec in (a.pos, a.forward):
+            assert type(vec) is np.ndarray and vec.dtype == np.float64 and vec.shape == (3,)
+        assert np.array_equal(a.pos, b.pos) and np.array_equal(a.forward, b.forward)
+        assert (a.speed, a.heading, a.pitch, a.roll) == (b.speed, b.heading, b.pitch, b.roll)
+    assert type(got.status) is EpisodeStatus and got.status == want.status
+
+
+class TestStateReads:
+    """DogfightEnv builds its records when ``state`` is read: a read moves no
+    later output and no generator, and the public ``step`` on a read state
+    gives the state the env reaches."""
+
+    @pytest.mark.parametrize("arena", list(pins.DOGFIGHT_TRAJECTORIES))
+    def test_reading_state_changes_nothing(self, arena):
+        cfg = pins.DOGFIGHT_TRAJECTORIES[arena]
+        read, unread = DogfightEnv(cfg), DogfightEnv(cfg)
+        rng, twin_rng = np.random.default_rng(34), np.random.default_rng(34)
+        act_rng = np.random.default_rng(35)
+        assert np.array_equal(read.reset(rng), unread.reset(twin_rng))
+        resets = locks = 0
+        for t in range(1000):
+            before = read.state
+            assert_same_state(read.state, before)
+            probe = np.random.default_rng()
+            probe.bit_generator.state = rng.bit_generator.state
+            action_blue = expert_policy(relative_geometry(before.blue, before.red), probe, cfg)
+            action = act_rng.uniform(-1.5, 1.5, 4) if t % 5 else np.zeros(4)
+            obs, reward, done, info = read.step(action)
+            twin_obs, *twin = unread.step(action)
+            assert np.array_equal(obs, twin_obs) and [reward, done, info] == twin
+            assert rng.bit_generator.state == twin_rng.bit_generator.state
+            want, sparse, flags = step(before, action, action_blue, cfg)
+            assert_same_state(read.state, want)
+            assert sparse == info["sparse_reward"]
+            assert (flags["red_locks"], flags["blue_locks"]) == (info["red_locks"],
+                                                                 info["blue_locks"])
+            locks += info["red_locks"] + info["blue_locks"]
+            if done:
+                assert np.array_equal(read.reset(rng), unread.reset(twin_rng))
+                resets += 1
+        assert resets > 1
+        assert locks > 0 or arena == "open"

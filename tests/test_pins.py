@@ -68,6 +68,23 @@ def test_repin_refuses_a_cell_not_quoted_once(tmp_path, quotes):
     assert not pins_path.exists() and readme.read_text() == text
 
 
+def test_out_writes_the_table_there_and_nothing_else(tmp_path, monkeypatch):
+    # the flag's contract holds for any recipe set; one cheap recipe stands for all
+    monkeypatch.setattr(pins, "RECIPES", {"trajectory-toy": pins.RECIPES["trajectory-toy"]})
+    readme, pins_path = _copies(tmp_path)
+    pins_path.write_bytes(pins.PINS.read_bytes())
+    monkeypatch.setattr(pins, "README", readme)
+    monkeypatch.setattr(pins, "PINS", pins_path)
+    before = readme.read_bytes(), pins_path.read_bytes()
+    out = tmp_path / "kernel" / "table.json"
+    out.parent.mkdir()
+    assert pins.main(["--out", str(out)]) == 0
+    assert (readme.read_bytes(), pins_path.read_bytes()) == before
+    assert json.loads(out.read_text()) == {
+        "recorded_with": pins.provenance(),
+        "pins": {"trajectory-toy": TABLE["pins"]["trajectory-toy"]}}
+
+
 def test_repin_errors_on_the_warnings_tier_1_errors_on():
     # pyproject.toml read as text: tomllib needs Python 3.11
     text = (pins.ROOT / "pyproject.toml").read_text()

@@ -731,6 +731,72 @@ class TestPpoUpdate:
         assert after < before
 
 
+class SpyOptimizer:
+    """Records each gradient it is handed and leaves the parameters as they are."""
+
+    def __init__(self):
+        self.grads = []
+
+    def step(self, params, grad):
+        self.grads.append(np.array(grad))
+        return params
+
+
+class TestPpoGradients:
+    """One epoch over one minibatch: the gradients ``ppo_update`` hands its
+    optimizers are the central differences of the oracle losses."""
+
+    CLIP, VALUE_COEF = 0.2, 0.7
+    # every |ratio - 1| stays at least 0.05 from the clip kinks at 0.8 and 1.2
+    RATIOS = (0.5, 0.75, 0.9, 1.1, 1.25, 1.6)
+
+    def test_gradients_match_central_differences(self):
+        rng = np.random.default_rng(41)
+        n, obs_dim, act_dim = 30, 3, 2
+        policy = Policy.init(obs_dim, ActionSpace("continuous", act_dim), rng, hidden=(5,))
+        params = policy.params + 0.3 * rng.standard_normal(policy.n_params)
+        params[-act_dim:] = [-0.4, 0.3]  # std != 1 on both axes
+        policy = policy.with_params(params)
+        value_fn = ValueFunction.init(obs_dim, rng, hidden=(5,))
+        obs = rng.normal(size=(n, obs_dim))
+        mean, log_std = oracles.gaussian_batch(policy, obs)
+        actions = mean + np.exp(log_std) * rng.normal(size=(n, act_dim))
+        ratios = rng.choice(self.RATIOS, size=n)
+        logp = [oracles.DiagGaussian(mu, log_std).log_prob(a) for mu, a in zip(mean, actions)]
+        old_logp = np.array(logp) - np.log(ratios)
+        # one-step episodes: the advantage is reward - value, the return the reward
+        rewards, values = rng.normal(size=n), rng.normal(size=n)
+        buf = RolloutBuffer(obs=obs, raw_obs=obs, actions=actions, log_probs=old_logp,
+                            rewards=rewards, values=values, dones=np.ones(n, dtype=bool),
+                            bootstrap_value=0.0)
+        cfg = PPOConfig(clip=self.CLIP, epochs=1, minibatches=1, value_coef=self.VALUE_COEF)
+        policy_opt, value_opt = SpyOptimizer(), SpyOptimizer()
+        ppo_update(policy, value_fn, buf, cfg, policy_opt, value_opt, np.random.default_rng(42))
+        (grad,), (v_grad,) = policy_opt.grads, value_opt.grads
+
+        adv = rewards - values
+        returns = adv + values
+        adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+        # both branches of the min are taken, the clipped one by rows of both signs
+        clipped = ratios * adv > np.clip(ratios, 1.0 - self.CLIP, 1.0 + self.CLIP) * adv
+        assert clipped.any() and (~clipped).any()
+        assert (clipped & (adv > 0)).any() and (clipped & (adv < 0)).any()
+
+        def policy_loss(flat):
+            return oracles.ppo_policy_loss(policy.with_params(flat), obs, actions, adv,
+                                           old_logp, self.CLIP)
+
+        def value_loss(flat):
+            return oracles.ppo_value_loss(value_fn.with_params(flat), obs, returns,
+                                          self.VALUE_COEF)
+
+        want = oracles.central_diff_grad(policy_loss, policy.params)
+        assert oracles.grad_close(grad, want)
+        # the log-std entries alone, so a fault there is not lost in the scale
+        assert oracles.grad_close(grad[-act_dim:], want[-act_dim:])
+        assert oracles.grad_close(v_grad, oracles.central_diff_grad(value_loss, value_fn.params))
+
+
 class TestEvaluate:
     def test_quiet_policy_matches_closed_form(self):
         env = SparseLog(ToyEnv(ToyConfig(spawn_jitter=0.0, horizon=40)))
