@@ -21,6 +21,10 @@ import numpy as np
 
 from .nets import NormalizedPolicy, save_policy
 
+# the widest grid side: save_archive writes the dense (cells_per_dim,
+# cells_per_dim) heatmap, a million cells (8 MB) at this side
+MAX_CELLS_PER_DIM = 1000
+
 
 @dataclass(frozen=True)
 class ArchiveEntry:
@@ -107,8 +111,8 @@ class GridArchive(_Archive):
     dims = 2  # both environments describe an episode by two numbers
 
     def __init__(self, cells_per_dim: int = 10):
-        if cells_per_dim < 1:
-            raise ValueError("cells_per_dim must be positive")
+        if not 1 <= cells_per_dim <= MAX_CELLS_PER_DIM:
+            raise ValueError(f"cells_per_dim must lie in [1, {MAX_CELLS_PER_DIM}]")
         super().__init__()
         self.cells_per_dim = cells_per_dim
 

@@ -12,11 +12,12 @@ Each metric's function returns its distance with a hand-written reverse
 pass over all pairs at once, which reuses the layer inputs the forward kept:
 a forward and its reverse pass run each network once.
 
-Sums over a short action or category axis (fewer than 8 terms) run as a
-running total of the axis' slices plus 0.0, which gives ``np.sum``'s bits
-without numpy's per-row reduce; the reverse passes add each partner j's
-contribution into a running total one j at a time, so no (M, M, N, ·)
-product is built.
+One helper, ``last_axis_sum``, sums an action or category axis: below 8
+terms a running total of the axis' slices plus 0.0, which gives ``np.sum``'s
+bits without numpy's per-row reduce.  The JSD probe mean is the last entry
+of one ``np.add.accumulate``, a running total over the probes.  The reverse
+passes add each partner j's term into their running totals one j at a time,
+so no (M, M, N, ·) product is built.
 """
 
 from __future__ import annotations
@@ -80,50 +81,21 @@ def _w2_scale(sq: np.ndarray) -> float:
     return 1.0 if std < NORM_STD_FLOOR else std
 
 
-def _ordered_sum(x: np.ndarray, axis: int) -> np.ndarray:
-    """Sum along ``axis`` one element after another: a running total.
-
-    From ``PAIRWISE_MIN`` terms on, ``np.sum`` adds pairwise along a
-    contiguous axis, which rounds differently.  An axis shorter than that is
-    added slice after slice (a copy of the first, then ``+=`` of each later
-    one); a longer one is the last slice of one ``np.add.accumulate``, the
-    same additions in the same order without a call per term.
-    """
-    if x.shape[axis] >= PAIRWISE_MIN:
-        return np.add.accumulate(x, axis=axis).take(-1, axis=axis)
-    terms = np.moveaxis(x, axis, 0)
-    total = terms[0].copy()
-    for term in terms[1:]:
-        total += term
-    return total
-
-
 def last_axis_sum(x: np.ndarray) -> np.ndarray:
     """``np.sum(x, axis=-1)``, bit for bit, for action- and category-axis sums.
 
     Below ``PAIRWISE_MIN`` terms numpy adds one after another, starting from
-    -0.0, and adds that total to its +0.0 identity.  A running total plus 0.0
-    gives those bits (the 0.0 turns an all -0.0 total into +0.0) at a
-    fraction of the cost of numpy's reduce over a short axis.  From
-    ``PAIRWISE_MIN`` terms on this is ``np.sum`` itself.
+    -0.0, and adds that total to its +0.0 identity.  A copy of the first
+    slice, ``+=`` of each later one, then ``+= 0.0`` gives those bits (the
+    0.0 turns an all -0.0 total into +0.0) at a fraction of the cost of
+    numpy's reduce over a short axis.  From ``PAIRWISE_MIN`` terms on, where
+    numpy adds pairwise, this is ``np.sum`` itself.
     """
     if x.shape[-1] >= PAIRWISE_MIN:
         return np.sum(x, axis=-1)
-    total = _ordered_sum(x, -1)
-    total += 0.0
-    return total
-
-
-def _sum_of_squares(x: np.ndarray) -> np.ndarray:
-    """``last_axis_sum(x ** 2)``, bit for bit, without a squared copy of ``x``.
-
-    A short axis is squared one slice at a time inside the running total.
-    """
-    if x.shape[-1] >= PAIRWISE_MIN:
-        return last_axis_sum(x ** 2)
-    total = x[..., 0] ** 2
+    total = x[..., 0].copy()
     for k in range(1, x.shape[-1]):
-        total += x[..., k] ** 2
+        total += x[..., k]
     total += 0.0
     return total
 
@@ -135,21 +107,20 @@ def _w2(policies, states: np.ndarray, deterministic: bool):
     mus = np.stack([o[0] for o in outs])            # (M, N, A)
     stds = np.exp(np.stack([o[1] for o in outs]))   # (M, A)
     diffs = mus[:, None] - mus[None, :]
-    sq = np.mean(_sum_of_squares(diffs), axis=-1)
+    sq = np.mean(last_axis_sum(diffs * diffs), axis=-1)
     if not deterministic:
         sq = sq + last_axis_sum((stds[:, None] - stds[None, :]) ** 2)
     caches = [o[2] for o in outs]
 
     def reverse(d_sq):
         coeff = d_sq * (2.0 / states.shape[0])
+        twice = d_sq * 2.0
         dmu = coeff[:, 0, None, None] * diffs[:, 0]
+        dls = np.zeros_like(stds) if deterministic else twice[:, 0, None] * (stds - stds[0]) * stds
         for j in range(1, len(caches)):
             dmu += coeff[:, j, None, None] * diffs[:, j]
-        if deterministic:
-            dls = np.zeros_like(stds)
-        else:
-            dls = _ordered_sum((d_sq * 2.0)[:, :, None] * (stds[:, None] - stds[None, :])
-                               * stds[:, None], axis=1)
+            if not deterministic:
+                dls += twice[:, j, None] * (stds - stds[j]) * stds
         return [pi.backward_gaussian(c, dm, dl)
                 for pi, c, dm, dl in zip(policies, caches, dmu, dls)]
     return sq, reverse
@@ -204,7 +175,7 @@ def kernel_forward(policies, batch: StateBatch, metric: str = "w2",
         scale = 1.0
         # clip round-off: the similarity lies in [0, 1]
         sim = np.minimum(np.maximum(1.0 - dist / LN2, 0.0), 1.0)
-        k = _ordered_sum(sim, axis=-1) / dist.shape[-1]
+        k = np.add.accumulate(sim, axis=-1)[..., -1] / dist.shape[-1]
     else:
         dist, reverse = _w2(policies, batch.states, deterministic)
         scale = _w2_scale(dist) if norm_scale is None else float(norm_scale)

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .archive import FitnessQueue, GridArchive, qd_metrics, save_archive
+from .archive import MAX_CELLS_PER_DIM, FitnessQueue, GridArchive, qd_metrics, save_archive
 from .detops import diversity_ascent
 from .dogfight import DogfightEnv
 from .kernels import StateBatch
@@ -118,6 +118,9 @@ def validate_config(config: TrainerConfig) -> None:
         value = attrgetter(name)(config)
         if not _is_count(value, least):
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    if config.cells_per_dim > MAX_CELLS_PER_DIM:  # the archive writes a dense heatmap
+        raise ValueError(f"cells_per_dim must be at most {MAX_CELLS_PER_DIM}, "
+                         f"got {config.cells_per_dim!r}")
     for name, interval in _REALS.items():
         value = attrgetter(name)(config)
         if not _is_real(value, interval):

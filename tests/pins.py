@@ -26,6 +26,7 @@ and touches neither ``pins.json`` nor the README.  Two trees' tables under one
 """
 
 import argparse
+import ctypes
 import dataclasses
 import functools
 import hashlib
@@ -272,7 +273,7 @@ def provenance() -> dict:
     BLAS kernel in use, which the build and the CPU pick when the library
     loads (``OPENBLAS_CORETYPE`` overrides it).  Every pin but the toy
     trajectory can so move with the BLAS build alone, or with the runtime
-    kernel, which this record does not name."""
+    kernel, recorded as ``blas_core``."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         build = f"{blas['name']} {blas['version']}"
@@ -280,8 +281,19 @@ def provenance() -> dict:
             build += f" ({' '.join(blas['openblas configuration'].split())})"
     except (TypeError, KeyError):  # numpy before 1.26 reports no build dicts
         build = "unknown"
-    return {"numpy": np.__version__, "blas": build, "machine": platform.machine(),
-            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
+    return {"numpy": np.__version__, "blas": build, "blas_core": blas_core(),
+            "machine": platform.machine(), "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
+
+
+def blas_core() -> str:
+    """The kernel numpy's bundled OpenBLAS picked at runtime (``SkylakeX``,
+    ``Haswell``, ...), or ``unknown`` where the library names none."""
+    try:
+        corename = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_corename64_
+    except (AttributeError, OSError):  # another BLAS, or numpy before 2.0
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
 
 
 def load() -> dict:
@@ -295,14 +307,18 @@ def mismatch(name: str, recorded, digest: str, recorded_with: dict) -> str:
     lines = [f"pin {name}: recorded {recorded}, computed {digest}",
              f"  recorded with: {recorded_with}",
              f"  running on:    {running}"]
-    if running != recorded_with:
+    cores = recorded_with.get("blas_core", "unknown"), running["blas_core"]
+    same_build = all(recorded_with.get(k) == v for k, v in running.items() if k != "blas_core")
+    if cores[0] != cores[1]:
+        lines.append(f"  the BLAS kernel differs: recorded {cores[0]}, running {cores[1]}; "
+                     "each kernel (OPENBLAS_CORETYPE picks it) sums the network matmuls and "
+                     "the dogfight's ddot products in its own order")
+    if not same_build:
         lines.append("  the build differs from the recorded one: the network matmuls and the "
                      "dogfight's ddot products sum in an order that can move with the BLAS "
                      "build alone")
-    else:
-        lines.append("  the build matches; the BLAS kernel picked at runtime is not recorded, "
-                     "and a different one (see OPENBLAS_CORETYPE) sums the network matmuls "
-                     "and the dogfight's ddot products in another order")
+    elif cores[0] == cores[1]:
+        lines.append("  the build and the BLAS kernel match: the computation itself moved")
     lines.append("  a change that moves behaviour on purpose re-pins with: python3 tests/pins.py")
     return "\n".join(lines)
 

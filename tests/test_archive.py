@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from phasic.archive import FitnessQueue, GridArchive, bd_to_cell, qd_metrics, save_archive
+from phasic.archive import (MAX_CELLS_PER_DIM, FitnessQueue, GridArchive, bd_to_cell, qd_metrics,
+                            save_archive)
 from phasic.nets import NormalizedPolicy, Policy, load_policy
 
 from factories import random_gaussian_policy, view
@@ -58,6 +59,14 @@ class TestGridArchive:
         assert arch.add(pol, 1.5, [0.35, 0.72])
         assert len(arch) == 1
         assert arch.max_fitness() == 1.5
+
+    @pytest.mark.parametrize("cells", [0, MAX_CELLS_PER_DIM + 1, 100_000_000_000])
+    def test_grid_side_outside_its_range_is_refused(self, cells):
+        with pytest.raises(ValueError, match="cells_per_dim"):
+            GridArchive(cells)
+
+    def test_widest_grid_writes_its_heatmap(self):
+        assert GridArchive(MAX_CELLS_PER_DIM).heatmap().shape == (MAX_CELLS_PER_DIM,) * 2
 
     def test_distinct_cells_coexist(self):
         arch = GridArchive()

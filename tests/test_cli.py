@@ -267,6 +267,19 @@ class TestValidateCommand:
             assert key in error["message"]
         assert not out_dir.exists()
 
+    def test_grid_wider_than_its_heatmap_is_refused_before_the_run(self, tmp_path, capsys):
+        """A grid side whose dense heatmap numpy cannot hold is one config error
+        from both commands: validate builds no grid, and the run writes nothing."""
+        cfg = _cfg_file(tmp_path, dict(_FAST, cells_per_dim=100_000_000_000))
+        out_dir = tmp_path / "exp"
+        for argv in (["validate", "--config", cfg],
+                     ["run", "--config", cfg, "--out", str(out_dir)]):
+            rc, out, err = _run_main(capsys, argv)
+            assert (rc, out, len(err.splitlines())) == (1, "", 1)
+            error = json.loads(err)["error"]
+            assert error["type"] == "config" and "cells_per_dim" in error["message"]
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("ppo", [{"minibatches": 0}, {"epochs": -1}])
     def test_ppo_loop_counts_below_one(self, tmp_path, capsys, ppo):
         cfg = _cfg_file(tmp_path, {"ppo": ppo})

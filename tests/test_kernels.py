@@ -8,8 +8,8 @@ from oracles import (LN2, DiagGaussian, DiscreteDist, central_diff_grad, f_js,
                      grad_close, jsd, kernel_invariant_violations,
                      mc_w2_diag_gaussian, w2_squared_diag, w2_squared_full)
 
-from phasic.kernels import (StateBatch, _ordered_sum, _sum_of_squares, kernel_backward,
-                            kernel_forward, last_axis_sum)
+from phasic import kernels
+from phasic.kernels import StateBatch, kernel_backward, kernel_forward, last_axis_sum
 from phasic.nets import NormalizedPolicy
 
 
@@ -353,50 +353,68 @@ class TestLoopReference:
             assert np.array_equal(g, g_ref)
 
 
-class TestOrderedSum:
-    """``_ordered_sum`` is a running total: the bits of the last slice of a
-    full ``np.cumsum``, which pairwise ``np.sum`` need not give."""
+class TestRunningTotals:
+    """The kernel's two sums over a long or strided axis are running totals:
+    the bits of the last slice of a full ``np.cumsum``, which pairwise
+    ``np.sum`` need not give."""
 
     @staticmethod
-    def _assert_same_bits(x, axis):
-        x.setflags(write=False)  # the sum never writes its terms
-        got, ref = _ordered_sum(x, axis), oracles.cumsum_total(x, axis)
+    def _assert_same_bytes(got, ref):
         assert got.shape == ref.shape and got.dtype == ref.dtype
         assert got.tobytes() == ref.tobytes()
-        return got
 
-    def test_kernel_axes(self):
-        """Axis 1 of (M, M, N, A) and (M, M, A) reverse-pass terms for M = 2..5,
-        and the JSD forward's last axis of N = 64 probes."""
-        pairwise_differs = False
-        for m in range(2, 6):
-            rng = np.random.default_rng(m)
-            for shape in ((m, m, 17, 3), (m, m, 4)):
-                self._assert_same_bits(rng.standard_normal(shape), axis=1)
-            # magnitudes 1e-8..1e8 so the summation order shows in the bits
-            x = rng.standard_normal((m, m, 64)) * 10.0 ** rng.uniform(-8, 8, (m, m, 64))
-            got = self._assert_same_bits(x, axis=-1)
-            pairwise_differs |= not np.array_equal(got, np.sum(x, axis=-1))
-        assert pairwise_differs
+    @pytest.mark.parametrize("m", [2, 3, 5, 9])
+    def test_w2_log_std_total_over_partners(self, m):
+        """The log-std tail of each W2 gradient adds partner j's term
+        2 d_sq[i, j] (s_i - s_j) s_i one j after another."""
+        rng = np.random.default_rng(m)
+        # action 0 shares one log-std, so its terms are signed zeros (or nan)
+        log_stds = np.stack([np.full(m, -0.3), rng.uniform(-19.0, 1.9, m)], axis=1)
+        pols = [linear_gaussian_policy(0.1 * rng.standard_normal((2, 2)), np.zeros(2), ls)
+                for ls in log_stds]
+        fwd = kernel_forward(pols, StateBatch(rng.uniform(-1.0, 1.0, (7, 2))), norm_scale=1.0)
+        # magnitudes 1e-8..1e8 so the summation order shows in the bits
+        upstream = rng.standard_normal((m, m)) * 10.0 ** rng.uniform(-8, 8, (m, m))
+        upstream[0], upstream[:, 0] = np.abs(upstream[0]), np.abs(upstream[:, 0])
+        if m > 2:
+            upstream[1, 2] = np.inf                          # ±inf terms in rows 1 and 2
+            upstream[2, 2] = np.nan                          # a nan term in row 2
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = np.stack([g[-2:] for g in kernel_backward(fwd, upstream)])
+            d_sq = -(upstream + upstream.T) * fwd.entries / (2.0 * fwd.scale)
+            stds = np.exp(log_stds)
+            terms = (d_sq * 2.0)[:, :, None] * (stds[:, None] - stds[None, :]) * stds[:, None]
+        self._assert_same_bytes(got, oracles.cumsum_total(terms, axis=1))
+        assert np.signbit(got[0, 0]) and got[0, 0] == 0.0  # every term -0.0
+        if m > 2:
+            assert np.isinf(got[1, 1]) and np.isnan(got[2]).all()
 
-    def test_signed_zero_inf_and_nan_terms(self):
-        x = np.zeros((3, 3, 5))
-        x[:, :, 0] = -0.0
-        x[0, 1] = -0.0  # every term -0.0: the total stays -0.0
-        x[0, 2, 3] = np.inf
-        x[1, 0, 1], x[1, 0, 4] = np.inf, -np.inf  # inf - inf is nan
-        x[1, 2, 2] = np.nan
-        x[2, 0, 0] = -np.inf
+    def test_jsd_probe_mean(self, monkeypatch):
+        """Each JSD kernel entry is the running total of its N = 64 probe
+        similarities over N, whatever the distances hold."""
+        m, n = 5, 64
+        rng = np.random.default_rng(0)
+        # similarities 1e-8..1 so the summation order shows in the bits
+        dist = LN2 * (1.0 - 10.0 ** rng.uniform(-8, 0, (m, m, n)))
+        dist[0, 1, :3] = -0.0, np.inf, -np.inf
+        dist[1, 2, 5] = np.nan
+        monkeypatch.setattr(kernels, "_jsd", lambda policies, states: (dist, None))
+        pols = [linear_discrete_policy(np.zeros((2, 2)), np.zeros(2)) for _ in range(m)]
         with np.errstate(invalid="ignore"):
-            got = self._assert_same_bits(x, axis=-1)
-            self._assert_same_bits(np.moveaxis(x, -1, 1).copy(), axis=1)
-        assert np.signbit(got[0, 1]) and got[0, 2] == np.inf and got[2, 0] == -np.inf
-        assert np.isnan(got[1, 0]) and np.isnan(got[1, 2])
+            k = kernel_forward(pols, StateBatch(np.zeros((n, 2))), "jsd").entries
+            sims = np.vectorize(f_js)(dist)
+        ref = oracles.cumsum_total(sims, axis=-1) / n
+        np.fill_diagonal(ref, 1.0)
+        self._assert_same_bytes(k, ref)
+        assert np.isnan(k[1, 2]) and not np.isnan(k[0, 1])
+        off = ~np.eye(m, dtype=bool)
+        assert not np.array_equal(k[off], (np.sum(sims, axis=-1) / n)[off])
 
 
 class TestLastAxisSum:
-    """``last_axis_sum`` and ``_sum_of_squares`` give the bytes of ``np.sum``
-    over the last axis, below numpy's 8-term pairwise cutoff and above it."""
+    """``last_axis_sum`` gives the bytes of ``np.sum`` over the last axis,
+    below numpy's 8-term pairwise cutoff and above it, and of the squares as
+    the W2 forward takes them."""
 
     SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300, -1e-300,
                         5e-324, -5e-324, 2.2e-308, 1.0, -3.5])
@@ -415,7 +433,7 @@ class TestLastAxisSum:
         x.setflags(write=False)
         with np.errstate(invalid="ignore", over="ignore"):
             got, ref = last_axis_sum(x), np.sum(x, axis=-1)
-            squares, squares_ref = _sum_of_squares(x), np.sum(x ** 2, axis=-1)
+            squares, squares_ref = last_axis_sum(x * x), np.sum(x ** 2, axis=-1)
         for a, b in ((got, ref), (squares, squares_ref)):
             assert a.shape == b.shape and a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()

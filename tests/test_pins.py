@@ -2,7 +2,10 @@
 rewrites only what moved (``pins.py`` holds the recipes and the step)."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -31,9 +34,30 @@ def test_mismatch_names_both_builds():
     recorded_with = dict(pins.provenance(), blas="another BLAS 1.0")
     message = pins.mismatch("run-dogfight", "a" * 64, "b" * 64, recorded_with)
     assert "another BLAS 1.0" in message and pins.provenance()["blas"] in message
-    assert "BLAS build alone" in message
+    assert "BLAS build alone" in message and "kernel differs" not in message
     same = pins.mismatch("run-dogfight", "a" * 64, "b" * 64, pins.provenance())
-    assert "BLAS build alone" not in same
+    assert "BLAS build alone" not in same and "match" in same
+
+
+def test_mismatch_names_both_cores():
+    running = pins.provenance()["blas_core"]
+    message = pins.mismatch("run-dogfight", "a" * 64, "b" * 64,
+                            dict(pins.provenance(), blas_core="AnotherCore"))
+    assert f"recorded AnotherCore, running {running}" in message
+    assert "BLAS build alone" not in message
+
+
+def test_provenance_reads_the_runtime_blas_core(monkeypatch):
+    """The core OPENBLAS_CORETYPE forces is the one recorded, and a library
+    without the query records ``unknown``."""
+    if pins.blas_core() != "unknown":
+        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+                   PYTHONPATH=os.pathsep.join([str(pins.ROOT / "src"), str(pins.ROOT / "tests")]))
+        read = subprocess.run([sys.executable, "-c", "import pins; print(pins.blas_core())"],
+                              env=env, capture_output=True, text=True, check=True)
+        assert read.stdout == "Haswell\n"
+    monkeypatch.setattr(pins.ctypes, "CDLL", lambda path: object())
+    assert pins.provenance()["blas_core"] == "unknown"
 
 
 def _copies(tmp_path, text=None):
